@@ -2,8 +2,8 @@
 
 Every verb prints a JSON report on stdout and writes artifacts through
 -o; module errors become machine-readable error JSON with exit code 1,
-usage problems exit 2.  Enumeration caps, thread counts and sampling
-seeds come from the global flags.
+usage problems exit 2.  Enumeration caps and sampling seeds come from
+the global flags.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from subdesigns import strongbridge as sb
 from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
 from subdesigns.config import RunConfig
-from subdesigns.errors import SubdesignsError
-from subdesigns.gf import make_tower
+from subdesigns.errors import FormatError, SubdesignsError
+from subdesigns.gf import make_tower, prime_power
 
 
 def _jsonable(obj):
@@ -57,12 +57,19 @@ def _write(path: str, payload: dict) -> None:
 
 
 def _tower_for(q: int, m: int):
-    p, h = de._prime_power(q)
+    p, h = prime_power(q)
     return make_tower(p, h, m)
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_design(path: str) -> de.SubspaceDesign:
-    return fmt.design_from_json(json.loads(Path(path).read_text()))
+    return fmt.design_from_json(_read_json(path))
 
 
 def _parse_elements(tower, text: str) -> list:
@@ -108,7 +115,7 @@ def _cmd_construct(args, cfg: RunConfig) -> dict:
 
 def _cmd_profile(args, cfg: RunConfig) -> dict:
     D = _load_design(args.design)
-    prof = de.design_profile(D, args.s, cap=cfg.enumeration_cap, threads=cfg.threads)
+    prof = de.design_profile(D, args.s, cap=cfg.enumeration_cap)
     return {
         "s": prof.s,
         "A_min": prof.A_min,
@@ -120,14 +127,14 @@ def _cmd_profile(args, cfg: RunConfig) -> dict:
 
 def _cmd_classify(args, cfg: RunConfig) -> dict:
     D = _load_design(args.design)
-    return de.classify(D, max_s=args.max_s, cap=cfg.enumeration_cap, threads=cfg.threads)
+    return de.classify(D, max_s=args.max_s, cap=cfg.enumeration_cap)
 
 
 def _cmd_weights(args, cfg: RunConfig) -> dict:
     D = _load_design(args.design)
-    hist = de.hyperplane_weight_distribution(D, cap=cfg.enumeration_cap, threads=cfg.threads)
+    hist = de.hyperplane_weight_distribution(D, cap=cfg.enumeration_cap)
     P = ha.ext_system(D, cap=cfg.enumeration_cap)
-    enum = ha.weight_enumerator(P, cap=cfg.enumeration_cap, threads=cfg.threads)
+    enum = ha.weight_enumerator(P, cap=cfg.enumeration_cap)
     if args.hist_csv:
         Path(args.hist_csv).write_text(fmt.histogram_csv(hist, header=("intersection", "count")))
     if args.enumerator_csv:
@@ -138,7 +145,7 @@ def _cmd_weights(args, cfg: RunConfig) -> dict:
 def _cmd_msrd(args, cfg: RunConfig) -> dict:
     D = _load_design(args.design)
     C = sr.code_from_system(D)
-    d = sr.min_distance(C, cap=cfg.enumeration_cap, threads=cfg.threads)
+    d = sr.min_distance(C, cap=cfg.enumeration_cap)
     verdict = sr.singleton_msrd(C, d=d)
     if args.emit_code:
         _write(args.emit_code, fmt.code_to_json(C))
@@ -161,7 +168,7 @@ def _cmd_dual(args, cfg: RunConfig) -> dict:
 
 def _cmd_cutting(args, cfg: RunConfig) -> dict:
     D = _load_design(args.design)
-    report = de.is_cutting(D, cap=cfg.enumeration_cap, threads=cfg.threads)
+    report = de.is_cutting(D, cap=cfg.enumeration_cap)
     return {
         "cutting": report.cutting,
         "intersection_constant": report.intersection_constant,
@@ -171,7 +178,7 @@ def _cmd_cutting(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_minimal(args, cfg: RunConfig) -> dict:
-    payload = json.loads(Path(args.code).read_text())
+    payload = _read_json(args.code)
     if "generator" in payload:
         C = fmt.code_from_json(payload)
     else:
@@ -221,7 +228,7 @@ def _cmd_expander(args, cfg: RunConfig) -> dict:
 
 def _cmd_strong(args, cfg: RunConfig) -> dict:
     if args.strong_verb == "verify":
-        S = fmt.strong_design_from_json(json.loads(Path(args.design).read_text()))
+        S = fmt.strong_design_from_json(_read_json(args.design))
         A = sb.verify_strong(S, args.s, cap=cfg.enumeration_cap)
         return {"s": args.s, "A_min": A, "t": S.t}
     if args.strong_verb == "cameron-liebler":
@@ -231,13 +238,13 @@ def _cmd_strong(args, cfg: RunConfig) -> dict:
             _write(args.output, fmt.strong_design_to_json(S))
         return {"t": S.t, "predicted": predicted, "output": args.output}
     if args.strong_verb == "intermediate":
-        S = fmt.strong_design_from_json(json.loads(Path(args.design).read_text()))
+        S = fmt.strong_design_from_json(_read_json(args.design))
         out = sb.intermediate_field_design(S, args.c, args.s, A=args.A, cap=cfg.enumeration_cap)
         if args.output:
             _write(args.output, fmt.design_to_json(out))
         return {"dims": list(out.dims), "output": args.output}
     if args.strong_verb == "places":
-        spec = json.loads(Path(args.spec).read_text())
+        spec = _read_json(args.spec)
         tower = _tower_for(int(spec["q"]), int(spec["m"]))
         D = sb.places_embed(tower, spec["members"], spec["p"], int(spec["zeta"]), int(spec["k"]),
                             cap=cfg.enumeration_cap)
@@ -271,7 +278,6 @@ def _cmd_repro(args, cfg: RunConfig) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="subdesigns", description=__doc__)
     ap.add_argument("--cap", type=int, default=RunConfig().enumeration_cap, help="enumeration cap")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -382,10 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Options each construction reads without a default.
+_CONSTRUCT_NEEDS = {
+    "pseudoregulus": ("q", "m", "r"),
+    "twisted": ("q", "m", "k"),
+    "basis-partition": ("q", "m", "k"),
+    "field-partition": ("q", "m", "k"),
+    "enlarge": ("s",),
+}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig(enumeration_cap=args.cap, threads=args.threads, seed=args.seed)
+    if args.verb == "construct":
+        missing = [f"--{name}" for name in _CONSTRUCT_NEEDS.get(args.kind, ()) if getattr(args, name) is None]
+        if missing:
+            ap.error(f"construct {args.kind} needs {', '.join(missing)}")
+    cfg = RunConfig(enumeration_cap=args.cap, seed=args.seed)
     try:
         report = args.func(args, cfg)
     except (SubdesignsError, AssertionError) as exc:

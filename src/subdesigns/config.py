@@ -9,15 +9,11 @@ DEFAULT_ENUMERATION_CAP = 10**7
 
 @dataclass
 class RunConfig:
-    """Knobs for sweeps and sampling; cap must stay positive."""
+    """Enumeration cap and sampling seed; cap must stay positive."""
 
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    threads: int = 1
     seed: int = 0
-    output: str | None = None
 
     def __post_init__(self) -> None:
         if self.enumeration_cap < 1:
             raise ValueError("enumeration_cap must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")

@@ -12,9 +12,9 @@ dim_q(U meet x^perp) = dim U - rk_q(x G).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from subdesigns.errors import (
     BadExponent,
     BadPartition,
     DualSpanTooSmall,
-    EnumerationCapExceeded,
     EtaInNormGroup,
     GcdViolation,
     IncrementTooLarge,
@@ -36,16 +35,16 @@ from subdesigns.errors import (
     TooManyBlocks,
 )
 from subdesigns.fieldcore import DTYPE, SmallField, find_irreducible
-from subdesigns.gf import FFElement, FieldTower
+from subdesigns.gf import FFElement, FieldTower, prime_power
 from subdesigns.subspace import (
     AmbientSpace,
     FqSubspace,
     FqmSubspace,
+    check_cap,
     enumerate_fqm_subspaces,
     hyperplane_normals,
     hyperplane_subspace,
     linear_set,
-    meet_join,
     ordinary_dual,
     span_fq,
     subspace_count,
@@ -125,36 +124,48 @@ def _point_sort_key(point: tuple) -> tuple:
     return (lead, point[lead + 1 :])
 
 
-def hyperplane_profile_sums(
-    D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP, threads: int = 1
-) -> np.ndarray:
-    """sum_i dim_q(U_i meet H) for every hyperplane, aligned with hyperplane_normals."""
-    amb = D.ambient
-    t = amb.tower
-    normals = hyperplane_normals(amb)
-    B = normals.shape[0]
-    if cap is not None and B > cap:
-        raise EnumerationCapExceeded(f"{B} hyperplanes exceed cap {cap}")
-    sums = np.zeros(B, dtype=np.int64)
-    blocks = D.gen_blocks()
+def _member_digits(D: SubspaceDesign, normals: np.ndarray) -> list[tuple[FqSubspace, np.ndarray]]:
+    """(U_i, F_q digits (B, n_i, m) of x G_i for all B normals x) per nonzero member."""
+    t = D.ambient.tower
+    return [
+        (U, t.fqm.to_digits(linalg.matmul(t.fqm, normals, G)))
+        for U, G in zip(D.members, D.gen_blocks())
+        if U.dim
+    ]
 
-    def work(lo: int, hi: int) -> None:
-        for U, G in zip(D.members, blocks):
-            if U.dim == 0:
-                continue
-            Y = linalg.matmul(t.fqm, normals[lo:hi], G)
-            digs = t.fqm.to_digits(Y)  # (hi-lo, n_i, m)
-            n_i = U.dim
-            for b in range(hi - lo):
-                sums[lo + b] += n_i - linalg.rank(t.fq, digs[b])
 
-    if threads <= 1 or B < 256:
-        work(0, B)
-    else:
-        step = (B + threads - 1) // threads
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda i: work(i, min(i + step, B)), range(0, B, step)))
+def section_dims(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
+    """sum_i dim_q(U_i meet x^perp) for every normal x, as dim U_i - rk_q(x G_i)."""
+    fq = D.ambient.tower.fq
+    sums = np.zeros(normals.shape[0], dtype=np.int64)
+    for U, digs in _member_digits(D, normals):
+        sums += [U.dim - linalg.rank(fq, d) for d in digs]
     return sums
+
+
+def hyperplane_sections(D: SubspaceDesign, normals: np.ndarray) -> Iterator[np.ndarray]:
+    """For each normal x in order, the sections U_i meet x^perp stacked as F_{q^m}-rows.
+
+    Each member contributes an F_q-basis of its section, so the row count
+    is sum_i dim_q(U_i meet x^perp) and the F_{q^m}-rank is the dimension
+    of the span of the sections.
+    """
+    amb = D.ambient
+    fq = amb.tower.fq
+    members = _member_digits(D, normals)
+    for b in range(normals.shape[0]):
+        rows = []
+        for U, digs in members:
+            ker = linalg.right_kernel(fq, digs[b].T)  # x G_i read as m x n_i conditions over F_q
+            if ker.shape[0]:
+                rows.append(linalg.matmul(fq, ker, U.basis))
+        yield amb.contract(np.vstack(rows)) if rows else np.zeros((0, amb.k), dtype=DTYPE)
+
+
+def hyperplane_profile_sums(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """sum_i dim_q(U_i meet H) for every hyperplane, aligned with hyperplane_normals."""
+    check_cap(subspace_count(D.ambient, 1), cap, "hyperplanes")
+    return section_dims(D, hyperplane_normals(D.ambient))
 
 
 def _profile_points(D: SubspaceDesign, cap) -> tuple[int, FqmSubspace]:
@@ -174,12 +185,7 @@ def _profile_points(D: SubspaceDesign, cap) -> tuple[int, FqmSubspace]:
     return best, FqmSubspace.from_rows(amb, [list(pick)])
 
 
-def design_profile(
-    D: SubspaceDesign,
-    s: int,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> DesignProfile:
+def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> DesignProfile:
     """Exact maximum intersection total over all s-dimensional F_{q^m}-subspaces."""
     amb = D.ambient
     k = amb.k
@@ -191,18 +197,16 @@ def design_profile(
     elif s == 1:
         best, witness = _profile_points(D, cap)
     elif s == k - 1:
-        sums = hyperplane_profile_sums(D, cap=cap, threads=threads)
+        sums = hyperplane_profile_sums(D, cap=cap)
         idx = int(np.argmax(sums))
         best = int(sums[idx])
         witness = hyperplane_subspace(amb, hyperplane_normals(amb)[idx])
     else:
-        count = subspace_count(amb, s)
-        if cap is not None and count > cap:
-            raise EnumerationCapExceeded(f"{count} subspaces of dim {s} exceed cap {cap}")
+        fq = amb.tower.fq
         best, witness = -1, None
         for W in enumerate_fqm_subspaces(amb, s, cap=cap):
-            Wfq = W.expand_fq()
-            total = sum(meet_join(U, Wfq)[0].dim for U in D.members if U.dim)
+            Wfq = W.expand_fq().basis
+            total = sum(linalg.meet_dim(fq, U.basis, Wfq) for U in D.members if U.dim)
             if total > best:
                 best, witness = total, W
     if span >= s:
@@ -219,12 +223,7 @@ def max_design_dim(tower: FieldTower, k: int, s: int) -> int | None:
     return mk // (s + 1) if tower.m >= s + 1 and mk % (s + 1) == 0 else None
 
 
-def classify(
-    D: SubspaceDesign,
-    max_s: int | None = None,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> dict:
+def classify(D: SubspaceDesign, max_s: int | None = None, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict:
     """Design-hood, maximality, monotonicity, bound bookkeeping for s = 1..max_s."""
     amb = D.ambient
     t = amb.tower
@@ -233,7 +232,7 @@ def classify(
     report: dict = {"dims": list(D.dims), "t": D.t, "per_s": {}}
     design_flags = {}
     for s in range(1, max_s + 1):
-        prof = design_profile(D, s, cap=cap, threads=threads)
+        prof = design_profile(D, s, cap=cap)
         flag = is_s_design(prof)
         design_flags[s] = flag
         target = max_design_dim(t, k, s)
@@ -300,7 +299,7 @@ def classify(
         from subdesigns import sumrank
 
         code = sumrank.code_from_system(D)
-        d_min = sumrank.min_distance(code, cap=cap, threads=threads)
+        d_min = sumrank.min_distance(code, cap=cap)
         verdict = sumrank.singleton_msrd(code, d=d_min)
         report["optimal"] = {
             "applicable": True,
@@ -362,7 +361,6 @@ def construct_twisted(
     blocks,
     s_exp: int = 1,
     cap: int | None = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> SubspaceDesign:
     """The twisted evaluation construction of (k-1)-designs.
 
@@ -418,7 +416,7 @@ def construct_twisted(
         assert U.dim == len(base), "the evaluation map must be injective on the block"
         members.append(U)
     D = SubspaceDesign(ambient, members)
-    prof = design_profile(D, k - 1, cap=cap, threads=threads)
+    prof = design_profile(D, k - 1, cap=cap)
     assert prof.A_min <= k - 1, "twisted construction failed its (k-1)-design certificate"
     return D
 
@@ -520,7 +518,7 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
     if gcd(k, m) != 1:
         raise GcdViolation("subgeometry partitions need gcd(k, m) = 1")
     # locate the tower for F_q: q = p^h with our supported shapes
-    p, h = _prime_power(q)
+    p, h = prime_power(q)
     from subdesigns.gf import make_tower
 
     tower = make_tower(p, h, m)
@@ -554,19 +552,6 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
         "subgeometries failed to partition the point set"
     )
     return D
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            h = 0
-            while q % p == 0:
-                q //= p
-                h += 1
-            if q != 1:
-                raise ValueError("q must be a prime power")
-            return p, h
-    raise ValueError("q must be >= 2")
 
 
 def enlarge(
@@ -629,17 +614,13 @@ def dual_design(
     return out
 
 
-def hyperplane_weight_distribution(
-    D: SubspaceDesign,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> dict[int, int]:
+def hyperplane_weight_distribution(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
     """Histogram c -> #{H : sum_i dim(U_i meet H) = c} over all hyperplanes.
 
     For a maximum 1-design the histogram is checked on the spot against
     the two-point support and the closed-form counts.
     """
-    sums = hyperplane_profile_sums(D, cap=cap, threads=threads)
+    sums = hyperplane_profile_sums(D, cap=cap)
     vals, counts = np.unique(sums, return_counts=True)
     hist = {int(v): int(c) for v, c in zip(vals, counts)}
     t = D.ambient.tower
@@ -679,60 +660,23 @@ class CuttingReport:
     constant_value: int | None
 
 
-def is_cutting(
-    D: SubspaceDesign,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> CuttingReport:
+def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> CuttingReport:
     """Do the members' hyperplane sections always span the hyperplane?
 
     Also reports whether the total section dimension is constant across
     hyperplanes (a sufficient condition, cross-checked when it holds).
     The witness, when any, is the first violating hyperplane in
-    enumeration order regardless of the thread count.
+    enumeration order.
     """
     amb = D.ambient
-    t = amb.tower
-    k = amb.k
+    check_cap(subspace_count(amb, 1), cap, "hyperplanes")
     normals = hyperplane_normals(amb)
-    B = normals.shape[0]
-    if cap is not None and B > cap:
-        raise EnumerationCapExceeded(f"{B} hyperplanes exceed cap {cap}")
-    blocks = D.gen_blocks()
-    sums = np.zeros(B, dtype=np.int64)
-    bad = np.zeros(B, dtype=bool)
-
-    def work(lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            x = normals[b]
-            section_rows = []
-            total = 0
-            for U, G in zip(D.members, blocks):
-                if U.dim == 0:
-                    continue
-                xg = linalg.vecmat(t.fqm, x, G)
-                cond = t.fqm.to_digits(xg).T  # m x n_i conditions over F_q
-                ker = linalg.right_kernel(t.fq, cond)
-                total += ker.shape[0]
-                if ker.shape[0]:
-                    section_rows.append(linalg.matmul(t.fq, ker, U.basis))
-            sums[b] = total
-            if section_rows:
-                stacked = amb.contract(np.vstack(section_rows))
-                span_rank = linalg.rank(t.fqm, stacked)
-            else:
-                span_rank = 0
-            bad[b] = span_rank != k - 1
-
-    if threads <= 1 or B < 256:
-        work(0, B)
-    else:
-        step = (B + threads - 1) // threads
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda lo: work(lo, min(lo + step, B)), range(0, B, step)))
-
-    hits = np.nonzero(bad)[0]
-    witness = hyperplane_subspace(amb, normals[int(hits[0])]) if hits.size else None
+    sums = np.zeros(normals.shape[0], dtype=np.int64)
+    witness = None
+    for b, rows in enumerate(hyperplane_sections(D, normals)):
+        sums[b] = rows.shape[0]
+        if witness is None and linalg.rank(amb.tower.fqm, rows) != amb.k - 1:
+            witness = hyperplane_subspace(amb, normals[b])
     constant = len(np.unique(sums)) == 1
     if constant and sums[0] > 0:
         assert witness is None, "constant positive intersection must imply cutting"

@@ -18,10 +18,10 @@ import numpy as np
 from subdesigns import linalg
 from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
-from subdesigns.errors import BadDims, EnumerationCapExceeded, NotABasis
+from subdesigns.errors import BadDims, NotABasis
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement
-from subdesigns.subspace import enumerate_rref_matrices, gaussian_binomial
+from subdesigns.subspace import check_cap, enumerate_rref_matrices, gaussian_binomial
 
 
 @dataclass
@@ -105,8 +105,7 @@ def expansion_check(
     for r in range(1, min(max_dim, ell) + 1):
         count = gaussian_binomial(ell, r, q)
         if mode == "exhaustive":
-            if cap is not None and count > cap:
-                raise EnumerationCapExceeded(f"{count} subspaces of dim {r} exceed cap {cap}")
+            check_cap(count, cap, f"subspaces of dim {r}")
             bases = (M for M, _ in enumerate_rref_matrices(q, r, ell))
         elif mode == "sample":
             def sampled():

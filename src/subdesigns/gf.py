@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from subdesigns.errors import (
+    BadParameters,
     DivisionByZero,
     NotInBaseField,
     NotIrreducible,
@@ -94,6 +95,20 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, h) with q = p^h; BadParameters unless q is a prime power."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            h = 0
+            while q % p == 0:
+                q //= p
+                h += 1
+            if q != 1:
+                raise BadParameters("q must be a prime power")
+            return p, h
+    raise BadParameters("q must be >= 2")
 
 
 class FieldTower:

@@ -20,7 +20,10 @@ from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
 from subdesigns.errors import EnumerationCapExceeded, NotTwoIntersection, ZeroMember
 from subdesigns.fieldcore import DTYPE
-from subdesigns.subspace import AmbientSpace, hyperplane_normals
+from subdesigns.subspace import AmbientSpace, check_cap, hyperplane_normals, subspace_count
+
+# Hyperplanes per numpy gather in hyperplane_point_counts.
+CHUNK = 512
 
 
 @dataclass
@@ -73,53 +76,32 @@ def ext_system(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     return P
 
 
-def hyperplane_point_counts(
-    P: ProjectiveSystem,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-    chunk: int = 512,
-) -> np.ndarray:
+def hyperplane_point_counts(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """Multiplicity-weighted point count on each hyperplane (normal-vector order)."""
     amb = P.ambient
     F = amb.tower.fqm
+    check_cap(subspace_count(amb, 1), cap, "hyperplanes")
     normals = hyperplane_normals(amb)
     B = normals.shape[0]
-    if cap is not None and B > cap:
-        raise EnumerationCapExceeded(f"{B} hyperplanes exceed cap {cap}")
     pts = P.point_matrix()
     mult = P.multiplicities()
     counts = np.zeros(B, dtype=np.int64)
     if pts.shape[0] == 0:
         return counts
-
-    def work(lo: int) -> None:
-        hi = min(lo + chunk, B)
+    for lo in range(0, B, CHUNK):
+        hi = min(lo + CHUNK, B)
         acc = np.zeros((hi - lo, pts.shape[0]), dtype=DTYPE)
         for c in range(amb.k):
             acc = np.asarray(F.add(acc, F.mul(normals[lo:hi, c, None], pts[None, :, c])), dtype=DTYPE)
         counts[lo:hi] = ((acc == 0) * mult[None, :]).sum(axis=1)
-
-    starts = range(0, B, chunk)
-    if threads <= 1:
-        for lo in starts:
-            work(lo)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, starts))
     return counts
 
 
-def weight_enumerator(
-    P: ProjectiveSystem,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> dict[int, int]:
+def weight_enumerator(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
     """Exact weight enumerator of any code associated with the system."""
     amb = P.ambient
     Q = amb.tower.order
-    counts = hyperplane_point_counts(P, cap=cap, threads=threads)
+    counts = hyperplane_point_counts(P, cap=cap)
     N = P.length
     enum: dict[int, int] = {0: 1}
     vals, cnt = np.unique(counts, return_counts=True)

@@ -109,6 +109,11 @@ def intersect_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarr
     return rref(F, matmul(F, L[:, :ra], A))[0]
 
 
+def meet_dim(F: SmallField, A: np.ndarray, B: np.ndarray) -> int:
+    """dim(rowspace(A) & rowspace(B)) = rk A + rk B - rk [A; B] for A, B of full row rank."""
+    return A.shape[0] + B.shape[0] - rank(F, np.vstack([A, B]))
+
+
 def in_rowspace(F: SmallField, R: np.ndarray, piv: list[int], v: np.ndarray) -> bool:
     """Membership test against an RREF basis with known pivot columns."""
     v = np.array(v, dtype=DTYPE, copy=True)

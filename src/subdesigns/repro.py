@@ -23,7 +23,7 @@ from subdesigns import strongbridge as sb
 from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
 from subdesigns.fieldcore import DTYPE
-from subdesigns.gf import make_tower
+from subdesigns.gf import make_tower, prime_power
 
 # deterministic seeds for all randomized sub-suites
 SEEDS = {"sigma": 20240901, "duality": 20240902, "grassmann": 20240903, "singleton": 20240904, "rref": 20240905}
@@ -64,7 +64,7 @@ def distinct_norm_elements(tower, t: int) -> list[int]:
 
 
 def twisted_design(q: int, m: int, k: int, t: int, eta=0, s_exp: int = 1) -> de.SubspaceDesign:
-    p, h = de._prime_power(q)
+    p, h = prime_power(q)
     tower = make_tower(p, h, m)
     amb = sp.AmbientSpace(tower, k)
     alphas = distinct_norm_elements(tower, t)
@@ -85,7 +85,7 @@ def glued_design(q: int, m: int, k: int, t: int) -> de.SubspaceDesign:
 
 
 def pseudoregulus_design(q: int, m: int, r: int, t: int, s_exp: int = 1) -> de.SubspaceDesign:
-    p, h = de._prime_power(q)
+    p, h = prime_power(q)
     tower = make_tower(p, h, m)
     amb = sp.AmbientSpace(tower, 2 * r)
     mus = distinct_norm_elements(tower, t)
@@ -129,9 +129,9 @@ def criterion_1() -> CriterionResult:
     failures: list[str] = []
     D = glued_design(3, 3, 4, 2)
     sweep_start = time.time()
-    hist = de.hyperplane_weight_distribution(D, threads=1)
+    hist = de.hyperplane_weight_distribution(D)
     P = ha.ext_system(D)
-    enum = ha.weight_enumerator(P, threads=1)
+    enum = ha.weight_enumerator(P)
     sweep_elapsed = time.time() - sweep_start
     if sum(hist.values()) != 20440:
         failures.append(f"hyperplane count {sum(hist.values())} != 20440")

@@ -27,7 +27,6 @@ from subdesigns.errors import (
     AmbientMismatch,
     BadParameters,
     DegreeTooLarge,
-    EnumerationCapExceeded,
     NotAMultiple,
     NotEvasive,
     NotIrreducible,
@@ -35,11 +34,12 @@ from subdesigns.errors import (
     SpanTooSmall,
 )
 from subdesigns.fieldcore import DTYPE, poly_eval, poly_is_irreducible, poly_monic, poly_trim
-from subdesigns.gf import FieldTower, make_tower
+from subdesigns.gf import FieldTower, make_tower, prime_power
 from subdesigns.subspace import (
     AmbientSpace,
     FqmSubspace,
     FqSubspace,
+    check_cap,
     enumerate_fqm_subspaces,
     gaussian_binomial,
     meet_join,
@@ -81,25 +81,19 @@ def verify_strong(
     """Exact max of sum_i dim(V_i meet W) over s-dimensional F_{q^m}-subspaces W."""
     amb = S.ambient
     F = amb.tower.fqm
-    count = subspace_count(amb, s)
-    if cap is not None and count > cap:
-        raise EnumerationCapExceeded(f"{count} subspaces exceed cap {cap}")
+    check_cap(subspace_count(amb, s), cap, "subspaces")
     best = 0
     for W in enumerate_fqm_subspaces(amb, s, cap=cap):
-        total = 0
-        for V in S.members:
-            if V.dim:
-                total += linalg.intersect_rowspaces(F, V.basis, W.basis).shape[0]
-        best = max(best, total)
+        best = max(best, sum(linalg.meet_dim(F, V.basis, W.basis) for V in S.members))
     return best
 
 
 def _max_meet_dim(E: FqSubspace, h: int, cap) -> int:
     """max over h-dimensional F_{q^m}-subspaces W of dim_q(E meet W)."""
-    best = 0
-    for W in enumerate_fqm_subspaces(E.ambient, h, cap=cap):
-        best = max(best, meet_join(E, W.expand_fq())[0].dim)
-    return best
+    fq = E.ambient.tower.fq
+    return max(
+        linalg.meet_dim(fq, E.basis, W.expand_fq().basis) for W in enumerate_fqm_subspaces(E.ambient, h, cap=cap)
+    )
 
 
 def evasive_intersect(
@@ -302,14 +296,13 @@ def cameron_liebler(
     if k < 2 * n + 1:
         raise BadParameters("Cameron-Liebler sets need k >= 2n + 1")
     if tower is None:
-        p, h = _prime_power(q)
+        p, h = prime_power(q)
         tower = make_tower(p, h, 1)
     if tower.order != q:
         raise BadParameters("tower top field must have q elements")
     amb = AmbientSpace(tower, k + 1)
     total = subspace_count(amb, n + 1)
-    if cap is not None and total > cap:
-        raise EnumerationCapExceeded(f"{total} candidate subspaces exceed cap {cap}")
+    check_cap(total, cap, "candidate subspaces")
 
     def pencil_pred(point_vec):
         pv = np.asarray(point_vec, dtype=DTYPE)
@@ -377,15 +370,3 @@ def cameron_liebler(
     A = n + 1 + sum(w[i - 1] * (n + 1 - i) for i in range(1, n + 2))
     return S, {"x": x, "w": w, "w_prime": w_prime, "A": A}
 
-
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            h = 0
-            while q % p == 0:
-                q //= p
-                h += 1
-            if q != 1:
-                raise BadParameters("q must be a prime power")
-            return p, h
-    raise BadParameters("q must be >= 2")

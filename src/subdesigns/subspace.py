@@ -31,6 +31,12 @@ from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement, FieldTower
 
 
+def check_cap(count: int, cap: int | None, what: str) -> None:
+    """Refuse an enumeration of count objects above cap before any of them is built."""
+    if cap is not None and count > cap:
+        raise EnumerationCapExceeded(f"{count} {what} exceed cap {cap}")
+
+
 def gaussian_binomial(a: int, b: int, Q: int) -> int:
     """Number of b-dimensional subspaces of an a-dimensional space over F_Q."""
     if b < 0 or b > a:
@@ -135,8 +141,7 @@ class FqSubspace:
         """All q^dim vectors (expanded coordinates), coefficient-lexicographic."""
         q = self.ambient.tower.q
         r = self.dim
-        if cap is not None and q**r > cap:
-            raise EnumerationCapExceeded(f"{q**r} vectors exceed cap {cap}")
+        check_cap(q**r, cap, "vectors")
         if r == 0:
             return np.zeros((1, self.ambient.n_fq), dtype=DTYPE)
         combos = np.indices((q,) * r).reshape(r, -1).T.astype(DTYPE)
@@ -370,8 +375,7 @@ def enumerate_fqm_subspaces(
         raise DimensionMismatch(f"s must lie in [0, {k}]")
     Q = ambient.tower.order
     total = gaussian_binomial(k, s, Q)
-    if cap is not None and total > cap:
-        raise EnumerationCapExceeded(f"{total} subspaces of dim {s} exceed cap {cap}")
+    check_cap(total, cap, f"subspaces of dim {s}")
     for M, piv in enumerate_rref_matrices(Q, s, k, start=start, stop=stop):
         yield FqmSubspace(ambient, M, piv)
 
@@ -436,12 +440,3 @@ def fqm_dual(W: FqmSubspace) -> FqmSubspace:
     ker = linalg.right_kernel(amb.tower.fqm, W.basis)
     return FqmSubspace.from_rows(amb, ker)
 
-
-def hyperplane_meet_dim(U: FqSubspace, normal: np.ndarray, gen_block: np.ndarray | None = None) -> int:
-    """dim_q(U meet normal^perp) = dim U - rk_q(normal . G) for G the basis block."""
-    t = U.ambient.tower
-    if gen_block is None:
-        gen_block = U.gen_block()
-    xg = linalg.vecmat(t.fqm, np.asarray(normal, dtype=DTYPE), gen_block)
-    dig = t.fqm.to_digits(xg)
-    return U.dim - linalg.rank(t.fq, dig)

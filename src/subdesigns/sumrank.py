@@ -19,11 +19,16 @@ import numpy as np
 
 from subdesigns import linalg
 from subdesigns.config import DEFAULT_ENUMERATION_CAP
-from subdesigns.design import SubspaceDesign, hyperplane_profile_sums
+from subdesigns.design import (
+    SubspaceDesign,
+    hyperplane_profile_sums,
+    hyperplane_sections,
+    is_cutting,
+    section_dims,
+)
 from subdesigns.errors import (
     DegenerateCode,
     DegenerateDual,
-    EnumerationCapExceeded,
     InvalidDistance,
     LengthProfileBroken,
     NotInvertible,
@@ -32,7 +37,14 @@ from subdesigns.errors import (
 )
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement, FieldTower
-from subdesigns.subspace import AmbientSpace, canonical_projective_reps, span_fq
+from subdesigns.subspace import (
+    AmbientSpace,
+    canonical_projective_reps,
+    check_cap,
+    fqm_dual,
+    gaussian_binomial,
+    span_fq,
+)
 
 
 class SumRankCode:
@@ -156,16 +168,10 @@ def _block_rank(tower: FieldTower, y: np.ndarray) -> int:
 
 def sumrank_weight(C: SumRankCode, x, check: bool = True) -> int:
     """Sum of expansion ranks of the blocks of xG; cross-checked geometrically."""
-    parts = C.encode(x)
-    w = sum(_block_rank(C.tower, y) for y in parts)
-    if check and np.any(np.asarray(x, dtype=DTYPE)) and C.non_degenerate:
-        from subdesigns.subspace import hyperplane_meet_dim
-
-        D = C.system()
-        geo = C.N - sum(
-            hyperplane_meet_dim(U, np.asarray(x, dtype=DTYPE), G)
-            for U, G in zip(D.members, D.gen_blocks())
-        )
+    x = np.asarray(x, dtype=DTYPE)
+    w = sum(_block_rank(C.tower, y) for y in C.encode(x))
+    if check and np.any(x) and C.non_degenerate:
+        geo = C.N - int(section_dims(C.system(), x.reshape(1, -1))[0])
         assert geo == w, "direct and geometric weights disagree"
     return w
 
@@ -179,12 +185,7 @@ def support(C: SumRankCode, x) -> SumRankSupport:
     return SumRankSupport.from_bases(C.lengths, bases)
 
 
-def min_distance(
-    C: SumRankCode,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-    method: str = "hyperplane",
-) -> int:
+def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, method: str = "hyperplane") -> int:
     """Exact minimum distance.
 
     "hyperplane": N minus the maximal hyperplane-section total of the
@@ -197,9 +198,7 @@ def min_distance(
     if C.k == 0:
         raise InvalidDistance("the zero code has no minimum distance")
     if method == "codewords":
-        count = t.order**C.k
-        if cap is not None and count > cap:
-            raise EnumerationCapExceeded(f"{count} codewords exceed cap {cap}")
+        check_cap(t.order**C.k, cap, "codewords")
         best = None
         for msg in product(range(t.order), repeat=C.k):
             if not any(msg):
@@ -207,16 +206,12 @@ def min_distance(
             w = sum(_block_rank(t, y) for y in C.encode(np.array(msg, dtype=DTYPE)))
             best = w if best is None else min(best, w)
         return int(best)
-    reps = canonical_projective_reps(t.order, C.k)
-    if cap is not None and reps.shape[0] > cap:
-        raise EnumerationCapExceeded(f"{reps.shape[0]} classes exceed cap {cap}")
+    check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
     if method == "classes":
-        return min(sum(_block_rank(t, y) for y in C.encode(x)) for x in reps)
+        return min(sum(_block_rank(t, y) for y in C.encode(x)) for x in canonical_projective_reps(t.order, C.k))
     if method != "hyperplane":
         raise ValueError("method must be 'hyperplane', 'classes' or 'codewords'")
-    D = C.system()
-    sums = hyperplane_profile_sums(D, cap=cap, threads=threads)
-    return C.N - int(sums.max())
+    return C.N - int(hyperplane_profile_sums(C.system(), cap=cap).max())
 
 
 def singleton_msrd(C: SumRankCode, d: int | None = None, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict:
@@ -287,8 +282,7 @@ def delsarte_dual(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) 
     assert sorted(Dd.dims) == sorted(C.lengths), "Delsarte dual must preserve the dimension multiset"
     m = D.ambient.tower.m
     ns = C.lengths
-    points = canonical_projective_reps(D.ambient.tower.order, C.k).shape[0]
-    if cap is not None and points <= cap:
+    if cap is not None and gaussian_binomial(C.k, 1, D.ambient.tower.order) <= cap:
         d = min_distance(C, cap=cap)
         dd = min_distance(Cd, cap=cap)
         M, Md = C.N - d, Cd.N - dd
@@ -314,9 +308,8 @@ def is_minimal_code(
     """
     t = C.tower
     if method == "pairs":
+        check_cap(gaussian_binomial(C.k, 1, t.order) ** 2, cap, "codeword pairs")
         reps = canonical_projective_reps(t.order, C.k)
-        if cap is not None and reps.shape[0] ** 2 > cap:
-            raise EnumerationCapExceeded("too many codeword pairs")
         sups = [support(C, x) for x in reps]
         for a in range(len(reps)):
             for b in range(len(reps)):
@@ -329,28 +322,13 @@ def is_minimal_code(
         return True, None
     if method != "geometric":
         raise ValueError("method must be 'geometric' or 'pairs'")
-    from subdesigns.design import is_cutting
-
     D = C.system()
     report = is_cutting(D, cap=cap)
     if report.cutting:
         return True, None
     # turn the violating hyperplane into a violating codeword pair
-    H = report.witness
-    from subdesigns.subspace import fqm_dual
-
-    u = fqm_dual(H).basis[0]
-    section_rows = []
-    for U, G in zip(D.members, D.gen_blocks()):
-        xg = linalg.vecmat(t.fqm, u, G)
-        cond = t.fqm.to_digits(xg).T
-        ker = linalg.right_kernel(t.fq, cond)
-        if ker.shape[0]:
-            section_rows.append(linalg.matmul(t.fq, ker, U.basis))
-    if section_rows:
-        S = D.ambient.contract(np.vstack(section_rows))
-    else:
-        S = np.zeros((0, C.k), dtype=DTYPE)
+    u = fqm_dual(report.witness).basis[0]
+    S = next(hyperplane_sections(D, u.reshape(1, -1)))
     # any v with S v = 0 and v not proportional to u gives supp(vG) <= supp(uG)
     cands = linalg.right_kernel(t.fqm, S) if S.shape[0] else np.eye(C.k, dtype=DTYPE)
     v = None
@@ -395,12 +373,10 @@ def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:
 def weight_spectrum(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
     """Codeword counts per sum-rank weight (scalar classes share a weight)."""
     t = C.tower
-    reps = canonical_projective_reps(t.order, C.k)
-    if cap is not None and reps.shape[0] > cap:
-        raise EnumerationCapExceeded("weight spectrum scan exceeds cap")
+    check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
     spec: dict[int, int] = {0: 1}
     per_class = t.order - 1
-    for x in reps:
+    for x in canonical_projective_reps(t.order, C.k):
         w = sum(_block_rank(t, y) for y in C.encode(x))
         spec[w] = spec.get(w, 0) + per_class
     assert sum(spec.values()) == t.order**C.k

@@ -182,17 +182,6 @@ def test_histogram_closed_form_glued_k4():
     assert hist == {6: 19712, 7: 728}
 
 
-def test_threads_do_not_change_results(pseudo9):
-    s1 = de.hyperplane_profile_sums(pseudo9, threads=1)
-    s2 = de.hyperplane_profile_sums(pseudo9, threads=2)
-    assert np.array_equal(s1, s2)
-    D = glued_design(2, 3, 4, 1)
-    assert np.array_equal(
-        de.hyperplane_profile_sums(D, threads=1),
-        de.hyperplane_profile_sums(D, threads=3),
-    )
-
-
 def test_is_cutting(pseudo9):
     baer = de.construct_field_partition(2, 2, 3)
     rep = de.is_cutting(baer)
@@ -204,6 +193,14 @@ def test_is_cutting(pseudo9):
     amb = AmbientSpace(t, 2)
     single = de.SubspaceDesign(amb, [span_fq(amb, [(t.one(), t.zero())])])
     assert not de.is_cutting(single).cutting
+
+
+def test_witnesses_keep_enumeration_order(pseudo9):
+    # A_min and the first maximising W / first non-cut hyperplane in enumeration order
+    for D, A in ((glued_design(2, 2, 4, 1), 2), (glued_design(2, 3, 4, 1), 3), (pseudoregulus_design(2, 2, 2, 1), 2)):
+        prof = de.design_profile(D, 2)
+        assert (prof.A_min, prof.witness.basis.tolist()) == (A, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert de.is_cutting(pseudo9).witness.basis.tolist() == [[0, 1]]
 
 
 def test_classify(pseudo9):

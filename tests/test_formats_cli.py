@@ -167,7 +167,7 @@ def test_cli_errors_and_exit_codes(tmp_path, capsys):
     assert err["error"] == "FormatError"
 
 
-def test_cli_cap_and_threads(tmp_path, capsys):
+def test_cli_cap(tmp_path, capsys):
     design = tmp_path / "d.json"
     run_cli("construct", "pseudoregulus", "--q", "3", "--m", "2", "--r", "1",
             "--mus", "1,i+1", "-o", str(design))
@@ -176,12 +176,25 @@ def test_cli_cap_and_threads(tmp_path, capsys):
     assert run_cli("--cap", "3", "profile", str(design), "--s", "1") == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "EnumerationCapExceeded"
-    # thread count does not change the report
-    assert run_cli("--threads", "2", "weights", str(design)) == 0
-    rep2 = json.loads(capsys.readouterr().out)
-    assert run_cli("weights", str(design)) == 0
-    rep1 = json.loads(capsys.readouterr().out)
-    assert rep1 == rep2
+
+
+def test_cli_missing_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("construct", "pseudoregulus", "--m", "2", "--r", "1", "--mus", "1")
+    assert exc.value.code == 2
+    assert "--q" in capsys.readouterr().err
+
+
+def test_cli_missing_file_is_a_format_error(tmp_path, capsys):
+    assert run_cli("classify", str(tmp_path / "absent.json")) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "FormatError"
+
+
+def test_cli_q_not_a_prime_power(capsys):
+    assert run_cli("construct", "pseudoregulus", "--q", "6", "--m", "2", "--r", "1", "--mus", "1") == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "BadParameters"
 
 
 def test_cli_minimal_accepts_design_json(tmp_path, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from subdesigns import linalg
+from subdesigns.design import SubspaceDesign, hyperplane_sections, section_dims
 from subdesigns.errors import AmbientMismatch, DimensionMismatch, EnumerationCapExceeded, ZeroSubspace
 from subdesigns.gf import frobenius, make_tower
 from subdesigns.subspace import (
@@ -13,7 +15,6 @@ from subdesigns.subspace import (
     fqm_dual,
     fqm_span,
     gaussian_binomial,
-    hyperplane_meet_dim,
     hyperplane_normals,
     hyperplane_subspace,
     linear_set,
@@ -160,10 +161,31 @@ def test_span_canonical_under_fq_rescaling(seed):
 def test_hyperplane_meet_dim_matches_meet(amb9):
     i = amb9.tower.gen()
     U1 = span_fq(amb9, [(amb9.tower.one(), amb9.tower.one()), (i, frobenius(i, 1))])
-    for x in hyperplane_normals(amb9):
-        direct = hyperplane_meet_dim(U1, x)
-        via_meet = meet_join(U1, hyperplane_subspace(amb9, x))[0].dim
-        assert direct == via_meet
+    D = SubspaceDesign(amb9, [U1])
+    normals = hyperplane_normals(amb9)
+    for x, dim, rows in zip(normals, section_dims(D, normals), hyperplane_sections(D, normals)):
+        meet = meet_join(U1, hyperplane_subspace(amb9, x))[0]
+        assert dim == rows.shape[0] == meet.dim
+        assert span_fq(amb9, rows) == meet
+
+
+@pytest.mark.parametrize("p,h,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)])
+@given(st.integers(0, 10_000))
+def test_rank_identity_meet_dim_matches_meet(p, h, m, seed):
+    amb = AmbientSpace(make_tower(p, h, m), 3)
+    t = amb.tower
+    rng = np.random.default_rng(seed)
+
+    def fq_space():
+        return FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (int(rng.integers(0, 3 * m)), 3 * m)))
+
+    def fqm_space():
+        return FqmSubspace.from_rows(amb, rng.integers(0, t.order, (int(rng.integers(0, 4)), 3)))
+
+    U, W = fq_space(), fq_space()
+    assert linalg.meet_dim(t.fq, U.basis, W.basis) == meet_join(U, W)[0].dim
+    V, X = fqm_space(), fqm_space()
+    assert m * linalg.meet_dim(t.fqm, V.basis, X.basis) == meet_join(V, X)[0].dim
 
 
 def test_expand_contract_round_trip(amb9):

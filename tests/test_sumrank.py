@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from subdesigns import design as de
+from subdesigns import hamming as ha
 from subdesigns import linalg
+from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
 from subdesigns.errors import (
     DegenerateCode,
     DegenerateDual,
+    EnumerationCapExceeded,
     InvalidDistance,
     LengthProfileBroken,
     NotInvertible,
@@ -167,6 +170,29 @@ def test_minimality(pseudo9, code9):
     # one-weight codes are minimal
     spec = sr.weight_spectrum(CB)
     assert len([w for w in spec if w]) == 1
+    # violating pair rebuilt from the first non-cut hyperplane's sections
+    assert [w.tolist() for w in wit] == [[1, 3, 1, 3], [1, 6, 4, 7]]
+
+
+def test_caps_checked_before_enumerating(monkeypatch, pseudo9, code9):
+    def refuse(Q, k):
+        raise AssertionError("enumerated before the cap check")
+
+    P = ha.ext_system(pseudo9)
+    monkeypatch.setattr(sp, "canonical_projective_reps", refuse)
+    monkeypatch.setattr(sr, "canonical_projective_reps", refuse)
+    for call in (
+        lambda: de.hyperplane_profile_sums(pseudo9, cap=9),
+        lambda: de.is_cutting(pseudo9, cap=9),
+        lambda: ha.hyperplane_point_counts(P, cap=9),
+        lambda: sr.min_distance(code9, cap=9, method="classes"),
+        lambda: sr.weight_spectrum(code9, cap=9),
+        lambda: sr.is_minimal_code(code9, method="pairs", cap=99),
+    ):
+        with pytest.raises(EnumerationCapExceeded):
+            call()
+    # above the cap the Delsarte dual skips its cross-check without counting points by enumeration
+    assert sorted(sr.delsarte_dual(pseudo9, cap=9).dims) == [2, 2]
 
 
 def test_isometries(code9):
