@@ -4,7 +4,7 @@ The package is organised around a small exact-arithmetic core:
 
 * ``gf``          -- the two-level field tower, Frobenius, norm and trace;
 * ``subspace``    -- canonical F_q- and F_{q^m}-subspaces, enumeration,
-                     linear sets, ordinary duality;
+                     weighted point sets (linear sets), ordinary duality;
 * ``skewpoly``    -- the sigma-polynomial algebra (composition, gcrd/lclm,
                      kernel dimensions, twists, lambda-values);
 * ``design``      -- subspace-design constructions and brute-force
@@ -22,12 +22,12 @@ Everything is exact and deterministic; heavy sweeps are plain enumerations
 kept honest by configurable caps.
 """
 
-from subdesigns.gf import FieldTower, FFElement, make_tower, field_arith, frobenius, norm_trace
+from subdesigns.gf import FieldTower, FFElement, make_tower, frobenius, norm_trace
 from subdesigns.subspace import (
     AmbientSpace,
     FqSubspace,
     FqmSubspace,
-    WeightedPointSet,
+    ProjectiveSystem,
     span_fq,
     meet_join,
     fqm_span,
@@ -65,7 +65,7 @@ from subdesigns.sumrank import (
     is_minimal_code,
     apply_isometry,
 )
-from subdesigns.hamming import ProjectiveSystem, SrgParams, ext_system, weight_enumerator, srg_from_two_intersection
+from subdesigns.hamming import SrgParams, ext_system, weight_enumerator, srg_from_two_intersection
 from subdesigns.strongbridge import (
     StrongSubspaceDesign,
     verify_strong,

@@ -291,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int)
     c.add_argument("--s", type=int)
     c.add_argument("--s-exp", type=int, default=1)
-    c.add_argument("--mus", default="")
+    c.add_argument("--mus")
     c.add_argument("--alphas", default="")
     c.add_argument("--eta", default="0")
-    c.add_argument("--partition", default="")
-    c.add_argument("--increments", default="")
+    c.add_argument("--partition")
+    c.add_argument("--increments")
     c.add_argument("-o", "--output")
     c.set_defaults(func=_cmd_construct)
 
@@ -388,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Options each construction reads without a default.
+# Arguments each construction reads without a default ("inputs": the design files).
 _CONSTRUCT_NEEDS = {
-    "pseudoregulus": ("q", "m", "r"),
+    "pseudoregulus": ("q", "m", "r", "mus"),
     "twisted": ("q", "m", "k"),
-    "basis-partition": ("q", "m", "k"),
+    "basis-partition": ("q", "m", "k", "partition"),
     "field-partition": ("q", "m", "k"),
-    "enlarge": ("s",),
+    "enlarge": ("inputs", "s", "increments"),
 }
 
 
@@ -402,7 +402,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.verb == "construct":
-        missing = [f"--{name}" for name in _CONSTRUCT_NEEDS.get(args.kind, ()) if getattr(args, name) is None]
+        missing = [f"--{name}" if name != "inputs" else "an input file"
+                   for name in _CONSTRUCT_NEEDS.get(args.kind, ()) if getattr(args, name) in (None, [])]
         if missing:
             ap.error(f"construct {args.kind} needs {', '.join(missing)}")
     cfg = RunConfig(enumeration_cap=args.cap, seed=args.seed)

@@ -23,7 +23,9 @@ from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.errors import (
     AmbientMismatch,
     BadExponent,
+    BadParameters,
     BadPartition,
+    DimensionMismatch,
     DualSpanTooSmall,
     EtaInNormGroup,
     GcdViolation,
@@ -57,7 +59,7 @@ class SubspaceDesign:
     def __init__(self, ambient: AmbientSpace, members):
         members = tuple(members)
         if not members:
-            raise ValueError("a design needs at least one member")
+            raise BadParameters("a design needs at least one member")
         for U in members:
             if U.ambient != ambient:
                 raise AmbientMismatch("member from a different ambient")
@@ -190,17 +192,19 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
     amb = D.ambient
     k = amb.k
     if not 1 <= s <= k:
-        raise ValueError(f"s must lie in [1, {k}]")
+        raise DimensionMismatch(f"s must lie in [1, {k}]")
     span = D.span_dim()
     if s == k:
         best, witness = D.total_dim, FqmSubspace.from_rows(amb, np.eye(k, dtype=DTYPE))
     elif s == 1:
         best, witness = _profile_points(D, cap)
     elif s == k - 1:
-        sums = hyperplane_profile_sums(D, cap=cap)
+        check_cap(subspace_count(amb, 1), cap, "hyperplanes")
+        normals = hyperplane_normals(amb)
+        sums = section_dims(D, normals)
         idx = int(np.argmax(sums))
         best = int(sums[idx])
-        witness = hyperplane_subspace(amb, hyperplane_normals(amb)[idx])
+        witness = hyperplane_subspace(amb, normals[idx])
     else:
         fq = amb.tower.fq
         best, witness = -1, None
@@ -584,7 +588,7 @@ def enlarge(
             if R.shape[0] > basis.shape[0]:
                 basis = R
                 added += 1
-        members.append(FqSubspace(amb, basis, linalg.rref(F, basis)[1] if basis.shape[0] else []))
+        members.append(FqSubspace.from_expanded_rows(amb, basis))
     out = SubspaceDesign(amb, members)
     new_prof = design_profile(out, s, cap=cap)
     assert new_prof.A_min <= profile.A_min + sum(increments), "enlargement bound violated"
@@ -671,12 +675,12 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     amb = D.ambient
     check_cap(subspace_count(amb, 1), cap, "hyperplanes")
     normals = hyperplane_normals(amb)
-    sums = np.zeros(normals.shape[0], dtype=np.int64)
+    sums = section_dims(D, normals)
     witness = None
     for b, rows in enumerate(hyperplane_sections(D, normals)):
-        sums[b] = rows.shape[0]
-        if witness is None and linalg.rank(amb.tower.fqm, rows) != amb.k - 1:
+        if linalg.rank(amb.tower.fqm, rows) != amb.k - 1:
             witness = hyperplane_subspace(amb, normals[b])
+            break
     constant = len(np.unique(sums)) == 1
     if constant and sums[0] > 0:
         assert witness is None, "constant positive intersection must imply cutting"

@@ -175,9 +175,6 @@ class SmallField:
 
     # -- element helpers -----------------------------------------------------
 
-    def zero_code(self) -> int:
-        return 0
-
     def one_code(self) -> int:
         return 1
 
@@ -240,19 +237,6 @@ def poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_mul(F: SmallField, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] = int(F.add(out[i + j], int(F.mul(ca, cb))))
-    return poly_trim(out)
 
 
 def poly_divmod(F: SmallField, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:

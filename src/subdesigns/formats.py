@@ -40,15 +40,15 @@ def _fq_digits(tower: FieldTower, code: int) -> list[int]:
     return digs
 
 
-def _fq_from_digits(tower: FieldTower, digs) -> int:
-    if len(digs) != tower.h:
-        raise FormatError(f"expected {tower.h} base-p digits")
+def _fq_from_digits(p: int, h: int, digs) -> int:
+    if len(digs) != h:
+        raise FormatError(f"expected {h} base-p digits")
     c = 0
     for d in reversed(list(digs)):
         d = int(d)
-        if not 0 <= d < tower.p:
+        if not 0 <= d < p:
             raise FormatError("digit out of range")
-        c = c * tower.p + d
+        c = c * p + d
     return c
 
 
@@ -78,11 +78,10 @@ def tower_from_json(obj) -> FieldTower:
     try:
         p, h, m = int(obj["p"]), int(obj["h"]), int(obj["m"])
         fq_mod = tuple(int(c) for c in obj["fq_modulus"])
-        tmp = make_tower(p, h, m, fq_modulus=fq_mod)
-        fqm_mod = tuple(_fq_from_digits(tmp, digs) for digs in obj["fqm_modulus"])
+        fqm_mod = tuple(_fq_from_digits(p, h, digs) for digs in obj["fqm_modulus"])
+        return make_tower(p, h, m, fq_modulus=fq_mod, fqm_modulus=fqm_mod)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad tower record: {exc}") from exc
-    return make_tower(p, h, m, fq_modulus=fq_mod, fqm_modulus=fqm_mod)
 
 
 # --- subspaces --------------------------------------------------------------------
@@ -104,27 +103,18 @@ def fq_subspace_rows(U: FqSubspace) -> list:
     return [[_fq_digits(t, int(c)) for c in row] for row in U.basis]
 
 
-def subspace_to_json(U: FqSubspace) -> dict:
-    return {"ambient": ambient_to_json(U.ambient), "rows": fq_subspace_rows(U)}
-
-
 def _rows_to_fq_subspace(amb: AmbientSpace, rows) -> FqSubspace:
     t = amb.tower
     mat = []
     for row in rows:
         if len(row) != amb.n_fq:
             raise FormatError(f"rows must have {amb.n_fq} F_q coordinates")
-        mat.append([_fq_from_digits(t, digs) for digs in row])
+        mat.append([_fq_from_digits(t.p, t.h, digs) for digs in row])
     arr = np.asarray(mat, dtype=DTYPE) if mat else np.zeros((0, amb.n_fq), dtype=DTYPE)
     U = FqSubspace.from_expanded_rows(amb, arr)
     if U.basis.shape != arr.shape or not np.array_equal(U.basis, arr):
         raise FormatError("subspace rows are not in canonical reduced echelon form")
     return U
-
-
-def subspace_from_json(obj) -> FqSubspace:
-    amb = ambient_from_json(obj["ambient"])
-    return _rows_to_fq_subspace(amb, obj["rows"])
 
 
 # --- designs ----------------------------------------------------------------------

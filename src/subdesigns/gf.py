@@ -5,10 +5,11 @@ base-q digit strings of the coordinates in the basis 1, y, ..., y^(m-1);
 each F_q digit is itself a base-p digit string over the basis 1, x, ...,
 x^(h-1)).  F_q sits inside F_{q^m} as the codes below q.
 
-Built-in default moduli (lexicographically smallest monic irreducibles,
-little-endian coefficient lists) cover p in {2,3,5}, h in {1,2}, m <= 6;
-anything else is found by the same deterministic search.  The pinned
-small fields are the usual ones:
+Default moduli are the lexicographically smallest monic irreducibles
+(little-endian coefficient lists), found by a deterministic search when a
+tower is first built; h = 1 uses the formal modulus x.  Design files
+record the moduli they were built with.  The small fields are the usual
+ones:
 
     F_4  = F_2[y]/(y^2+y+1)      w := y,  w^2 = w+1
     F_9  = F_3[y]/(y^2+1)        i := y,  i^2 = -1
@@ -31,70 +32,28 @@ from subdesigns.errors import (
     NotPrime,
     TowerMismatch,
 )
-from subdesigns.fieldcore import SmallField, find_irreducible, poly_is_irreducible
-
-# (p, h): little-endian modulus of F_q over F_p; h = 1 uses the formal x.
-_FQ_MODULI = {
-    (2, 1): (0, 1),
-    (2, 2): (1, 1, 1),
-    (3, 1): (0, 1),
-    (3, 2): (1, 0, 1),
-    (5, 1): (0, 1),
-    (5, 2): (2, 0, 1),
-}
-
-# (p, h, m): little-endian modulus of F_{q^m} over F_q (entries are F_q codes).
-_FQM_MODULI = {
-    (2, 1, 1): (0, 1),
-    (2, 1, 2): (1, 1, 1),
-    (2, 1, 3): (1, 1, 0, 1),
-    (2, 1, 4): (1, 1, 0, 0, 1),
-    (2, 1, 5): (1, 0, 1, 0, 0, 1),
-    (2, 1, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 2, 1): (0, 1),
-    (2, 2, 2): (2, 1, 1),
-    (2, 2, 3): (2, 0, 0, 1),
-    (2, 2, 4): (1, 2, 1, 0, 1),
-    (2, 2, 5): (2, 1, 0, 0, 0, 1),
-    (2, 2, 6): (2, 1, 1, 0, 0, 0, 1),
-    (3, 1, 1): (0, 1),
-    (3, 1, 2): (1, 0, 1),
-    (3, 1, 3): (1, 2, 0, 1),
-    (3, 1, 4): (2, 1, 0, 0, 1),
-    (3, 1, 5): (1, 2, 0, 0, 0, 1),
-    (3, 1, 6): (2, 1, 0, 0, 0, 0, 1),
-    (3, 2, 1): (0, 1),
-    (3, 2, 2): (4, 0, 1),
-    (3, 2, 3): (3, 1, 0, 1),
-    (3, 2, 4): (4, 0, 0, 0, 1),
-    (3, 2, 5): (4, 1, 0, 0, 0, 1),
-    (3, 2, 6): (4, 0, 1, 0, 0, 0, 1),
-    (5, 1, 1): (0, 1),
-    (5, 1, 2): (2, 0, 1),
-    (5, 1, 3): (1, 1, 0, 1),
-    (5, 1, 4): (2, 0, 0, 0, 1),
-    (5, 1, 5): (1, 4, 0, 0, 0, 1),
-    (5, 1, 6): (2, 1, 0, 0, 0, 0, 1),
-    (5, 2, 1): (0, 1),
-    (5, 2, 2): (5, 0, 1),
-    (5, 2, 3): (6, 0, 0, 1),
-    (5, 2, 4): (5, 0, 0, 0, 1),
-    (5, 2, 5): (5, 1, 0, 0, 0, 1),
-    (5, 2, 6): (6, 0, 0, 0, 0, 0, 1),
-}
+from subdesigns.fieldcore import LAZY_CAP, SmallField, _trial_factorize, find_irreducible, poly_is_irreducible
 
 _TOWER_CACHE: dict[tuple, "FieldTower"] = {}
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _trial_factorize(n) == [n]
+
+
+def _modulus(F: SmallField, degree: int, given, name: str) -> tuple:
+    """Modulus of a degree-`degree` extension of F: the given one once it is
+    checked to be monic irreducible, else the lexicographically smallest."""
+    if given is None:
+        return tuple(find_irreducible(F, degree))
+    modulus = tuple(int(c) for c in given)
+    if len(modulus) != degree + 1 or modulus[-1] != 1:
+        raise ValueError(f"{name} must be monic of degree {degree}")
+    if any(not 0 <= c < F.size for c in modulus):
+        raise ValueError(f"{name} coefficients must be codes of F_{F.size}")
+    if not poly_is_irreducible(F, list(modulus)):
+        raise NotIrreducible(f"{name} {list(modulus)} is reducible over F_{F.size}")
+    return modulus
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -114,18 +73,18 @@ def prime_power(q: int) -> tuple[int, int]:
 class FieldTower:
     """Immutable tower F_p < F_q < F_{q^m}; construct via :func:`make_tower`."""
 
-    def __init__(self, p: int, h: int, m: int, fq_modulus: tuple, fqm_modulus: tuple):
+    def __init__(self, p: int, h: int, m: int, fq_modulus=None, fqm_modulus=None):
         self.p = p
         self.h = h
         self.m = m
-        self.fq_modulus = fq_modulus
-        self.fqm_modulus = fqm_modulus
         self.q = p**h
         self.order = self.q**m
 
         self.fp = SmallField(p, None, None)
-        self.fq = self.fp if h == 1 else SmallField(p, self.fp, list(fq_modulus))
-        self.fqm = SmallField(p, self.fq, list(fqm_modulus)) if m >= 1 else self.fq
+        self.fq_modulus = _modulus(self.fp, h, fq_modulus, "fq_modulus")
+        self.fq = self.fp if h == 1 else SmallField(p, self.fp, list(self.fq_modulus))
+        self.fqm_modulus = _modulus(self.fq, m, fqm_modulus, "fqm_modulus")
+        self.fqm = SmallField(p, self.fq, list(self.fqm_modulus))
 
         # a -> a^q on F_{q^m}, the Galois generator sigma with s = 1
         codes = np.arange(self.order)
@@ -394,61 +353,24 @@ class FFElement:
 def make_tower(p: int, h: int, m: int, fq_modulus=None, fqm_modulus=None) -> FieldTower:
     """Build (or fetch from cache) the tower F_p < F_(p^h) < F_(p^(h*m)).
 
-    Moduli are little-endian monic coefficient lists; omitted ones come
-    from the built-in table (or the deterministic lexicographic search).
+    Moduli are little-endian monic coefficient lists; omitted ones are the
+    lexicographically smallest monic irreducibles.  Towers are cached both
+    under the request and under their full defining data, so a repeated
+    request builds no field.
     """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if h < 1 or m < 1:
         raise ValueError("h and m must be positive")
-
-    fp = SmallField(p, None, None)
-    if fq_modulus is None:
-        fq_modulus = _FQ_MODULI.get((p, h)) or tuple(find_irreducible(fp, h))
-    fq_modulus = tuple(int(c) for c in fq_modulus)
-    if len(fq_modulus) != h + 1 or fq_modulus[-1] != 1:
-        raise ValueError(f"fq_modulus must be monic of degree {h}")
-    if any(not 0 <= c < p for c in fq_modulus):
-        raise ValueError("fq_modulus coefficients must be residues mod p")
-    if h > 1 and not poly_is_irreducible(fp, list(fq_modulus)):
-        raise NotIrreducible(f"fq_modulus {list(fq_modulus)} is reducible over F_{p}")
-
-    fq = fp if h == 1 else SmallField(p, fp, list(fq_modulus))
-    if fqm_modulus is None:
-        fqm_modulus = _FQM_MODULI.get((p, h, m)) or tuple(find_irreducible(fq, m))
-    fqm_modulus = tuple(int(c) for c in fqm_modulus)
-    if len(fqm_modulus) != m + 1 or fqm_modulus[-1] != 1:
-        raise ValueError(f"fqm_modulus must be monic of degree {m}")
-    if any(not 0 <= c < fq.size for c in fqm_modulus):
-        raise ValueError("fqm_modulus coefficients must be F_q codes")
-    if m > 1 and not poly_is_irreducible(fq, list(fqm_modulus)):
-        raise NotIrreducible(f"fqm_modulus {list(fqm_modulus)} is reducible over F_{fq.size}")
-
-    key = (p, h, m, fq_modulus, fqm_modulus)
-    tower = _TOWER_CACHE.get(key)
+    if p ** (h * m) > LAZY_CAP:
+        raise BadParameters(f"F_{p ** (h * m)} exceeds the supported field size {LAZY_CAP}")
+    request = (p, h, m) + tuple(None if mod is None else tuple(int(c) for c in mod) for mod in (fq_modulus, fqm_modulus))
+    tower = _TOWER_CACHE.get(request)
     if tower is None:
         tower = FieldTower(p, h, m, fq_modulus, fqm_modulus)
-        _TOWER_CACHE[key] = tower
+        tower = _TOWER_CACHE.setdefault(tower.key, tower)
+        _TOWER_CACHE[request] = tower
     return tower
-
-
-def field_arith(a: FFElement, b: FFElement | None, kind: str, e: int | None = None) -> FFElement:
-    """Exact tower arithmetic: kind in {add, sub, mul, div, inv, pow}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    if kind == "inv":
-        return a.inverse()
-    if kind == "pow":
-        if e is None:
-            raise ValueError("pow requires the exponent e")
-        return a**e
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 def frobenius(a: FFElement, j: int) -> FFElement:

@@ -20,31 +20,10 @@ from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
 from subdesigns.errors import EnumerationCapExceeded, NotTwoIntersection, ZeroMember
 from subdesigns.fieldcore import DTYPE
-from subdesigns.subspace import AmbientSpace, check_cap, hyperplane_normals, subspace_count
+from subdesigns.subspace import ProjectiveSystem, check_cap, hyperplane_normals, subspace_count
 
 # Hyperplanes per numpy gather in hyperplane_point_counts.
 CHUNK = 512
-
-
-@dataclass
-class ProjectiveSystem:
-    """Multiset of projective points; keys are canonical representatives."""
-
-    ambient: AmbientSpace
-    entries: dict[tuple, int]
-
-    @property
-    def length(self) -> int:
-        return sum(self.entries.values())
-
-    def point_matrix(self) -> np.ndarray:
-        return np.array(sorted(self.entries), dtype=DTYPE) if self.entries else np.zeros((0, self.ambient.k), dtype=DTYPE)
-
-    def multiplicities(self) -> np.ndarray:
-        return np.array([self.entries[tuple(p)] for p in sorted(self.entries)], dtype=np.int64)
-
-    def spans(self) -> bool:
-        return linalg.rank(self.ambient.tower.fqm, self.point_matrix()) == self.ambient.k
 
 
 @dataclass

@@ -13,13 +13,6 @@ import numpy as np
 from subdesigns.fieldcore import DTYPE, SmallField
 
 
-def as_matrix(rows) -> np.ndarray:
-    M = np.array(rows, dtype=DTYPE)
-    if M.ndim == 1:
-        M = M.reshape(1, -1) if M.size else M.reshape(0, 0)
-    return M
-
-
 def rref(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Canonical reduced row echelon form; returns (nonzero rows, pivot columns)."""
     M = np.array(M, dtype=DTYPE, copy=True)
@@ -78,10 +71,6 @@ def matmul(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for i in range(A.shape[1]):
         out = np.asarray(F.add(out, F.mul(A[:, i, None], B[None, i, :])), dtype=DTYPE)
     return out
-
-
-def matvec(F: SmallField, A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return matmul(F, A, np.asarray(v, dtype=DTYPE).reshape(-1, 1)).reshape(-1)
 
 
 def vecmat(F: SmallField, v: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -50,11 +50,6 @@ class SigmaPoly:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def from_elements(cls, tower: FieldTower, elems: Sequence[FFElement | int], s: int = 1) -> "SigmaPoly":
-        codes = [e.code if isinstance(e, FFElement) else int(e) for e in elems]
-        return cls(tower, codes, s)
-
-    @classmethod
     def identity(cls, tower: FieldTower, s: int = 1) -> "SigmaPoly":
         return cls(tower, [1], s)
 

@@ -54,7 +54,7 @@ class StrongSubspaceDesign:
     def __init__(self, ambient: AmbientSpace, members):
         members = tuple(members)
         if not members:
-            raise ValueError("a strong design needs at least one member")
+            raise BadParameters("a strong design needs at least one member")
         for V in members:
             if V.ambient != ambient:
                 raise AmbientMismatch("member from a different ambient")

@@ -1,10 +1,16 @@
-"""F_q- and F_{q^m}-subspaces of the ambient V = F_{q^m}^k.
+"""F_q- and F_{q^m}-subspaces of the ambient V = F_{q^m}^k, and point multisets.
 
-F_q-subspaces are stored as canonical RREF bases of the expanded space
-F_q^(mk); the expansion basis of F_{q^m} over F_q is fixed once and for
-all as 1, y, ..., y^(m-1) per coordinate block (and recorded as such in
-the serialized formats).  F_{q^m}-subspaces are RREF bases over the top
-field.  Canonical bases make equality a row-wise comparison.
+Both kinds of subspace share one base, ``RowSpace``: a canonical RREF
+basis, parameterised by its field and row width.  F_q-subspaces live in
+the expanded space F_q^(mk); the expansion basis of F_{q^m} over F_q is
+fixed once and for all as 1, y, ..., y^(m-1) per coordinate block (and
+recorded as such in the serialized formats).  F_{q^m}-subspaces are RREF
+bases over the top field.  Canonical bases make equality a row-wise
+comparison.
+
+``ProjectiveSystem`` is the one weighted projective point set: linear
+sets store the weights dim_q(U meet P), the Ext system of a design the
+point multiplicities.
 
 Enumeration streams are deterministic, restartable and chunkable by
 index range: pivot supports run in lexicographic order and the free
@@ -15,6 +21,7 @@ binomials before any iteration starts.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -102,8 +109,17 @@ class AmbientSpace:
         return self._gram
 
 
-class FqSubspace:
-    """An F_q-subspace of V in canonical RREF form over the expanded coordinates."""
+class RowSpace:
+    """A subspace of V held as the canonical RREF basis of its row space.
+
+    Subclasses name the coefficient field (a FieldTower attribute) and the
+    row width (an AmbientSpace attribute).  Canonical bases make equality
+    a row-wise comparison; objects of different subclasses never compare
+    equal.
+    """
+
+    field_name: str
+    width_name: str
 
     def __init__(self, ambient: AmbientSpace, basis: np.ndarray, pivots: list[int]):
         self.ambient = ambient
@@ -111,9 +127,10 @@ class FqSubspace:
         self.pivots = pivots
 
     @classmethod
-    def from_expanded_rows(cls, ambient: AmbientSpace, rows) -> "FqSubspace":
-        M = np.asarray(rows, dtype=DTYPE).reshape(-1, ambient.n_fq) if len(rows) else np.zeros((0, ambient.n_fq), dtype=DTYPE)
-        R, piv = linalg.rref(ambient.tower.fq, M)
+    def _canonical(cls, ambient: AmbientSpace, rows):
+        width = getattr(ambient, cls.width_name)
+        M = np.asarray(rows, dtype=DTYPE).reshape(-1, width) if len(rows) else np.zeros((0, width), dtype=DTYPE)
+        R, piv = linalg.rref(getattr(ambient.tower, cls.field_name), M)
         return cls(ambient, R, piv)
 
     @property
@@ -122,7 +139,7 @@ class FqSubspace:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, FqSubspace)
+            type(other) is type(self)
             and other.ambient == self.ambient
             and other.basis.shape == self.basis.shape
             and bool(np.array_equal(other.basis, self.basis))
@@ -132,10 +149,18 @@ class FqSubspace:
         return hash((self.ambient, self.basis.tobytes()))
 
     def __repr__(self) -> str:
-        return f"FqSubspace(dim={self.dim} of {self.ambient})"
+        return f"{type(self).__name__}(dim={self.dim} of {self.ambient})"
 
-    def contains_expanded(self, v) -> bool:
-        return linalg.in_rowspace(self.ambient.tower.fq, self.basis, self.pivots, v)
+
+class FqSubspace(RowSpace):
+    """An F_q-subspace of V in canonical RREF form over the expanded coordinates."""
+
+    field_name = "fq"
+    width_name = "n_fq"
+
+    @classmethod
+    def from_expanded_rows(cls, ambient: AmbientSpace, rows) -> "FqSubspace":
+        return cls._canonical(ambient, rows)
 
     def vectors_expanded(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """All q^dim vectors (expanded coordinates), coefficient-lexicographic."""
@@ -152,37 +177,15 @@ class FqSubspace:
         return self.ambient.contract(self.basis).T.copy()
 
 
-class FqmSubspace:
+class FqmSubspace(RowSpace):
     """An F_{q^m}-subspace of V in canonical RREF form."""
 
-    def __init__(self, ambient: AmbientSpace, basis: np.ndarray, pivots: list[int]):
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
+    field_name = "fqm"
+    width_name = "k"
 
     @classmethod
     def from_rows(cls, ambient: AmbientSpace, rows) -> "FqmSubspace":
-        M = np.asarray(rows, dtype=DTYPE).reshape(-1, ambient.k) if len(rows) else np.zeros((0, ambient.k), dtype=DTYPE)
-        R, piv = linalg.rref(ambient.tower.fqm, M)
-        return cls(ambient, R, piv)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FqmSubspace)
-            and other.ambient == self.ambient
-            and other.basis.shape == self.basis.shape
-            and bool(np.array_equal(other.basis, self.basis))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.basis.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"FqmSubspace(dim={self.dim} of {self.ambient})"
+        return cls._canonical(ambient, rows)
 
     def expand_fq(self) -> FqSubspace:
         """The same point set as an F_q-subspace (dimension m * dim)."""
@@ -203,21 +206,29 @@ class FqmSubspace:
         return linalg.in_rowspace(self.ambient.tower.fqm, self.basis, self.pivots, vec)
 
 
-class WeightedPointSet:
-    """Projective points with positive weights; keys are canonical representatives."""
+@dataclass
+class ProjectiveSystem:
+    """Projective points with positive integer values; keys are canonical representatives.
 
-    def __init__(self, ambient: AmbientSpace, entries: dict[tuple, int]):
-        self.ambient = ambient
-        self.entries = entries
+    A linear set L_U stores the weights w(P) = dim_q(U meet P); the Ext
+    system of a design stores the multiplicities (q^w - 1)/(q - 1).
+    """
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    ambient: AmbientSpace
+    entries: dict[tuple, int]
 
-    def weight(self, point: tuple) -> int:
-        return self.entries.get(point, 0)
+    @property
+    def length(self) -> int:
+        return sum(self.entries.values())
 
-    def __repr__(self) -> str:
-        return f"WeightedPointSet({len(self.entries)} points of {self.ambient})"
+    def point_matrix(self) -> np.ndarray:
+        return np.array(sorted(self.entries), dtype=DTYPE) if self.entries else np.zeros((0, self.ambient.k), dtype=DTYPE)
+
+    def multiplicities(self) -> np.ndarray:
+        return np.array([self.entries[tuple(p)] for p in sorted(self.entries)], dtype=np.int64)
+
+    def spans(self) -> bool:
+        return linalg.rank(self.ambient.tower.fqm, self.point_matrix()) == self.ambient.k
 
 
 # --- constructors and lattice operations --------------------------------------
@@ -261,8 +272,8 @@ def meet_join(U, W) -> tuple[FqSubspace, FqSubspace]:
     F = U.ambient.tower.fq
     meet_b = linalg.intersect_rowspaces(F, U.basis, W.basis)
     join_b = linalg.sum_rowspaces(F, U.basis, W.basis)
-    meet = FqSubspace(U.ambient, meet_b, linalg.rref(F, meet_b)[1] if meet_b.shape[0] else [])
-    join = FqSubspace(U.ambient, join_b, linalg.rref(F, join_b)[1] if join_b.shape[0] else [])
+    meet = FqSubspace.from_expanded_rows(U.ambient, meet_b)
+    join = FqSubspace.from_expanded_rows(U.ambient, join_b)
     assert meet.dim + join.dim == U.dim + W.dim, "Grassmann identity violated"
     return meet, join
 
@@ -384,7 +395,7 @@ def subspace_count(ambient: AmbientSpace, s: int) -> int:
     return gaussian_binomial(ambient.k, s, ambient.tower.order)
 
 
-def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> WeightedPointSet:
+def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> ProjectiveSystem:
     """The linear set L_U with point weights w(P) = dim_q(U meet P).
 
     Also checks the rank identity: summing (q^w - 1)/(q - 1) over the
@@ -415,7 +426,7 @@ def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> Weig
     assert sum((q**w - 1) // (q - 1) for w in entries.values()) == (q**n - 1) // (q - 1), (
         "linear-set rank identity violated"
     )
-    return WeightedPointSet(amb, entries)
+    return ProjectiveSystem(amb, entries)
 
 
 def ordinary_dual(U: FqSubspace) -> FqSubspace:
@@ -427,7 +438,7 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
         return FqSubspace(amb, full, list(range(amb.n_fq)))
     cond = linalg.matmul(F, U.basis, amb.trace_gram)
     ker = linalg.right_kernel(F, cond)
-    dual = FqSubspace(amb, ker, linalg.rref(F, ker)[1] if ker.shape[0] else [])
+    dual = FqSubspace.from_expanded_rows(amb, ker)
     assert dual.dim + U.dim == amb.n_fq
     return dual
 

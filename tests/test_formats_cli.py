@@ -185,6 +185,53 @@ def test_cli_missing_option_is_a_usage_error(capsys):
     assert "--q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,needed", [
+    (["construct", "basis-partition", "--q", "3", "--m", "2", "--k", "2"], "--partition"),
+    (["construct", "pseudoregulus", "--q", "3", "--m", "2", "--r", "1"], "--mus"),
+    (["construct", "enlarge", "DESIGN", "--s", "1"], "--increments"),
+    (["construct", "enlarge", "--s", "1", "--increments", "1,1"], "an input file"),
+])
+def test_cli_missing_construct_argument_is_a_usage_error(tmp_path, capsys, argv, needed):
+    design = tmp_path / "d.json"
+    design.write_text(fmt.dumps(fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[str(design) if a == "DESIGN" else a for a in argv])
+    assert exc.value.code == 2
+    assert needed in capsys.readouterr().err
+
+
+def test_cli_profile_s_out_of_range(tmp_path, capsys):
+    design = tmp_path / "d.json"
+    design.write_text(fmt.dumps(fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))))
+    assert run_cli("profile", str(design), "--s", "3") == 1  # k = 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "DimensionMismatch"
+
+
+def test_cli_empty_designs_are_errors(tmp_path, capsys):
+    obj = fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))
+    obj["members"] = []
+    design = tmp_path / "d.json"
+    design.write_text(fmt.dumps(obj))
+    S, _ = sb.cameron_liebler("point_pencil", 1, 3, 2)
+    obj = fmt.strong_design_to_json(S)
+    obj["members"] = []
+    strong = tmp_path / "s.json"
+    strong.write_text(fmt.dumps(obj))
+    for argv in (["weights", str(design)], ["strong", "verify", str(strong), "--s", "1"],
+                 ["construct", "pseudoregulus", "--q", "3", "--m", "2", "--r", "1", "--mus", ""]):
+        assert run_cli(*argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "BadParameters"
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_cli_tower_above_field_size_cap(capsys, m):
+    # F_25^5 and F_25^6 exceed fieldcore.LAZY_CAP; refused before any modulus search
+    assert run_cli("construct", "pseudoregulus", "--q", "25", "--m", str(m), "--r", "1", "--mus", "1") == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "BadParameters"
+
+
 def test_cli_missing_file_is_a_format_error(tmp_path, capsys):
     assert run_cli("classify", str(tmp_path / "absent.json")) == 1
     err = json.loads(capsys.readouterr().out)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subdesigns.errors import DivisionByZero, NotInBaseField, NotIrreducible, NotPrime, TowerMismatch
-from subdesigns.gf import FFElement, field_arith, frobenius, make_tower, norm_trace
+from subdesigns import gf
+from subdesigns.formats import tower_from_json, tower_to_json
+from subdesigns.gf import FFElement, frobenius, make_tower, norm_trace
 
 # towers swept exhaustively where the contracts ask for it (q^m <= 3^6)
 SWEEP = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
@@ -12,10 +14,16 @@ SWEEP = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
          (3, 2, 2), (3, 2, 3), (5, 2, 2)]
 
 
-def test_make_tower_examples(f4, f9):
+def test_make_tower_examples(f4, f8, f9, f27):
     # smallest extension and the standard F_9 modulus
     assert f4.order == 4 and f4.fqm_modulus == (1, 1, 1)
     assert f9.order == 9 and f9.fqm_modulus == (1, 0, 1)
+    # default moduli are recorded in design files, so they must not move
+    assert f4.key == (2, 1, 2, (0, 1), (1, 1, 1))
+    assert f8.key == (2, 1, 3, (0, 1), (1, 1, 0, 1))
+    assert f9.key == (3, 1, 2, (0, 1), (1, 0, 1))
+    assert f27.key == (3, 1, 3, (0, 1), (1, 2, 0, 1))
+    assert make_tower(2, 2, 2).key == (2, 2, 2, (1, 1, 1), (2, 1, 1))  # F_16 over F_4
     w = f4.gen()
     assert w * w == f4.element("w+1")
     i = f9.gen()
@@ -32,20 +40,24 @@ def test_make_tower_rejects_composite_characteristic():
         make_tower(4, 1, 2)
 
 
-def test_towers_are_cached(f9):
+def test_towers_are_cached(f9, monkeypatch):
     assert make_tower(3, 1, 2) is f9
+    # a repeated request, as on every design-file load, builds no field
+    monkeypatch.setattr(gf, "SmallField", None)
+    assert make_tower(3, 1, 2, fq_modulus=[0, 1], fqm_modulus=(1, 0, 1)) is f9
+    assert tower_from_json(tower_to_json(f9)) is f9
 
 
 def test_field_arith_examples(f4, f9):
     w = f4.gen()
-    assert field_arith(w, w, "mul") == f4.element("w+1")
-    assert field_arith(w, None, "pow", e=3) == f4.one()
+    assert w * w == f4.element("w+1")
+    assert w**3 == f4.one()
     i1 = f9.element("i+1")
-    assert field_arith(i1, i1, "mul") == f9.element("2*i")
+    assert i1 * i1 == f9.element("2*i")
     with pytest.raises(DivisionByZero):
-        field_arith(f4.one(), f4.zero(), "div")
+        f4.one() / f4.zero()
     with pytest.raises(TowerMismatch):
-        field_arith(f4.one(), f9.one(), "add")
+        f4.one() + f9.one()
 
 
 def test_frobenius_examples(f4, f9):

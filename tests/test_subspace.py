@@ -48,6 +48,9 @@ def test_span_examples(amb4, amb9):
     assert U1.dim == 2  # pseudoregulus member as the rank of a 2x4 F_3 matrix
     with pytest.raises(DimensionMismatch):
         span_fq(amb4, [(amb4.tower.one(),)])
+    flat = AmbientSpace(make_tower(2, 1, 1), 2)  # m = 1: both kinds store 1 x 2 arrays
+    U, W = FqSubspace.from_expanded_rows(flat, [[1, 0]]), FqmSubspace.from_rows(flat, [[1, 0]])
+    assert np.array_equal(U.basis, W.basis) and U != W and W != U
 
 
 def test_meet_join_examples(amb4):
@@ -103,14 +106,14 @@ def test_hyperplane_sweep_agrees_with_generic(amb9):
 
 def test_linear_set_examples(amb4, amb9):
     L = linear_set(subgeometry(amb4))
-    assert len(L) == 3 and set(L.entries.values()) == {1}
+    assert len(L.entries) == 3 and set(L.entries.values()) == {1}
     line = FqmSubspace.from_rows(amb4, [[1, 0]]).expand_fq()
     L2 = linear_set(line)
-    assert len(L2) == 1 and list(L2.entries.values()) == [2]
+    assert len(L2.entries) == 1 and list(L2.entries.values()) == [2]
     i = amb9.tower.gen()
     U1 = span_fq(amb9, [(amb9.tower.one(), amb9.tower.one()), (i, frobenius(i, 1))])
     L3 = linear_set(U1)
-    assert len(L3) == 4 and set(L3.entries.values()) == {1}
+    assert len(L3.entries) == 4 and set(L3.entries.values()) == {1}
     with pytest.raises(ZeroSubspace):
         linear_set(span_fq(amb4, []))
 
