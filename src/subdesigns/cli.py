@@ -76,6 +76,20 @@ def _parse_elements(tower, text: str) -> list:
     return [tower.element(part) for part in text.split(",") if part]
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _partition(text: str) -> list[list[int]]:
+    try:
+        return [[int(x) for x in block.split(",")] for block in text.split(";")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected ';'-separated blocks of comma-separated integers, got {text!r}") from None
+
+
 # --- construct -------------------------------------------------------------------
 
 
@@ -96,16 +110,14 @@ def _cmd_construct(args, cfg: RunConfig) -> dict:
         tower = _tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, args.k)
         basis = np.eye(args.k, dtype=int).tolist()
-        partition = [[int(x) for x in block.split(",")] for block in args.partition.split(";")]
-        D = de.construct_basis_partition(amb, basis, partition)
+        D = de.construct_basis_partition(amb, basis, args.partition)
     elif kind == "field-partition":
         D = de.construct_field_partition(args.q, args.m, args.k, cap=cfg.enumeration_cap)
     elif kind == "direct-sum":
         D = de.direct_sum([_load_design(p) for p in args.inputs], cap=cfg.enumeration_cap)
     elif kind == "enlarge":
         base = _load_design(args.inputs[0])
-        increments = [int(x) for x in args.increments.split(",")]
-        D = de.enlarge(base, args.s, increments, cap=cfg.enumeration_cap)
+        D = de.enlarge(base, args.s, args.increments, cap=cfg.enumeration_cap)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     if args.output:
@@ -294,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mus")
     c.add_argument("--alphas", default="")
     c.add_argument("--eta", default="0")
-    c.add_argument("--partition")
-    c.add_argument("--increments")
+    c.add_argument("--partition", type=_partition, help='blocks of basis indices, e.g. "1,2;3,4"')
+    c.add_argument("--increments", type=_int_list, help="one increment per member, e.g. 1,0")
     c.add_argument("-o", "--output")
     c.set_defaults(func=_cmd_construct)
 

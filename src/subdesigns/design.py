@@ -7,7 +7,9 @@ F_{q^m}-subspaces W, with a maximising witness (ties broken by
 enumeration order).  Two fast paths cover the interesting ends: s = 1
 through the members' linear sets, s = k-1 through a sweep of canonical
 hyperplane normal vectors using the rank identity
-dim_q(U meet x^perp) = dim U - rk_q(x G).
+dim_q(U meet x^perp) = dim U - rk_q(x G).  Every other s sweeps stacked
+blocks of W with dim_q(U meet W) = dim U + ms - rk_q[U; W].  All sweeps
+rank whole stacks at once through ``linalg.rank_batch``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from subdesigns.errors import (
     TooFewBlocks,
     TooManyBlocks,
 )
-from subdesigns.fieldcore import DTYPE, SmallField, find_irreducible
+from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField, find_irreducible
 from subdesigns.gf import FFElement, FieldTower, prime_power
 from subdesigns.subspace import (
     AmbientSpace,
@@ -44,6 +46,7 @@ from subdesigns.subspace import (
     FqmSubspace,
     check_cap,
     enumerate_fqm_subspaces,
+    fqm_subspace_blocks,
     hyperplane_normals,
     hyperplane_subspace,
     linear_set,
@@ -141,7 +144,7 @@ def section_dims(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
     fq = D.ambient.tower.fq
     sums = np.zeros(normals.shape[0], dtype=np.int64)
     for U, digs in _member_digits(D, normals):
-        sums += [U.dim - linalg.rank(fq, d) for d in digs]
+        sums += U.dim - linalg.rank_batch(fq, digs)
     return sums
 
 
@@ -208,11 +211,12 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
     else:
         fq = amb.tower.fq
         best, witness = -1, None
-        for W in enumerate_fqm_subspaces(amb, s, cap=cap):
-            Wfq = W.expand_fq().basis
-            total = sum(linalg.meet_dim(fq, U.basis, Wfq) for U in D.members if U.dim)
-            if total > best:
-                best, witness = total, W
+        for W, piv in fqm_subspace_blocks(amb, s, cap=cap):
+            Wfq = amb.fq_rows(W)
+            totals = sum(linalg.meet_dim(fq, U.basis, Wfq) for U in D.members)
+            i = int(np.argmax(totals))  # the first maximum keeps enumeration order
+            if totals[i] > best:
+                best, witness = int(totals[i]), FqmSubspace(amb, W[i].copy(), piv)
     if span >= s:
         assert best >= s, "every design with span >= s meets some W in total >= s"
     return DesignProfile(s=s, A_min=best, span_dim=span, witness=witness, non_degenerate=span == k)
@@ -523,6 +527,8 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
         raise GcdViolation("subgeometry partitions need gcd(k, m) = 1")
     # locate the tower for F_q: q = p^h with our supported shapes
     p, h = prime_power(q)
+    if q ** (m * k) > LAZY_CAP:
+        raise BadParameters(f"F_{q ** (m * k)} exceeds the supported field size {LAZY_CAP}")
     from subdesigns.gf import make_tower
 
     tower = make_tower(p, h, m)

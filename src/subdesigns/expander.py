@@ -21,7 +21,7 @@ from subdesigns.design import SubspaceDesign
 from subdesigns.errors import BadDims, NotABasis
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement
-from subdesigns.subspace import check_cap, enumerate_rref_matrices, gaussian_binomial
+from subdesigns.subspace import check_cap, gaussian_binomial, rref_matrix_blocks
 
 
 @dataclass
@@ -106,27 +106,28 @@ def expansion_check(
         count = gaussian_binomial(ell, r, q)
         if mode == "exhaustive":
             check_cap(count, cap, f"subspaces of dim {r}")
-            bases = (M for M, _ in enumerate_rref_matrices(q, r, ell))
+            blocks = (X for X, _ in rref_matrix_blocks(q, r, ell))
         elif mode == "sample":
-            def sampled():
-                for _ in range(samples):
-                    while True:
-                        M = rng.integers(0, q, (r, ell)).astype(DTYPE)
-                        R, _ = linalg.rref(tw.fq, M)
-                        if R.shape[0] == r:
-                            yield R
-                            break
-
-            bases = sampled()
+            drawn = []
+            while len(drawn) < samples:
+                R, _ = linalg.rref(tw.fq, rng.integers(0, q, (r, ell)).astype(DTYPE))
+                if R.shape[0] == r:
+                    drawn.append(R)
+            blocks = [np.array(drawn, dtype=DTYPE).reshape(-1, r, ell)]
         else:
             raise ValueError("mode must be 'exhaustive' or 'sample'")
         best = None
         witness = None
-        for X in bases:
-            stacked = np.vstack([linalg.matmul(tw.fq, X, M) for M in fam.maps])
-            ratio = Fraction(linalg.rank(tw.fq, stacked), r)
+        for X in blocks:
+            if not X.shape[0]:
+                continue
+            flat = X.reshape(-1, ell)
+            images = np.concatenate([linalg.matmul(tw.fq, flat, M).reshape(X.shape[0], r, -1) for M in fam.maps], axis=1)
+            ranks = linalg.rank_batch(tw.fq, images)
+            i = int(np.argmin(ranks))  # the first minimum keeps enumeration order
+            ratio = Fraction(int(ranks[i]), r)
             if best is None or ratio < best:
-                best, witness = ratio, X.copy()
+                best, witness = ratio, X[i].copy()
         report.per_dim[r] = {
             "min_ratio": best,
             "witness": witness,

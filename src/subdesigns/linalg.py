@@ -4,6 +4,13 @@ Matrices are 2-D numpy int32 arrays of element codes.  Everything is
 reduced row-echelon based: RREF output is canonical (pivots 1, pivot
 columns elementary, pivots strictly increasing), so row spaces compare
 by array equality.
+
+The sweeps (hyperplanes, subspaces, codeword classes) need only ranks of
+many tiny matrices.  ``rank_batch`` eliminates a whole stack (B, r, c)
+at once, column by column, with one field gather per step over the
+stack: table-driven elimination in the spirit of M4RI, vectorised over
+the batch instead of over bits.  The looped ``rref`` stays as its
+oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from subdesigns.fieldcore import DTYPE, SmallField
+
+# Matrix cells per elimination chunk in rank_batch.
+RANK_CELLS = 1 << 16
 
 
 def rref(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -43,6 +53,48 @@ def rref(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def rank(F: SmallField, M: np.ndarray) -> int:
     return rref(F, M)[0].shape[0]
+
+
+def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
+    """F-ranks (B,) of a stack M (B, r, c) of matrices, eliminated together.
+
+    Per column, each matrix takes its first unused row with a nonzero
+    entry there as pivot, normalises it and clears that column from its
+    other unused rows.  Only F.mul, F.add, F.neg and F.inv are used, so
+    fields above FULL_TABLE_CAP (log/exp arithmetic) work as well.  The
+    stack is eliminated RANK_CELLS cells at a time, which bounds the
+    temporaries whatever its length.
+    """
+    M = np.asarray(M)
+    B, r, c = M.shape
+    ranks = np.zeros(B, dtype=np.int64)
+    step = max(1, RANK_CELLS // max(1, r * c))
+    for lo in range(0, B, step):
+        ranks[lo : lo + step] = _rank_chunk(F, M[lo : lo + step])
+    return ranks
+
+
+def _rank_chunk(F: SmallField, M: np.ndarray) -> np.ndarray:
+    if M.shape[1] > M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
+        M = M.transpose(0, 2, 1)
+    M = np.array(M, dtype=DTYPE, order="C")
+    B, r, c = M.shape
+    ranks = np.zeros(B, dtype=np.int64)
+    free = np.ones((B, r), dtype=bool)
+    for col in range(c):
+        cand = (M[:, :, col] != 0) & free
+        b = np.nonzero(cand.any(axis=1))[0]
+        if b.size == 0:
+            continue
+        piv = cand[b].argmax(axis=1)
+        free[b, piv] = False
+        ranks[b] += 1
+        row = M[b, piv, col:]
+        row = F.mul(row, F.inv(row[:, :1]))
+        rest = M[b, :, col:]
+        fac = F.neg(np.where(free[b], rest[:, :, 0], 0))  # negate the (B, r) factors, not the products
+        M[b, :, col:] = F.add(rest, F.mul(fac[:, :, None], row[:, None, :]))
+    return ranks
 
 
 def right_kernel(F: SmallField, M: np.ndarray) -> np.ndarray:
@@ -98,9 +150,15 @@ def intersect_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarr
     return rref(F, matmul(F, L[:, :ra], A))[0]
 
 
-def meet_dim(F: SmallField, A: np.ndarray, B: np.ndarray) -> int:
-    """dim(rowspace(A) & rowspace(B)) = rk A + rk B - rk [A; B] for A, B of full row rank."""
-    return A.shape[0] + B.shape[0] - rank(F, np.vstack([A, B]))
+def meet_dim(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """dim(rowspace(A) & rowspace(B)) = rk A + rk B - rk [A; B] for A, B of full row rank.
+
+    B may be a stack (..., rb, c) sharing one A; the answer has shape B.shape[:-2].
+    """
+    B = np.asarray(B, dtype=DTYPE)
+    Bs = B.reshape(int(np.prod(B.shape[:-2])), *B.shape[-2:])
+    stack = np.concatenate([np.broadcast_to(A, (Bs.shape[0], *A.shape)), Bs], axis=1)
+    return (A.shape[0] + B.shape[-2] - rank_batch(F, stack)).reshape(B.shape[:-2])
 
 
 def in_rowspace(F: SmallField, R: np.ndarray, piv: list[int], v: np.ndarray) -> bool:

@@ -41,6 +41,7 @@ from subdesigns.subspace import (
     FqSubspace,
     check_cap,
     enumerate_fqm_subspaces,
+    fqm_subspace_blocks,
     gaussian_binomial,
     meet_join,
     span_fq,
@@ -83,17 +84,16 @@ def verify_strong(
     F = amb.tower.fqm
     check_cap(subspace_count(amb, s), cap, "subspaces")
     best = 0
-    for W in enumerate_fqm_subspaces(amb, s, cap=cap):
-        best = max(best, sum(linalg.meet_dim(F, V.basis, W.basis) for V in S.members))
+    for W, _ in fqm_subspace_blocks(amb, s, cap=cap):
+        best = max(best, int(sum(linalg.meet_dim(F, V.basis, W) for V in S.members).max()))
     return best
 
 
 def _max_meet_dim(E: FqSubspace, h: int, cap) -> int:
     """max over h-dimensional F_{q^m}-subspaces W of dim_q(E meet W)."""
-    fq = E.ambient.tower.fq
-    return max(
-        linalg.meet_dim(fq, E.basis, W.expand_fq().basis) for W in enumerate_fqm_subspaces(E.ambient, h, cap=cap)
-    )
+    amb = E.ambient
+    fq = amb.tower.fq
+    return max(int(linalg.meet_dim(fq, E.basis, amb.fq_rows(W)).max()) for W, _ in fqm_subspace_blocks(amb, h, cap=cap))
 
 
 def evasive_intersect(

@@ -14,8 +14,10 @@ point multiplicities.
 
 Enumeration streams are deterministic, restartable and chunkable by
 index range: pivot supports run in lexicographic order and the free
-entries in row-major code order.  Counts are checked against Gaussian
-binomials before any iteration starts.
+entries in row-major code order.  Sweeps read the same order as stacked
+blocks (``rref_matrix_blocks``, ``fqm_subspace_blocks``), one or more per
+pivot support, for the batched rank kernel.  Counts are checked against
+Gaussian binomials before any iteration starts.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from subdesigns.errors import (
 )
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement, FieldTower
+
+# RREF matrices per stacked block in rref_matrix_blocks.
+RREF_CHUNK = 4096
 
 
 def check_cap(count: int, cap: int | None, what: str) -> None:
@@ -89,6 +94,18 @@ class AmbientSpace:
         vecs = np.asarray(vecs, dtype=DTYPE)
         dig = vecs.reshape(*vecs.shape[:-1], self.k, self.tower.m)
         return self.tower.fqm.from_digits(dig).astype(DTYPE)
+
+    def fq_rows(self, W: np.ndarray) -> np.ndarray:
+        """(..., s, k) F_{q^m} rows w_i -> (..., m*s, mk) expanded rows y^j w_i, j < m.
+
+        The rows span the F_{q^m}-span of the w_i over F_q; they are
+        independent when the w_i are.
+        """
+        t = self.tower
+        W = np.asarray(W, dtype=DTYPE)
+        ypow = np.array([t.fqm.pow(t.q if t.m > 1 else 1, j) for j in range(t.m)], dtype=DTYPE)
+        scaled = t.fqm.mul(W[..., :, None, :], ypow[:, None])  # (..., s, m, k)
+        return self.expand(scaled.reshape(*W.shape[:-2], W.shape[-2] * t.m, self.k))
 
     @property
     def trace_gram(self) -> np.ndarray:
@@ -189,17 +206,8 @@ class FqmSubspace(RowSpace):
 
     def expand_fq(self) -> FqSubspace:
         """The same point set as an F_q-subspace (dimension m * dim)."""
-        t = self.ambient.tower
-        rows = []
-        gen = t.q if t.m > 1 else 0
-        for w in self.basis:
-            for j in range(t.m):
-                yj = int(t.fqm.pow(gen, j)) if t.m > 1 else 1
-                rows.append(np.asarray(t.fqm.mul(w, yj), dtype=DTYPE))
-        if not rows:
-            return FqSubspace.from_expanded_rows(self.ambient, [])
-        U = FqSubspace.from_expanded_rows(self.ambient, self.ambient.expand(np.array(rows, dtype=DTYPE)))
-        assert U.dim == t.m * self.dim
+        U = FqSubspace.from_expanded_rows(self.ambient, self.ambient.fq_rows(self.basis))
+        assert U.dim == self.ambient.tower.m * self.dim
         return U
 
     def contains(self, vec) -> bool:
@@ -373,6 +381,36 @@ def enumerate_rref_matrices(
             idx += 1
 
 
+def rref_matrix_blocks(Q: int, s: int, k: int) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """The matrices of enumerate_rref_matrices, in its order, as stacks (n, s, k).
+
+    Each stack holds at most RREF_CHUNK matrices of one pivot support,
+    which is yielded with it.
+    """
+    if s == 0:
+        yield np.zeros((1, 0, k), dtype=DTYPE), []
+        return
+    for pivots in itertools.combinations(range(k), s):
+        free_pos = [(i, c) for i in range(s) for c in range(pivots[i] + 1, k) if c not in pivots]
+        rows = [i for i, _ in free_pos]
+        cols = [c for _, c in free_pos]
+        # the last free entry runs fastest, as in itertools.product
+        place = np.array([Q ** (len(free_pos) - 1 - j) for j in range(len(free_pos))], dtype=np.int64)
+        total = Q ** len(free_pos)
+        for lo in range(0, total, RREF_CHUNK):
+            codes = np.arange(lo, min(lo + RREF_CHUNK, total), dtype=np.int64)
+            M = np.zeros((codes.size, s, k), dtype=DTYPE)
+            M[:, list(range(s)), pivots] = 1
+            M[:, rows, cols] = (codes[:, None] // place) % Q
+            yield M, list(pivots)
+
+
+def _check_subspace_dim(ambient: AmbientSpace, s: int, cap: int | None) -> None:
+    if not 0 <= s <= ambient.k:
+        raise DimensionMismatch(f"s must lie in [0, {ambient.k}]")
+    check_cap(subspace_count(ambient, s), cap, f"subspaces of dim {s}")
+
+
 def enumerate_fqm_subspaces(
     ambient: AmbientSpace,
     s: int,
@@ -381,14 +419,19 @@ def enumerate_fqm_subspaces(
     stop: int | None = None,
 ) -> Iterator[FqmSubspace]:
     """All s-dimensional F_{q^m}-subspaces, each exactly once, deterministic order."""
-    k = ambient.k
-    if not 0 <= s <= k:
-        raise DimensionMismatch(f"s must lie in [0, {k}]")
-    Q = ambient.tower.order
-    total = gaussian_binomial(k, s, Q)
-    check_cap(total, cap, f"subspaces of dim {s}")
-    for M, piv in enumerate_rref_matrices(Q, s, k, start=start, stop=stop):
+    _check_subspace_dim(ambient, s, cap)
+    for M, piv in enumerate_rref_matrices(ambient.tower.order, s, ambient.k, start=start, stop=stop):
         yield FqmSubspace(ambient, M, piv)
+
+
+def fqm_subspace_blocks(
+    ambient: AmbientSpace,
+    s: int,
+    cap: int | None = DEFAULT_ENUMERATION_CAP,
+) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """RREF bases of enumerate_fqm_subspaces, in its order, as rref_matrix_blocks stacks."""
+    _check_subspace_dim(ambient, s, cap)
+    return rref_matrix_blocks(ambient.tower.order, s, ambient.k)
 
 
 def subspace_count(ambient: AmbientSpace, s: int) -> int:

@@ -166,6 +166,15 @@ def _block_rank(tower: FieldTower, y: np.ndarray) -> int:
     return linalg.rank(tower.fq, tower.fqm.to_digits(np.asarray(y, dtype=DTYPE)))
 
 
+def _class_weights(C: SumRankCode, X: np.ndarray) -> np.ndarray:
+    """Sum-rank weights of the codewords x G for every message row x of X."""
+    t = C.tower
+    w = np.zeros(X.shape[0], dtype=np.int64)
+    for b in C.blocks:
+        w += linalg.rank_batch(t.fq, t.fqm.to_digits(linalg.matmul(t.fqm, X, b)))
+    return w
+
+
 def sumrank_weight(C: SumRankCode, x, check: bool = True) -> int:
     """Sum of expansion ranks of the blocks of xG; cross-checked geometrically."""
     x = np.asarray(x, dtype=DTYPE)
@@ -208,7 +217,7 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
         return int(best)
     check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
     if method == "classes":
-        return min(sum(_block_rank(t, y) for y in C.encode(x)) for x in canonical_projective_reps(t.order, C.k))
+        return int(_class_weights(C, canonical_projective_reps(t.order, C.k)).min())
     if method != "hyperplane":
         raise ValueError("method must be 'hyperplane', 'classes' or 'codewords'")
     return C.N - int(hyperplane_profile_sums(C.system(), cap=cap).max())
@@ -374,10 +383,9 @@ def weight_spectrum(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP) -
     """Codeword counts per sum-rank weight (scalar classes share a weight)."""
     t = C.tower
     check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
+    weights, counts = np.unique(_class_weights(C, canonical_projective_reps(t.order, C.k)), return_counts=True)
     spec: dict[int, int] = {0: 1}
-    per_class = t.order - 1
-    for x in canonical_projective_reps(t.order, C.k):
-        w = sum(_block_rank(t, y) for y in C.encode(x))
-        spec[w] = spec.get(w, 0) + per_class
+    for w, n in zip(weights, counts):
+        spec[int(w)] = spec.get(int(w), 0) + (t.order - 1) * int(n)
     assert sum(spec.values()) == t.order**C.k
     return spec

@@ -268,3 +268,23 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "[PASS] criterion 9" in proc.stdout
+
+
+def test_cli_field_partition_above_field_size_cap(capsys):
+    # F_{3^15} exceeds fieldcore.LAZY_CAP; refused before the field is built
+    assert run_cli("construct", "field-partition", "--q", "3", "--m", "5", "--k", "3") == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "BadParameters"
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["construct", "basis-partition", "--q", "3", "--m", "2", "--k", "2", "--partition", "1;x"], "--partition"),
+    (["construct", "enlarge", "DESIGN", "--s", "1", "--increments", "1,x"], "--increments"),
+])
+def test_cli_non_integer_lists_are_usage_errors(tmp_path, capsys, argv, option):
+    design = tmp_path / "d.json"
+    design.write_text(fmt.dumps(fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[str(design) if a == "DESIGN" else a for a in argv])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err

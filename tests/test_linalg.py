@@ -69,3 +69,30 @@ def test_rref_idempotent(fields):
         R, piv = linalg.rref(F9, M)
         R2, piv2 = linalg.rref(F9, R)
         assert np.array_equal(R, R2) and piv == piv2
+
+
+# F_q and F_{q^m} of every built-in tower (repro.sigma_towers), plus F_6561 > FULL_TABLE_CAP
+RANK_TOWERS = [(2, 1, m) for m in range(2, 7)] + [(3, 1, 2), (3, 1, 3), (3, 1, 4), (2, 2, 2), (2, 2, 3),
+                                                    (5, 1, 2), (3, 2, 2), (3, 2, 4)]
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+@pytest.mark.parametrize("level", ["fq", "fqm"])
+@given(st.integers(0, 10_000))
+def test_rank_batch_matches_looped_rank(key, level, seed):
+    F = getattr(make_tower(*key), level)
+    rng = np.random.default_rng(seed)
+    B, r, c = (int(x) for x in rng.integers(0, 6, 3))
+    M = rng.integers(0, F.size, (B, r, c))
+    if B and r > 1 and c:
+        # rank-deficient stacks: a scaled copy of another row and a zero row
+        M[:, 1] = F.mul(M[:, 0], int(rng.integers(0, F.size)))
+        M[rng.random(B) < 0.5, -1] = 0
+    assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
+
+
+def test_rank_batch_empty_stacks(fields):
+    _, F9 = fields
+    for shape in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]:
+        ranks = linalg.rank_batch(F9, np.zeros(shape, dtype=np.int32))
+        assert ranks.shape == (shape[0],) and not ranks.any()

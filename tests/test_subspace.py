@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from subdesigns import linalg
+from subdesigns import linalg, subspace
 from subdesigns.design import SubspaceDesign, hyperplane_sections, section_dims
 from subdesigns.errors import AmbientMismatch, DimensionMismatch, EnumerationCapExceeded, ZeroSubspace
 from subdesigns.gf import frobenius, make_tower
@@ -20,6 +20,7 @@ from subdesigns.subspace import (
     linear_set,
     meet_join,
     ordinary_dual,
+    rref_matrix_blocks,
     span_fq,
     subspace_count,
 )
@@ -90,6 +91,19 @@ def test_enumeration_matches_gaussian_binomial(Q, k, s):
     for M, piv in enumerate_rref_matrices(Q, s, k):
         seen.add(M.tobytes())
     assert len(seen) == gaussian_binomial(k, s, Q)
+
+
+@pytest.mark.parametrize("Q,s,k", [(2, 0, 3), (2, 2, 4), (3, 2, 4), (4, 1, 3), (2, 3, 5), (9, 2, 3), (3, 4, 4)])
+@pytest.mark.parametrize("chunk", [5, 4096])
+def test_rref_blocks_keep_enumeration_order(monkeypatch, Q, s, k, chunk):
+    monkeypatch.setattr(subspace, "RREF_CHUNK", chunk)
+    blocks = list(rref_matrix_blocks(Q, s, k))
+    assert all(0 < M.shape[0] <= chunk for M, _ in blocks)
+    flat = [(X, piv) for M, piv in blocks for X in M]
+    expected = list(enumerate_rref_matrices(Q, s, k))
+    assert len(flat) == len(expected)
+    for (X, piv), (Y, qiv) in zip(flat, expected):
+        assert piv == qiv and np.array_equal(X, Y)
 
 
 def test_enumeration_chunking(amb9):
