@@ -90,6 +90,19 @@ def _partition(text: str) -> list[list[int]]:
         raise argparse.ArgumentTypeError(f"expected ';'-separated blocks of comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction such as 1/6, got {text!r}") from None
+
+
 # --- construct -------------------------------------------------------------------
 
 
@@ -361,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--beta", default="default")
     e.add_argument("--max-dim", type=int, default=2)
     e.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    e.add_argument("--samples", type=int, default=200)
-    e.add_argument("--target", nargs=2, default=None, metavar=("ETA", "ZETA"))
+    e.add_argument("--samples", type=_positive_int, default=200)
+    e.add_argument("--target", nargs=2, type=_fraction, default=None, metavar=("ETA", "ZETA"))
     e.set_defaults(func=_cmd_expander)
 
     st = sub.add_parser("strong", help="strong-subspace-design operations")

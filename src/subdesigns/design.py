@@ -5,11 +5,14 @@ V = F_{q^m}^k.  Certification is exact enumeration: the profile at s is
 the true maximum of sum_i dim_q(U_i meet W) over all s-dimensional
 F_{q^m}-subspaces W, with a maximising witness (ties broken by
 enumeration order).  Two fast paths cover the interesting ends: s = 1
-through the members' linear sets, s = k-1 through a sweep of canonical
-hyperplane normal vectors using the rank identity
-dim_q(U meet x^perp) = dim U - rk_q(x G).  Every other s sweeps stacked
-blocks of W with dim_q(U meet W) = dim U + ms - rk_q[U; W].  All sweeps
-rank whole stacks at once through ``linalg.rank_batch``.
+through the members' linear sets, s = k-1 through the hyperplanes.
+Every hyperplane question reduces one array, built once per design by
+``SubspaceDesign.hyperplane_dims``: dim_q(U_i meet x^perp) =
+dim U_i - rk_q(x G_i) for every member and every canonical normal x.
+Its column sums give the (k-1)-profile, the histogram and the cutting
+totals; ``hamming`` reads the Ext point counts off it.  Every other s
+sweeps stacked blocks of W with dim_q(U meet W) = dim U + ms - rk_q[U; W].
+All sweeps rank whole stacks at once through ``linalg.rank_batch``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ class SubspaceDesign:
         self.members = members
         self._gen_blocks = None
         self._linear_sets = None
+        self._hyperplane_dims = None
 
     @property
     def t(self) -> int:
@@ -105,6 +109,15 @@ class SubspaceDesign:
             ]
         return self._linear_sets
 
+    def hyperplane_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """dim_q(U_i meet x^perp), shape (t, #H), rows in member order, columns in
+        hyperplane_normals order; built once, with the cap checked on every call."""
+        check_cap(subspace_count(self.ambient, 1), cap, "hyperplanes")
+        if self._hyperplane_dims is None:
+            self._hyperplane_dims = section_dims(self, hyperplane_normals(self.ambient))
+            self._hyperplane_dims.flags.writeable = False
+        return self._hyperplane_dims
+
     def span_dim(self) -> int:
         rows = [U.basis for U in self.members if U.dim]
         if not rows:
@@ -129,23 +142,16 @@ def _point_sort_key(point: tuple) -> tuple:
     return (lead, point[lead + 1 :])
 
 
-def _member_digits(D: SubspaceDesign, normals: np.ndarray) -> list[tuple[FqSubspace, np.ndarray]]:
-    """(U_i, F_q digits (B, n_i, m) of x G_i for all B normals x) per nonzero member."""
-    t = D.ambient.tower
-    return [
-        (U, t.fqm.to_digits(linalg.matmul(t.fqm, normals, G)))
-        for U, G in zip(D.members, D.gen_blocks())
-        if U.dim
-    ]
+def block_digits(tower: FieldTower, X: np.ndarray, blocks) -> list[np.ndarray]:
+    """F_q digits (B, n_i, m) of x G_i for every row x of X (B, k), one array per block G_i (k, n_i)."""
+    return [tower.fqm.to_digits(linalg.matmul(tower.fqm, X, G)) for G in blocks]
 
 
 def section_dims(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
-    """sum_i dim_q(U_i meet x^perp) for every normal x, as dim U_i - rk_q(x G_i)."""
+    """dim_q(U_i meet x^perp) = dim U_i - rk_q(x G_i), shape (t, B): one row per member."""
     fq = D.ambient.tower.fq
-    sums = np.zeros(normals.shape[0], dtype=np.int64)
-    for U, digs in _member_digits(D, normals):
-        sums += U.dim - linalg.rank_batch(fq, digs)
-    return sums
+    digits = block_digits(D.ambient.tower, normals, D.gen_blocks())
+    return np.array([U.dim - linalg.rank_batch(fq, d) for U, d in zip(D.members, digits)])
 
 
 def hyperplane_sections(D: SubspaceDesign, normals: np.ndarray) -> Iterator[np.ndarray]:
@@ -157,7 +163,8 @@ def hyperplane_sections(D: SubspaceDesign, normals: np.ndarray) -> Iterator[np.n
     """
     amb = D.ambient
     fq = amb.tower.fq
-    members = _member_digits(D, normals)
+    digits = block_digits(amb.tower, normals, D.gen_blocks())
+    members = [(U, d) for U, d in zip(D.members, digits) if U.dim]
     for b in range(normals.shape[0]):
         rows = []
         for U, digs in members:
@@ -169,8 +176,7 @@ def hyperplane_sections(D: SubspaceDesign, normals: np.ndarray) -> Iterator[np.n
 
 def hyperplane_profile_sums(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """sum_i dim_q(U_i meet H) for every hyperplane, aligned with hyperplane_normals."""
-    check_cap(subspace_count(D.ambient, 1), cap, "hyperplanes")
-    return section_dims(D, hyperplane_normals(D.ambient))
+    return D.hyperplane_dims(cap).sum(axis=0)
 
 
 def _profile_points(D: SubspaceDesign, cap) -> tuple[int, FqmSubspace]:
@@ -202,12 +208,10 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
     elif s == 1:
         best, witness = _profile_points(D, cap)
     elif s == k - 1:
-        check_cap(subspace_count(amb, 1), cap, "hyperplanes")
-        normals = hyperplane_normals(amb)
-        sums = section_dims(D, normals)
-        idx = int(np.argmax(sums))
+        sums = D.hyperplane_dims(cap).sum(axis=0)
+        idx = int(np.argmax(sums))  # the first maximum keeps enumeration order
         best = int(sums[idx])
-        witness = hyperplane_subspace(amb, normals[idx])
+        witness = hyperplane_subspace(amb, hyperplane_normals(amb)[idx])
     else:
         fq = amb.tower.fq
         best, witness = -1, None
@@ -679,9 +683,8 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     enumeration order.
     """
     amb = D.ambient
-    check_cap(subspace_count(amb, 1), cap, "hyperplanes")
+    sums = D.hyperplane_dims(cap).sum(axis=0)
     normals = hyperplane_normals(amb)
-    sums = section_dims(D, normals)
     witness = None
     for b, rows in enumerate(hyperplane_sections(D, normals)):
         if linalg.rank(amb.tower.fqm, rows) != amb.k - 1:

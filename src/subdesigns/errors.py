@@ -10,6 +10,16 @@ class SubdesignsError(Exception):
     """Base class for all library errors."""
 
 
+class CertificateFailed(SubdesignsError, AssertionError):
+    """A brute-force certificate or invariant did not hold."""
+
+
+def certify(cond, msg: str) -> None:
+    """Raise CertificateFailed(msg) unless cond holds; unlike assert, python -O keeps it."""
+    if not cond:
+        raise CertificateFailed(msg)
+
+
 # --- gf -------------------------------------------------------------------
 
 class NotPrime(SubdesignsError, ValueError):

@@ -18,7 +18,7 @@ import numpy as np
 from subdesigns import linalg
 from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
-from subdesigns.errors import BadDims, NotABasis
+from subdesigns.errors import BadDims, BadParameters, NotABasis
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement
 from subdesigns.subspace import check_cap, gaussian_binomial, rref_matrix_blocks
@@ -95,6 +95,8 @@ def expansion_check(
     rejection sampling with the given seed.  A (eta, zeta) target turns
     into a verdict over the dimensions up to eta * ell.
     """
+    if mode == "sample" and samples < 1:
+        raise BadParameters("sample mode needs at least one sample")
     tw = fam.design.ambient.tower
     q = tw.q
     ell = fam.ell

@@ -4,8 +4,13 @@ The bridge out of the sum-rank world is the multiset union of the
 members' linear sets, each point carrying multiplicity
 (q^w - 1)/(q - 1) for its weight w.  Weight enumerators of the
 associated [N, k] Hamming codes over F_{q^m} are computed hyperplane-
-wise (q^m - 1 codewords per hyperplane plus the zero word); the code is
-never materialised except as a small-scale oracle.
+wise (q^m - 1 codewords per hyperplane plus the zero word).  The point
+count of a hyperplane x^perp is never gathered point by point: member
+U_i puts (q^d - 1)/(q - 1) points on it, d = dim_q(U_i meet x^perp),
+read off the source design's one cached section array
+(``SubspaceDesign.hyperplane_dims``).  The code is never materialised
+except as a small-scale oracle.  Certificates raise ``CertificateFailed``
+and survive ``python -O``.
 """
 
 from __future__ import annotations
@@ -18,12 +23,9 @@ import numpy as np
 from subdesigns import linalg
 from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
-from subdesigns.errors import EnumerationCapExceeded, NotTwoIntersection, ZeroMember
+from subdesigns.errors import BadParameters, EnumerationCapExceeded, NotTwoIntersection, ZeroMember, certify
 from subdesigns.fieldcore import DTYPE
-from subdesigns.subspace import ProjectiveSystem, check_cap, hyperplane_normals, subspace_count
-
-# Hyperplanes per numpy gather in hyperplane_point_counts.
-CHUNK = 512
+from subdesigns.subspace import ProjectiveSystem
 
 
 @dataclass
@@ -34,8 +36,8 @@ class SrgParams:
     mu: int
 
     def __post_init__(self) -> None:
-        if self.K * (self.K - self.lam - 1) != (self.v - self.K - 1) * self.mu:
-            raise AssertionError("SRG feasibility identity violated")
+        certify(self.K * (self.K - self.lam - 1) == (self.v - self.K - 1) * self.mu,
+                "SRG feasibility identity violated")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.v, self.K, self.lam, self.mu)
@@ -50,30 +52,21 @@ def ext_system(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     for ls in D.member_linear_sets(cap=cap):
         for pt, w in ls.entries.items():
             entries[pt] = entries.get(pt, 0) + (q**w - 1) // (q - 1)
-    P = ProjectiveSystem(D.ambient, entries)
-    assert P.length == sum((q**n - 1) // (q - 1) for n in D.dims)
+    P = ProjectiveSystem(D.ambient, entries, design=D)
+    certify(P.length == sum((q**n - 1) // (q - 1) for n in D.dims), "Ext length must be sum_i (q^n_i - 1)/(q - 1)")
     return P
 
 
 def hyperplane_point_counts(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Multiplicity-weighted point count on each hyperplane (normal-vector order)."""
-    amb = P.ambient
-    F = amb.tower.fqm
-    check_cap(subspace_count(amb, 1), cap, "hyperplanes")
-    normals = hyperplane_normals(amb)
-    B = normals.shape[0]
-    pts = P.point_matrix()
-    mult = P.multiplicities()
-    counts = np.zeros(B, dtype=np.int64)
-    if pts.shape[0] == 0:
-        return counts
-    for lo in range(0, B, CHUNK):
-        hi = min(lo + CHUNK, B)
-        acc = np.zeros((hi - lo, pts.shape[0]), dtype=DTYPE)
-        for c in range(amb.k):
-            acc = np.asarray(F.add(acc, F.mul(normals[lo:hi, c, None], pts[None, :, c])), dtype=DTYPE)
-        counts[lo:hi] = ((acc == 0) * mult[None, :]).sum(axis=1)
-    return counts
+    """Multiplicity-weighted point count on each hyperplane (normal-vector order).
+
+    Needs the Ext system of a design: the counts sum (q^d - 1)/(q - 1)
+    over the members' section dimensions d on each hyperplane.
+    """
+    if P.design is None:
+        raise BadParameters("hyperplane point counts need the Ext system of a design (ext_system)")
+    q = P.ambient.tower.q
+    return ((q ** P.design.hyperplane_dims(cap) - 1) // (q - 1)).sum(axis=0)
 
 
 def weight_enumerator(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
@@ -87,8 +80,8 @@ def weight_enumerator(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION
     for on_h, h in zip(vals, cnt):
         w = N - int(on_h)
         enum[w] = enum.get(w, 0) + (Q - 1) * int(h)
-    assert sum(enum.values()) == Q**amb.k, "enumerator must count all codewords"
-    assert max(enum) <= N
+    certify(sum(enum.values()) == Q**amb.k, "enumerator must count all codewords")
+    certify(max(enum) <= N, "weights cannot exceed the length")
     return enum
 
 
@@ -138,7 +131,7 @@ def srg_from_two_intersection(
     K = N * (Q - 1)
     common = Q**2 * (N - w0) * (N - w1)
     lam = K * K + 3 * K - Q * (2 * N - w0 - w1) - K * Q * (2 * N - w0 - w1) + common
-    assert common % v == 0, "mu must be an integer for a two-intersection set"
+    certify(common % v == 0, "mu must be an integer for a two-intersection set")
     mu = common // v
     params = SrgParams(v=v, K=K, lam=lam, mu=mu)
     if verify_graph:
@@ -169,8 +162,8 @@ def graph_adjacency(P: ProjectiveSystem, cap: int = 4096) -> np.ndarray:
             step = np.asarray(F.mul(scal, p), dtype=DTYPE)
             nbr = np.asarray(F.add(vecs, step[None, :]), dtype=np.int64) @ weights
             A[vec_codes, nbr] = 1
-    assert not A.diagonal().any()
-    assert np.array_equal(A, A.T)
+    certify(not A.diagonal().any(), "the difference graph must be loopless")
+    certify(np.array_equal(A, A.T), "the difference graph must be undirected")
     return A
 
 
@@ -178,12 +171,12 @@ def verify_srg(P: ProjectiveSystem, params: SrgParams, cap: int = 4096) -> None:
     """Exhaustive strong-regularity check of the difference graph."""
     A = graph_adjacency(P, cap=cap)
     deg = A.sum(axis=1)
-    assert np.all(deg == params.K), "graph is not K-regular"
+    certify(np.all(deg == params.K), "graph is not K-regular")
     common = (A.astype(np.int64) @ A.astype(np.int64))
     adj = A.astype(bool)
     off = ~np.eye(A.shape[0], dtype=bool)
-    assert np.all(common[adj] == params.lam), "lambda mismatch on adjacent pairs"
-    assert np.all(common[(~adj) & off] == params.mu), "mu mismatch on non-adjacent pairs"
+    certify(np.all(common[adj] == params.lam), "lambda mismatch on adjacent pairs")
+    certify(np.all(common[(~adj) & off] == params.mu), "mu mismatch on non-adjacent pairs")
 
 
 def export_dot(P: ProjectiveSystem, cap: int = 256) -> str:

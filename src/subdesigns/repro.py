@@ -9,8 +9,8 @@ return structured results so both the test suite and the CLI verb
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def _result(number: int, name: str, started: float, failures: list[str], details
         name=name,
         ok=not failures,
         details=details,
-        elapsed=time.time() - started,
+        elapsed=perf_counter() - started,
         failures=failures,
     )
 
@@ -125,14 +125,14 @@ def sigma_towers() -> list:
 
 def criterion_1() -> CriterionResult:
     """Glued q=3 t=2 k=4 m=3: enumerator, SRG tuple, sweep under 60 s."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     D = glued_design(3, 3, 4, 2)
-    sweep_start = time.time()
+    sweep_start = perf_counter()
     hist = de.hyperplane_weight_distribution(D)
     P = ha.ext_system(D)
     enum = ha.weight_enumerator(P)
-    sweep_elapsed = time.time() - sweep_start
+    sweep_elapsed = perf_counter() - sweep_start
     if sum(hist.values()) != 20440:
         failures.append(f"hyperplane count {sum(hist.values())} != 20440")
     if enum != {0: 1, 675: 18928, 702: 512512}:
@@ -148,7 +148,7 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """Closed-form h-values vs brute-force histograms over the whole corpus."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     checked = 0
     for name, D in max1_corpus():
@@ -172,7 +172,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Singleton equality for twisted / pseudoregulus codes and their duals."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
 
     cases = []
@@ -220,7 +220,7 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """Kernel/lambda-value theorem on 200 random sigma-polynomials per tower."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     rng = np.random.default_rng(SEEDS["sigma"])
     towers = sigma_towers()
@@ -264,7 +264,7 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Ordinary duality: involution, dimension identity, max-1 preservation."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     # exhaustive involution over every F_2-subspace of F_4^2
     t4 = make_tower(2, 1, 2)
@@ -309,7 +309,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Cutting <=> minimal across the desk-scale corpus."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     corpus: list[tuple[str, de.SubspaceDesign]] = []
     for name, D in max1_corpus():
@@ -342,7 +342,7 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """(16, 9, 4, 6) SRG from the canonical subgeometry, verified on the graph."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     t4 = make_tower(2, 1, 2)
     amb = sp.AmbientSpace(t4, 2)
@@ -361,7 +361,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Cameron-Liebler point-pencil of PG(3,2): closed form A = 8 = brute force."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     S, predicted = sb.cameron_liebler("point_pencil", 1, 3, 2)
     A = sb.verify_strong(S, 2)
@@ -377,13 +377,13 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """q=3 m=3 k=2 t=2 expander: exhaustive dim-1 ratio >= 2 within 10 s."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     D = twisted_design(3, 3, 2, 2)
     fam = ex.build_expander(D)
-    scan_start = time.time()
+    scan_start = perf_counter()
     report = ex.expansion_check(fam, 1, target=("1/6", 2))
-    scan_elapsed = time.time() - scan_start
+    scan_elapsed = perf_counter() - scan_start
     data = report.per_dim[1]
     if data["count"] != 364:
         failures.append(f"scanned {data['count']} != 364 subspaces")
@@ -399,7 +399,7 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """Property suites: s<=A, monotonicity, Grassmann, canonicality, rank identity, Singleton."""
-    started = time.time()
+    started = perf_counter()
     failures: list[str] = []
     # s <= A and monotonicity on every corpus design (generic s included)
     designs = [(n, D) for n, D in max1_corpus() if D.ambient.tower.order ** D.ambient.k <= 3**8]

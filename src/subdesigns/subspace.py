@@ -10,7 +10,7 @@ comparison.
 
 ``ProjectiveSystem`` is the one weighted projective point set: linear
 sets store the weights dim_q(U meet P), the Ext system of a design the
-point multiplicities.
+point multiplicities and the design it came from.
 
 Enumeration streams are deterministic, restartable and chunkable by
 index range: pivot supports run in lexicographic order and the free
@@ -23,8 +23,8 @@ Gaussian binomials before any iteration starts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from subdesigns.errors import (
 )
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement, FieldTower
+
+if TYPE_CHECKING:
+    from subdesigns.design import SubspaceDesign
 
 # RREF matrices per stacked block in rref_matrix_blocks.
 RREF_CHUNK = 4096
@@ -219,11 +222,13 @@ class ProjectiveSystem:
     """Projective points with positive integer values; keys are canonical representatives.
 
     A linear set L_U stores the weights w(P) = dim_q(U meet P); the Ext
-    system of a design stores the multiplicities (q^w - 1)/(q - 1).
+    system of a design stores the multiplicities (q^w - 1)/(q - 1) and,
+    as ``design``, the SubspaceDesign it was built from.
     """
 
     ambient: AmbientSpace
     entries: dict[tuple, int]
+    design: SubspaceDesign | None = field(default=None, compare=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -231,9 +236,6 @@ class ProjectiveSystem:
 
     def point_matrix(self) -> np.ndarray:
         return np.array(sorted(self.entries), dtype=DTYPE) if self.entries else np.zeros((0, self.ambient.k), dtype=DTYPE)
-
-    def multiplicities(self) -> np.ndarray:
-        return np.array([self.entries[tuple(p)] for p in sorted(self.entries)], dtype=np.int64)
 
     def spans(self) -> bool:
         return linalg.rank(self.ambient.tower.fqm, self.point_matrix()) == self.ambient.k

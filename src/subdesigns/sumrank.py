@@ -21,6 +21,7 @@ from subdesigns import linalg
 from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import (
     SubspaceDesign,
+    block_digits,
     hyperplane_profile_sums,
     hyperplane_sections,
     is_cutting,
@@ -166,21 +167,12 @@ def _block_rank(tower: FieldTower, y: np.ndarray) -> int:
     return linalg.rank(tower.fq, tower.fqm.to_digits(np.asarray(y, dtype=DTYPE)))
 
 
-def _class_weights(C: SumRankCode, X: np.ndarray) -> np.ndarray:
-    """Sum-rank weights of the codewords x G for every message row x of X."""
-    t = C.tower
-    w = np.zeros(X.shape[0], dtype=np.int64)
-    for b in C.blocks:
-        w += linalg.rank_batch(t.fq, t.fqm.to_digits(linalg.matmul(t.fqm, X, b)))
-    return w
-
-
 def sumrank_weight(C: SumRankCode, x, check: bool = True) -> int:
     """Sum of expansion ranks of the blocks of xG; cross-checked geometrically."""
     x = np.asarray(x, dtype=DTYPE)
     w = sum(_block_rank(C.tower, y) for y in C.encode(x))
     if check and np.any(x) and C.non_degenerate:
-        geo = C.N - int(section_dims(C.system(), x.reshape(1, -1))[0])
+        geo = C.N - int(section_dims(C.system(), x.reshape(1, -1)).sum())
         assert geo == w, "direct and geometric weights disagree"
     return w
 
@@ -217,7 +209,7 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
         return int(best)
     check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
     if method == "classes":
-        return int(_class_weights(C, canonical_projective_reps(t.order, C.k)).min())
+        return min(w for w in weight_spectrum(C, cap=cap) if w)
     if method != "hyperplane":
         raise ValueError("method must be 'hyperplane', 'classes' or 'codewords'")
     return C.N - int(hyperplane_profile_sums(C.system(), cap=cap).max())
@@ -383,7 +375,9 @@ def weight_spectrum(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP) -
     """Codeword counts per sum-rank weight (scalar classes share a weight)."""
     t = C.tower
     check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
-    weights, counts = np.unique(_class_weights(C, canonical_projective_reps(t.order, C.k)), return_counts=True)
+    reps = canonical_projective_reps(t.order, C.k)
+    class_weights = sum(linalg.rank_batch(t.fq, d) for d in block_digits(t, reps, C.blocks))
+    weights, counts = np.unique(class_weights, return_counts=True)
     spec: dict[int, int] = {0: 1}
     for w, n in zip(weights, counts):
         spec[int(w)] = spec.get(int(w), 0) + (t.order - 1) * int(n)

@@ -4,7 +4,7 @@ import pytest
 from subdesigns import design as de
 from subdesigns import expander as ex
 from subdesigns import linalg
-from subdesigns.errors import BadDims, NotABasis
+from subdesigns.errors import BadDims, BadParameters, NotABasis
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower
 from subdesigns.repro import twisted_design
@@ -90,6 +90,12 @@ def test_sample_mode_deterministic(family27):
     r2 = ex.expansion_check(family27, 2, mode="sample", samples=25, seed=7)
     assert r1.per_dim[2]["min_ratio"] == r2.per_dim[2]["min_ratio"]
     assert np.array_equal(r1.per_dim[2]["witness"], r2.per_dim[2]["witness"])
+
+
+def test_sample_mode_needs_a_sample(family27):
+    for samples in (0, -1):
+        with pytest.raises(BadParameters):
+            ex.expansion_check(family27, 1, mode="sample", samples=samples)
 
 
 def test_non_design_family_reports_without_claims():

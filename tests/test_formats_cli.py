@@ -12,7 +12,7 @@ from subdesigns import sumrank as sr
 from subdesigns.cli import main as cli_main
 from subdesigns.errors import FormatError
 from subdesigns.gf import make_tower
-from subdesigns.repro import pseudoregulus_design
+from subdesigns.repro import pseudoregulus_design, twisted_design
 
 
 def test_tower_round_trip(tmp_path):
@@ -286,5 +286,20 @@ def test_cli_non_integer_lists_are_usage_errors(tmp_path, capsys, argv, option):
     design.write_text(fmt.dumps(fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))))
     with pytest.raises(SystemExit) as exc:
         run_cli(*[str(design) if a == "DESIGN" else a for a in argv])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["--mode", "sample", "--samples", "0"], "--samples"),
+    (["--mode", "sample", "--samples", "-3"], "--samples"),
+    (["--target", "1/6", "x"], "--target"),
+    (["--target", "1/0", "2"], "--target"),
+])
+def test_cli_expander_bad_values_are_usage_errors(tmp_path, capsys, argv, option):
+    design = tmp_path / "d.json"
+    design.write_text(fmt.dumps(fmt.design_to_json(twisted_design(3, 3, 2, 2))))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("expander", str(design), "--max-dim", "1", *argv)
     assert exc.value.code == 2
     assert option in capsys.readouterr().err

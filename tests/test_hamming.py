@@ -1,11 +1,18 @@
+import subprocess
+import sys
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subdesigns import design as de
 from subdesigns import hamming as ha
-from subdesigns.errors import NotTwoIntersection, ZeroMember
+from subdesigns import linalg
+from subdesigns.errors import BadParameters, CertificateFailed, EnumerationCapExceeded, NotTwoIntersection, ZeroMember
 from subdesigns.gf import make_tower
 from subdesigns.repro import glued_design, pseudoregulus_design
-from subdesigns.subspace import AmbientSpace, FqmSubspace, span_fq
+from subdesigns.subspace import AmbientSpace, FqmSubspace, FqSubspace, hyperplane_normals, linear_set, span_fq
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +108,68 @@ def test_degenerate_point_enumerator():
     # single point, k = 1: enumerator 1 + (q^m - 1) z
     t = make_tower(2, 1, 2)
     amb = AmbientSpace(t, 1)
-    P = ha.ProjectiveSystem(amb, {(1,): 1})
+    P = ha.ext_system(de.SubspaceDesign(amb, [span_fq(amb, [(1,)])]))
+    assert P.entries == {(1,): 1}
     assert ha.weight_enumerator(P) == {0: 1, 1: 3}
+
+
+def test_point_counts_need_a_source_design():
+    amb = AmbientSpace(make_tower(2, 1, 2), 2)
+    U = span_fq(amb, [(1, 0)])
+    for P in (ha.ProjectiveSystem(amb, {(1, 0): 1}), linear_set(U)):
+        with pytest.raises(BadParameters):
+            ha.hyperplane_point_counts(P)
+
+
+@pytest.mark.parametrize("p,h,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)])
+@given(st.integers(0, 10_000))
+def test_point_counts_match_direct_count(p, h, m, seed):
+    # oracle: sum of mult * [x . P = 0] over the Ext points, for every normal x
+    rng = np.random.default_rng(seed)
+    amb = AmbientSpace(make_tower(p, h, m), int(rng.integers(2, 4)))
+    q, n = amb.tower.q, amb.n_fq
+    t, members = int(rng.integers(1, 4)), []
+    while len(members) < t:
+        U = FqSubspace.from_expanded_rows(amb, rng.integers(0, q, (int(rng.integers(1, n + 1)), n)))
+        if U.dim:
+            members.append(U)
+    P = ha.ext_system(de.SubspaceDesign(amb, members))
+    pts = np.array(list(P.entries))
+    mult = np.array(list(P.entries.values()))
+    dots = linalg.matmul(amb.tower.fqm, hyperplane_normals(amb), pts.T)
+    assert ha.hyperplane_point_counts(P).tolist() == ((dots == 0) * mult).sum(axis=1).tolist()
+
+
+def test_one_section_sweep_per_design(monkeypatch):
+    # the (k-1)-profile, sums, point counts, SRG and cutting totals share one rank round
+    D = glued_design(3, 2, 4, 2)
+    calls = []
+    rank_batch = linalg.rank_batch
+    monkeypatch.setattr(linalg, "rank_batch", lambda F, M: calls.append(M.shape) or rank_batch(F, M))
+    prof = de.design_profile(D, D.ambient.k - 1)
+    assert len(calls) == D.t
+    sums = de.hyperplane_profile_sums(D)
+    P = ha.ext_system(D)
+    counts = ha.hyperplane_point_counts(P)
+    params = ha.srg_from_two_intersection(P)
+    cut = de.is_cutting(D)
+    assert len(calls) == D.t
+    assert prof.A_min == sums.max() and cut.intersection_constant == (len(set(sums.tolist())) == 1)
+    assert len(set(counts.tolist())) == 2 and params.v == 9**4
+
+
+def test_cached_sections_still_check_the_cap():
+    D = glued_design(2, 2, 4, 1)
+    P = ha.ext_system(D)
+    ha.hyperplane_point_counts(P)  # builds and caches the section array
+    for call in (
+        lambda: de.hyperplane_profile_sums(D, cap=9),
+        lambda: de.design_profile(D, 3, cap=9),
+        lambda: de.is_cutting(D, cap=9),
+        lambda: ha.hyperplane_point_counts(P, cap=9),
+    ):
+        with pytest.raises(EnumerationCapExceeded):
+            call()
 
 
 def test_srg_small_graph(subgeometry_design):
@@ -122,3 +189,19 @@ def test_not_two_intersection():
 def test_srg_feasibility_guard():
     with pytest.raises(AssertionError):
         ha.SrgParams(v=10, K=3, lam=0, mu=2)
+
+
+def test_certificates_survive_python_O():
+    # (16, 5, 0, 2) is feasible but wrong for the F_4^2 subgeometry, whose graph is (16, 9, 4, 6)
+    check = (
+        "from subdesigns import design as de, hamming as ha\n"
+        "from subdesigns.gf import make_tower\n"
+        "from subdesigns.subspace import AmbientSpace, span_fq\n"
+        "amb = AmbientSpace(make_tower(2, 1, 2), 2)\n"
+        "D = de.SubspaceDesign(amb, [span_fq(amb, [(1, 0), (0, 1)])])\n"
+        "ha.verify_srg(ha.ext_system(D), ha.SrgParams(16, 5, 0, 2))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: graph is not K-regular" in proc.stderr
+    assert issubclass(CertificateFailed, AssertionError)

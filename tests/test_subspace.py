@@ -180,7 +180,7 @@ def test_hyperplane_meet_dim_matches_meet(amb9):
     U1 = span_fq(amb9, [(amb9.tower.one(), amb9.tower.one()), (i, frobenius(i, 1))])
     D = SubspaceDesign(amb9, [U1])
     normals = hyperplane_normals(amb9)
-    for x, dim, rows in zip(normals, section_dims(D, normals), hyperplane_sections(D, normals)):
+    for x, dim, rows in zip(normals, section_dims(D, normals)[0], hyperplane_sections(D, normals)):
         meet = meet_join(U1, hyperplane_subspace(amb9, x))[0]
         assert dim == rows.shape[0] == meet.dim
         assert span_fq(amb9, rows) == meet
