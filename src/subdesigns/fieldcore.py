@@ -110,7 +110,7 @@ class SmallField:
             self._mul_table = None
 
     def _encode_digits(self, digits: np.ndarray) -> np.ndarray:
-        return np.tensordot(digits.astype(np.int64), self._pow, axes=([-1], [0])).astype(DTYPE)
+        return (digits.astype(np.int64) @ self._pow).astype(DTYPE)
 
     def _scalar_mul_poly(self, a: int, b: int) -> int:
         # polynomial multiplication of codes mod the modulus; bootstrap only

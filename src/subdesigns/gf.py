@@ -32,7 +32,7 @@ from subdesigns.errors import (
     NotPrime,
     TowerMismatch,
 )
-from subdesigns.fieldcore import LAZY_CAP, SmallField, _trial_factorize, find_irreducible, poly_is_irreducible
+from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField, _trial_factorize, find_irreducible, poly_is_irreducible
 
 _TOWER_CACHE: dict[tuple, "FieldTower"] = {}
 
@@ -89,6 +89,7 @@ class FieldTower:
         # a -> a^q on F_{q^m}, the Galois generator sigma with s = 1
         codes = np.arange(self.order)
         self.frob = np.asarray(self.fqm.pow(codes, self.q))
+        self._frob_pows = None
         self._norm_arr = None
         self._trace_arr = None
 
@@ -205,6 +206,17 @@ class FieldTower:
         for _ in range(j):
             code = int(self.frob[code])
         return code
+
+    @property
+    def frob_powers(self) -> np.ndarray:
+        """(m, q^m) gather table, row j mapping a -> a^(q^j); built on first use."""
+        if self._frob_pows is None:
+            T = np.empty((self.m, self.order), dtype=DTYPE)
+            T[0] = np.arange(self.order)
+            for j in range(1, self.m):
+                T[j] = self.frob[T[j - 1]]
+            self._frob_pows = T
+        return self._frob_pows
 
     def _build_norm_trace(self) -> None:
         codes = np.arange(self.order)

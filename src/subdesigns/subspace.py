@@ -35,6 +35,7 @@ from subdesigns.errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     ZeroSubspace,
+    certify,
 )
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement, FieldTower
@@ -443,34 +444,30 @@ def subspace_count(ambient: AmbientSpace, s: int) -> int:
 def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> ProjectiveSystem:
     """The linear set L_U with point weights w(P) = dim_q(U meet P).
 
-    Also checks the rank identity: summing (q^w - 1)/(q - 1) over the
-    points recovers (q^n - 1)/(q - 1) for n = dim U.
+    All nonzero vectors of U are normalised at once (first nonzero
+    coordinate 1, as canonical_point does for one vector) and counted
+    with one np.unique; points keep the order in which the vector
+    enumeration first meets them.  Also checks the rank identity: summing
+    (q^w - 1)/(q - 1) over the points recovers (q^n - 1)/(q - 1) for
+    n = dim U.
     """
     if U.dim == 0:
         raise ZeroSubspace("the zero subspace has no linear set")
     amb = U.ambient
+    F = amb.tower.fqm
     q = amb.tower.q
-    vecs = U.vectors_expanded(cap=cap)
-    pts = amb.contract(vecs)
-    counts: dict[tuple, int] = {}
-    for row in pts:
-        if not np.any(row):
-            continue
-        key = canonical_point(amb, row)
-        counts[key] = counts.get(key, 0) + 1
-    entries: dict[tuple, int] = {}
-    for key, cnt in counts.items():
-        w = 0
-        acc = 1
-        while acc - 1 < cnt:
-            acc *= q
-            w += 1
-        assert acc - 1 == cnt, "point multiplicity is not of the form q^w - 1"
-        entries[key] = w
+    pts = amb.contract(U.vectors_expanded(cap=cap))
+    pts = pts[pts.any(axis=1)]
+    # one canonical representative per vector: divide out the first nonzero coordinate
+    lead = pts[np.arange(pts.shape[0]), (pts != 0).argmax(axis=1)]
+    pts = F.mul(pts, F.inv(lead)[:, None])
+    keys, first, counts = np.unique(pts, axis=0, return_index=True, return_counts=True)
+    seen = np.argsort(first)  # first-seen order, as in the vector enumeration
+    w = np.rint(np.log(counts + 1) / np.log(q)).astype(np.int64)
+    certify(np.array_equal(q**w - 1, counts), "point multiplicity is not of the form q^w - 1")
     n = U.dim
-    assert sum((q**w - 1) // (q - 1) for w in entries.values()) == (q**n - 1) // (q - 1), (
-        "linear-set rank identity violated"
-    )
+    certify(int(((q**w - 1) // (q - 1)).sum()) == (q**n - 1) // (q - 1), "linear-set rank identity violated")
+    entries = dict(zip(map(tuple, keys[seen].tolist()), w[seen].tolist()))
     return ProjectiveSystem(amb, entries)
 
 

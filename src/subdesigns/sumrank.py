@@ -51,7 +51,7 @@ from subdesigns.subspace import (
 class SumRankCode:
     """[(n_1, ..., n_t), k] code over F_{q^m}/F_q, lengths sorted descending."""
 
-    def __init__(self, tower: FieldTower, lengths, blocks, sort_perm=None):
+    def __init__(self, tower: FieldTower, lengths, blocks, sort_perm=None, design: SubspaceDesign | None = None):
         lengths = tuple(int(n) for n in lengths)
         if list(lengths) != sorted(lengths, reverse=True):
             raise ProfileNotSorted("length profile must be sorted descending")
@@ -69,6 +69,9 @@ class SumRankCode:
         self.k = k
         self.blocks = blocks
         self.sort_perm = tuple(sort_perm) if sort_perm is not None else tuple(range(len(lengths)))
+        # the design a code was built from (code_from_system): the same
+        # members as system(), in the design's order, with its cached sections
+        self.design = design
         if linalg.rank(tower.fqm, self.generator) != k:
             raise DegenerateCode("generator must have full row rank over F_{q^m}")
         self._system = None
@@ -151,7 +154,7 @@ def code_from_system(D: SubspaceDesign) -> SumRankCode:
     order = sorted(range(D.t), key=lambda i: -D.members[i].dim)
     blocks = [D.members[i].gen_block() for i in order]
     lengths = [D.members[i].dim for i in order]
-    return SumRankCode(D.ambient.tower, lengths, blocks, sort_perm=order)
+    return SumRankCode(D.ambient.tower, lengths, blocks, sort_perm=order, design=D)
 
 
 def system_from_code(C: SumRankCode) -> SubspaceDesign:
@@ -190,7 +193,8 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
     """Exact minimum distance.
 
     "hyperplane": N minus the maximal hyperplane-section total of the
-    associated system (needs a non-degenerate code).
+    associated system, or of the source design of a code_from_system code
+    (needs a non-degenerate code).
     "classes": direct expansion-rank scan over projective classes of
     messages (works for degenerate blocks too).
     "codewords": oracle scan of every one of the q^(mk) codewords.
@@ -212,7 +216,9 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
         return min(w for w in weight_spectrum(C, cap=cap) if w)
     if method != "hyperplane":
         raise ValueError("method must be 'hyperplane', 'classes' or 'codewords'")
-    return C.N - int(hyperplane_profile_sums(C.system(), cap=cap).max())
+    # section totals do not depend on member order, so a source design serves as well
+    D = C.system() if C.design is None else C.design
+    return C.N - int(hyperplane_profile_sums(D, cap=cap).max())
 
 
 def singleton_msrd(C: SumRankCode, d: int | None = None, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict:

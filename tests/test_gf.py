@@ -99,6 +99,32 @@ def test_frobenius_order_and_fixed_field(p, h, m):
     assert fixed == t.q  # sigma fixes exactly F_q
 
 
+@pytest.mark.parametrize("p,h,m", SWEEP)
+def test_frobenius_power_table(p, h, m):
+    t = make_tower(p, h, m)
+    codes = np.arange(t.order)
+    T = t.frob_powers
+    assert T.shape == (m, t.order) and T is t.frob_powers  # built once
+    for j in range(m):
+        assert np.array_equal(T[j], t.fqm.pow(codes, t.q**j))
+
+
+def test_digit_encoding_above_the_table_cap():
+    # F_6561 adds through its F_9 digits; codes are place values, for any shape
+    F = make_tower(3, 2, 4).fqm
+    assert F._add_table is None
+    codes = np.arange(F.size)
+    assert np.array_equal(F.from_digits(F.to_digits(codes)), codes)
+    rng = np.random.default_rng(8)
+    for shape in [(), (7,), (3, 5)]:
+        a, b = rng.integers(0, F.size, shape), rng.integers(0, F.size, shape)
+        got = F.add(a, b)
+        assert np.shape(got) == shape
+        digits = F.base.add(F.to_digits(a), F.to_digits(b)).astype(np.int64)
+        assert np.array_equal(got, sum(digits[..., i] * F.base.size**i for i in range(F.degree)))
+        assert int(F.add(int(a.flat[0]), int(b.flat[0]))) == int(np.asarray(got).flat[0])
+
+
 @pytest.mark.parametrize("p,h,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 1, 3), (5, 1, 2)])
 def test_norm_multiplicative_trace_additive(p, h, m):
     t = make_tower(p, h, m)

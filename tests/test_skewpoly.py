@@ -1,10 +1,21 @@
+import ast
+import inspect
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from subdesigns import linalg, skewpoly
 from subdesigns.errors import BothZero, DivisionByZeroPoly, NotInBaseField, ParameterMismatch, ZeroPoly, ZeroTwist
+from subdesigns.fieldcore import FULL_TABLE_CAP
 from subdesigns.gf import make_tower
+from subdesigns.repro import sigma_towers
 from subdesigns.skewpoly import SigmaPoly, gcrd_lclm, kernel_dim, lambda_value, right_divmod, skew_mul, twist
+
+# the sigma_towers of criterion 4 plus F_6561 = F_9^4, whose arithmetic runs on log/exp tables
+ORACLE_TOWERS = [(t.p, t.h, t.m) for t in sigma_towers()] + [(3, 2, 4)]
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +67,7 @@ def test_divmod_recomposition_random(seed):
     G = SigmaPoly(t, rng.integers(0, 8, int(rng.integers(1, 4))).tolist())
     if G.is_zero():
         return
-    Q, R = right_divmod(F, G)  # recomposition asserted inside
+    Q, R = right_divmod(F, G)  # recomposition certified inside
     assert R.is_zero() or R.deg < G.deg
 
 
@@ -137,4 +148,71 @@ def test_gow_bound_random(t9):
     for _ in range(200):
         coeffs = rng.integers(0, 9, int(rng.integers(1, 4))).tolist() + [int(rng.integers(1, 9))]
         F = SigmaPoly(t9, coeffs)
-        assert kernel_dim(F) <= F.deg  # also asserted inside kernel_dim
+        assert kernel_dim(F) <= F.deg  # also certified inside kernel_dim
+
+
+def test_oracle_towers_reach_log_tables():
+    assert make_tower(*ORACLE_TOWERS[-1]).order > FULL_TABLE_CAP
+
+
+def _random_poly(tower, rng, s, max_deg):
+    d = int(rng.integers(0, max_deg + 1))
+    coeffs = rng.integers(0, tower.order, d).tolist() + [int(rng.integers(1, tower.order))]
+    return SigmaPoly(tower, coeffs, s)
+
+
+def _sigma_exponent(tower, rng):
+    return int(rng.choice([s for s in range(1, tower.m) if np.gcd(s, tower.m) == 1]))
+
+
+@pytest.mark.parametrize("p,h,m", ORACLE_TOWERS)
+@settings(max_examples=20)
+@given(st.integers(0, 10_000))
+def test_composition_is_the_product_of_matrices(p, h, m, seed):
+    # the matrices of the induced F_q-linear maps compose independently of skew_mul
+    t = make_tower(p, h, m)
+    rng = np.random.default_rng(seed)
+    s = _sigma_exponent(t, rng)
+    F, G = _random_poly(t, rng, s, 4), _random_poly(t, rng, s, 4)
+    FG = skew_mul(F, G)
+    assert FG.deg == F.deg + G.deg
+    assert np.array_equal(FG.matrix(), linalg.matmul(t.fq, F.matrix(), G.matrix()))
+    x = rng.integers(0, t.order, 5)
+    assert np.array_equal(FG.evaluate(x), F.evaluate(G.evaluate(x)))
+
+
+@pytest.mark.parametrize("p,h,m", ORACLE_TOWERS)
+@settings(max_examples=20)
+@given(st.integers(0, 10_000))
+def test_right_divmod_degree_and_recomposition(p, h, m, seed):
+    t = make_tower(p, h, m)
+    rng = np.random.default_rng(seed)
+    s = _sigma_exponent(t, rng)
+    F, G = _random_poly(t, rng, s, 6), _random_poly(t, rng, s, 3)
+    Q, R = right_divmod(F, G)
+    assert R.deg < G.deg
+    assert skew_mul(Q, G) + R == F
+
+
+def test_skewpoly_has_no_assert():
+    tree = ast.parse(inspect.getsource(skewpoly))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_skewpoly_certificate_survives_python_O():
+    # a composition that drops its leading term must be refused even with asserts stripped
+    check = (
+        "from subdesigns import skewpoly as sk\n"
+        "from subdesigns.gf import make_tower\n"
+        "compose = sk._Algebra.compose\n"
+        "def dropped(self, f, g):\n"
+        "    out = compose(self, f, g)\n"
+        "    out[-1] = 0\n"
+        "    return out\n"
+        "sk._Algebra.compose = dropped\n"
+        "t = make_tower(3, 1, 2)\n"
+        "sk.skew_mul(sk.SigmaPoly(t, [1, 1]), sk.SigmaPoly(t, [2, 1]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: composition dropped the leading term" in proc.stderr

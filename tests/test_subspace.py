@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from subdesigns import linalg, subspace
 from subdesigns.design import SubspaceDesign, hyperplane_sections, section_dims
 from subdesigns.errors import AmbientMismatch, DimensionMismatch, EnumerationCapExceeded, ZeroSubspace
 from subdesigns.gf import frobenius, make_tower
+from subdesigns.repro import sigma_towers
 from subdesigns.subspace import (
     AmbientSpace,
     FqmSubspace,
     FqSubspace,
+    canonical_point,
     enumerate_fqm_subspaces,
     enumerate_rref_matrices,
     fqm_dual,
@@ -130,6 +132,41 @@ def test_linear_set_examples(amb4, amb9):
     assert len(L3.entries) == 4 and set(L3.entries.values()) == {1}
     with pytest.raises(ZeroSubspace):
         linear_set(span_fq(amb4, []))
+
+
+def _looped_linear_set(U):
+    # one canonical_point per vector, keys in first-seen order
+    amb = U.ambient
+    q = amb.tower.q
+    counts = {}
+    for row in amb.contract(U.vectors_expanded()):
+        if np.any(row):
+            key = canonical_point(amb, row)
+            counts[key] = counts.get(key, 0) + 1
+    weights = {}
+    for key, cnt in counts.items():
+        w = 0
+        while q**w - 1 < cnt:
+            w += 1
+        assert q**w - 1 == cnt
+        weights[key] = w
+    return weights
+
+
+# the sigma_towers of criterion 4 plus F_6561 = F_9^4, above FULL_TABLE_CAP
+@pytest.mark.parametrize("p,h,m", [(t.p, t.h, t.m) for t in sigma_towers()] + [(3, 2, 4)])
+@settings(max_examples=8)
+@given(st.integers(0, 10_000))
+def test_linear_set_matches_looped_canonical_points(p, h, m, seed):
+    t = make_tower(p, h, m)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    amb = AmbientSpace(t, k)
+    n = int(rng.integers(1, min(amb.n_fq, int(np.log(2000) / np.log(t.q))) + 1))
+    U = FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (n, amb.n_fq)))
+    if U.dim == 0:
+        return
+    assert list(linear_set(U).entries.items()) == list(_looped_linear_set(U).items())
 
 
 def test_ordinary_dual_examples(amb4):

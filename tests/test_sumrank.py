@@ -99,6 +99,20 @@ def test_min_distance_methods_agree(code9):
     assert d_h == d_c == d_o == 3
 
 
+def test_min_distance_reuses_the_source_design_sections(monkeypatch):
+    # one hyperplane sweep per design: the code of D reads D's cached section array
+    D = glued_design(3, 2, 4, 2)
+    D.hyperplane_dims()
+    calls = []
+    rank_batch = linalg.rank_batch
+    monkeypatch.setattr(linalg, "rank_batch", lambda F, M: calls.append(M.shape) or rank_batch(F, M))
+    C = sr.code_from_system(D)
+    assert C.design is D
+    d = sr.min_distance(C)
+    assert calls == []
+    assert d == C.N - int(de.hyperplane_profile_sums(C.system()).max()) == sr.min_distance(C, method="classes")
+
+
 def test_repetition_style_k1_code():
     # k = 1 with independent entries per block: d = sum of block lengths
     t = make_tower(2, 1, 2)
