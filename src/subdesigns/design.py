@@ -10,16 +10,18 @@ Every hyperplane question reduces one array, built once per design by
 ``SubspaceDesign.hyperplane_dims``: dim_q(U_i meet x^perp) =
 dim U_i - rk_q(x G_i) for every member and every canonical normal x.
 Its column sums give the (k-1)-profile, the histogram and the cutting
-totals; ``hamming`` reads the Ext point counts off it.  Every other s
-sweeps stacked blocks of W with dim_q(U meet W) = dim U + ms - rk_q[U; W].
-All sweeps rank whole stacks at once through ``linalg.rank_batch``.
+totals; ``hamming`` reads the Ext point counts off it.  ``section_spans``
+gives the sections themselves as echelon rows, for the cutting test.
+Every other s sweeps stacked blocks of W with
+dim_q(U meet W) = dim U + ms - rk_q[U; W].  All sweeps eliminate whole
+stacks at once through ``linalg.echelon_batch``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from subdesigns.errors import (
     NotABasis,
     TooFewBlocks,
     TooManyBlocks,
+    certify,
 )
 from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField, find_irreducible
 from subdesigns.gf import FFElement, FieldTower, prime_power
@@ -154,24 +157,23 @@ def section_dims(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
     return np.array([U.dim - linalg.rank_batch(fq, d) for U, d in zip(D.members, digits)])
 
 
-def hyperplane_sections(D: SubspaceDesign, normals: np.ndarray) -> Iterator[np.ndarray]:
-    """For each normal x in order, the sections U_i meet x^perp stacked as F_{q^m}-rows.
+def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
+    """F_q-bases of the sections U_i meet x^perp as F_{q^m}-rows, shape (B, sum_i dim U_i, k).
 
-    Each member contributes an F_q-basis of its section, so the row count
-    is sum_i dim_q(U_i meet x^perp) and the F_{q^m}-rank is the dimension
-    of the span of the sections.
+    Per member, the rows [F_q digits of x u_j | u_j] over its basis u_j
+    are eliminated for all normals at once.  The echelon rows with their
+    pivot right of the m digit columns have x u = 0, so their right parts
+    are a basis of the section; the other rows are zero.  The
+    F_{q^m}-rank of spans[b] is the dimension of the span of the sections.
     """
     amb = D.ambient
-    fq = amb.tower.fq
-    digits = block_digits(amb.tower, normals, D.gen_blocks())
-    members = [(U, d) for U, d in zip(D.members, digits) if U.dim]
-    for b in range(normals.shape[0]):
-        rows = []
-        for U, digs in members:
-            ker = linalg.right_kernel(fq, digs[b].T)  # x G_i read as m x n_i conditions over F_q
-            if ker.shape[0]:
-                rows.append(linalg.matmul(fq, ker, U.basis))
-        yield amb.contract(np.vstack(rows)) if rows else np.zeros((0, amb.k), dtype=DTYPE)
+    m = amb.tower.m
+    spans = []
+    for U, digs in zip(D.members, block_digits(amb.tower, normals, D.gen_blocks())):
+        rows = np.concatenate([digs, np.broadcast_to(U.basis, (len(normals), *U.basis.shape))], axis=2)
+        E, lead = linalg.echelon_batch(amb.tower.fq, rows)
+        spans.append(np.where((lead >= m)[:, :, None], E[:, :, m:], 0))
+    return amb.contract(np.concatenate(spans, axis=1))
 
 
 def hyperplane_profile_sums(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
@@ -182,12 +184,9 @@ def hyperplane_profile_sums(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERA
 def _profile_points(D: SubspaceDesign, cap) -> tuple[int, FqmSubspace]:
     """Fast s=1 path via member linear sets."""
     amb = D.ambient
-    totals: dict[tuple, int] = {}
+    totals = Counter()
     for ls in D.member_linear_sets(cap=cap):
-        if ls is None:
-            continue
-        for pt, w in ls.entries.items():
-            totals[pt] = totals.get(pt, 0) + w
+        totals.update(ls.entries if ls is not None else {})
     if not totals:
         witness = next(enumerate_fqm_subspaces(amb, 1, cap=cap))
         return 0, witness
@@ -222,7 +221,7 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
             if totals[i] > best:
                 best, witness = int(totals[i]), FqmSubspace(amb, W[i].copy(), piv)
     if span >= s:
-        assert best >= s, "every design with span >= s meets some W in total >= s"
+        certify(best >= s, "every design with span >= s meets some W in total >= s")
     return DesignProfile(s=s, A_min=best, span_dim=span, witness=witness, non_degenerate=span == k)
 
 
@@ -250,9 +249,9 @@ def classify(D: SubspaceDesign, max_s: int | None = None, cap: int | None = DEFA
         target = max_design_dim(t, k, s)
         is_max = flag and target is not None and all(d == target for d in D.dims)
         if is_max:
-            assert prof.non_degenerate, "maximum designs must span the whole space"
+            certify(prof.non_degenerate, "maximum designs must span the whole space")
         if flag and t.m >= s + 1:
-            assert all((s + 1) * d <= t.m * k for d in D.dims), "dimension bound violated"
+            certify(all((s + 1) * d <= t.m * k for d in D.dims), "dimension bound violated")
         report["per_s"][s] = {
             "A_min": prof.A_min,
             "span_dim": prof.span_dim,
@@ -260,13 +259,10 @@ def classify(D: SubspaceDesign, max_s: int | None = None, cap: int | None = DEFA
             "is_maximum": is_max,
         }
     # monotonicity: an s-design is an i-design for every i <= s
-    mono_ok = True
     top = max((s for s, f in design_flags.items() if f), default=0)
-    for i in range(1, top + 1):
-        if not design_flags.get(i, False):
-            mono_ok = False
+    mono_ok = all(design_flags.get(i, False) for i in range(1, top + 1))
     report["monotonicity_ok"] = mono_ok
-    assert mono_ok, "monotonicity of designs violated; enumeration is broken"
+    certify(mono_ok, "monotonicity of designs violated; enumeration is broken")
 
     # t-bound for maximum 1-designs
     if report["per_s"].get(1, {}).get("is_maximum"):
@@ -281,7 +277,7 @@ def classify(D: SubspaceDesign, max_s: int | None = None, cap: int | None = DEFA
             "satisfied": lhs <= rhs,
             "saturated": lhs == rhs,
         }
-        assert lhs <= rhs, "maximum 1-design exceeds the block-count bound"
+        certify(lhs <= rhs, "maximum 1-design exceeds the block-count bound")
 
     # equal-dimension (k-1, A) bounds: n <= m + A/t - 1 and tn <= tm + A - k + 1
     if (
@@ -296,10 +292,10 @@ def classify(D: SubspaceDesign, max_s: int | None = None, cap: int | None = DEFA
         if A < D.t * t.m * (k - 1):
             # n < m + A/t, i.e. tn <= tm + A - 1 (sharp when t divides A)
             entry["n_bound"] = (t.m * D.t + A - 1) // D.t
-            assert n * D.t <= t.m * D.t + A - 1, "equal-dims bound (1) violated"
+            certify(n * D.t <= t.m * D.t + A - 1, "equal-dims bound (1) violated")
         if A * (k - 1) < D.t * t.m + (k - 2) * (k - 1):
             entry["tn_bound"] = D.t * t.m + A - k + 1
-            assert D.t * n <= D.t * t.m + A - k + 1, "equal-dims bound (2) violated"
+            certify(D.t * n <= D.t * t.m + A - k + 1, "equal-dims bound (2) violated")
         report["equal_dims_bounds"] = entry
 
     # optimality through the sum-rank Singleton bound (hyperplane regime)
@@ -360,10 +356,7 @@ def _block_field_elements(block) -> list[int]:
 
 def full_field_block(tower: FieldTower) -> FqSubspace:
     """F_{q^m} as an F_q-subspace of itself (the standard block for max designs)."""
-    amb1 = AmbientSpace(tower, 1)
-    gen = tower.q if tower.m > 1 else 0
-    vecs = [[int(tower.fqm.pow(gen, j)) if tower.m > 1 else 1] for j in range(tower.m)]
-    return span_fq(amb1, vecs)
+    return span_fq(AmbientSpace(tower, 1), tower.y_basis[:, None].tolist())
 
 
 def construct_twisted(
@@ -425,11 +418,11 @@ def construct_twisted(
     members = []
     for alpha, base in zip(alpha_codes, block_bases):
         U = span_fq(ambient, [image(x, alpha) for x in base])
-        assert U.dim == len(base), "the evaluation map must be injective on the block"
+        certify(U.dim == len(base), "the evaluation map must be injective on the block")
         members.append(U)
     D = SubspaceDesign(ambient, members)
     prof = design_profile(D, k - 1, cap=cap)
-    assert prof.A_min <= k - 1, "twisted construction failed its (k-1)-design certificate"
+    certify(prof.A_min <= k - 1, "twisted construction failed its (k-1)-design certificate")
     return D
 
 
@@ -449,19 +442,17 @@ def construct_pseudoregulus(
         raise BadExponent("exponent must be coprime to m")
     mu_codes = [u.code if isinstance(u, FFElement) else int(u) for u in mus]
     _distinct_norms(t, mu_codes)
-    gen = t.q if t.m > 1 else 0
     members = []
     for mu in mu_codes:
         vecs = []
         for slot in range(r):
-            for j in range(t.m):
-                x = int(t.fqm.pow(gen, j)) if t.m > 1 else 1
+            for x in t.y_basis.tolist():
                 vec = [0] * k
                 vec[2 * slot] = x
                 vec[2 * slot + 1] = int(t.fqm.mul(mu, t.frobenius_code(x, s_exp)))
                 vecs.append(vec)
         U = span_fq(ambient, vecs)
-        assert U.dim == r * t.m
+        certify(U.dim == r * t.m, "a pseudoregulus member must have dimension rm")
         members.append(U)
     D = SubspaceDesign(ambient, members)
     certify_max_1_design(D, cap=cap)
@@ -469,7 +460,7 @@ def construct_pseudoregulus(
     seen: set = set()
     for ls in sets:
         pts = set(ls.entries)
-        assert not (pts & seen), "pseudoregulus linear sets must be pairwise disjoint"
+        certify(not (pts & seen), "pseudoregulus linear sets must be pairwise disjoint")
         seen |= pts
     return D
 
@@ -477,9 +468,9 @@ def construct_pseudoregulus(
 def certify_max_1_design(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> DesignProfile:
     t = D.ambient.tower
     mk = t.m * D.ambient.k
-    assert mk % 2 == 0 and all(d == mk // 2 for d in D.dims), "members must have dim mk/2"
+    certify(mk % 2 == 0 and all(d == mk // 2 for d in D.dims), "members must have dim mk/2")
     prof = design_profile(D, 1, cap=cap)
-    assert is_s_design(prof) and prof.non_degenerate, "maximum 1-design certificate failed"
+    certify(is_s_design(prof) and prof.non_degenerate, "maximum 1-design certificate failed")
     return prof
 
 
@@ -509,13 +500,13 @@ def direct_sum(designs, s: int | None = None, cap: int | None = DEFAULT_ENUMERAT
             offset += sub_k
         members.append(span_fq(amb, rows))
     out = SubspaceDesign(amb, members)
-    assert out.dims == tuple(sum(D.dims[i] for D in designs) for i in range(t_count))
+    certify(out.dims == tuple(sum(D.dims[i] for D in designs) for i in range(t_count)), "direct-sum dims must add up")
     if s is not None:
         prof = design_profile(out, s, cap=cap)
-        assert is_s_design(prof), "direct sum lost the s-design property"
+        certify(is_s_design(prof), "direct sum lost the s-design property")
         target = max_design_dim(tower, k, s)
         if target is not None and all(d == target for d in out.dims):
-            assert prof.non_degenerate
+            certify(prof.non_degenerate, "a maximum direct sum must span the whole space")
     return out
 
 
@@ -544,7 +535,7 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
     e_m = (Q - 1) // (q**m - 1)
     t_count = gcd(e_k, e_m)
     expected = (q ** (m * k) - 1) * (q - 1) // ((q**k - 1) * (q**m - 1))
-    assert t_count == expected, "coset index does not match the closed form"
+    certify(t_count == expected, "coset index does not match the closed form")
     subfield = [0] + [int(big.pow(g, e_k * j)) for j in range(q**k - 1)]
     coords = (lambda e: big.to_digits(e)) if k > 1 else (lambda e: [e])
     members = []
@@ -552,19 +543,17 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
     for _ in range(t_count):
         vecs = [coords(int(big.mul(rep, u))) for u in subfield if u]
         U = span_fq(amb, vecs)
-        assert U.dim == k
+        certify(U.dim == k, "every subgeometry must have dimension k")
         members.append(U)
         rep = int(big.mul(rep, g))
     D = SubspaceDesign(amb, members)
     # partition check: every projective point covered exactly once
-    totals: dict[tuple, int] = {}
+    totals = Counter()
     for ls in D.member_linear_sets(cap=cap):
-        for pt, w in ls.entries.items():
-            totals[pt] = totals.get(pt, 0) + w
+        totals.update(ls.entries)
     n_points = (q ** (m * k) - 1) // (q**m - 1)
-    assert len(totals) == n_points and all(v == 1 for v in totals.values()), (
-        "subgeometries failed to partition the point set"
-    )
+    certify(len(totals) == n_points and all(v == 1 for v in totals.values()),
+            "subgeometries failed to partition the point set")
     return D
 
 
@@ -601,7 +590,7 @@ def enlarge(
         members.append(FqSubspace.from_expanded_rows(amb, basis))
     out = SubspaceDesign(amb, members)
     new_prof = design_profile(out, s, cap=cap)
-    assert new_prof.A_min <= profile.A_min + sum(increments), "enlargement bound violated"
+    certify(new_prof.A_min <= profile.A_min + sum(increments), "enlargement bound violated")
     return out
 
 
@@ -620,7 +609,7 @@ def dual_design(
         raise DualSpanTooSmall("dual members span too little for the duality statement")
     declared = A + D.t * (k - s) * amb.tower.m - D.total_dim
     prof = design_profile(out, k - s, cap=cap)
-    assert prof.A_min <= declared, "ordinary duality parameter bound violated"
+    certify(prof.A_min <= declared, "ordinary duality parameter bound violated")
     mk = amb.tower.m * k
     if mk % 2 == 0 and all(d == mk // 2 for d in D.dims):
         if is_s_design(design_profile(D, 1, cap=cap)):
@@ -645,10 +634,9 @@ def hyperplane_weight_distribution(D: SubspaceDesign, cap: int | None = DEFAULT_
         if max(hist) <= lo + 1:
             # by the hyperplane characterization this IS a maximum 1-design
             h0, h1 = h_values(t.q, t.m, k, D.t)
-            assert set(hist) <= {lo, lo + 1}
-            assert hist.get(lo, 0) == h0 and hist.get(lo + 1, 0) == h1, (
-                f"histogram {hist} does not match the closed form (h0={h0}, h1={h1})"
-            )
+            certify(set(hist) <= {lo, lo + 1}, "a maximum 1-design has exactly two hyperplane totals")
+            certify(hist.get(lo, 0) == h0 and hist.get(lo + 1, 0) == h1,
+                    f"histogram {hist} does not match the closed form (h0={h0}, h1={h1})")
     return hist
 
 
@@ -660,10 +648,16 @@ def h_values(q: int, m: int, k: int, t: int) -> tuple[int, int]:
     mkm2 = m * (k - 2) // 2
     num = t * ((q**mk2 - 1) * (q ** (m * (k - 1)) - 1) - (q**mkm2 - 1) * (q ** (m * k) - 1))
     den = (q**m - 1) * (q - 1) * q**mkm2
-    assert num % den == 0, "h1 closed form must be an integer"
+    certify(num % den == 0, "h1 closed form must be an integer")
     h1 = num // den
     h0 = (q ** (m * k) - 1) // (q**m - 1) - h1
     return h0, h1
+
+
+# Normals whose sections is_cutting spans and ranks in one go.  It bounds the
+# work done past the first violating hyperplane (1,024 doubles the time on a
+# design over F_6561), while much smaller chunks slow a full sweep down.
+CUTTING_CHUNK = 256
 
 
 @dataclass
@@ -686,13 +680,15 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     sums = D.hyperplane_dims(cap).sum(axis=0)
     normals = hyperplane_normals(amb)
     witness = None
-    for b, rows in enumerate(hyperplane_sections(D, normals)):
-        if linalg.rank(amb.tower.fqm, rows) != amb.k - 1:
-            witness = hyperplane_subspace(amb, normals[b])
+    for lo in range(0, len(normals), CUTTING_CHUNK):
+        ranks = linalg.rank_batch(amb.tower.fqm, section_spans(D, normals[lo : lo + CUTTING_CHUNK]))
+        bad = np.nonzero(ranks != amb.k - 1)[0]
+        if bad.size:  # the first violating normal keeps enumeration order
+            witness = hyperplane_subspace(amb, normals[lo + int(bad[0])])
             break
     constant = len(np.unique(sums)) == 1
     if constant and sums[0] > 0:
-        assert witness is None, "constant positive intersection must imply cutting"
+        certify(witness is None, "constant positive intersection must imply cutting")
     return CuttingReport(
         cutting=witness is None,
         witness=witness,

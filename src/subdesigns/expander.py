@@ -51,8 +51,7 @@ def build_expander(D: SubspaceDesign, beta=None) -> ExpanderFamily:
     if t > tw.m or ell % t or any(U.dim != ell // t for U in D.members):
         raise BadDims(f"need t <= m and all member dims equal to ell/t = {ell}/{t}")
     if beta is None:
-        gen = tw.q if tw.m > 1 else 0
-        beta = [int(tw.fqm.pow(gen, j)) if tw.m > 1 else 1 for j in range(tw.m)]
+        beta = tw.y_basis
     beta = [b.code if isinstance(b, FFElement) else int(b) for b in beta]
     if len(beta) != tw.m or linalg.rank(tw.fq, tw.fqm.to_digits(np.array(beta, dtype=DTYPE))) != tw.m:
         raise NotABasis("beta must be an F_q-basis of F_{q^m}")
@@ -110,12 +109,12 @@ def expansion_check(
             check_cap(count, cap, f"subspaces of dim {r}")
             blocks = (X for X, _ in rref_matrix_blocks(q, r, ell))
         elif mode == "sample":
-            drawn = []
+            # each round draws the deficit, one matrix per call, and keeps the full-rank draws
+            drawn = np.zeros((0, r, ell), dtype=DTYPE)
             while len(drawn) < samples:
-                R, _ = linalg.rref(tw.fq, rng.integers(0, q, (r, ell)).astype(DTYPE))
-                if R.shape[0] == r:
-                    drawn.append(R)
-            blocks = [np.array(drawn, dtype=DTYPE).reshape(-1, r, ell)]
+                X = np.array([rng.integers(0, q, (r, ell)) for _ in range(samples - len(drawn))], dtype=DTYPE)
+                drawn = np.concatenate([drawn, X[linalg.rank_batch(tw.fq, X) == r]])
+            blocks = [drawn]
         else:
             raise ValueError("mode must be 'exhaustive' or 'sample'")
         best = None
@@ -129,10 +128,10 @@ def expansion_check(
             i = int(np.argmin(ranks))  # the first minimum keeps enumeration order
             ratio = Fraction(int(ranks[i]), r)
             if best is None or ratio < best:
-                best, witness = ratio, X[i].copy()
+                best, witness = ratio, X[i]
         report.per_dim[r] = {
             "min_ratio": best,
-            "witness": witness,
+            "witness": linalg.rref(tw.fq, witness)[0],  # sampled witnesses are raw draws
             "mode": mode,
             "count": count if mode == "exhaustive" else samples,
         }

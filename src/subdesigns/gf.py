@@ -85,6 +85,8 @@ class FieldTower:
         self.fq = self.fp if h == 1 else SmallField(p, self.fp, list(self.fq_modulus))
         self.fqm_modulus = _modulus(self.fq, m, fqm_modulus, "fqm_modulus")
         self.fqm = SmallField(p, self.fq, list(self.fqm_modulus))
+        # codes of the F_q-basis 1, y, ..., y^(m-1): y^j is the single digit 1 at place j
+        self.y_basis = self.q ** np.arange(m, dtype=DTYPE)
 
         # a -> a^q on F_{q^m}, the Galois generator sigma with s = 1
         codes = np.arange(self.order)

@@ -5,12 +5,12 @@ reduced row-echelon based: RREF output is canonical (pivots 1, pivot
 columns elementary, pivots strictly increasing), so row spaces compare
 by array equality.
 
-The sweeps (hyperplanes, subspaces, codeword classes) need only ranks of
-many tiny matrices.  ``rank_batch`` eliminates a whole stack (B, r, c)
-at once, column by column, with one field gather per step over the
-stack: table-driven elimination in the spirit of M4RI, vectorised over
-the batch instead of over bits.  The looped ``rref`` stays as its
-oracle.
+The sweeps need ranks and echelon rows of many tiny matrices.
+``echelon_batch``, the one batched elimination, reduces a whole stack
+(B, r, c) column by column with one field gather per step: table-driven
+elimination in the spirit of M4RI, vectorised over the batch instead of
+over bits.  ``rank_batch`` counts its pivots.  The looped ``rref``
+serves single subspaces and is the oracle of both.
 """
 
 from __future__ import annotations
@@ -56,30 +56,35 @@ def rank(F: SmallField, M: np.ndarray) -> int:
 
 
 def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
-    """F-ranks (B,) of a stack M (B, r, c) of matrices, eliminated together.
+    """F-ranks (B,) of a stack M (B, r, c) of matrices: the pivots of echelon_batch.
 
-    Per column, each matrix takes its first unused row with a nonzero
-    entry there as pivot, normalises it and clears that column from its
-    other unused rows.  Only F.mul, F.add, F.neg and F.inv are used, so
-    fields above FULL_TABLE_CAP (log/exp arithmetic) work as well.  The
-    stack is eliminated RANK_CELLS cells at a time, which bounds the
+    The stack is eliminated RANK_CELLS cells at a time, which bounds the
     temporaries whatever its length.
     """
     M = np.asarray(M)
+    if M.shape[1] > M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
+        M = M.transpose(0, 2, 1)
     B, r, c = M.shape
     ranks = np.zeros(B, dtype=np.int64)
     step = max(1, RANK_CELLS // max(1, r * c))
     for lo in range(0, B, step):
-        ranks[lo : lo + step] = _rank_chunk(F, M[lo : lo + step])
+        ranks[lo : lo + step] = (echelon_batch(F, M[lo : lo + step])[1] < c).sum(axis=1)
     return ranks
 
 
-def _rank_chunk(F: SmallField, M: np.ndarray) -> np.ndarray:
-    if M.shape[1] > M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
-        M = M.transpose(0, 2, 1)
+def echelon_batch(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward elimination of a stack M (B, r, c); returns (E, lead).
+
+    Per column, each matrix takes its first unused row with a nonzero
+    entry there as pivot and clears that column from its other unused
+    rows; rows keep their places.  lead (B, r) is each row's pivot column,
+    c for the rows left without one, which are zero.  The rows with
+    lead >= j span the part of the row space that vanishes on columns < j.
+    Only F.mul, F.add, F.neg and F.inv are used, so log/exp fields work too.
+    """
     M = np.array(M, dtype=DTYPE, order="C")
     B, r, c = M.shape
-    ranks = np.zeros(B, dtype=np.int64)
+    lead = np.full((B, r), c, dtype=np.int64)
     free = np.ones((B, r), dtype=bool)
     for col in range(c):
         cand = (M[:, :, col] != 0) & free
@@ -88,13 +93,13 @@ def _rank_chunk(F: SmallField, M: np.ndarray) -> np.ndarray:
             continue
         piv = cand[b].argmax(axis=1)
         free[b, piv] = False
-        ranks[b] += 1
+        lead[b, piv] = col
         row = M[b, piv, col:]
         row = F.mul(row, F.inv(row[:, :1]))
         rest = M[b, :, col:]
         fac = F.neg(np.where(free[b], rest[:, :, 0], 0))  # negate the (B, r) factors, not the products
         M[b, :, col:] = F.add(rest, F.mul(fac[:, :, None], row[:, None, :]))
-    return ranks
+    return M, lead
 
 
 def right_kernel(F: SmallField, M: np.ndarray) -> np.ndarray:

@@ -214,8 +214,7 @@ class SigmaPoly:
     def matrix(self) -> np.ndarray:
         """m x m matrix over F_q of the induced map on the basis 1, y, ..., y^(m-1)."""
         t = self.tower
-        basis = t.q ** np.arange(t.m)  # y^a has the single digit 1 at place a
-        return t.fqm.to_digits(self.evaluate(basis)).T
+        return t.fqm.to_digits(self.evaluate(t.y_basis)).T
 
 
 # --- algebra operations -----------------------------------------------------------

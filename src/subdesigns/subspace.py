@@ -107,8 +107,7 @@ class AmbientSpace:
         """
         t = self.tower
         W = np.asarray(W, dtype=DTYPE)
-        ypow = np.array([t.fqm.pow(t.q if t.m > 1 else 1, j) for j in range(t.m)], dtype=DTYPE)
-        scaled = t.fqm.mul(W[..., :, None, :], ypow[:, None])  # (..., s, m, k)
+        scaled = t.fqm.mul(W[..., :, None, :], t.y_basis[:, None])  # (..., s, m, k)
         return self.expand(scaled.reshape(*W.shape[:-2], W.shape[-2] * t.m, self.k))
 
     @property

@@ -23,9 +23,9 @@ from subdesigns.design import (
     SubspaceDesign,
     block_digits,
     hyperplane_profile_sums,
-    hyperplane_sections,
     is_cutting,
     section_dims,
+    section_spans,
 )
 from subdesigns.errors import (
     DegenerateCode,
@@ -329,20 +329,17 @@ def is_minimal_code(
         return True, None
     if method != "geometric":
         raise ValueError("method must be 'geometric' or 'pairs'")
-    D = C.system()
+    # cutting does not depend on member order, so a source design serves as well
+    D = C.system() if C.design is None else C.design
     report = is_cutting(D, cap=cap)
     if report.cutting:
         return True, None
     # turn the violating hyperplane into a violating codeword pair
     u = fqm_dual(report.witness).basis[0]
-    S = next(hyperplane_sections(D, u.reshape(1, -1)))
+    S = section_spans(D, u.reshape(1, -1))[0]
     # any v with S v = 0 and v not proportional to u gives supp(vG) <= supp(uG)
-    cands = linalg.right_kernel(t.fqm, S) if S.shape[0] else np.eye(C.k, dtype=DTYPE)
-    v = None
-    for row in cands:
-        if linalg.rank(t.fqm, np.vstack([u, row])) == 2:
-            v = row
-            break
+    cands = linalg.right_kernel(t.fqm, S)
+    v = next((row for row in cands if linalg.rank(t.fqm, np.vstack([u, row])) == 2), None)
     assert v is not None, "a second hyperplane through the section span must exist"
     x = np.hstack(C.encode(u))
     y = np.hstack(C.encode(v))

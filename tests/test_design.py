@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from subdesigns import design as de
+from subdesigns import linalg
 from subdesigns.errors import (
     BadExponent,
     BadPartition,
@@ -14,9 +18,10 @@ from subdesigns.errors import (
     NotABasis,
     TooManyBlocks,
 )
+from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower
 from subdesigns.repro import glued_design, pseudoregulus_design, twisted_design
-from subdesigns.subspace import AmbientSpace, FqmSubspace, span_fq
+from subdesigns.subspace import AmbientSpace, FqmSubspace, FqSubspace, hyperplane_normals, hyperplane_subspace, span_fq
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +198,73 @@ def test_is_cutting(pseudo9):
     amb = AmbientSpace(t, 2)
     single = de.SubspaceDesign(amb, [span_fq(amb, [(t.one(), t.zero())])])
     assert not de.is_cutting(single).cutting
+
+
+def _first_uncut_normal(D):
+    """Looped oracle: index of the first normal whose sections, one right_kernel
+    per member, span less than x^perp; None for a cutting design."""
+    amb = D.ambient
+    t = amb.tower
+    for b, x in enumerate(hyperplane_normals(amb)):
+        rows = []
+        for U in D.members:
+            if U.dim:
+                digs = t.fqm.to_digits(linalg.matmul(t.fqm, x.reshape(1, -1), U.gen_block()))[0]
+                ker = linalg.right_kernel(t.fq, digs.T)
+                if ker.shape[0]:
+                    rows.append(linalg.matmul(t.fq, ker, U.basis))
+        S = amb.contract(np.vstack(rows)) if rows else np.zeros((0, amb.k), dtype=DTYPE)
+        if linalg.rank(t.fqm, S) != amb.k - 1:
+            return b
+    return None
+
+
+def _moved(D, seed):
+    """D under a seeded random change of coordinates v -> v g, g in GL(k, q^m)."""
+    amb = D.ambient
+    t = amb.tower
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.integers(0, t.order, (amb.k, amb.k))
+        if linalg.rank(t.fqm, g) == amb.k:
+            break
+    return de.SubspaceDesign(amb, [FqSubspace.from_expanded_rows(
+        amb, amb.expand(linalg.matmul(t.fqm, amb.contract(U.basis), g))) for U in D.members])
+
+
+def test_cutting_witness_matches_looped_sections():
+    glued = glued_design(3, 2, 4, 2)
+    amb = glued.ambient
+    placed = []
+    for seed in (0, 1, 448, 580):
+        D = _moved(glued, seed)
+        b = _first_uncut_normal(D)
+        rep = de.is_cutting(D)
+        assert not rep.cutting and rep.witness == hyperplane_subspace(amb, hyperplane_normals(amb)[b])
+        placed.append(b)
+    assert max(placed) >= de.CUTTING_CHUNK  # a witness past the first chunk of normals
+    baer = de.construct_field_partition(2, 2, 3)
+    assert _first_uncut_normal(baer) is None and de.is_cutting(baer).cutting
+    # a 0-dimensional member contributes no section rows
+    U = span_fq(amb, [])
+    for D in (de.SubspaceDesign(amb, [glued.members[0], U]), de.SubspaceDesign(amb, [U])):
+        b = _first_uncut_normal(D)
+        assert de.is_cutting(D).witness == hyperplane_subspace(amb, hyperplane_normals(amb)[b])
+
+
+def test_design_certificate_survives_python_O():
+    # a maximum 1-design certificate must refuse members of the wrong dimension with asserts stripped
+    check = (
+        "from subdesigns import design as de\n"
+        "from subdesigns.gf import make_tower\n"
+        "from subdesigns.subspace import AmbientSpace, span_fq\n"
+        "t = make_tower(3, 1, 2)\n"
+        "amb = AmbientSpace(t, 2)\n"
+        "de.certify_max_1_design(de.SubspaceDesign(amb, [span_fq(amb, [(1, 0)])]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: members must have dim mk/2" in proc.stderr
 
 
 def test_witnesses_keep_enumeration_order(pseudo9):

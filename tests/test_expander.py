@@ -107,3 +107,21 @@ def test_non_design_family_reports_without_claims():
     fam = ex.build_expander(de.SubspaceDesign(amb, [U1, U1]))
     report = ex.expansion_check(fam, 1)
     assert report.per_dim[1]["min_ratio"] >= 1
+
+
+# Sampled minimum ratios and witness rows, recorded with one rref per draw.
+SAMPLED = {
+    (3, 3, 7, 25): {1: ("3", [[1, 2, 1, 1, 2, 1]]),
+                    2: ("2", [[1, 0, 0, 0, 2, 0], [0, 0, 1, 2, 0, 1]]),
+                    3: ("2", [[1, 0, 0, 1, 0, 2], [0, 1, 0, 1, 2, 1], [0, 0, 1, 2, 0, 0]])},
+    (3, 2, 11, 1): {1: ("2", [[0, 0, 1, 2]]),
+                    2: ("2", [[1, 0, 1, 2], [0, 1, 1, 1]]),
+                    3: ("4/3", [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 2]])},
+}
+
+
+@pytest.mark.parametrize("q,m,seed,samples", list(SAMPLED))
+def test_sample_mode_pinned_draws(q, m, seed, samples):
+    report = ex.expansion_check(ex.build_expander(twisted_design(q, m, 2, 2)), 3, mode="sample", samples=samples, seed=seed)
+    got = {r: (str(data["min_ratio"]), data["witness"].tolist()) for r, data in report.per_dim.items()}
+    assert got == SAMPLED[(q, m, seed, samples)]

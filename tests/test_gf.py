@@ -6,6 +6,7 @@ from subdesigns.errors import DivisionByZero, NotInBaseField, NotIrreducible, No
 from subdesigns import gf
 from subdesigns.formats import tower_from_json, tower_to_json
 from subdesigns.gf import FFElement, frobenius, make_tower, norm_trace
+from test_linalg import RANK_TOWERS
 
 # towers swept exhaustively where the contracts ask for it (q^m <= 3^6)
 SWEEP = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
@@ -165,3 +166,10 @@ def test_string_parsing(f9, f4):
     assert f9.element("-1").code == 2
     assert f9.element("2*i+2") == f9.element("2*y") + f9.element(2)
     assert f4.element("w^2") == f4.gen() * f4.gen()
+
+
+@pytest.mark.parametrize("p,h,m", RANK_TOWERS + [(5, 1, 1)])
+def test_y_basis_codes(p, h, m):
+    t = make_tower(p, h, m)
+    want = [int(t.fqm.pow(t.q, j)) for j in range(m)] if m > 1 else [1]
+    assert t.y_basis.tolist() == want

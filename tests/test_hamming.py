@@ -141,19 +141,21 @@ def test_point_counts_match_direct_count(p, h, m, seed):
 
 
 def test_one_section_sweep_per_design(monkeypatch):
-    # the (k-1)-profile, sums, point counts, SRG and cutting totals share one rank round
+    # the (k-1)-profile, sums, point counts, SRG and cutting totals share one F_q-rank round;
+    # the cutting test adds only the F_{q^m}-ranks of its section spans, one chunk of normals here
     D = glued_design(3, 2, 4, 2)
+    fq = D.ambient.tower.fq
     calls = []
     rank_batch = linalg.rank_batch
-    monkeypatch.setattr(linalg, "rank_batch", lambda F, M: calls.append(M.shape) or rank_batch(F, M))
+    monkeypatch.setattr(linalg, "rank_batch", lambda F, M: calls.append(F is fq) or rank_batch(F, M))
     prof = de.design_profile(D, D.ambient.k - 1)
-    assert len(calls) == D.t
+    assert calls == [True] * D.t
     sums = de.hyperplane_profile_sums(D)
     P = ha.ext_system(D)
     counts = ha.hyperplane_point_counts(P)
     params = ha.srg_from_two_intersection(P)
     cut = de.is_cutting(D)
-    assert len(calls) == D.t
+    assert calls == [True] * D.t + [False]
     assert prof.A_min == sums.max() and cut.intersection_constant == (len(set(sums.tolist())) == 1)
     assert len(set(counts.tolist())) == 2 and params.v == 9**4
 

@@ -89,6 +89,14 @@ def test_rank_batch_matches_looped_rank(key, level, seed):
         M[:, 1] = F.mul(M[:, 0], int(rng.integers(0, F.size)))
         M[rng.random(B) < 0.5, -1] = 0
     assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
+    # echelon_batch: the pivot columns of rref, zero rows without a pivot, the same row space
+    E, lead = linalg.echelon_batch(F, M)
+    assert E.shape == M.shape and lead.shape == (B, r)
+    for X, EX, lx in zip(M, E, lead):
+        R, piv = linalg.rref(F, X)
+        assert sorted(lx[lx < c].tolist()) == piv
+        assert not EX[lx == c].any()
+        assert np.array_equal(linalg.rref(F, EX)[0], R)
 
 
 def test_rank_batch_empty_stacks(fields):

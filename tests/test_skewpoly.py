@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subdesigns import linalg, skewpoly
+from subdesigns import design, hamming, linalg, skewpoly
 from subdesigns.errors import BothZero, DivisionByZeroPoly, NotInBaseField, ParameterMismatch, ZeroPoly, ZeroTwist
 from subdesigns.fieldcore import FULL_TABLE_CAP
 from subdesigns.gf import make_tower
@@ -194,8 +194,9 @@ def test_right_divmod_degree_and_recomposition(p, h, m, seed):
     assert skew_mul(Q, G) + R == F
 
 
-def test_skewpoly_has_no_assert():
-    tree = ast.parse(inspect.getsource(skewpoly))
+@pytest.mark.parametrize("module", [design, skewpoly, hamming], ids=lambda mod: mod.__name__.rsplit(".", 1)[1])
+def test_module_has_no_assert(module):
+    tree = ast.parse(inspect.getsource(module))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 

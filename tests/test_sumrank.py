@@ -113,6 +113,21 @@ def test_min_distance_reuses_the_source_design_sections(monkeypatch):
     assert d == C.N - int(de.hyperplane_profile_sums(C.system()).max()) == sr.min_distance(C, method="classes")
 
 
+def test_geometric_minimality_checks_the_source_design(monkeypatch, pseudo9):
+    # verdict and witness of a code_from_system code come from its source design, without system()
+    for D in (pseudo9, glued_design(3, 2, 4, 2), de.construct_field_partition(2, 2, 3)):
+        C = sr.code_from_system(D)
+        bare = sr.SumRankCode(C.tower, C.lengths, C.blocks)
+        want = sr.is_minimal_code(bare, method="geometric")
+        with monkeypatch.context() as mp:
+            mp.setattr(sr, "system_from_code", lambda code: pytest.fail("rebuilt the system of the code"))
+            got = sr.is_minimal_code(C, method="geometric")
+        assert got[0] == want[0]
+        assert (got[1] is None) == (want[1] is None)
+        if want[1] is not None:
+            assert [w.tolist() for w in got[1]] == [w.tolist() for w in want[1]]
+
+
 def test_repetition_style_k1_code():
     # k = 1 with independent entries per block: d = sum of block lengths
     t = make_tower(2, 1, 2)
