@@ -52,10 +52,10 @@ from subdesigns.subspace import (
     FqmSubspace,
     check_cap,
     enumerate_fqm_subspaces,
-    fqm_subspace_blocks,
     hyperplane_normals,
     hyperplane_subspace,
     linear_set,
+    max_meet_total,
     ordinary_dual,
     span_fq,
     subspace_count,
@@ -212,14 +212,7 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
         best = int(sums[idx])
         witness = hyperplane_subspace(amb, hyperplane_normals(amb)[idx])
     else:
-        fq = amb.tower.fq
-        best, witness = -1, None
-        for W, piv in fqm_subspace_blocks(amb, s, cap=cap):
-            Wfq = amb.fq_rows(W)
-            totals = sum(linalg.meet_dim(fq, U.basis, Wfq) for U in D.members)
-            i = int(np.argmax(totals))  # the first maximum keeps enumeration order
-            if totals[i] > best:
-                best, witness = int(totals[i]), FqmSubspace(amb, W[i].copy(), piv)
+        best, witness = max_meet_total(amb, D.members, s, cap)
     if span >= s:
         certify(best >= s, "every design with span >= s meets some W in total >= s")
     return DesignProfile(s=s, A_min=best, span_dim=span, witness=witness, non_degenerate=span == k)

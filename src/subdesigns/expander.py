@@ -18,7 +18,7 @@ import numpy as np
 from subdesigns import linalg
 from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
-from subdesigns.errors import BadDims, BadParameters, NotABasis
+from subdesigns.errors import BadDims, BadParameters, NotABasis, certify
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement
 from subdesigns.subspace import check_cap, gaussian_binomial, rref_matrix_blocks
@@ -66,7 +66,7 @@ def build_expander(D: SubspaceDesign, beta=None) -> ExpanderFamily:
             rows.append(amb.expand(img))
         maps.append(np.vstack(rows))
     fam = ExpanderFamily(design=D, beta=tuple(beta), maps=maps)
-    assert all(M.shape == (ell, ell) for M in fam.maps)
+    certify(all(M.shape == (ell, ell) for M in fam.maps), "every evaluation map must be ell x ell")
     return fam
 
 

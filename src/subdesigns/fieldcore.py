@@ -4,13 +4,18 @@ Elements of a field with Q elements are stored as integer codes in
 ``[0, Q)``.  For a prime field the code is the residue itself; for an
 extension of degree n over a base field with B elements the code is the
 little-endian base-B digit string of the coordinate vector in the power
-basis 1, g, ..., g^(n-1) of the extension generator g.
+basis 1, y, ..., y^(n-1) of the extension generator y.
 
-Multiplication and inversion go through discrete-log tables (a primitive
-element is located once per field), addition through digit decomposition;
-fields of at most ``FULL_TABLE_CAP`` elements additionally carry full
-Q x Q add/mul tables so that scalar work is a single numpy gather.  All
-operations accept plain ints or numpy integer arrays of codes.
+Multiplication and inversion go through discrete-log tables, addition
+through digit decomposition.  The log/exp tables are built on whole code
+arrays: a gather table for c -> y*c (a digit shift and one fold of the
+modulus) gives, by Horner's rule, the table c -> g*c of each candidate
+g, and pointer doubling walks 1, g, g^2, ... through it.  The primitive
+element is the smallest code whose walk returns to 1 after exactly
+Q - 1 steps, which also certifies exp as a bijection onto the nonzero
+codes.  Fields of at most ``FULL_TABLE_CAP`` elements additionally carry
+full Q x Q add/mul tables so that scalar work is a single numpy gather.
+All operations accept plain ints or numpy integer arrays of codes.
 
 Nothing here knows about towers or subspaces; see ``gf`` for the
 two-level tower used by the rest of the library.
@@ -22,29 +27,32 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from subdesigns.errors import DivisionByZero, NotIrreducible
+from subdesigns.errors import DivisionByZero, NotIrreducible, certify
 
 # Full Q x Q tables are built below this size; larger fields use log/exp
 # plus digitwise addition.  Fields beyond LAZY_CAP refuse arithmetic.
 FULL_TABLE_CAP = 2048
 LAZY_CAP = 1 << 20
+# Codes per slice when a table is built over every code; bounds the
+# (slice, degree) digit temporaries of the log/exp bootstrap.
+TABLE_CHUNK = 1 << 15
 
 DTYPE = np.int32
 
 
-def _trial_factorize(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (desk scale)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _walk(step: np.ndarray, order: int) -> np.ndarray | None:
+    """1, g, g^2, ..., g^(order-1) through g's step table c -> g*c, by pointer
+    doubling; None if the walk returns to 1 before ``order`` steps."""
+    exp = np.ones(1, dtype=DTYPE)
+    jump = step  # c -> g^len(exp) * c
+    while len(exp) < order:
+        nxt = jump[exp[: order - len(exp)]]
+        if (nxt == 1).any():
+            return None
+        exp = np.concatenate([exp, nxt])
+        if len(exp) < order:
+            jump = jump[jump]
+    return exp if step[exp[-1]] == 1 else None
 
 
 class SmallField:
@@ -87,12 +95,7 @@ class SmallField:
             self._pow = np.array([B**i for i in range(self.degree)], dtype=np.int64)
             self._neg = self._encode_digits(self.base.neg(dig))
 
-        self._exp, self._log = self._build_log_tables()
-        inv = np.zeros(Q, dtype=DTYPE)
-        nz = np.arange(1, Q)
-        inv[nz] = self._exp[(Q - 1) - self._log[nz]]
-        self._inv = inv
-
+        self._add_table = self._mul_table = None
         if Q <= FULL_TABLE_CAP:
             a = np.arange(Q, dtype=DTYPE)
             if self.base is None:
@@ -100,83 +103,73 @@ class SmallField:
             else:
                 ds = self.base.add(self._dig[:, None, :], self._dig[None, :, :])
                 self._add_table = self._encode_digits(ds)
+
+        self._exp, self._log = self._build_log_tables()
+        inv = np.zeros(Q, dtype=DTYPE)
+        nz = np.arange(1, Q)
+        inv[nz] = self._exp[(Q - 1) - self._log[nz]]
+        self._inv = inv
+
+        if Q <= FULL_TABLE_CAP:
             ls = self._log[:, None] + self._log[None, :]
             mt = self._exp[ls]
             mt[0, :] = 0
             mt[:, 0] = 0
             self._mul_table = mt.astype(DTYPE)
-        else:
-            self._add_table = None
-            self._mul_table = None
 
     def _encode_digits(self, digits: np.ndarray) -> np.ndarray:
         return (digits.astype(np.int64) @ self._pow).astype(DTYPE)
 
-    def _scalar_mul_poly(self, a: int, b: int) -> int:
-        # polynomial multiplication of codes mod the modulus; bootstrap only
-        if self.base is None:
-            return (a * b) % self.p
-        F = self.base
-        da = [int(x) for x in self._dig[a]]
-        db = [int(x) for x in self._dig[b]]
-        n = self.degree
-        prod = [0] * (2 * n - 1)
-        for i, ca in enumerate(da):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(db):
-                if cb:
-                    prod[i + j] = int(F.add(prod[i + j], int(F.mul(ca, cb))))
-        # reduce: g^n = -(modulus without leading term)
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j in range(n):
-                mj = self.modulus[j]
-                if mj:
-                    prod[i - n + j] = int(F.sub(prod[i - n + j], int(F.mul(c, mj))))
-        code = 0
-        mult = 1
-        for c in prod[:n]:
-            code += c * mult
-            mult *= self.base.size
-        return code
+    def _over_codes(self, f) -> np.ndarray:
+        """f on every code, TABLE_CHUNK codes at a time, joined into one array."""
+        Q = self.size
+        return np.concatenate([np.asarray(f(np.arange(lo, min(lo + TABLE_CHUNK, Q))), dtype=DTYPE)
+                               for lo in range(0, Q, TABLE_CHUNK)])
 
-    def _scalar_pow_poly(self, a: int, e: int) -> int:
-        r = self.one_code()
-        while e:
-            if e & 1:
-                r = self._scalar_mul_poly(r, a)
-            a = self._scalar_mul_poly(a, a)
-            e >>= 1
-        return r
+    def _scale(self, d: int, c: np.ndarray) -> np.ndarray:
+        """d*c for a base-field code d (a residue in a prime field)."""
+        if self.base is None:
+            return (d * c) % self.p
+        return self._encode_digits(self.base.mul(d, self._dig[c]))
+
+    def _times_y(self) -> np.ndarray:
+        """Gather table c -> y*c: the digits shift up one place and the top one
+        folds back through y^n = -(modulus without its leading term)."""
+        B, n = self.base.size, self.degree
+        low = self.base.neg(np.array(self.modulus[:-1]))
+        fold = self._encode_digits(self.base.mul(np.arange(B)[:, None], low[None, :]))
+        return self._over_codes(lambda c: self.add((c % B ** (n - 1)) * B, fold[self._dig[c, -1]]))
+
+    def _step_table(self, g: int, times_y: np.ndarray | None) -> np.ndarray:
+        """Gather table c -> g*c: g's digit polynomial at times_y by Horner's rule."""
+        digits = poly_trim([int(d) for d in self._dig[g]])
+
+        def step(c):
+            acc = self._scale(digits[-1], c)
+            for d in reversed(digits[:-1]):
+                acc = times_y[acc]
+                if d:
+                    acc = self.add(acc, self._scale(d, c))
+            return acc
+
+        return self._over_codes(step)
 
     def _build_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        # the generator is the smallest code whose walk visits every nonzero code
         Q = self.size
         order = Q - 1
-        primes = _trial_factorize(order) if order > 1 else []
-        gen = 1
-        for cand in range(2, Q):
-            if all(self._scalar_pow_poly(cand, order // r) != self.one_code() for r in primes):
-                gen = cand
+        times_y = None if self.base is None else self._times_y()
+        for gen in range(min(2, order), Q):
+            exp = _walk(self._step_table(gen, times_y), order)
+            if exp is not None:
                 break
-        exp = np.zeros(2 * max(order, 1), dtype=DTYPE)
+        certify(exp is not None, f"no primitive element of F_{Q}: the modulus is not irreducible")
         log = np.zeros(Q, dtype=np.int64)
-        v = self.one_code()
-        for i in range(order):
-            exp[i] = v
-            log[v] = i
-            v = self._scalar_mul_poly(v, gen)
-        exp[order : 2 * order] = exp[:order]
+        log[exp] = np.arange(order)
         self.generator_code = gen
-        return exp, log
+        return np.concatenate([exp, exp]), log
 
     # -- element helpers -----------------------------------------------------
-
-    def one_code(self) -> int:
-        return 1
 
     def elements(self) -> range:
         return range(self.size)
@@ -264,11 +257,19 @@ def poly_mod(F: SmallField, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return poly_divmod(F, a, b)[1]
 
 
-def poly_eval(F: SmallField, a: Sequence[int], x: int) -> int:
-    acc = 0
+def poly_eval(F: SmallField, a, x):
+    """a(x) by Horner's rule at one code or an array of codes x; the
+    coefficients may themselves be code arrays that broadcast against x."""
+    acc = np.zeros_like(np.asarray(x))
     for c in reversed(list(a)):
-        acc = int(F.add(int(F.mul(acc, x)), c))
+        acc = F.add(F.mul(acc, x), c)
     return acc
+
+
+def smallest_root(F: SmallField, a: Sequence[int]) -> int | None:
+    """The least code x with a(x) = 0, or None if a has no root in F."""
+    roots = np.flatnonzero(poly_eval(F, a, np.arange(F.size)) == 0)
+    return int(roots[0]) if roots.size else None
 
 
 def poly_monic(F: SmallField, a: Sequence[int]) -> list[int]:

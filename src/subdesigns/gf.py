@@ -20,6 +20,7 @@ Towers are cached by their defining data, so equal parameters give the
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -31,14 +32,15 @@ from subdesigns.errors import (
     NotIrreducible,
     NotPrime,
     TowerMismatch,
+    certify,
 )
-from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField, _trial_factorize, find_irreducible, poly_is_irreducible
+from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField, find_irreducible, poly_is_irreducible
 
 _TOWER_CACHE: dict[tuple, "FieldTower"] = {}
 
 
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _trial_factorize(n) == [n]
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _modulus(F: SmallField, degree: int, given, name: str) -> tuple:
@@ -397,6 +399,5 @@ def norm_trace(a: FFElement) -> tuple[FFElement, FFElement]:
     t = a.tower
     n = t.norm_code(a.code)
     tr = t.trace_code(a.code)
-    if not (t.in_fq_code(n) and t.in_fq_code(tr)):
-        raise AssertionError("norm/trace left the base field; modulus data corrupt")
+    certify(t.in_fq_code(n) and t.in_fq_code(tr), "norm/trace left the base field; modulus data corrupt")
     return FFElement(t, n), FFElement(t, tr)

@@ -62,7 +62,7 @@ def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
     temporaries whatever its length.
     """
     M = np.asarray(M)
-    if M.shape[1] > M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
+    if M.shape[1] < M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
         M = M.transpose(0, 2, 1)
     B, r, c = M.shape
     ranks = np.zeros(B, dtype=np.int64)

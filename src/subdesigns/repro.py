@@ -22,6 +22,7 @@ from subdesigns import skewpoly as sk
 from subdesigns import strongbridge as sb
 from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
+from subdesigns.errors import BadParameters
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower, prime_power
 
@@ -74,7 +75,8 @@ def twisted_design(q: int, m: int, k: int, t: int, eta=0, s_exp: int = 1) -> de.
 
 def glued_design(q: int, m: int, k: int, t: int) -> de.SubspaceDesign:
     """Maximum 1-design in V(k, q^m), k even, glued from k/2 twisted pieces."""
-    assert k % 2 == 0
+    if k % 2:
+        raise BadParameters("glued designs need an even k")
     piece = twisted_design(q, m, 2, t)
     if k == 2:
         de.certify_max_1_design(piece)
@@ -235,7 +237,7 @@ def criterion_4() -> CriterionResult:
             total = 0
             dims = []
             for lam, alpha in alphas.items():
-                kd = sk.kernel_dim(sk.twist(F, alpha))  # asserts the Gow bound
+                kd = sk.kernel_dim(sk.twist(F, alpha))  # certifies the Gow bound
                 dlam = sk.lambda_value(F, lam, check=False)
                 if kd != dlam:
                     failures.append(f"{tower}: kernel {kd} != d_lambda {dlam}")
@@ -422,7 +424,7 @@ def criterion_10() -> CriterionResult:
         for _ in range(100):
             A = sp.FqSubspace.from_expanded_rows(amb, rng.integers(0, tower.q, (int(rng.integers(0, 5)), amb.n_fq)))
             B = sp.FqSubspace.from_expanded_rows(amb, rng.integers(0, tower.q, (int(rng.integers(0, 5)), amb.n_fq)))
-            meet, join = sp.meet_join(A, B)  # asserts Grassmann internally
+            meet, join = sp.meet_join(A, B)  # certifies Grassmann internally
             if meet.dim + join.dim != A.dim + B.dim:
                 failures.append("Grassmann identity violated")
     rng = np.random.default_rng(SEEDS["rref"])
@@ -438,7 +440,7 @@ def criterion_10() -> CriterionResult:
         if U1 != U2:
             failures.append("canonical RREF changed under permutation/rescaling")
         if U1.dim:
-            sp.linear_set(U1)  # asserts the rank identity internally
+            sp.linear_set(U1)  # certifies the rank identity internally
     # Singleton bound never violated on 1000 random small codes
     rng = np.random.default_rng(SEEDS["singleton"])
     params = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3)]

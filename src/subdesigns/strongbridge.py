@@ -32,8 +32,9 @@ from subdesigns.errors import (
     NotIrreducible,
     PlacesCollide,
     SpanTooSmall,
+    certify,
 )
-from subdesigns.fieldcore import DTYPE, poly_eval, poly_is_irreducible, poly_monic, poly_trim
+from subdesigns.fieldcore import DTYPE, poly_eval, poly_is_irreducible, poly_monic, poly_trim, smallest_root
 from subdesigns.gf import FieldTower, make_tower, prime_power
 from subdesigns.subspace import (
     AmbientSpace,
@@ -41,8 +42,8 @@ from subdesigns.subspace import (
     FqSubspace,
     check_cap,
     enumerate_fqm_subspaces,
-    fqm_subspace_blocks,
     gaussian_binomial,
+    max_meet_total,
     meet_join,
     span_fq,
     subspace_count,
@@ -80,20 +81,7 @@ def verify_strong(
     cap: int | None = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """Exact max of sum_i dim(V_i meet W) over s-dimensional F_{q^m}-subspaces W."""
-    amb = S.ambient
-    F = amb.tower.fqm
-    check_cap(subspace_count(amb, s), cap, "subspaces")
-    best = 0
-    for W, _ in fqm_subspace_blocks(amb, s, cap=cap):
-        best = max(best, int(sum(linalg.meet_dim(F, V.basis, W) for V in S.members).max()))
-    return best
-
-
-def _max_meet_dim(E: FqSubspace, h: int, cap) -> int:
-    """max over h-dimensional F_{q^m}-subspaces W of dim_q(E meet W)."""
-    amb = E.ambient
-    fq = amb.tower.fq
-    return max(int(linalg.meet_dim(fq, E.basis, amb.fq_rows(W)).max()) for W, _ in fqm_subspace_blocks(amb, h, cap=cap))
+    return max_meet_total(S.ambient, S.members, s, cap)[0]
 
 
 def evasive_intersect(
@@ -110,7 +98,7 @@ def evasive_intersect(
     if c <= 0:
         raise ValueError("c must be positive")
     for h in range(1, s + 1):
-        worst = _max_meet_dim(E, h, cap)
+        worst = max_meet_total(E.ambient, [E], h, cap)[0]
         if worst > c * h:
             raise NotEvasive(f"E meets an {h}-dimensional subspace in dimension {worst} > {c}*{h}")
     t = S.ambient.tower
@@ -120,10 +108,10 @@ def evasive_intersect(
         raise SpanTooSmall("intersections span too little")
     A = verify_strong(S, s, cap=cap)
     prof = design_profile(out, s, cap=cap)
-    assert prof.A_min <= c * A, "evasive intersection exceeded the (s, cA) certificate"
+    certify(prof.A_min <= c * A, "evasive intersection exceeded the (s, cA) certificate")
     d = E.dim
     for U, V in zip(out.members, S.members):
-        assert U.dim >= t.m * V.dim - t.m * S.ambient.k + d, "dimension floor violated"
+        certify(U.dim >= t.m * V.dim - t.m * S.ambient.k + d, "dimension floor violated")
     return out
 
 
@@ -139,35 +127,21 @@ def intermediate_field_design(
     if c % t.m:
         raise NotAMultiple(f"c = {c} is not a multiple of m = {t.m}")
     big = make_tower(t.p, t.h, c)
-    # embed F_{q^m} into F_{q^c}: send y to the smallest root of its modulus
-    root = None
-    mod_coeffs = [int(cf) for cf in t.fqm_modulus]  # F_q codes embed as codes < q
-    for cand in range(big.order):
-        if poly_eval(big.fqm, mod_coeffs, cand) == 0:
-            root = cand
-            break
-    assert root is not None, "the modulus must split in the bigger field"
-
-    def embed(code: int) -> int:
-        digits = t.fqm.to_digits(code)
-        acc = 0
-        for j in reversed(range(t.m)):
-            acc = int(big.fqm.add(int(big.fqm.mul(acc, root)), int(digits[j])))
-        return acc
-
+    # embed F_{q^m} into F_{q^c}: y goes to the smallest root of its modulus, and
+    # F_q codes embed as codes < q, so a code's digit polynomial is evaluated there
+    root = smallest_root(big.fqm, t.fqm_modulus)
     amb_big = AmbientSpace(big, S.ambient.k)
     members = []
     for V in S.members:
-        rows_fqm = S.ambient.contract(V.expand_fq().basis)
-        rows = [[embed(int(e)) for e in row] for row in rows_fqm]
-        U = span_fq(amb_big, rows)
-        assert U.dim == t.m * V.dim, "reinterpretation must preserve F_q-dimension"
+        digits = t.fqm.to_digits(S.ambient.contract(V.expand_fq().basis))
+        U = span_fq(amb_big, poly_eval(big.fqm, np.moveaxis(digits, -1, 0), root))
+        certify(U.dim == t.m * V.dim, "reinterpretation must preserve F_q-dimension")
         members.append(U)
     out = SubspaceDesign(amb_big, members)
     if A is None:
         A = verify_strong(S, s, cap=cap)
     prof = design_profile(out, s, cap=cap)
-    assert prof.A_min <= t.m * A, "intermediate-field certificate failed"
+    certify(prof.A_min <= t.m * A, "intermediate-field certificate failed")
     return out
 
 
@@ -200,13 +174,7 @@ def places_embed(
     if not poly_is_irreducible(fq, p_poly):
         raise NotIrreducible("p must be irreducible over F_q")
     zeta = int(zeta)
-    # zeta must generate F_q^*
-    seen = set()
-    acc = 1
-    for _ in range(q - 1):
-        acc = int(fq.mul(acc, zeta))
-        seen.add(acc)
-    if len(seen) != q - 1:
+    if len({int(fq.pow(zeta, e)) for e in range(1, q)}) != q - 1:
         raise BadParameters("zeta must be a primitive element of F_q")
 
     places = []
@@ -218,21 +186,7 @@ def places_embed(
     if len(set(places)) != k:
         raise PlacesCollide("the places p, tau p, ..., tau^(k-1) p must be distinct")
 
-    roots = []
-    for place in places:
-        root = None
-        for cand in range(t.order):
-            if poly_eval(t.fqm, list(place), cand) == 0:
-                root = cand
-                break
-        assert root is not None
-        roots.append(root)
-
-    def residues(poly: list[int]) -> list[int]:
-        if len(poly) - 1 >= k * m:
-            raise DegreeTooLarge(f"polynomials must have degree < km = {k * m}")
-        return [poly_eval(t.fqm, poly, r) for r in roots]
-
+    roots = np.array([smallest_root(t.fqm, place) for place in places])
     amb = AmbientSpace(t, k)
     members = []
     for gens in V_list:
@@ -245,8 +199,8 @@ def places_embed(
             else np.zeros((0, k * m), dtype=DTYPE)
         )
         span_dim_in = linalg.rank(fq, padded)
-        U = span_fq(amb, [residues(g) for g in gens])
-        assert U.dim == span_dim_in, "the residue map must be injective on F_q[x]_{<km}"
+        U = span_fq(amb, [poly_eval(t.fqm, g, roots) for g in gens])
+        certify(U.dim == span_dim_in, "the residue map must be injective on F_q[x]_{<km}")
         members.append(U)
     return SubspaceDesign(amb, members)
 
@@ -268,7 +222,7 @@ def _cl_w(x: int, q: int, n: int, k: int, i: int) -> int:
         q**i * (q ** (k - n) - 1), q**i - 1
     )
     val = part * q ** (i * (i - 1)) * gaussian_binomial(k - n - 1, i - 1, q) * bin2
-    assert val.denominator == 1
+    certify(val.denominator == 1, "Cameron-Liebler count w_i is not an integer")
     return int(val)
 
 
@@ -364,7 +318,7 @@ def cameron_liebler(
     if len(members) % denom:
         raise BadParameters("set size is not a multiple of (k choose n)_q; the pieces overlap")
     x = len(members) // denom
-    assert x == predicted_x, f"parameter came out {x}, predicted {predicted_x}"
+    certify(x == predicted_x, f"parameter came out {x}, predicted {predicted_x}")
     w = [_cl_w(x, q, n, k, i) for i in range(1, n + 2)]
     w_prime = [_cl_w_prime(x, q, n, k, i) for i in range(1, n + 2)]
     A = n + 1 + sum(w[i - 1] * (n + 1 - i) for i in range(1, n + 2))

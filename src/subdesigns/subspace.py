@@ -61,7 +61,7 @@ def gaussian_binomial(a: int, b: int, Q: int) -> int:
     for i in range(b):
         num *= Q ** (a - i) - 1
         den *= Q ** (i + 1) - 1
-    assert num % den == 0
+    certify(num % den == 0, "Gaussian binomial is not an integer")
     return num // den
 
 
@@ -210,7 +210,7 @@ class FqmSubspace(RowSpace):
     def expand_fq(self) -> FqSubspace:
         """The same point set as an F_q-subspace (dimension m * dim)."""
         U = FqSubspace.from_expanded_rows(self.ambient, self.ambient.fq_rows(self.basis))
-        assert U.dim == self.ambient.tower.m * self.dim
+        certify(U.dim == self.ambient.tower.m * self.dim, "F_q-expansion must multiply the dimension by m")
         return U
 
     def contains(self, vec) -> bool:
@@ -284,7 +284,7 @@ def meet_join(U, W) -> tuple[FqSubspace, FqSubspace]:
     join_b = linalg.sum_rowspaces(F, U.basis, W.basis)
     meet = FqSubspace.from_expanded_rows(U.ambient, meet_b)
     join = FqSubspace.from_expanded_rows(U.ambient, join_b)
-    assert meet.dim + join.dim == U.dim + W.dim, "Grassmann identity violated"
+    certify(meet.dim + join.dim == U.dim + W.dim, "Grassmann identity violated")
     return meet, join
 
 
@@ -436,6 +436,27 @@ def fqm_subspace_blocks(
     return rref_matrix_blocks(ambient.tower.order, s, ambient.k)
 
 
+def max_meet_total(
+    ambient: AmbientSpace,
+    members,
+    s: int,
+    cap: int | None = DEFAULT_ENUMERATION_CAP,
+) -> tuple[int, FqmSubspace]:
+    """(max, first maximiser in enumeration order) over s-dimensional F_{q^m}-subspaces W
+    of sum_i dim(U_i meet W).  FqSubspace members count F_q-dimensions, FqmSubspace
+    members F_{q^m}-dimensions."""
+    over_fq = isinstance(members[0], FqSubspace)
+    F = ambient.tower.fq if over_fq else ambient.tower.fqm
+    best, witness = -1, None
+    for W, piv in fqm_subspace_blocks(ambient, s, cap=cap):
+        rows = ambient.fq_rows(W) if over_fq else W
+        totals = sum(linalg.meet_dim(F, U.basis, rows) for U in members)
+        i = int(np.argmax(totals))  # the first maximum keeps enumeration order
+        if totals[i] > best:
+            best, witness = int(totals[i]), FqmSubspace(ambient, W[i].copy(), piv)
+    return best, witness
+
+
 def subspace_count(ambient: AmbientSpace, s: int) -> int:
     return gaussian_binomial(ambient.k, s, ambient.tower.order)
 
@@ -480,7 +501,7 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
     cond = linalg.matmul(F, U.basis, amb.trace_gram)
     ker = linalg.right_kernel(F, cond)
     dual = FqSubspace.from_expanded_rows(amb, ker)
-    assert dual.dim + U.dim == amb.n_fq
+    certify(dual.dim + U.dim == amb.n_fq, "dim U + dim U' must equal mk")
     return dual
 
 

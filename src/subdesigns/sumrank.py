@@ -6,7 +6,7 @@ F_q-rank of its matrix expansion.  The two directions of the
 code/design correspondence are `code_from_system` (columns of G_i are
 an F_q-basis of member U_i) and `system_from_code`.  Weights are always
 computable two ways - expansion ranks and hyperplane-section dimensions
-of the associated system - and the pair is asserted equal wherever both
+of the associated system - and the pair is certified equal wherever both
 apply.
 """
 
@@ -35,6 +35,7 @@ from subdesigns.errors import (
     NotInvertible,
     ProfileNotSorted,
     ZeroMember,
+    certify,
 )
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement, FieldTower
@@ -176,7 +177,7 @@ def sumrank_weight(C: SumRankCode, x, check: bool = True) -> int:
     w = sum(_block_rank(C.tower, y) for y in C.encode(x))
     if check and np.any(x) and C.non_degenerate:
         geo = C.N - int(section_dims(C.system(), x.reshape(1, -1)).sum())
-        assert geo == w, "direct and geometric weights disagree"
+        certify(geo == w, "direct and geometric weights disagree")
     return w
 
 
@@ -242,7 +243,7 @@ def singleton_msrd(C: SumRankCode, d: int | None = None, cap: int | None = DEFAU
             j = idx
             break
     delta = d - 1 - sum(min(m, n) for n in ns[:j])
-    assert 0 <= delta <= min(m, ns[j]) - 1
+    certify(0 <= delta <= min(m, ns[j]) - 1, "delta must lie in [0, min(m, n_j) - 1]")
     bound_log_q = m * sum(ns[j:]) - max(m, ns[j]) * delta
     out = {
         "d": d,
@@ -268,7 +269,7 @@ def singleton_msrd(C: SumRankCode, d: int | None = None, cap: int | None = DEFAU
 def dual_code(C: SumRankCode) -> SumRankCode:
     """Dual under the blockwise dot form; dimension N - k."""
     ker = linalg.right_kernel(C.tower.fqm, C.generator)
-    assert ker.shape[0] == C.N - C.k
+    certify(ker.shape[0] == C.N - C.k, "the dual code must have dimension N - k")
     blocks = []
     at = 0
     for n in C.lengths:
@@ -286,7 +287,7 @@ def delsarte_dual(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) 
     if not Cd.non_degenerate:
         raise DegenerateDual("dual code has an F_q-dependent block")
     Dd = system_from_code(Cd)
-    assert sorted(Dd.dims) == sorted(C.lengths), "Delsarte dual must preserve the dimension multiset"
+    certify(sorted(Dd.dims) == sorted(C.lengths), "Delsarte dual must preserve the dimension multiset")
     m = D.ambient.tower.m
     ns = C.lengths
     if cap is not None and gaussian_binomial(C.k, 1, D.ambient.tower.order) <= cap:
@@ -294,11 +295,11 @@ def delsarte_dual(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) 
         dd = min_distance(Cd, cap=cap)
         M, Md = C.N - d, Cd.N - dd
         if m >= ns[0]:
-            assert Md >= C.N - M - 2, "Delsarte parameter inequality violated"
+            certify(Md >= C.N - M - 2, "Delsarte parameter inequality violated")
         elif len(set(ns)) == 1:
-            assert Md >= 2 * C.N - C.t * m - M - 2, "Delsarte parameter inequality violated"
+            certify(Md >= 2 * C.N - C.t * m - M - 2, "Delsarte parameter inequality violated")
         v1, v2 = singleton_msrd(C, d=d), singleton_msrd(Cd, d=dd)
-        assert v1["is_msrd"] == v2["is_msrd"], "MSRD optimality must be preserved by duality"
+        certify(v1["is_msrd"] == v2["is_msrd"], "MSRD optimality must be preserved by duality")
     return Dd
 
 
@@ -340,11 +341,11 @@ def is_minimal_code(
     # any v with S v = 0 and v not proportional to u gives supp(vG) <= supp(uG)
     cands = linalg.right_kernel(t.fqm, S)
     v = next((row for row in cands if linalg.rank(t.fqm, np.vstack([u, row])) == 2), None)
-    assert v is not None, "a second hyperplane through the section span must exist"
+    certify(v is not None, "a second hyperplane through the section span must exist")
     x = np.hstack(C.encode(u))
     y = np.hstack(C.encode(v))
     sup_x, sup_y = support(C, u), support(C, v)
-    assert sup_x.contains(sup_y, t.fq), "constructed witness must have nested supports"
+    certify(sup_x.contains(sup_y, t.fq), "constructed witness must have nested supports")
     return False, (x, y)
 
 
@@ -384,5 +385,5 @@ def weight_spectrum(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP) -
     spec: dict[int, int] = {0: 1}
     for w, n in zip(weights, counts):
         spec[int(w)] = spec.get(int(w), 0) + (t.order - 1) * int(n)
-    assert sum(spec.values()) == t.order**C.k
+    certify(sum(spec.values()) == t.order**C.k, "the weight spectrum must count all q^(mk) codewords")
     return spec

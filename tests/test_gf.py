@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subdesigns.errors import DivisionByZero, NotInBaseField, NotIrreducible, NotPrime, TowerMismatch
+from subdesigns.fieldcore import find_irreducible, poly_eval, poly_mod, smallest_root
 from subdesigns import gf
 from subdesigns.formats import tower_from_json, tower_to_json
 from subdesigns.gf import FFElement, frobenius, make_tower, norm_trace
@@ -13,6 +14,12 @@ SWEEP = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
          (3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6),
          (2, 2, 2), (2, 2, 3), (2, 2, 4), (5, 1, 2), (5, 1, 3), (5, 1, 4),
          (3, 2, 2), (3, 2, 3), (5, 2, 2)]
+
+# (fq, fqm) generator codes as recorded before the array bootstrap: exp/log
+# tables, and with them the field-partition member order, follow them
+GENERATORS = {(2, 1, 2): (1, 2), (2, 1, 3): (1, 2), (3, 1, 2): (2, 4), (3, 1, 3): (2, 3), (2, 2, 2): (2, 4),
+              (5, 1, 2): (2, 6), (3, 2, 2): (4, 10), (2, 2, 3): (2, 5), (3, 1, 4): (2, 3), (5, 1, 3): (2, 9),
+              (7, 1, 2): (3, 9), (3, 2, 4): (4, 10), (2, 2, 6): (2, 4), (5, 1, 6): (2, 5)}
 
 
 def test_make_tower_examples(f4, f8, f9, f27):
@@ -173,3 +180,69 @@ def test_y_basis_codes(p, h, m):
     t = make_tower(p, h, m)
     want = [int(t.fqm.pow(t.q, j)) for j in range(m)] if m > 1 else [1]
     assert t.y_basis.tolist() == want
+
+
+@pytest.mark.parametrize("key", list(GENERATORS))
+def test_generator_codes_and_exp_bijection(key):
+    t = make_tower(*key)
+    assert (t.fq.generator_code, t.fqm.generator_code) == GENERATORS[key]
+    for F in (t.fp, t.fq, t.fqm):
+        order = F.size - 1
+        assert np.array_equal(np.sort(F._exp[:order]), np.arange(1, F.size))
+        assert np.array_equal(F._exp[order:], F._exp[:order])
+        assert np.array_equal(F._log[F._exp[:order]], np.arange(order))
+
+
+def _schoolbook(F, a: int, b: int) -> int:
+    """a*b: residues multiply mod p; extension codes multiply as digit
+    polynomials, reduced mod F's modulus."""
+    if F.base is None:
+        return a * b % F.p
+    B = F.base
+    prod = [0] * (2 * F.degree - 1)
+    for i, x in enumerate(F.to_digits(a).tolist()):
+        for j, y in enumerate(F.to_digits(b).tolist()):
+            prod[i + j] = int(B.add(prod[i + j], _schoolbook(B, x, y)))
+    r = poly_mod(B, prod, F.modulus)
+    return int(F.from_digits(r + [0] * (F.degree - len(r))))
+
+
+@pytest.mark.parametrize("p,h,m", SWEEP + [(3, 2, 4)])
+def test_mul_matches_schoolbook_product(p, h, m):
+    t = make_tower(p, h, m)
+    rng = np.random.default_rng(100 * p + 10 * h + m)
+    for F in {id(F): F for F in (t.fp, t.fq, t.fqm)}.values():
+        pairs = rng.integers(0, F.size, (40, 2)).tolist()
+        got = F.mul(*np.array(pairs).T)
+        assert got.tolist() == [_schoolbook(F, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("p,h,m", [(2, 2, 2), (3, 1, 3), (3, 2, 4)])
+def test_poly_eval_on_arrays_matches_scalar_loop(p, h, m):
+    F = make_tower(p, h, m).fqm
+    rng = np.random.default_rng(p + h + m)
+    a = rng.integers(0, F.size, 5).tolist()
+    xs = rng.integers(0, F.size, 30)
+    want = []
+    for x in xs.tolist():
+        acc = 0
+        for c in reversed(a):
+            acc = int(F.add(int(F.mul(acc, x)), c))
+        want.append(acc)
+    assert poly_eval(F, a, xs).tolist() == want
+    assert [int(poly_eval(F, a, x)) for x in xs.tolist()] == want
+
+
+@pytest.mark.parametrize("p,h,m", [(2, 1, 2), (3, 1, 2), (2, 2, 3), (5, 1, 2)])
+def test_smallest_root(p, h, m):
+    F = make_tower(p, h, m).fqm
+    rng = np.random.default_rng(p * h * m)
+    for _ in range(10):
+        r, s = (int(x) for x in rng.integers(0, F.size, 2))
+        quad = [int(F.mul(r, s)), int(F.neg(F.add(r, s))), 1]  # (x - r)(x - s)
+        assert smallest_root(F, quad) == min(r, s)
+        cubic = rng.integers(0, F.size, 3).tolist() + [1]
+        roots = [x for x in range(F.size) if int(poly_eval(F, cubic, x)) == 0]
+        assert smallest_root(F, cubic) == (roots[0] if roots else None)
+    for degree in (2, 3):
+        assert smallest_root(F, find_irreducible(F, degree)) is None

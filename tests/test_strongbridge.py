@@ -11,7 +11,7 @@ from subdesigns.errors import (
     NotIrreducible,
     PlacesCollide,
 )
-from subdesigns.fieldcore import poly_is_irreducible
+from subdesigns.fieldcore import poly_eval, poly_is_irreducible
 from subdesigns.gf import make_tower
 from subdesigns.subspace import AmbientSpace, FqmSubspace, FqSubspace, span_fq
 
@@ -84,6 +84,13 @@ def test_intermediate_field(strong_f4):
     assert out.ambient.tower.order == 16 and out.dims == (2, 2)
     # sweep of the 17 points of PG(1,16): a sharp (1, mA) = (1, 2) design
     assert de.design_profile(out, 1).A_min == 2
+    # y goes to the least root of its modulus in F_16: the line through (1, y) lands on (1, root)
+    amb = strong_f4.ambient
+    t = amb.tower
+    tilted = sb.intermediate_field_design(sb.StrongSubspaceDesign(amb, [FqmSubspace.from_rows(amb, [[1, t.q]])]), 4, 1)
+    big = tilted.ambient.tower
+    root = min(x for x in range(big.order) if int(poly_eval(big.fqm, t.fqm_modulus, x)) == 0)
+    assert tilted.members[0] == span_fq(tilted.ambient, [[1, root], [root, int(big.fqm.mul(root, root))]])
     boundary = sb.intermediate_field_design(strong_f4, 2, 1, A=1)
     assert boundary.ambient.tower is strong_f4.ambient.tower
     with pytest.raises(NotAMultiple):
@@ -99,6 +106,12 @@ def test_places_embed():
     D1 = sb.places_embed(t, [[[1]]], p, 2, 2)
     vec = D1.ambient.contract(D1.members[0].basis)[0]
     assert list(vec) == [1, 1]  # constants map to (1, ..., 1)
+    # x goes to the least root of each place: of p, and of tau p, whose roots are those of p divided by zeta
+    F = t.fqm
+    r1 = min(x for x in range(t.order) if int(poly_eval(F, p, x)) == 0)
+    r2 = min(x for x in range(t.order) if int(poly_eval(F, p, int(F.mul(2, x)))) == 0)
+    Dx = sb.places_embed(t, [[[0, 1]]], p, 2, 2)
+    assert Dx.members[0] == span_fq(Dx.ambient, [[r1, r2]])
     with pytest.raises(PlacesCollide):
         sb.places_embed(t, [[[1]]], [2, 0, 0, 1], 2, 2)  # y^3 + c is tau-invariant
     with pytest.raises(DegreeTooLarge):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +200,22 @@ def test_grassmann_random(seed):
     W = FqSubspace.from_expanded_rows(amb, rng.integers(0, 3, (int(rng.integers(0, 5)), 4)))
     meet, join = meet_join(U, W)
     assert meet.dim + join.dim == U.dim + W.dim
+
+
+def test_subspace_certificate_survives_python_O():
+    # meet_join must refuse a join that lost a row, with asserts stripped
+    check = (
+        "from subdesigns import linalg\n"
+        "from subdesigns.gf import make_tower\n"
+        "from subdesigns.subspace import AmbientSpace, meet_join, span_fq\n"
+        "total = linalg.sum_rowspaces\n"
+        "linalg.sum_rowspaces = lambda F, A, B: total(F, A, B)[:-1]\n"
+        "amb = AmbientSpace(make_tower(3, 1, 2), 2)\n"
+        "meet_join(span_fq(amb, [(1, 0)]), span_fq(amb, [(0, 1)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: Grassmann identity violated" in proc.stderr
 
 
 @given(st.integers(0, 10_000))
