@@ -106,6 +106,11 @@ class SubspaceDesign:
         return self._gen_blocks
 
     def member_linear_sets(self, cap: int | None = DEFAULT_ENUMERATION_CAP):
+        """linear_set of every nonzero member (None for zero ones); built once, with the
+        cap checked on every call."""
+        for U in self.members:
+            if U.dim:  # the count linear_set checks
+                check_cap(self.ambient.tower.q**U.dim, cap, "vectors")
         if self._linear_sets is None:
             self._linear_sets = [
                 linear_set(U, cap=cap) if U.dim else None for U in self.members

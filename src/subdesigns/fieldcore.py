@@ -205,9 +205,10 @@ class SmallField:
         return np.where((a == 0) | (b == 0), 0, out)
 
     def inv(self, a):
-        if np.any(np.asarray(a) == 0):
+        out = self._inv[a]
+        if not out.all():  # _inv[0] is the only zero entry
             raise DivisionByZero("inverse of zero")
-        return self._inv[a]
+        return out
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -10,7 +10,9 @@ The sweeps need ranks and echelon rows of many tiny matrices.
 (B, r, c) column by column with one field gather per step: table-driven
 elimination in the spirit of M4RI, vectorised over the batch instead of
 over bits.  ``rank_batch`` counts its pivots.  The looped ``rref``
-serves single subspaces and is the oracle of both.
+serves single subspaces and is the oracle of both.  Membership and
+containment are the rank identity rk [A; B] = rk A; there is no
+separate membership test.
 """
 
 from __future__ import annotations
@@ -164,16 +166,6 @@ def meet_dim(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Bs = B.reshape(int(np.prod(B.shape[:-2])), *B.shape[-2:])
     stack = np.concatenate([np.broadcast_to(A, (Bs.shape[0], *A.shape)), Bs], axis=1)
     return (A.shape[0] + B.shape[-2] - rank_batch(F, stack)).reshape(B.shape[:-2])
-
-
-def in_rowspace(F: SmallField, R: np.ndarray, piv: list[int], v: np.ndarray) -> bool:
-    """Membership test against an RREF basis with known pivot columns."""
-    v = np.array(v, dtype=DTYPE, copy=True)
-    for i, pc in enumerate(piv):
-        c = int(v[pc])
-        if c:
-            v = np.asarray(F.sub(v, F.mul(c, R[i])), dtype=DTYPE)
-    return not np.any(v)
 
 
 def invert(F: SmallField, M: np.ndarray) -> np.ndarray:

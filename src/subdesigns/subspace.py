@@ -214,7 +214,8 @@ class FqmSubspace(RowSpace):
         return U
 
     def contains(self, vec) -> bool:
-        return linalg.in_rowspace(self.ambient.tower.fqm, self.basis, self.pivots, vec)
+        """rk [basis; vec] = dim."""
+        return linalg.rank(self.ambient.tower.fqm, np.vstack([self.basis, np.asarray(vec, dtype=DTYPE)])) == self.dim
 
 
 @dataclass
@@ -309,22 +310,10 @@ def canonical_point(ambient: AmbientSpace, vec) -> tuple:
 
 
 def canonical_projective_reps(Q: int, k: int) -> np.ndarray:
-    """All (Q^k-1)/(Q-1) canonical point representatives; deterministic order."""
+    """All (Q^k-1)/(Q-1) canonical point representatives: the 1 x k RREF matrices in order."""
     if k == 0:
         return np.zeros((0, 0), dtype=DTYPE)
-    blocks = []
-    for j in range(k):
-        tail = k - 1 - j
-        if tail:
-            free = np.indices((Q,) * tail).reshape(tail, -1).T.astype(DTYPE)
-        else:
-            free = np.zeros((1, 0), dtype=DTYPE)
-        block = np.zeros((free.shape[0], k), dtype=DTYPE)
-        block[:, j] = 1
-        if tail:
-            block[:, j + 1 :] = free
-        blocks.append(block)
-    return np.vstack(blocks)
+    return np.concatenate([M[:, 0] for M, _ in rref_matrix_blocks(Q, 1, k)])
 
 
 def hyperplane_normals(ambient: AmbientSpace) -> np.ndarray:
@@ -396,14 +385,13 @@ def rref_matrix_blocks(Q: int, s: int, k: int) -> Iterator[tuple[np.ndarray, lis
         free_pos = [(i, c) for i in range(s) for c in range(pivots[i] + 1, k) if c not in pivots]
         rows = [i for i, _ in free_pos]
         cols = [c for _, c in free_pos]
-        # the last free entry runs fastest, as in itertools.product
-        place = np.array([Q ** (len(free_pos) - 1 - j) for j in range(len(free_pos))], dtype=np.int64)
         total = Q ** len(free_pos)
         for lo in range(0, total, RREF_CHUNK):
             codes = np.arange(lo, min(lo + RREF_CHUNK, total), dtype=np.int64)
             M = np.zeros((codes.size, s, k), dtype=DTYPE)
             M[:, list(range(s)), pivots] = 1
-            M[:, rows, cols] = (codes[:, None] // place) % Q
+            if free_pos:  # base-Q digits of the codes: the last free entry runs fastest, as in itertools.product
+                M[:, rows, cols] = np.stack(np.unravel_index(codes, (Q,) * len(free_pos)), axis=1)
             yield M, list(pivots)
 
 

@@ -7,7 +7,10 @@ code/design correspondence are `code_from_system` (columns of G_i are
 an F_q-basis of member U_i) and `system_from_code`.  Weights are always
 computable two ways - expansion ranks and hyperplane-section dimensions
 of the associated system - and the pair is certified equal wherever both
-apply.
+apply.  Every expansion rank, and every comparison of supports, is a
+``linalg.rank_batch`` of the block digits ``design.block_digits`` forms:
+supp(y) lies in supp(x) exactly when the ranks of the blocks of x,
+stacked with those of y, sum to wt(x).
 """
 
 from __future__ import annotations
@@ -132,20 +135,11 @@ class SumRankSupport:
         return np.frombuffer(self.blocks[i], dtype=DTYPE).reshape(self.dims[i], self.lengths[i])
 
     def contains(self, other: "SumRankSupport", fq) -> bool:
-        """Blockwise: does self contain other?  (Bases are canonical RREF.)"""
-        for i in range(len(self.lengths)):
-            if other.dims[i] > self.dims[i]:
-                return False
-            if other.dims[i] == self.dims[i]:
-                if self.blocks[i] != other.blocks[i]:
-                    return False
-                continue
-            A = self.basis(i)
-            piv = linalg.rref(fq, A)[1]
-            for row in other.basis(i):
-                if not linalg.in_rowspace(fq, A, piv, row):
-                    return False
-        return True
+        """Blockwise: does self contain other?  rk [A_i; B_i] = rk A_i in every block."""
+        return all(
+            linalg.rank(fq, np.vstack([self.basis(i), other.basis(i)])) == self.dims[i]
+            for i in range(len(self.lengths))
+        )
 
 
 def code_from_system(D: SubspaceDesign) -> SumRankCode:
@@ -167,15 +161,16 @@ def system_from_code(C: SumRankCode) -> SubspaceDesign:
     return SubspaceDesign(amb, members)
 
 
-def _block_rank(tower: FieldTower, y: np.ndarray) -> int:
-    return linalg.rank(tower.fq, tower.fqm.to_digits(np.asarray(y, dtype=DTYPE)))
+def _weights(C: SumRankCode, X: np.ndarray) -> np.ndarray:
+    """Sum-rank weights (B,) of the codewords xG for the rows x of X (B, k)."""
+    return sum(linalg.rank_batch(C.tower.fq, d) for d in block_digits(C.tower, X, C.blocks))
 
 
-def sumrank_weight(C: SumRankCode, x, check: bool = True) -> int:
-    """Sum of expansion ranks of the blocks of xG; cross-checked geometrically."""
+def sumrank_weight(C: SumRankCode, x) -> int:
+    """Sum of expansion ranks of the blocks of xG; certified equal to the geometric weight."""
     x = np.asarray(x, dtype=DTYPE)
-    w = sum(_block_rank(C.tower, y) for y in C.encode(x))
-    if check and np.any(x) and C.non_degenerate:
+    w = int(_weights(C, x.reshape(1, -1))[0])
+    if np.any(x) and C.non_degenerate:
         geo = C.N - int(section_dims(C.system(), x.reshape(1, -1)).sum())
         certify(geo == w, "direct and geometric weights disagree")
     return w
@@ -209,7 +204,7 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
         for msg in product(range(t.order), repeat=C.k):
             if not any(msg):
                 continue
-            w = sum(_block_rank(t, y) for y in C.encode(np.array(msg, dtype=DTYPE)))
+            w = int(_weights(C, np.array([msg], dtype=DTYPE))[0])
             best = w if best is None else min(best, w)
         return int(best)
     check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
@@ -318,15 +313,24 @@ def is_minimal_code(
     if method == "pairs":
         check_cap(gaussian_binomial(C.k, 1, t.order) ** 2, cap, "codeword pairs")
         reps = canonical_projective_reps(t.order, C.k)
-        sups = [support(C, x) for x in reps]
-        for a in range(len(reps)):
-            for b in range(len(reps)):
-                if a == b:
-                    continue
-                if sups[a].contains(sups[b], t.fq):
-                    x = np.hstack(C.encode(reps[a]))
-                    y = np.hstack(C.encode(reps[b]))
-                    return False, (x, y)
+        # supp(y) <= supp(x) iff sum_i rk [S_i(x); S_i(y)] = wt(x) for the expansions
+        # S_i of block i: no joint rank is below rk S_i(x), so the sums meet only when
+        # every block does.  The digits (n_i, m) of x G_i are S_i(x) transposed.
+        digits = block_digits(t, reps, C.blocks)
+        wt = _weights(C, reps)
+        n = len(reps)
+        step = max(1, linalg.RANK_CELLS // (2 * t.m * C.N * max(1, n)))  # rows a per chunk
+        for lo in range(0, n, step):
+            a = np.arange(lo, min(lo + step, n))
+            joint = 0
+            for d in digits:  # the digits [x G_i | y G_i] of every pair, (a.size * n, n_i, 2m)
+                pairs = np.concatenate(np.broadcast_arrays(d[a, None], d[None]), axis=3)
+                joint = joint + linalg.rank_batch(t.fq, pairs.reshape(a.size * n, d.shape[1], 2 * t.m))
+            joint = joint.reshape(a.size, n)
+            hit = (joint == wt[a, None]) & (a[:, None] != np.arange(n))
+            if hit.any():
+                i, b = divmod(int(hit.argmax()), n)  # the first pair (a, b) in row-major order
+                return False, (np.hstack(C.encode(reps[a[i]])), np.hstack(C.encode(reps[b])))
         return True, None
     if method != "geometric":
         raise ValueError("method must be 'geometric' or 'pairs'")
@@ -379,9 +383,7 @@ def weight_spectrum(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP) -
     """Codeword counts per sum-rank weight (scalar classes share a weight)."""
     t = C.tower
     check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
-    reps = canonical_projective_reps(t.order, C.k)
-    class_weights = sum(linalg.rank_batch(t.fq, d) for d in block_digits(t, reps, C.blocks))
-    weights, counts = np.unique(class_weights, return_counts=True)
+    weights, counts = np.unique(_weights(C, canonical_projective_reps(t.order, C.k)), return_counts=True)
     spec: dict[int, int] = {0: 1}
     for w, n in zip(weights, counts):
         spec[int(w)] = spec.get(int(w), 0) + (t.order - 1) * int(n)

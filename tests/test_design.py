@@ -312,3 +312,16 @@ def test_monotonicity_small():
     D = twisted_design(3, 3, 3, 2)
     for s in (1, 2):
         assert de.is_s_design(de.design_profile(D, s))
+
+
+def test_cached_linear_sets_still_check_the_cap():
+    # members of dim 2 over F_3 have 9 vectors each: over cap 5 whether or not the linear sets are cached
+    D = pseudoregulus_design(3, 2, 1, 2)
+    with pytest.raises(EnumerationCapExceeded):
+        de.design_profile(D, 1, cap=5)
+    assert de.design_profile(D, 1).A_min == 1  # builds and caches the linear sets
+    with pytest.raises(EnumerationCapExceeded):
+        de.design_profile(D, 1, cap=5)
+    with pytest.raises(EnumerationCapExceeded):
+        D.member_linear_sets(cap=8)
+    assert len(D.member_linear_sets(cap=9)) == D.t

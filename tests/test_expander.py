@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -125,3 +128,19 @@ def test_sample_mode_pinned_draws(q, m, seed, samples):
     report = ex.expansion_check(ex.build_expander(twisted_design(q, m, 2, 2)), 3, mode="sample", samples=samples, seed=seed)
     got = {r: (str(data["min_ratio"]), data["witness"].tolist()) for r, data in report.per_dim.items()}
     assert got == SAMPLED[(q, m, seed, samples)]
+
+
+def test_expander_certificate_survives_python_O():
+    # evaluation maps that lose a column must be refused even with asserts stripped
+    check = (
+        "from subdesigns import expander as ex\n"
+        "from subdesigns.repro import twisted_design\n"
+        "from subdesigns.subspace import AmbientSpace\n"
+        "D = twisted_design(3, 3, 2, 2)\n"
+        "expand = AmbientSpace.expand\n"
+        "AmbientSpace.expand = lambda self, vecs: expand(self, vecs)[..., :-1]\n"
+        "ex.build_expander(D)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: every evaluation map must be ell x ell" in proc.stderr

@@ -246,3 +246,20 @@ def test_smallest_root(p, h, m):
         assert smallest_root(F, cubic) == (roots[0] if roots else None)
     for degree in (2, 3):
         assert smallest_root(F, find_irreducible(F, degree)) is None
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (3, 2, 4)])
+def test_inverse_of_zero_inside_an_array(key):
+    # table fields and F_6561 above FULL_TABLE_CAP: a zero anywhere is refused, scalars keep their shape
+    F = make_tower(*key).fqm
+    with pytest.raises(DivisionByZero):
+        F.inv(0)
+    with pytest.raises(DivisionByZero):
+        F.inv(np.array([1, 0, 2]))
+    with pytest.raises(DivisionByZero):
+        F.inv(np.array([[1, 2], [3, 0]]))
+    a = np.arange(1, F.size)
+    inv = F.inv(a)
+    assert inv.shape == a.shape and set(F.mul(a, inv).tolist()) == {1}
+    assert np.ndim(F.inv(2)) == 0 and int(F.mul(2, F.inv(2))) == 1
+    assert F.inv(np.zeros(0, dtype=np.int64)).shape == (0,)

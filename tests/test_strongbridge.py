@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,18 @@ def test_places_injectivity_larger_space():
     gens = [[1], [0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]]  # all of F_4[x]_{<5}
     D = sb.places_embed(t, [gens], p, 2, 2)
     assert D.dims == (5,)
+
+
+def test_strongbridge_certificate_survives_python_O():
+    # a strong-design bound below the truth must be refused even with asserts stripped
+    check = (
+        "from subdesigns import strongbridge as sb\n"
+        "from subdesigns.gf import make_tower\n"
+        "from subdesigns.subspace import AmbientSpace, FqmSubspace\n"
+        "amb = AmbientSpace(make_tower(2, 1, 2), 2)\n"
+        "S = sb.StrongSubspaceDesign(amb, [FqmSubspace.from_rows(amb, [[1, 0]]), FqmSubspace.from_rows(amb, [[0, 1]])])\n"
+        "sb.intermediate_field_design(S, 4, 1, A=0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: intermediate-field certificate failed" in proc.stderr

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from subdesigns import linalg, subspace
 from subdesigns.design import SubspaceDesign, section_dims, section_spans
 from subdesigns.errors import AmbientMismatch, DimensionMismatch, EnumerationCapExceeded, ZeroSubspace
+from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import frobenius, make_tower
 from subdesigns.repro import sigma_towers
 from subdesigns.subspace import (
@@ -109,6 +110,25 @@ def test_rref_blocks_keep_enumeration_order(monkeypatch, Q, s, k, chunk):
     assert len(flat) == len(expected)
     for (X, piv), (Y, qiv) in zip(flat, expected):
         assert piv == qiv and np.array_equal(X, Y)
+
+
+@pytest.mark.parametrize("Q,k", [(2, 1), (2, 4), (3, 3), (4, 2), (9, 3), (27, 2), (2, 14)])
+def test_projective_reps_are_the_rref_rows(Q, k):
+    # (2, 14) takes two RREF_CHUNK blocks for the pivot in column 0
+    reps = subspace.canonical_projective_reps(Q, k)
+    assert reps.dtype == DTYPE
+    assert reps.tolist() == [M[0].tolist() for M, _ in enumerate_rref_matrices(Q, 1, k)]
+    assert subspace.canonical_projective_reps(Q, 0).shape == (0, 0)
+
+
+def test_fqm_contains_matches_the_dot_product(amb9):
+    # v lies in the hyperplane x^perp iff x . v = 0, for every point v and normal x of F_9^2
+    F = amb9.tower.fqm
+    for x in hyperplane_normals(amb9):
+        H = hyperplane_subspace(amb9, x)
+        assert H.contains([0, 0])
+        for v in hyperplane_normals(amb9):
+            assert H.contains(v) == (int(F.add(F.mul(x[0], v[0]), F.mul(x[1], v[1]))) == 0)
 
 
 def test_enumeration_chunking(amb9):

@@ -1,7 +1,10 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from subdesigns import design as de
 from subdesigns import hamming as ha
@@ -69,7 +72,7 @@ def test_weights(code9):
     from subdesigns.subspace import canonical_projective_reps
 
     for x in canonical_projective_reps(t.order, code9.k):
-        sr.sumrank_weight(code9, x, check=True)  # asserts internally
+        sr.sumrank_weight(code9, x)  # certifies internally
 
 
 def test_support_blocks(code9):
@@ -80,6 +83,16 @@ def test_support_blocks(code9):
     # containment is reflexive and respects the zero support
     assert s.contains(z, code9.tower.fq) and s.contains(s, code9.tower.fq)
     assert not z.contains(s, code9.tower.fq)
+    # strict containment over F_9/F_3: supp((0, 1)) = (<(1, 0)>, <(1, 0)>) lies inside
+    # supp((1, 0)) = (F_3^2, <(1, 0)>) but not conversely; supp((1, 2)) = (<(0, 1)>, 0)
+    # and supp((0, 1)) are incomparable
+    t = make_tower(3, 1, 2)
+    C = sr.SumRankCode(t, (2, 2), [np.array([[1, t.gen().code], [1, 0]]), np.array([[1, 0], [1, 0]])])
+    x, y, w = (sr.support(C, v) for v in ([1, 0], [0, 1], [1, 2]))
+    assert (x.dims, y.dims, w.dims) == ((2, 1), (1, 1), (1, 0))
+    assert w.basis(0).tolist() == [[0, 1]] and y.basis(0).tolist() == [[1, 0]]
+    assert x.contains(y, t.fq) and not y.contains(x, t.fq)
+    assert x.contains(w, t.fq) and not w.contains(y, t.fq) and not y.contains(w, t.fq)
 
 
 def test_support_full_and_zero_blocks():
@@ -245,7 +258,7 @@ def test_weight_spectrum_exhaustive_against_codewords(code9):
     spec = sr.weight_spectrum(code9)
     direct: dict[int, int] = {}
     for msg in itertools.product(range(t.order), repeat=code9.k):
-        w = sr.sumrank_weight(code9, np.array(msg, dtype=DTYPE), check=False)
+        w = sr.sumrank_weight(code9, np.array(msg, dtype=DTYPE))
         direct[w] = direct.get(w, 0) + 1
     assert spec == direct
 
@@ -277,7 +290,7 @@ def test_weight_agreement_exhaustive_small_codes():
     ]
     for C in corpus:
         for x in canonical_projective_reps(C.tower.order, C.k):
-            sr.sumrank_weight(C, x, check=True)
+            sr.sumrank_weight(C, x)
 
 
 def test_scalar_multiples_share_support(code9):
@@ -290,3 +303,61 @@ def test_scalar_multiples_share_support(code9):
         for c in range(2, t.order):
             scaled = sr.support(code9, np.asarray(t.fqm.mul(c, x), dtype=DTYPE))
             assert scaled == base
+
+
+def _looped_pairs(C):
+    """The pairs verdict by a double loop over support containment, first (a, b) in row-major order."""
+    reps = sp.canonical_projective_reps(C.tower.order, C.k)
+    sups = [sr.support(C, x) for x in reps]
+    for a, sa in enumerate(sups):
+        for b, sb in enumerate(sups):
+            # containment needs blockwise dims no larger; testing that first keeps the loop short
+            if a != b and all(db <= da for da, db in zip(sa.dims, sb.dims)) and sa.contains(sb, C.tower.fq):
+                return False, (np.hstack(C.encode(reps[a])), np.hstack(C.encode(reps[b])))
+    return True, None
+
+
+def _assert_same_pairs_verdict(C):
+    got, want = sr.is_minimal_code(C, method="pairs"), _looped_pairs(C)
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        assert [w.tolist() for w in got[1]] == [w.tolist() for w in want[1]]
+
+
+@given(st.integers(0, 10_000))
+@example(197)  # the witness row a lies past the first chunk of rows: F_27, k = 3, one row per chunk
+@example(338)  # F_9, k = 3: a = 34 in chunks of 30 rows
+def test_pairs_match_looped_support_containment(seed):
+    # random codes of the shapes criterion 10 draws
+    rng = np.random.default_rng(seed)
+    p, h, m = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3)][int(rng.integers(0, 4))]
+    tower = make_tower(p, h, m)
+    k = int(rng.integers(1, 4))
+    lengths = sorted((int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))), reverse=True)
+    assume(k <= sum(lengths))
+    G = rng.integers(0, tower.order, (k, sum(lengths))).astype(DTYPE)
+    assume(linalg.rank(tower.fqm, G) == k)
+    _assert_same_pairs_verdict(sr.SumRankCode(tower, lengths, np.split(G, np.cumsum(lengths)[:-1], axis=1)))
+
+
+def test_pairs_match_looped_support_containment_on_corpus():
+    from subdesigns.repro import max1_corpus
+
+    for _, D in max1_corpus():
+        if D.ambient.tower.order ** D.ambient.k <= 4096:
+            _assert_same_pairs_verdict(sr.code_from_system(D))
+
+
+def test_sumrank_certificate_survives_python_O():
+    # a geometric weight off by one must be refused even with asserts stripped
+    check = (
+        "from subdesigns import sumrank as sr\n"
+        "from subdesigns.repro import pseudoregulus_design\n"
+        "dims = sr.section_dims\n"
+        "sr.section_dims = lambda D, normals: dims(D, normals) + 1\n"
+        "sr.sumrank_weight(sr.code_from_system(pseudoregulus_design(3, 2, 1, 2)), [1, 0])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: direct and geometric weights disagree" in proc.stderr
