@@ -9,8 +9,11 @@ The sweeps need ranks and echelon rows of many tiny matrices.
 ``echelon_batch``, the one batched elimination, reduces a whole stack
 (B, r, c) column by column with one field gather per step: table-driven
 elimination in the spirit of M4RI, vectorised over the batch instead of
-over bits.  ``rank_batch`` counts its pivots.  The looped ``rref``
-serves single subspaces and is the oracle of both.  Membership and
+over bits.  ``rank_batch`` takes the narrower side as c.  When F^c is
+small it folds the rows through a subspace-transition table, one gather
+per row: T[s, v] is the span of subspace s of F^c and the vector with
+code v.  Otherwise it counts the pivots of ``echelon_batch``.  The looped
+``rref`` serves single subspaces and is the oracle of both.  Membership and
 containment are the rank identity rk [A; B] = rk A; there is no
 separate membership test.
 """
@@ -19,10 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from subdesigns.errors import certify
 from subdesigns.fieldcore import DTYPE, SmallField
 
 # Matrix cells per elimination chunk in rank_batch.
 RANK_CELLS = 1 << 16
+# Largest span table, in subspaces x |F|^c x |F|^c cells (the build's temporaries
+# stay within it): F_2 up to c = 5, F_3 up to 4, F_4 and F_5 at 3, F_7 to F_19 at 2.
+SPAN_TABLE_CAP = 1 << 22
 
 
 def rref(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -58,20 +65,82 @@ def rank(F: SmallField, M: np.ndarray) -> int:
 
 
 def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
-    """F-ranks (B,) of a stack M (B, r, c) of matrices: the pivots of echelon_batch.
+    """F-ranks (B,) of a stack M (B, r, c) of matrices.
 
-    The stack is eliminated RANK_CELLS cells at a time, which bounds the
-    temporaries whatever its length.
+    With c the narrower side, a stack whose F^c has a span table folds its
+    rows from the zero subspace, s <- span(s, row), and reads dim s.  Any
+    other stack is eliminated by echelon_batch RANK_CELLS cells at a time,
+    which bounds the temporaries whatever its length.
     """
     M = np.asarray(M)
     if M.shape[1] < M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
         M = M.transpose(0, 2, 1)
     B, r, c = M.shape
+    if r == 0 or c == 0:
+        return np.zeros(B, dtype=np.int64)
+    table = _span_table(F, c)
+    if table is not None:
+        T, dims = table
+        s = np.zeros(B, dtype=DTYPE)  # T offset of the span so far
+        for j in range(r):
+            for k in range(c):  # s + code of row j, built in place one digit at a time
+                s += M[:, j, k] * F.size**k
+            s = T[s]
+        return dims[s // F.size**c]
     ranks = np.zeros(B, dtype=np.int64)
-    step = max(1, RANK_CELLS // max(1, r * c))
+    step = max(1, RANK_CELLS // (r * c))
     for lo in range(0, B, step):
         ranks[lo : lo + step] = (echelon_batch(F, M[lo : lo + step])[1] < c).sum(axis=1)
     return ranks
+
+
+def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(T, dims) over the subspaces of F^c, or None if it would exceed SPAN_TABLE_CAP.
+
+    A vector's code is its base-|F| digits read as one number.  Subspaces
+    are numbered by dimension, each level in the order of its membership
+    bits; level d+1 is every span of a level-d subspace with a vector
+    outside it, and its size is certified against the Gaussian binomial.
+    T is flat: T[s * |F|^c + v] = span(s, v) * |F|^c, so a fold adds the
+    next code to the last lookup.  dims[s] is dim s.  Built once per field
+    and width.
+    """
+    cache = vars(F).setdefault("_span_tables", {})
+    if c not in cache:
+        from subdesigns.subspace import gaussian_binomial  # subspace imports linalg
+
+        q = F.size
+        counts = [gaussian_binomial(c, d, q) for d in range(c + 1)]
+        cache[c] = None if sum(counts) * q ** (2 * c) > SPAN_TABLE_CAP else _build_span_table(F, c, counts)
+    return cache[c]
+
+
+def _build_span_table(F: SmallField, c: int, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    q = F.size
+    Qc = q**c
+    weights = q ** np.arange(c)
+    digits = np.arange(Qc)[:, None] // weights % q
+    vadd = (F.add(digits[:, None], digits[None]) @ weights).astype(DTYPE)  # (Qc, Qc): u + v
+    lines = (F.mul(np.arange(q)[:, None, None], digits[None]) @ weights).T.astype(DTYPE)  # (Qc, q): a v
+    T = np.empty((sum(counts), Qc), dtype=DTYPE)
+    S = np.zeros((1, 1), dtype=DTYPE)  # level 0: the zero subspace, as its element codes
+    inside = np.arange(Qc)[None] == 0  # (subspaces, Qc) membership of the current level
+    lo = 0
+    for d in range(c):
+        n = len(S)
+        T[lo : lo + n] = np.arange(lo, lo + n)[:, None]
+        s, v = np.nonzero(~inside)
+        span = vadd[S[s][:, :, None], lines[v][:, None, :]].reshape(len(s), -1)
+        inside = np.zeros((len(s), Qc), dtype=bool)
+        inside[np.arange(len(s))[:, None], span] = True
+        # one row per distinct span, keyed by its packed membership bits
+        _, first, inv = np.unique(np.packbits(inside, axis=1), axis=0, return_index=True, return_inverse=True)
+        certify(len(first) == counts[d + 1], f"F_{q}^{c} must have {counts[d + 1]} subspaces of dimension {d + 1}")
+        S, inside = span[first], inside[first]
+        T[lo + s, v] = lo + n + inv.reshape(-1)
+        lo += n
+    T[lo:] = lo  # F^c itself
+    return (T * Qc).reshape(-1), np.repeat(np.arange(c + 1), counts)
 
 
 def echelon_batch(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

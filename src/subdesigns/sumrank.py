@@ -315,22 +315,25 @@ def is_minimal_code(
         reps = canonical_projective_reps(t.order, C.k)
         # supp(y) <= supp(x) iff sum_i rk [S_i(x); S_i(y)] = wt(x) for the expansions
         # S_i of block i: no joint rank is below rk S_i(x), so the sums meet only when
-        # every block does.  The digits (n_i, m) of x G_i are S_i(x) transposed.
+        # every block does.  As the joint rank is also at least rk S_i(y), only pairs
+        # with wt_i(y) <= wt_i(x) in every block are ranked.  The digits (n_i, m) of
+        # x G_i are S_i(x) transposed.
         digits = block_digits(t, reps, C.blocks)
-        wt = _weights(C, reps)
+        bw = np.stack([linalg.rank_batch(t.fq, d) for d in digits], axis=1)  # (n, t) block weights
+        wt = bw.sum(axis=1)
         n = len(reps)
         step = max(1, linalg.RANK_CELLS // (2 * t.m * C.N * max(1, n)))  # rows a per chunk
         for lo in range(0, n, step):
             a = np.arange(lo, min(lo + step, n))
+            near = (bw[None] <= bw[a, None]).all(axis=2) & (a[:, None] != np.arange(n))
+            pa, pb = np.nonzero(near)  # candidate pairs in row-major order
             joint = 0
-            for d in digits:  # the digits [x G_i | y G_i] of every pair, (a.size * n, n_i, 2m)
-                pairs = np.concatenate(np.broadcast_arrays(d[a, None], d[None]), axis=3)
-                joint = joint + linalg.rank_batch(t.fq, pairs.reshape(a.size * n, d.shape[1], 2 * t.m))
-            joint = joint.reshape(a.size, n)
-            hit = (joint == wt[a, None]) & (a[:, None] != np.arange(n))
-            if hit.any():
-                i, b = divmod(int(hit.argmax()), n)  # the first pair (a, b) in row-major order
-                return False, (np.hstack(C.encode(reps[a[i]])), np.hstack(C.encode(reps[b])))
+            for d in digits:  # the digits [x G_i | y G_i] of every candidate, (pairs, n_i, 2m)
+                joint = joint + linalg.rank_batch(t.fq, np.concatenate([d[a[pa]], d[pb]], axis=2))
+            hit = np.flatnonzero(joint == wt[a[pa]])
+            if hit.size:
+                i, b = a[pa[hit[0]]], pb[hit[0]]  # the first pair (a, b) in row-major order
+                return False, (np.hstack(C.encode(reps[i])), np.hstack(C.encode(reps[b])))
         return True, None
     if method != "geometric":
         raise ValueError("method must be 'geometric' or 'pairs'")

@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from subdesigns import linalg
 from subdesigns.gf import make_tower
+from subdesigns.subspace import gaussian_binomial
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +106,67 @@ def test_rank_batch_empty_stacks(fields):
     for shape in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]:
         ranks = linalg.rank_batch(F9, np.zeros(shape, dtype=np.int32))
         assert ranks.shape == (shape[0],) and not ranks.any()
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """The shapes of every stack rank_batch hands to echelon_batch."""
+    calls = []
+    eliminate = linalg.echelon_batch
+
+    def counted(F, M):
+        calls.append(np.shape(M))
+        return eliminate(F, M)
+
+    monkeypatch.setattr(linalg, "echelon_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+@pytest.mark.parametrize("level", ["fq", "fqm"])
+def test_rank_batch_path_follows_span_table_cap(key, level, echelon_calls):
+    # every width whose table fits SPAN_TABLE_CAP folds; the first that does not eliminates
+    F = getattr(make_tower(*key), level)
+    rng = np.random.default_rng(F.size)
+    c = 1
+    while (table := linalg._span_table(F, c)) is not None:
+        T, dims = table
+        assert np.bincount(dims).tolist() == [gaussian_binomial(c, d, F.size) for d in range(c + 1)]
+        assert T.shape == (len(dims) * F.size**c,)
+        M = rng.integers(0, F.size, (7, c + 2, c))
+        assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
+        assert echelon_calls == []
+        c += 1
+    M = rng.integers(0, F.size, (3, c, c + 1))
+    assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
+    assert echelon_calls == [(3, c + 1, c)]
+
+
+def test_rank_batch_paths_on_sweep_shapes(echelon_calls):
+    F3 = make_tower(3, 1, 3).fq
+    rng = np.random.default_rng(1)
+    M = rng.integers(0, 3, (20440, 6, 3))  # the headline design's section ranks
+    M[::2, :, 2] = 0
+    ranks = linalg.rank_batch(F3, M)
+    assert echelon_calls == []
+    assert ranks[:300].tolist() == [linalg.rank(F3, X) for X in M[:300]]
+    F2, F9 = make_tower(2, 1, 2).fq, make_tower(3, 1, 2).fqm
+    for F, shape in [(F2, (100, 12, 12)), (F9, (100, 4, 4))]:
+        M = rng.integers(0, F.size, shape)
+        assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
+        assert echelon_calls.pop() == shape
+
+
+def test_span_table_certificate_survives_python_O():
+    # an addition that ignores its second term collapses every span onto the zero subspace
+    check = (
+        "import numpy as np\n"
+        "from subdesigns import linalg\n"
+        "from subdesigns.fieldcore import SmallField\n"
+        "F = SmallField(3, None, None)\n"
+        "F.add = lambda a, b: np.broadcast_arrays(a, b)[0]\n"
+        "linalg.rank_batch(F, np.eye(3, dtype=np.int32)[None])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: F_3^3 must have 13 subspaces of dimension 1" in proc.stderr
