@@ -25,7 +25,7 @@ from subdesigns import strongbridge as sb
 from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
 from subdesigns.config import RunConfig
-from subdesigns.errors import FormatError, SubdesignsError
+from subdesigns.errors import BadParameters, FormatError, SubdesignsError
 from subdesigns.gf import make_tower, prime_power
 
 
@@ -73,7 +73,10 @@ def _load_design(path: str) -> de.SubspaceDesign:
 
 
 def _parse_elements(tower, text: str) -> list:
-    return [tower.element(part) for part in text.split(",") if part]
+    try:
+        return [tower.element(part) for part in text.split(",") if part]
+    except ValueError as exc:
+        raise BadParameters(f"cannot parse field elements {text!r}: {exc}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -116,9 +119,11 @@ def _cmd_construct(args, cfg: RunConfig) -> dict:
         tower = _tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, args.k)
         alphas = _parse_elements(tower, args.alphas)
-        eta = tower.element(args.eta)
+        etas = _parse_elements(tower, args.eta)
+        if len(etas) != 1:
+            raise BadParameters(f"--eta takes one field element, got {args.eta!r}")
         blocks = [de.full_field_block(tower)] * len(alphas)
-        D = de.construct_twisted(amb, alphas, eta, blocks, s_exp=args.s_exp, cap=cfg.enumeration_cap)
+        D = de.construct_twisted(amb, alphas, etas[0], blocks, s_exp=args.s_exp, cap=cfg.enumeration_cap)
     elif kind == "basis-partition":
         tower = _tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, args.k)
@@ -302,7 +307,7 @@ def _cmd_repro(args, cfg: RunConfig) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="subdesigns", description=__doc__)
-    ap.add_argument("--cap", type=int, default=RunConfig().enumeration_cap, help="enumeration cap")
+    ap.add_argument("--cap", type=_positive_int, default=RunConfig().enumeration_cap, help="enumeration cap")
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -310,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("kind", choices=["pseudoregulus", "twisted", "basis-partition", "field-partition",
                                     "direct-sum", "enlarge"])
     c.add_argument("inputs", nargs="*", help="input design files (direct-sum, enlarge)")
-    c.add_argument("--q", type=int)
-    c.add_argument("--m", type=int)
-    c.add_argument("--k", type=int)
-    c.add_argument("--r", type=int)
+    c.add_argument("--q", type=_positive_int)
+    c.add_argument("--m", type=_positive_int)
+    c.add_argument("--k", type=_positive_int)
+    c.add_argument("--r", type=_positive_int)
     c.add_argument("--s", type=int)
     c.add_argument("--s-exp", type=int, default=1)
     c.add_argument("--mus")

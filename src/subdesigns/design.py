@@ -12,8 +12,8 @@ dim U_i - rk_q(x G_i) for every member and every canonical normal x.
 Its column sums give the (k-1)-profile, the histogram and the cutting
 totals; ``hamming`` reads the Ext point counts off it.  ``section_spans``
 gives the sections themselves as echelon rows, for the cutting test.
-Every other s sweeps stacked blocks of W with
-dim_q(U meet W) = dim U + ms - rk_q[U; W].  All sweeps eliminate whole
+Every other s reads the same identity off a closed-form basis X of W^perp:
+dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  All sweeps eliminate whole
 stacks at once through ``linalg.echelon_batch``.
 """
 
@@ -52,10 +52,10 @@ from subdesigns.subspace import (
     FqmSubspace,
     check_cap,
     enumerate_fqm_subspaces,
+    fqm_subspace_blocks,
     hyperplane_normals,
     hyperplane_subspace,
     linear_set,
-    max_meet_total,
     ordinary_dual,
     span_fq,
     subspace_count,
@@ -122,7 +122,7 @@ class SubspaceDesign:
         hyperplane_normals order; built once, with the cap checked on every call."""
         check_cap(subspace_count(self.ambient, 1), cap, "hyperplanes")
         if self._hyperplane_dims is None:
-            self._hyperplane_dims = section_dims(self, hyperplane_normals(self.ambient))
+            self._hyperplane_dims = section_dims(self, hyperplane_normals(self.ambient)[:, None])
             self._hyperplane_dims.flags.writeable = False
         return self._hyperplane_dims
 
@@ -151,15 +151,23 @@ def _point_sort_key(point: tuple) -> tuple:
 
 
 def block_digits(tower: FieldTower, X: np.ndarray, blocks) -> list[np.ndarray]:
-    """F_q digits (B, n_i, m) of x G_i for every row x of X (B, k), one array per block G_i (k, n_i)."""
-    return [tower.fqm.to_digits(linalg.matmul(tower.fqm, X, G)) for G in blocks]
+    """F_q digits (..., n_i, m) of x G_i for every row x of X (..., k), one array per block G_i (k, n_i)."""
+    rows = X.reshape(-1, X.shape[-1])
+    return [tower.fqm.to_digits(linalg.matmul(tower.fqm, rows, G)).reshape(*X.shape[:-1], G.shape[1], tower.m)
+            for G in blocks]
 
 
-def section_dims(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
-    """dim_q(U_i meet x^perp) = dim U_i - rk_q(x G_i), shape (t, B): one row per member."""
-    fq = D.ambient.tower.fq
-    digits = block_digits(D.ambient.tower, normals, D.gen_blocks())
-    return np.array([U.dim - linalg.rank_batch(fq, d) for U, d in zip(D.members, digits)])
+def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
+    """dim_q(U_i meet X_b^perp) = dim U_i - rk_q(X_b G_i) for a stack X (B, r, k), shape (t, B).
+
+    Row j of member i's digit matrix (dim U_i, r m) holds the digits of
+    x_l . u_j for every row x_l of X_b.
+    """
+    t = D.ambient.tower
+    B, r, _ = X.shape
+    digits = block_digits(t, X, D.gen_blocks())  # (B, r, dim U_i, m) each
+    return np.array([U.dim - linalg.rank_batch(t.fq, d.swapaxes(1, 2).reshape(B, U.dim, r * t.m))
+                     for U, d in zip(D.members, digits)])
 
 
 def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
@@ -200,6 +208,23 @@ def _profile_points(D: SubspaceDesign, cap) -> tuple[int, FqmSubspace]:
     return best, FqmSubspace.from_rows(amb, [list(pick)])
 
 
+def _profile_sections(D: SubspaceDesign, s: int, cap) -> tuple[int, FqmSubspace]:
+    """Generic s: the first maximiser in enumeration order of the section totals, read off
+    the W^perp basis x_f = e_f - sum_i W[i, f] e_{piv_i}, f not a pivot of the RREF block W."""
+    amb = D.ambient
+    best, witness = -1, None
+    for W, piv in fqm_subspace_blocks(amb, s, cap=cap):
+        free = [f for f in range(amb.k) if f not in piv]
+        X = np.zeros((len(W), len(free), amb.k), dtype=DTYPE)
+        X[:, range(len(free)), free] = 1
+        X[:, :, piv] = amb.tower.fqm.neg(W[:, :, free]).swapaxes(1, 2)
+        totals = section_dims(D, X).sum(axis=0)
+        i = int(np.argmax(totals))  # the first maximum keeps enumeration order
+        if totals[i] > best:
+            best, witness = int(totals[i]), FqmSubspace(amb, W[i].copy(), piv)
+    return best, witness
+
+
 def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> DesignProfile:
     """Exact maximum intersection total over all s-dimensional F_{q^m}-subspaces."""
     amb = D.ambient
@@ -217,7 +242,7 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
         best = int(sums[idx])
         witness = hyperplane_subspace(amb, hyperplane_normals(amb)[idx])
     else:
-        best, witness = max_meet_total(amb, D.members, s, cap)
+        best, witness = _profile_sections(D, s, cap)
     if span >= s:
         certify(best >= s, "every design with span >= s meets some W in total >= s")
     return DesignProfile(s=s, A_min=best, span_dim=span, witness=witness, non_degenerate=span == k)

@@ -291,9 +291,6 @@ class FFElement:
     def is_zero(self) -> bool:
         return self.code == 0
 
-    def in_fq(self) -> bool:
-        return self.tower.in_fq_code(self.code)
-
     def _check(self, other: "FFElement") -> "FFElement":
         if not isinstance(other, FFElement):
             other = self.tower.element(other)

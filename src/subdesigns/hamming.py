@@ -8,19 +8,17 @@ wise (q^m - 1 codewords per hyperplane plus the zero word).  The point
 count of a hyperplane x^perp is never gathered point by point: member
 U_i puts (q^d - 1)/(q - 1) points on it, d = dim_q(U_i meet x^perp),
 read off the source design's one cached section array
-(``SubspaceDesign.hyperplane_dims``).  The code is never materialised
-except as a small-scale oracle.  Certificates raise ``CertificateFailed``
+(``SubspaceDesign.hyperplane_dims``).  The code is never materialised;
+the tests scan it as a small-scale oracle.  Certificates raise ``CertificateFailed``
 and survive ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from subdesigns import linalg
 from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
 from subdesigns.errors import BadParameters, EnumerationCapExceeded, NotTwoIntersection, ZeroMember, certify
@@ -82,26 +80,6 @@ def weight_enumerator(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION
         enum[w] = enum.get(w, 0) + (Q - 1) * int(h)
     certify(sum(enum.values()) == Q**amb.k, "enumerator must count all codewords")
     certify(max(enum) <= N, "weights cannot exceed the length")
-    return enum
-
-
-def materialized_enumerator(P: ProjectiveSystem, cap: int | None = 10**6) -> dict[int, int]:
-    """Oracle: build the generator column-by-column and scan every codeword."""
-    amb = P.ambient
-    F = amb.tower.fqm
-    Q = amb.tower.order
-    k = amb.k
-    if cap is not None and Q**k > cap:
-        raise EnumerationCapExceeded("codeword scan exceeds cap")
-    cols = []
-    for pt in sorted(P.entries):
-        cols.extend([list(pt)] * P.entries[pt])
-    G = np.array(cols, dtype=DTYPE).T  # k x N
-    enum: dict[int, int] = {}
-    for msg in product(range(Q), repeat=k):
-        word = linalg.vecmat(F, np.array(msg, dtype=DTYPE), G)
-        w = int(np.count_nonzero(word))
-        enum[w] = enum.get(w, 0) + 1
     return enum
 
 

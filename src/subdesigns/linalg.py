@@ -226,17 +226,6 @@ def intersect_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarr
     return rref(F, matmul(F, L[:, :ra], A))[0]
 
 
-def meet_dim(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """dim(rowspace(A) & rowspace(B)) = rk A + rk B - rk [A; B] for A, B of full row rank.
-
-    B may be a stack (..., rb, c) sharing one A; the answer has shape B.shape[:-2].
-    """
-    B = np.asarray(B, dtype=DTYPE)
-    Bs = B.reshape(int(np.prod(B.shape[:-2])), *B.shape[-2:])
-    stack = np.concatenate([np.broadcast_to(A, (Bs.shape[0], *A.shape)), Bs], axis=1)
-    return (A.shape[0] + B.shape[-2] - rank_batch(F, stack)).reshape(B.shape[:-2])
-
-
 def invert(F: SmallField, M: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix; raises ValueError when singular."""
     n = M.shape[0]

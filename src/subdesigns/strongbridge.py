@@ -2,7 +2,10 @@
 
 Strong designs here carry F_{q^m}-subspace members and are measured
 against F_{q^m}-subspaces with top-field dimensions (the form in which
-they are consumed by the conversions).  The bridges:
+they are consumed by the conversions).  They are measured through their
+F_q-expansion: dim_q(V meet W) = m dim_{q^m}(V meet W), so the ordinary
+``design_profile`` of the expanded members, divided by m, is the strong
+profile.  The bridges:
 
 * intersect with a subspace-evasive F_q-subspace,
 * reinterpret over an intermediate field F_q < F_{q^m} < F_{q^c},
@@ -43,7 +46,6 @@ from subdesigns.subspace import (
     check_cap,
     enumerate_fqm_subspaces,
     gaussian_binomial,
-    max_meet_total,
     meet_join,
     span_fq,
     subspace_count,
@@ -81,7 +83,8 @@ def verify_strong(
     cap: int | None = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """Exact max of sum_i dim(V_i meet W) over s-dimensional F_{q^m}-subspaces W."""
-    return max_meet_total(S.ambient, S.members, s, cap)[0]
+    D = SubspaceDesign(S.ambient, [V.expand_fq() for V in S.members])
+    return design_profile(D, s, cap=cap).A_min // S.ambient.tower.m
 
 
 def evasive_intersect(
@@ -98,7 +101,7 @@ def evasive_intersect(
     if c <= 0:
         raise ValueError("c must be positive")
     for h in range(1, s + 1):
-        worst = max_meet_total(E.ambient, [E], h, cap)[0]
+        worst = design_profile(SubspaceDesign(E.ambient, [E]), h, cap=cap).A_min
         if worst > c * h:
             raise NotEvasive(f"E meets an {h}-dimensional subspace in dimension {worst} > {c}*{h}")
     t = S.ambient.tower

@@ -99,17 +99,6 @@ class AmbientSpace:
         dig = vecs.reshape(*vecs.shape[:-1], self.k, self.tower.m)
         return self.tower.fqm.from_digits(dig).astype(DTYPE)
 
-    def fq_rows(self, W: np.ndarray) -> np.ndarray:
-        """(..., s, k) F_{q^m} rows w_i -> (..., m*s, mk) expanded rows y^j w_i, j < m.
-
-        The rows span the F_{q^m}-span of the w_i over F_q; they are
-        independent when the w_i are.
-        """
-        t = self.tower
-        W = np.asarray(W, dtype=DTYPE)
-        scaled = t.fqm.mul(W[..., :, None, :], t.y_basis[:, None])  # (..., s, m, k)
-        return self.expand(scaled.reshape(*W.shape[:-2], W.shape[-2] * t.m, self.k))
-
     @property
     def trace_gram(self) -> np.ndarray:
         """Gram matrix over F_q of (u, v) -> Tr(u . v) in expanded coordinates."""
@@ -208,8 +197,10 @@ class FqmSubspace(RowSpace):
         return cls._canonical(ambient, rows)
 
     def expand_fq(self) -> FqSubspace:
-        """The same point set as an F_q-subspace (dimension m * dim)."""
-        U = FqSubspace.from_expanded_rows(self.ambient, self.ambient.fq_rows(self.basis))
+        """The same point set as an F_q-subspace (dimension m * dim), spanned by the y^j w_i, j < m."""
+        amb = self.ambient
+        scaled = amb.tower.fqm.mul(self.basis[:, None, :], amb.tower.y_basis[:, None])  # (dim, m, k)
+        U = FqSubspace.from_expanded_rows(amb, amb.expand(scaled.reshape(-1, amb.k)))
         certify(U.dim == self.ambient.tower.m * self.dim, "F_q-expansion must multiply the dimension by m")
         return U
 
@@ -422,27 +413,6 @@ def fqm_subspace_blocks(
     """RREF bases of enumerate_fqm_subspaces, in its order, as rref_matrix_blocks stacks."""
     _check_subspace_dim(ambient, s, cap)
     return rref_matrix_blocks(ambient.tower.order, s, ambient.k)
-
-
-def max_meet_total(
-    ambient: AmbientSpace,
-    members,
-    s: int,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-) -> tuple[int, FqmSubspace]:
-    """(max, first maximiser in enumeration order) over s-dimensional F_{q^m}-subspaces W
-    of sum_i dim(U_i meet W).  FqSubspace members count F_q-dimensions, FqmSubspace
-    members F_{q^m}-dimensions."""
-    over_fq = isinstance(members[0], FqSubspace)
-    F = ambient.tower.fq if over_fq else ambient.tower.fqm
-    best, witness = -1, None
-    for W, piv in fqm_subspace_blocks(ambient, s, cap=cap):
-        rows = ambient.fq_rows(W) if over_fq else W
-        totals = sum(linalg.meet_dim(F, U.basis, rows) for U in members)
-        i = int(np.argmax(totals))  # the first maximum keeps enumeration order
-        if totals[i] > best:
-            best, witness = int(totals[i]), FqmSubspace(ambient, W[i].copy(), piv)
-    return best, witness
 
 
 def subspace_count(ambient: AmbientSpace, s: int) -> int:

@@ -171,7 +171,7 @@ def sumrank_weight(C: SumRankCode, x) -> int:
     x = np.asarray(x, dtype=DTYPE)
     w = int(_weights(C, x.reshape(1, -1))[0])
     if np.any(x) and C.non_degenerate:
-        geo = C.N - int(section_dims(C.system(), x.reshape(1, -1)).sum())
+        geo = C.N - int(section_dims(C.system(), x.reshape(1, 1, -1)).sum())
         certify(geo == w, "direct and geometric weights disagree")
     return w
 

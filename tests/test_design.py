@@ -21,7 +21,16 @@ from subdesigns.errors import (
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower
 from subdesigns.repro import glued_design, pseudoregulus_design, twisted_design
-from subdesigns.subspace import AmbientSpace, FqmSubspace, FqSubspace, hyperplane_normals, hyperplane_subspace, span_fq
+from subdesigns.subspace import (
+    AmbientSpace,
+    FqmSubspace,
+    FqSubspace,
+    enumerate_fqm_subspaces,
+    hyperplane_normals,
+    hyperplane_subspace,
+    meet_join,
+    span_fq,
+)
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +282,20 @@ def test_witnesses_keep_enumeration_order(pseudo9):
         prof = de.design_profile(D, 2)
         assert (prof.A_min, prof.witness.basis.tolist()) == (A, [[1, 0, 0, 0], [0, 1, 0, 0]])
     assert de.is_cutting(pseudo9).witness.basis.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("m,seed", [(2, 2), (3, 3)])
+def test_generic_profile_matches_looped_meets(m, seed):
+    # the first maximiser in enumeration order of sum_i dim(U_i meet W), with every meet built
+    D = _moved(glued_design(2, m, 4, 1), seed)
+    best, witness = -1, None
+    for W in enumerate_fqm_subspaces(D.ambient, 2):
+        total = sum(meet_join(U, W)[0].dim for U in D.members)
+        if total > best:
+            best, witness = total, W
+    prof = de.design_profile(D, 2)
+    assert (prof.A_min, prof.witness) == (best, witness)
+    assert witness.basis.tolist() != [[1, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_classify(pseudo9):

@@ -303,3 +303,29 @@ def test_cli_expander_bad_values_are_usage_errors(tmp_path, capsys, argv, option
         run_cli("expander", str(design), "--max-dim", "1", *argv)
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,outcome", [
+    (["construct", "twisted", "--q", "3", "--m", "2", "--k", "0"], "--k"),
+    (["construct", "pseudoregulus", "--q", "3", "--m", "2", "--r", "0", "--mus", "1"], "--r"),
+    (["construct", "pseudoregulus", "--q", "3", "--m", "0", "--r", "1", "--mus", "1"], "--m"),
+    (["--cap", "0", "classify", "DESIGN"], "--cap"),
+    (["construct", "twisted", "--q", "3", "--m", "2", "--k", "2", "--alphas", "1", "--eta", "zz"], "BadParameters"),
+    (["construct", "twisted", "--q", "3", "--m", "2", "--k", "2", "--alphas", "1", "--eta", "1,2"], "BadParameters"),
+    (["construct", "pseudoregulus", "--q", "3", "--m", "2", "--r", "1", "--mus", "1,g"], "BadParameters"),
+    (["strong", "verify", "STRONG", "--s", "0"], "DimensionMismatch"),
+])
+def test_cli_bad_values_never_raise_a_traceback(tmp_path, capsys, argv, outcome):
+    # out-of-range integers are usage errors (exit 2); unparsable elements and s = 0 are error JSON
+    design, strong = tmp_path / "d.json", tmp_path / "s.json"
+    design.write_text(fmt.dumps(fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))))
+    strong.write_text(fmt.dumps(fmt.strong_design_to_json(sb.cameron_liebler("point_pencil", 1, 3, 2)[0])))
+    argv = [{"DESIGN": str(design), "STRONG": str(strong)}.get(a, a) for a in argv]
+    if outcome.startswith("--"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert outcome in capsys.readouterr().err
+    else:
+        assert run_cli(*argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == outcome

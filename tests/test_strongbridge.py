@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from subdesigns import design as de
+from subdesigns import linalg
 from subdesigns import strongbridge as sb
 from subdesigns.errors import (
     BadParameters,
     DegreeTooLarge,
+    DimensionMismatch,
     NotAMultiple,
     NotEvasive,
     NotIrreducible,
@@ -16,7 +18,7 @@ from subdesigns.errors import (
 )
 from subdesigns.fieldcore import poly_eval, poly_is_irreducible
 from subdesigns.gf import make_tower
-from subdesigns.subspace import AmbientSpace, FqmSubspace, FqSubspace, span_fq
+from subdesigns.subspace import AmbientSpace, FqmSubspace, FqSubspace, enumerate_fqm_subspaces, span_fq
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,21 @@ def test_verify_strong_basics(strong_f4):
     assert sb.verify_strong(sb.StrongSubspaceDesign(amb, [full]), 1) == 1
     point = FqmSubspace.from_rows(amb, [[1, 0]])
     assert sb.verify_strong(sb.StrongSubspaceDesign(amb, [point]), 1) == 1
+
+
+@pytest.mark.parametrize("p,h,m,k", [(2, 1, 3, 3), (2, 1, 2, 4)])
+def test_verify_strong_matches_looped_meets(p, h, m, k):
+    # the maximum over every W of sum_i dim_{q^m}(V_i meet W), with the meets built over F_{q^m}
+    t = make_tower(p, h, m)
+    amb = AmbientSpace(t, k)
+    rng = np.random.default_rng(k)
+    S = sb.StrongSubspaceDesign(amb, [FqmSubspace.from_rows(amb, rng.integers(0, t.order, (d, k))) for d in (1, 2, k - 1)])
+    for s in range(1, k + 1):
+        looped = max(sum(linalg.intersect_rowspaces(t.fqm, V.basis, W.basis).shape[0] for V in S.members)
+                     for W in enumerate_fqm_subspaces(amb, s))
+        assert sb.verify_strong(S, s) == looped
+    with pytest.raises(DimensionMismatch):
+        sb.verify_strong(S, 0)
 
 
 def test_cameron_liebler_point_pencil():

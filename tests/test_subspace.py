@@ -256,30 +256,44 @@ def test_hyperplane_meet_dim_matches_meet(amb9):
     U1 = span_fq(amb9, [(amb9.tower.one(), amb9.tower.one()), (i, frobenius(i, 1))])
     D = SubspaceDesign(amb9, [U1])
     normals = hyperplane_normals(amb9)
-    for x, dim, span in zip(normals, section_dims(D, normals)[0], section_spans(D, normals)):
+    for x, dim, span in zip(normals, section_dims(D, normals[:, None])[0], section_spans(D, normals)):
         meet = meet_join(U1, hyperplane_subspace(amb9, x))[0]
         rows = span[span.any(axis=1)]
         assert dim == rows.shape[0] == meet.dim
         assert span_fq(amb9, rows) == meet
 
 
+def _dual_basis(W: FqmSubspace) -> np.ndarray:
+    """W^perp in closed form from W's RREF basis: x_f = e_f - sum_i W[i, f] e_{piv_i}, f not a pivot."""
+    k = W.ambient.k
+    free = [f for f in range(k) if f not in W.pivots]
+    X = np.zeros((len(free), k), dtype=DTYPE)
+    for row, f in enumerate(free):
+        X[row, f] = 1
+        X[row, W.pivots] = W.ambient.tower.fqm.neg(W.basis[:, f])
+    return X
+
+
 @pytest.mark.parametrize("p,h,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)])
 @given(st.integers(0, 10_000))
 def test_rank_identity_meet_dim_matches_meet(p, h, m, seed):
+    # dim U - rk_q(X G_U) over the closed-form dual basis X of W, for W of every dimension,
+    # against the meet built by meet_join and against rk A + rk B - rk [A; B]
     amb = AmbientSpace(make_tower(p, h, m), 3)
     t = amb.tower
     rng = np.random.default_rng(seed)
-
-    def fq_space():
-        return FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (int(rng.integers(0, 3 * m)), 3 * m)))
-
-    def fqm_space():
-        return FqmSubspace.from_rows(amb, rng.integers(0, t.order, (int(rng.integers(0, 4)), 3)))
-
-    U, W = fq_space(), fq_space()
-    assert linalg.meet_dim(t.fq, U.basis, W.basis) == meet_join(U, W)[0].dim
-    V, X = fqm_space(), fqm_space()
-    assert m * linalg.meet_dim(t.fqm, V.basis, X.basis) == meet_join(V, X)[0].dim
+    U = FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (int(rng.integers(0, 3 * m)), 3 * m)))
+    V = FqmSubspace.from_rows(amb, rng.integers(0, t.order, (int(rng.integers(0, 4)), 3)))
+    D = SubspaceDesign(amb, [U, V.expand_fq()])
+    for s in range(4):
+        W = FqmSubspace.from_rows(amb, rng.integers(0, t.order, (s, 3)))
+        X = _dual_basis(W)
+        assert FqmSubspace.from_rows(amb, X) == fqm_dual(W)
+        got = section_dims(D, X[None])[:, 0].tolist()
+        Wq = W.expand_fq().basis
+        grassmann = U.dim + len(Wq) - linalg.rank(t.fq, np.vstack([U.basis, Wq]))
+        assert got[0] == meet_join(U, W)[0].dim == grassmann
+        assert got[1] == meet_join(V, W)[0].dim == m * (V.dim + W.dim - linalg.rank(t.fqm, np.vstack([V.basis, W.basis])))
 
 
 def test_expand_contract_round_trip(amb9):
