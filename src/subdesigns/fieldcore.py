@@ -6,16 +6,22 @@ extension of degree n over a base field with B elements the code is the
 little-endian base-B digit string of the coordinate vector in the power
 basis 1, y, ..., y^(n-1) of the extension generator y.
 
-Multiplication and inversion go through discrete-log tables, addition
-through digit decomposition.  The log/exp tables are built on whole code
-arrays: a gather table for c -> y*c (a digit shift and one fold of the
-modulus) gives, by Horner's rule, the table c -> g*c of each candidate
-g, and pointer doubling walks 1, g, g^2, ... through it.  The primitive
-element is the smallest code whose walk returns to 1 after exactly
-Q - 1 steps, which also certifies exp as a bijection onto the nonzero
-codes.  Fields of at most ``FULL_TABLE_CAP`` elements additionally carry
-full Q x Q add/mul tables so that scalar work is a single numpy gather.
-All operations accept plain ints or numpy integer arrays of codes.
+Multiplication and inversion go through discrete-log tables (a^-1 is
+g^((Q-1) - log a)), addition through digit decomposition.  The log/exp
+tables are built on whole code arrays: a gather table for c -> y*c (a
+digit shift and one fold of the modulus) gives, by Horner's rule, the
+table c -> g*c of each candidate g, and pointer doubling walks 1, g,
+g^2, ... through it.  The primitive element is the smallest code whose
+walk returns to 1 after exactly Q - 1 steps, which also certifies exp as
+a bijection onto the nonzero codes.  Fields of at most ``FULL_TABLE_CAP``
+elements additionally carry full Q x Q add/mul tables so that scalar
+work is a single numpy gather.  All operations accept plain ints or
+numpy integer arrays of codes.
+
+Every field also has a Zech table Z(n) = log(1 + g^n), built and
+certified on first use (``SmallField.zech``), so that a scalar sum is
+a + b = g^(log a + Z(log b - log a)): three lookups on plain ints, with
+no digit expansion.  ``skewpoly`` adds coefficients this way.
 
 Nothing here knows about towers or subspaces; see ``gf`` for the
 two-level tower used by the rest of the library.
@@ -105,10 +111,7 @@ class SmallField:
                 self._add_table = self._encode_digits(ds)
 
         self._exp, self._log = self._build_log_tables()
-        inv = np.zeros(Q, dtype=DTYPE)
-        nz = np.arange(1, Q)
-        inv[nz] = self._exp[(Q - 1) - self._log[nz]]
-        self._inv = inv
+        self._zech = None
 
         if Q <= FULL_TABLE_CAP:
             ls = self._log[:, None] + self._log[None, :]
@@ -169,10 +172,30 @@ class SmallField:
         self.generator_code = gen
         return np.concatenate([exp, exp]), log
 
-    # -- element helpers -----------------------------------------------------
+    @property
+    def zech(self) -> np.ndarray:
+        """Z(n) = log(1 + g^n) for 0 <= n < Q - 1 as int32, -1 at the one n
+        with 1 + g^n = 0; built on first use, TABLE_CHUNK exponents at a time."""
+        if self._zech is None:
+            n = self.size - 1
 
-    def elements(self) -> range:
-        return range(self.size)
+            def log_one_plus(e):
+                s = self.add(1, self._exp[e])
+                return np.where(s == 0, -1, self._log[s])
+
+            def breaks_symmetry(e):
+                # Z(-n) = log(g^-n (g^n + 1)) = Z(n) - n wherever both sides are defined
+                zn, zm = z[e], z[-e % n]
+                return (zn >= 0) & (zm >= 0) & ((zm - zn + e) % n != 0)
+
+            # exp is stored twice over, so the last exponent, Q - 1, repeats exponent 0
+            z = self._over_codes(log_one_plus)
+            certify(np.count_nonzero(z[:n] < 0) == 1 and not self._over_codes(breaks_symmetry).any(),
+                    f"Zech table of F_{self.size} is inconsistent: the field addition is corrupt")
+            self._zech = z[:n]
+        return self._zech
+
+    # -- element helpers -----------------------------------------------------
 
     def to_digits(self, a) -> np.ndarray:
         """Coordinates over the base field (little-endian); identity for primes."""
@@ -205,10 +228,9 @@ class SmallField:
         return np.where((a == 0) | (b == 0), 0, out)
 
     def inv(self, a):
-        out = self._inv[a]
-        if not out.all():  # _inv[0] is the only zero entry
+        if not np.asarray(a).all():
             raise DivisionByZero("inverse of zero")
-        return out
+        return self._exp[(self.size - 1) - self._log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -8,14 +8,15 @@ textbook Euclidean scheme with composition as multiplication; kernel
 dimensions come from the matrix of the induced map on the expansion
 basis and are checked against the degree bound on every call.
 
-The algebra runs on coefficient arrays: DTYPE codes of F_{q^m}, index =
-sigma-degree, no trailing zeros (``SigmaPoly.coeffs`` is the same data as
-a tuple of ints).  sigma^j of a whole array is one gather through the
-tower's Frobenius power table ``FieldTower.frob_powers``, so composing
-with a term a x^(sigma^i) is one vector mul and one vector add, and a
-division step clears the leading coefficient of the remainder the same
-way.  Every composition, division and gcrd/lclm is certified on the spot
-(``errors.certify``, which ``python -O`` keeps).
+The algebra runs on lists of plain int codes of F_{q^m} (index =
+sigma-degree, no trailing zeros; ``SigmaPoly.coeffs`` is the same data as
+a tuple).  Coefficient arithmetic reads the field's exp, log and Zech
+tables and the tower's Frobenius power table ``FieldTower.frob_powers``
+through zero-copy memoryviews: a product is exp[log a + log b], a sum
+exp[log a + Z(log b - log a)] (``SmallField.zech``) and sigma^i one
+lookup, each on Python ints with no numpy call.  Every composition,
+division and gcrd/lclm is certified on the spot (``errors.certify``,
+which ``python -O`` keeps).
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import numpy as np
 
 from subdesigns import linalg
 from subdesigns.errors import (
+    BadParameters,
     BothZero,
+    DivisionByZero,
     DivisionByZeroPoly,
     NotInBaseField,
     ParameterMismatch,
@@ -35,75 +38,96 @@ from subdesigns.errors import (
     ZeroTwist,
     certify,
 )
-from subdesigns.fieldcore import DTYPE
+from subdesigns.fieldcore import DTYPE, poly_trim
 from subdesigns.gf import FFElement, FieldTower
 
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    n = a.size
-    while n and not a[n - 1]:
-        n -= 1
-    return a[:n]
-
-
 class _Algebra:
-    """Coefficient-array arithmetic of the sigma-polynomials of one (tower, s)."""
+    """Sigma-polynomial arithmetic of one (tower, s) on lists of int codes."""
 
     def __init__(self, tower: FieldTower, s: int):
-        self.K = tower.fqm
-        self.T = tower.frob_powers
-        self.s = s
+        K = tower.fqm
+        self.n = K.size - 1  # order of the multiplicative group
+        self.exp = memoryview(K._exp)  # stored twice over: any exponent below 2n reads directly
+        self.log = memoryview(K._log)
+        self.zech = memoryview(K.zech)
+        self.neg = memoryview(K._neg)
         self.m = tower.m
+        self.rows = [memoryview(tower.frob_powers[s * i % self.m]) for i in range(self.m)]  # sigma^i
 
-    def sigma(self, a, i: int):
-        """sigma^i of the codes a: one gather."""
-        return self.T[self.s * i % self.m][a]
+    # -- coefficients --------------------------------------------------------------
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.size < b.size:
-            a, b = b, a
-        out = a.copy()
-        out[: b.size] = self.K.add(out[: b.size], b)
-        return _trim(out)
+    def sigma(self, a: int, i: int) -> int:
+        return self.rows[i % self.m][a]
 
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.add(a, self.K.neg(b))
+    def times(self, a: int, b: int) -> int:
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
 
-    def monic(self, a: np.ndarray) -> np.ndarray:
-        return self.K.mul(a, self.K.inv(a[-1])) if a.size else a
+    def inverse(self, a: int) -> int:
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        return self.exp[self.n - self.log[a]]
 
-    def compose(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def _axpy(self, out: list[int], off: int, c: int, i: int, g: Sequence[int]) -> None:
+        """out[off + j] += c * sigma^i(g_j) for every j, in place; c != 0."""
+        exp, log, zech, n = self.exp, self.log, self.zech, self.n
+        row = self.rows[i % self.m]
+        lc = log[c]
+        for j, b in enumerate(g, off):
+            if b:
+                lt = lc + log[row[b]]
+                a = out[j]
+                if a:
+                    la = log[a]
+                    z = zech[(lt - la) % n]
+                    out[j] = exp[la + z] if z >= 0 else 0
+                else:
+                    out[j] = exp[lt]
+
+    # -- polynomials ---------------------------------------------------------------
+
+    def add(self, a: Sequence[int], b: Sequence[int], c: int = 1) -> list[int]:
+        """a + c * b for a nonzero scalar c."""
+        out = list(a) + [0] * (len(b) - len(a))
+        self._axpy(out, 0, c, 0, b)
+        return poly_trim(out)
+
+    def sub(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        return self.add(a, b, self.neg[1])
+
+    def monic(self, a: Sequence[int]) -> list[int]:
+        inv = self.inverse(a[-1]) if a else 0
+        return [self.times(inv, x) for x in a]
+
+    def compose(self, f: Sequence[int], g: Sequence[int]) -> list[int]:
         """f o g for nonzero f, g; the top entry is kept even if it is zero."""
-        out = np.zeros(f.size + g.size - 1, dtype=DTYPE)
-        for i, a in enumerate(f.tolist()):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
             if a:
-                seg = out[i : i + g.size]
-                seg[:] = self.K.add(seg, self.K.mul(a, self.sigma(g, i)))
+                self._axpy(out, i, a, i, g)
         return out
 
-    def mul(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def mul(self, f: Sequence[int], g: Sequence[int]) -> list[int]:
         """f o g; degrees add for nonzero inputs (certified)."""
-        if not (f.size and g.size):
-            return f[:0]
+        if not (f and g):
+            return []
         out = self.compose(f, g)
         certify(out[-1] != 0, "composition dropped the leading term")
         return out
 
-    def divmod(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """q, r with f = q o g + r and deg r < deg g, for nonzero g; recomposition certified."""
-        dg = g.size - 1
-        inv_lead = self.K.inv(g[-1])  # sigma^i(g_top)^-1 = sigma^i(g_top^-1)
-        r = f.copy()
-        q = np.zeros(max(f.size - dg, 0), dtype=DTYPE)
-        for shift in range(q.size - 1, -1, -1):
+    def divmod(self, f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
+        """q, r with f = q o g + r and deg r < deg g, for nonzero g; both certified."""
+        dg = len(g) - 1
+        inv_lead = self.inverse(g[-1])  # sigma^i(g_top)^-1 = sigma^i(g_top^-1)
+        r = list(f)
+        q = [0] * max(len(f) - dg, 0)
+        for shift in range(len(q) - 1, -1, -1):
             lead = r[shift + dg]
-            if lead == 0:
-                continue
-            c = q[shift] = self.K.mul(lead, self.sigma(inv_lead, shift))
-            seg = r[shift : shift + dg + 1]
-            seg[:] = self.K.sub(seg, self.K.mul(c, self.sigma(g, shift)))
-        q, r = _trim(q), _trim(r)
-        certify(np.array_equal(self.add(self.mul(q, g), r), f), "divmod recomposition failed")
+            if lead:
+                c = q[shift] = self.times(lead, self.sigma(inv_lead, shift))
+                self._axpy(r, shift, self.neg[c], shift, g)
+        q, r = poly_trim(q), poly_trim(r)
+        certify(len(r) < len(g) and self.add(self.mul(q, g), r) == list(f), "divmod remainder or recomposition failed")
         return q, r
 
 
@@ -115,9 +139,9 @@ class SigmaPoly:
     def __init__(self, tower: FieldTower, coeffs: Sequence[int], s: int = 1):
         if gcd(s, tower.m) != 1:
             raise ParameterMismatch(f"sigma exponent {s} not coprime to m={tower.m}")
-        cs = [int(c) for c in (coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs)]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = poly_trim([int(c) for c in coeffs])
+        if not all(0 <= c < tower.order for c in cs):
+            raise BadParameters(f"sigma-polynomial coefficients must be codes in [0, {tower.order})")
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "s", s % tower.m if tower.m > 1 else 0)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -141,11 +165,6 @@ class SigmaPoly:
     def deg(self) -> int:
         """sigma-degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    @property
-    def array(self) -> np.ndarray:
-        """The coefficients as a DTYPE array (a fresh copy)."""
-        return np.array(self.coeffs, dtype=DTYPE)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -180,35 +199,35 @@ class SigmaPoly:
     def _algebra(self) -> _Algebra:
         return _Algebra(self.tower, self.s)
 
-    def _new(self, arr: np.ndarray) -> "SigmaPoly":
-        return SigmaPoly(self.tower, arr, self.s)
+    def _new(self, coeffs: Sequence[int]) -> "SigmaPoly":
+        return SigmaPoly(self.tower, coeffs, self.s)
 
     # -- additive structure --------------------------------------------------------
 
     def __add__(self, other: "SigmaPoly") -> "SigmaPoly":
         self._check(other)
-        return self._new(self._algebra().add(self.array, other.array))
+        return self._new(self._algebra().add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "SigmaPoly":
-        return self._new(self.tower.fqm.neg(self.array))
+        return SigmaPoly.zero(self.tower, self.s) - self
 
     def __sub__(self, other: "SigmaPoly") -> "SigmaPoly":
         self._check(other)
-        return self._new(self._algebra().sub(self.array, other.array))
+        return self._new(self._algebra().sub(self.coeffs, other.coeffs))
 
     def monic(self) -> "SigmaPoly":
-        return self._new(self._algebra().monic(self.array))
+        return self._new(self._algebra().monic(self.coeffs))
 
     # -- the induced F_q-linear map -------------------------------------------------
 
     def evaluate(self, x):
         """F(x) for a code or an array of codes of F_{q^m} (same shape)."""
-        A = self._algebra()
+        t = self.tower
         x = np.asarray(x, dtype=DTYPE)
         acc = np.zeros_like(x)
         for i, a in enumerate(self.coeffs):
             if a:
-                acc = A.K.add(acc, A.K.mul(a, A.sigma(x, i)))
+                acc = t.fqm.add(acc, t.fqm.mul(a, t.frob_powers[self.s * i % t.m][x]))
         return acc
 
     def matrix(self) -> np.ndarray:
@@ -223,7 +242,7 @@ class SigmaPoly:
 def skew_mul(F: SigmaPoly, G: SigmaPoly) -> SigmaPoly:
     """Composition F o G; degrees add for nonzero inputs."""
     F._check(G)
-    return F._new(F._algebra().mul(F.array, G.array))
+    return F._new(F._algebra().mul(F.coeffs, G.coeffs))
 
 
 def right_divmod(F: SigmaPoly, G: SigmaPoly) -> tuple[SigmaPoly, SigmaPoly]:
@@ -231,7 +250,7 @@ def right_divmod(F: SigmaPoly, G: SigmaPoly) -> tuple[SigmaPoly, SigmaPoly]:
     F._check(G)
     if G.is_zero():
         raise DivisionByZeroPoly("right division by the zero polynomial")
-    Q, R = F._algebra().divmod(F.array, G.array)
+    Q, R = F._algebra().divmod(F.coeffs, G.coeffs)
     return F._new(Q), F._new(R)
 
 
@@ -241,22 +260,21 @@ def gcrd_lclm(F: SigmaPoly, G: SigmaPoly) -> tuple[SigmaPoly, SigmaPoly]:
     if F.is_zero() and G.is_zero():
         raise BothZero("gcrd of two zero polynomials")
     A = F._algebra()
-    f, g = F.array, G.array
-    zero, one = np.zeros(0, dtype=DTYPE), np.ones(1, dtype=DTYPE)
+    f, g = F.coeffs, G.coeffs
     # remainders with cofactors: r_i = a_i o f + b_i o g
-    r0, a0, b0 = f, one, zero
-    r1, a1, b1 = g, zero, one
-    while r1.size:
+    r0, a0, b0 = f, [1], []
+    r1, a1, b1 = g, [], [1]
+    while r1:
         q, r = A.divmod(r0, r1)
         r0, a0, b0, r1, a1, b1 = r1, a1, b1, r, A.sub(a0, A.mul(q, a1)), A.sub(b0, A.mul(q, b1))
     gcrd = A.monic(r0)
-    if not (f.size and g.size):
-        return F._new(gcrd), F._new(A.monic(f if f.size else g))
+    if not (f and g):
+        return F._new(gcrd), F._new(A.monic(f or g))
     lclm = A.monic(A.mul(a1, f))
-    certify(np.array_equal(lclm, A.monic(A.mul(b1, g))), "lclm cofactors disagree")
-    certify(lclm.size == f.size + g.size - gcrd.size, "degree identity for gcrd/lclm failed")
-    certify(not (A.divmod(f, gcrd)[1].size or A.divmod(g, gcrd)[1].size), "gcrd does not right-divide both")
-    certify(not (A.divmod(lclm, f)[1].size or A.divmod(lclm, g)[1].size), "lclm is not a left multiple of both")
+    certify(lclm == A.monic(A.mul(b1, g)), "lclm cofactors disagree")
+    certify(len(lclm) == len(f) + len(g) - len(gcrd), "degree identity for gcrd/lclm failed")
+    certify(not (A.divmod(f, gcrd)[1] or A.divmod(g, gcrd)[1]), "gcrd does not right-divide both")
+    certify(not (A.divmod(lclm, f)[1] or A.divmod(lclm, g)[1]), "lclm is not a left multiple of both")
     return F._new(gcrd), F._new(lclm)
 
 
@@ -273,27 +291,27 @@ def kernel_dim(F: SigmaPoly) -> int:
 def twist(F: SigmaPoly, alpha: FFElement | int) -> SigmaPoly:
     """Coefficient twist f_i -> f_i * prod_{j<i} sigma^j(alpha)."""
     code = alpha.code if isinstance(alpha, FFElement) else int(alpha)
+    if not 0 <= code < F.tower.order:
+        raise BadParameters(f"twist by a code outside [0, {F.tower.order})")
     if code == 0:
         raise ZeroTwist("twist by zero")
-    t = F.tower
-    K = t.fqm
-    conj = t.frob_powers[F.s * np.arange(F.deg) % t.m, code]  # sigma^j(alpha), j < deg
-    norms = np.ones(F.deg + 1, dtype=DTYPE)
-    for j, c in enumerate(conj):
-        norms[j + 1] = K.mul(norms[j], c)
-    return F._new(K.mul(F.array, norms))
+    A = F._algebra()
+    norm, out = 1, []  # norm = prod_{j<i} sigma^j(alpha)
+    for i, c in enumerate(F.coeffs):
+        out.append(A.times(c, norm))
+        norm = A.times(norm, A.sigma(code, i))
+    return F._new(out)
 
 
 def lambda_value(F: SigmaPoly, lam: FFElement | int, check: bool = True) -> int:
     """deg gcrd(F, x^(sigma^m) - lam x); the kernel dimension of any norm-lam twist."""
     code = lam.code if isinstance(lam, FFElement) else int(lam)
     t = F.tower
-    if code == 0 or not t.in_fq_code(code):
+    if not 0 < code < t.order or not t.in_fq_code(code):
         raise NotInBaseField("lambda must lie in F_q^*")
     if F.is_zero():
         raise ZeroPoly("lambda-value of the zero polynomial")
-    K = t.fqm
-    G = SigmaPoly(t, [int(K.neg(code))] + [0] * (t.m - 1) + [1], F.s)
+    G = SigmaPoly(t, [int(t.fqm.neg(code))] + [0] * (t.m - 1) + [1], F.s)
     d = gcrd_lclm(F, G)[0].deg
     if check:
         alpha = int(np.nonzero(np.asarray(t.norm_table) == code)[0][0])

@@ -117,6 +117,26 @@ def test_frobenius_power_table(p, h, m):
         assert np.array_equal(T[j], t.fqm.pow(codes, t.q**j))
 
 
+@pytest.mark.parametrize("p,h,m", SWEEP)
+def test_norm_trace_nsigma_against_conjugate_loops(p, h, m):
+    # norm_table, trace_table and nsigma_code are one power or one sum; the oracles multiply or
+    # add the conjugates one at a time
+    t = make_tower(p, h, m)
+    codes = np.arange(t.order)
+    nrm, tr, x = codes, codes, codes
+    for _ in range(m - 1):
+        x = t.frob[x]
+        nrm, tr = t.fqm.mul(nrm, x), t.fqm.add(tr, x)
+    assert np.array_equal(t.norm_table, nrm) and np.array_equal(t.trace_table, tr)
+    rng = np.random.default_rng(p * h * m)
+    for s in [s for s in range(1, 2 * m + 1) if np.gcd(s, m) == 1]:
+        for a in rng.integers(0, t.order, 10).tolist() + [0, 1]:
+            acc = 1
+            for i in range(m + 2):
+                assert t.nsigma_code(a, i, s) == acc
+                acc = int(t.fqm.mul(acc, t.frobenius_code(a, s * i)))
+
+
 def test_digit_encoding_above_the_table_cap():
     # F_6561 adds through its F_9 digits; codes are place values, for any shape
     F = make_tower(3, 2, 4).fqm
@@ -248,9 +268,10 @@ def test_smallest_root(p, h, m):
         assert smallest_root(F, find_irreducible(F, degree)) is None
 
 
-@pytest.mark.parametrize("key", [(2, 1, 2), (3, 2, 4)])
+@pytest.mark.parametrize("key", [(2, 1, 2), (3, 2, 4), (2, 2, 6)])
 def test_inverse_of_zero_inside_an_array(key):
-    # table fields and F_6561 above FULL_TABLE_CAP: a zero anywhere is refused, scalars keep their shape
+    # table fields, and F_6561 and F_4096 above FULL_TABLE_CAP, where the inverse is exp[(Q-1) - log a]:
+    # a zero anywhere is refused, scalars keep their shape
     F = make_tower(*key).fqm
     with pytest.raises(DivisionByZero):
         F.inv(0)

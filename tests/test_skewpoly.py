@@ -11,14 +11,24 @@ from hypothesis import given, settings, strategies as st
 
 import subdesigns
 from subdesigns import linalg, skewpoly
-from subdesigns.errors import BothZero, DivisionByZeroPoly, NotInBaseField, ParameterMismatch, ZeroPoly, ZeroTwist
-from subdesigns.fieldcore import FULL_TABLE_CAP
+from subdesigns.errors import (
+    BadParameters,
+    BothZero,
+    DivisionByZero,
+    DivisionByZeroPoly,
+    NotInBaseField,
+    ParameterMismatch,
+    ZeroPoly,
+    ZeroTwist,
+)
+from subdesigns.fieldcore import DTYPE, FULL_TABLE_CAP, poly_trim
 from subdesigns.gf import make_tower
 from subdesigns.repro import sigma_towers
 from subdesigns.skewpoly import SigmaPoly, gcrd_lclm, kernel_dim, lambda_value, right_divmod, skew_mul, twist
 
-# the sigma_towers of criterion 4 plus F_6561 = F_9^4, whose arithmetic runs on log/exp tables
-ORACLE_TOWERS = [(t.p, t.h, t.m) for t in sigma_towers()] + [(3, 2, 4)]
+# the sigma_towers of criterion 4 plus F_6561 = F_9^4 and F_4096 = F_4^6, whose arithmetic runs on
+# log/exp tables; their Zech tables have the -1 slot at n = (Q - 1)/2 and at n = 0
+ORACLE_TOWERS = [(t.p, t.h, t.m) for t in sigma_towers()] + [(3, 2, 4), (2, 2, 6)]
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +165,8 @@ def test_gow_bound_random(t9):
 
 
 def test_oracle_towers_reach_log_tables():
-    assert make_tower(*ORACLE_TOWERS[-1]).order > FULL_TABLE_CAP
+    # one field of each characteristic parity above the cap
+    assert {p % 2 for p, h, m in ORACLE_TOWERS if make_tower(p, h, m).order > FULL_TABLE_CAP} == {0, 1}
 
 
 def _random_poly(tower, rng, s, max_deg):
@@ -197,6 +208,124 @@ def test_right_divmod_degree_and_recomposition(p, h, m, seed):
     assert skew_mul(Q, G) + R == F
 
 
+def _array_trim(a):
+    n = a.size
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
+
+
+class _ArrayAlgebra:
+    """The numpy coefficient-array algebra that skewpoly._Algebra replaced, kept as the slow oracle:
+    one SmallField call on a whole coefficient array per step."""
+
+    def __init__(self, tower, s):
+        self.K, self.T, self.s, self.m = tower.fqm, tower.frob_powers, s, tower.m
+
+    def sigma(self, a, i):
+        return self.T[self.s * i % self.m][a]
+
+    def add(self, a, b):
+        if a.size < b.size:
+            a, b = b, a
+        out = a.copy()
+        out[: b.size] = self.K.add(out[: b.size], b)
+        return _array_trim(out)
+
+    def sub(self, a, b):
+        return self.add(a, self.K.neg(b))
+
+    def monic(self, a):
+        return self.K.mul(a, self.K.inv(a[-1])) if a.size else a
+
+    def mul(self, f, g):
+        if not (f.size and g.size):
+            return f[:0]
+        out = np.zeros(f.size + g.size - 1, dtype=DTYPE)
+        for i, a in enumerate(f.tolist()):
+            if a:
+                seg = out[i : i + g.size]
+                seg[:] = self.K.add(seg, self.K.mul(a, self.sigma(g, i)))
+        return out
+
+    def divmod(self, f, g):
+        dg = g.size - 1
+        inv_lead = self.K.inv(g[-1])
+        r = f.copy()
+        q = np.zeros(max(f.size - dg, 0), dtype=DTYPE)
+        for shift in range(q.size - 1, -1, -1):
+            lead = r[shift + dg]
+            if lead:
+                c = q[shift] = self.K.mul(lead, self.sigma(inv_lead, shift))
+                seg = r[shift : shift + dg + 1]
+                seg[:] = self.K.sub(seg, self.K.mul(c, self.sigma(g, shift)))
+        return _array_trim(q), _array_trim(r)
+
+    def gcrd_lclm(self, f, g):
+        zero, one = np.zeros(0, dtype=DTYPE), np.ones(1, dtype=DTYPE)
+        r0, a0, b0 = f, one, zero
+        r1, a1, b1 = g, zero, one
+        while r1.size:
+            q, r = self.divmod(r0, r1)
+            r0, a0, b0, r1, a1, b1 = r1, a1, b1, r, self.sub(a0, self.mul(q, a1)), self.sub(b0, self.mul(q, b1))
+        if not (f.size and g.size):
+            return self.monic(r0), self.monic(f if f.size else g)
+        return self.monic(r0), self.monic(self.mul(a1, f))
+
+
+def _codes(*arrays):
+    return [tuple(a.tolist()) for a in arrays]
+
+
+@pytest.mark.parametrize("p,h,m", ORACLE_TOWERS)
+@settings(max_examples=20)
+@given(st.integers(0, 10_000))
+def test_int_algebra_matches_array_oracle(p, h, m, seed):
+    t = make_tower(p, h, m)
+    rng = np.random.default_rng(seed)
+    s = _sigma_exponent(t, rng)
+    F, G = _random_poly(t, rng, s, 5), _random_poly(t, rng, s, 3)
+    if seed % 3 == 0:  # a common right factor, so that the gcrd is not 1
+        F, G = skew_mul(F, G), skew_mul(_random_poly(t, rng, s, 2), G)
+    A = _ArrayAlgebra(t, F.s)
+    f, g = (np.array(X.coeffs, dtype=DTYPE) for X in (F, G))
+    assert skew_mul(F, G).coeffs == tuple(A.mul(f, g).tolist())
+    assert [X.coeffs for X in right_divmod(F, G)] == _codes(*A.divmod(f, g))
+    assert [X.coeffs for X in gcrd_lclm(F, G)] == _codes(*A.gcrd_lclm(f, g))
+    assert [X.coeffs for X in gcrd_lclm(F, SigmaPoly.zero(t, s))] == _codes(*A.gcrd_lclm(f, f[:0]))
+
+
+@pytest.mark.parametrize("p,h,m", ORACLE_TOWERS)
+def test_zech_arithmetic_matches_the_field(p, h, m):
+    t = make_tower(p, h, m)
+    K, A = t.fqm, skewpoly._Algebra(t, 1)
+    n = K.size - 1
+    # the one -1 slot of Z: 1 + g^n = 0 at n = 0 in characteristic 2, at n = (Q - 1)/2 otherwise
+    assert K.zech.dtype == np.int32 and np.flatnonzero(K.zech < 0).tolist() == [0 if p == 2 else n // 2]
+    rng = np.random.default_rng(100 * p + 10 * h + m)
+    xs, ys = rng.integers(0, K.size, (2, 200)).tolist()
+    pairs = list(zip(xs, ys)) + [(x, int(K.neg(x))) for x in xs[:20]] + [(0, 0), (0, 1), (1, 0), (1, int(K.neg(1)))]
+    for x, y in pairs:
+        assert A.add([x], [y]) == poly_trim([int(K.add(x, y))])
+        assert A.sub([x], [y]) == poly_trim([int(K.sub(x, y))])
+        assert A.times(x, y) == int(K.mul(x, y))
+    nonzero = [x for x in xs if x]
+    assert [A.inverse(x) for x in nonzero] == K.inv(np.array(nonzero)).tolist()
+    with pytest.raises(DivisionByZero):
+        A.inverse(0)
+
+
+@pytest.mark.parametrize("code", [-1, -9, 9, 100])
+def test_codes_outside_the_field_are_refused(t9, code):
+    with pytest.raises(BadParameters):
+        SigmaPoly(t9, [code, 1])
+    F = P(t9, 2, 1)
+    with pytest.raises(NotInBaseField):
+        lambda_value(F, code)
+    with pytest.raises(BadParameters):
+        twist(F, code)
+
+
 @pytest.mark.parametrize("name", [mod.name for mod in pkgutil.iter_modules(subdesigns.__path__)])
 def test_module_has_no_assert(name):
     # certificates go through errors.certify, which python -O keeps
@@ -221,3 +350,17 @@ def test_skewpoly_certificate_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "CertificateFailed: composition dropped the leading term" in proc.stderr
+
+
+def test_zech_certificate_survives_python_O():
+    # an addition that ignores its second term gives Z = 0 everywhere: no -1 slot, and Z(-n) != Z(n) - n
+    check = (
+        "import numpy as np\n"
+        "from subdesigns.gf import make_tower\n"
+        "K = make_tower(3, 1, 2).fqm\n"
+        "K.add = lambda a, b: np.broadcast_arrays(a, b)[0]\n"
+        "K.zech\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: Zech table of F_9 is inconsistent" in proc.stderr
