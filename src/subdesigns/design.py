@@ -40,12 +40,13 @@ from subdesigns.errors import (
     MixedParameters,
     NormClash,
     NotABasis,
+    ParameterMismatch,
     TooFewBlocks,
     TooManyBlocks,
     certify,
 )
-from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField, find_irreducible
-from subdesigns.gf import FFElement, FieldTower, prime_power
+from subdesigns.fieldcore import DTYPE, LAZY_CAP, find_irreducible
+from subdesigns.gf import FFElement, FieldTower, make_tower, prime_power, small_field
 from subdesigns.subspace import (
     AmbientSpace,
     FqSubspace,
@@ -547,11 +548,9 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
     p, h = prime_power(q)
     if q ** (m * k) > LAZY_CAP:
         raise BadParameters(f"F_{q ** (m * k)} exceeds the supported field size {LAZY_CAP}")
-    from subdesigns.gf import make_tower
-
     tower = make_tower(p, h, m)
     amb = AmbientSpace(tower, k)
-    big = SmallField(p, tower.fqm, find_irreducible(tower.fqm, k)) if k > 1 else tower.fqm
+    big = small_field(p, tower.fqm, find_irreducible(tower.fqm, k)) if k > 1 else tower.fqm
     Q = big.size
     g = big.generator_code
     e_k = (Q - 1) // (q**k - 1)
@@ -632,6 +631,10 @@ def dual_design(
         raise DualSpanTooSmall("dual members span too little for the duality statement")
     declared = A + D.t * (k - s) * amb.tower.m - D.total_dim
     prof = design_profile(out, k - s, cap=cap)
+    if prof.A_min > declared:  # the bound holds whenever D is an (s, A) design: check the declared A first
+        least = design_profile(D, s, cap=cap).A_min
+        if A < least:
+            raise ParameterMismatch(f"A = {A} is below the input design's A_min = {least} at s = {s}")
     certify(prof.A_min <= declared, "ordinary duality parameter bound violated")
     mk = amb.tower.m * k
     if mk % 2 == 0 and all(d == mk // 2 for d in D.dims):

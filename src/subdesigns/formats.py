@@ -57,7 +57,10 @@ def element_to_json(tower: FieldTower, code: int) -> list[list[int]]:
 
 
 def element_from_json(tower: FieldTower, obj) -> int:
-    return tower.code_from_coeffs(obj)
+    try:
+        return tower.code_from_coeffs(obj)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad element {obj!r}: {exc}") from exc
 
 
 # --- tower ----------------------------------------------------------------------

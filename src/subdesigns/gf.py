@@ -15,7 +15,9 @@ ones:
     F_9  = F_3[y]/(y^2+1)        i := y,  i^2 = -1
 
 Towers are cached by their defining data, so equal parameters give the
-*same* object and element equality can require tower identity.
+*same* object and element equality can require tower identity.  Fields
+are interned the same way (``small_field``): towers over the same F_q
+share its SmallField, and so every table cached on it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,19 @@ from subdesigns.errors import (
 from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField, find_irreducible, poly_is_irreducible
 
 _TOWER_CACHE: dict[tuple, "FieldTower"] = {}
+_FIELD_CACHE: dict[tuple, SmallField] = {}
+
+
+def small_field(p: int, base: SmallField | None = None, modulus: Sequence[int] | None = None) -> SmallField:
+    """The one SmallField of this process with the given defining data.
+
+    Bases are interned too, so the base object itself is part of the key.
+    """
+    key = (p, base, None if modulus is None else tuple(int(c) for c in modulus))
+    field = _FIELD_CACHE.get(key)
+    if field is None:
+        field = _FIELD_CACHE[key] = SmallField(p, base, modulus)
+    return field
 
 
 def _is_prime(n: int) -> bool:
@@ -82,11 +97,11 @@ class FieldTower:
         self.q = p**h
         self.order = self.q**m
 
-        self.fp = SmallField(p, None, None)
+        self.fp = small_field(p)
         self.fq_modulus = _modulus(self.fp, h, fq_modulus, "fq_modulus")
-        self.fq = self.fp if h == 1 else SmallField(p, self.fp, list(self.fq_modulus))
+        self.fq = self.fp if h == 1 else small_field(p, self.fp, self.fq_modulus)
         self.fqm_modulus = _modulus(self.fq, m, fqm_modulus, "fqm_modulus")
-        self.fqm = SmallField(p, self.fq, list(self.fqm_modulus))
+        self.fqm = small_field(p, self.fq, self.fqm_modulus)
         # codes of the F_q-basis 1, y, ..., y^(m-1): y^j is the single digit 1 at place j
         self.y_basis = self.q ** np.arange(m, dtype=DTYPE)
 

@@ -9,13 +9,19 @@ The sweeps need ranks and echelon rows of many tiny matrices.
 ``echelon_batch``, the one batched elimination, reduces a whole stack
 (B, r, c) column by column with one field gather per step: table-driven
 elimination in the spirit of M4RI, vectorised over the batch instead of
-over bits.  ``rank_batch`` takes the narrower side as c.  When F^c is
-small it folds the rows through a subspace-transition table, one gather
-per row: T[s, v] is the span of subspace s of F^c and the vector with
-code v.  Otherwise it counts the pivots of ``echelon_batch``.  The looped
-``rref`` serves single subspaces and is the oracle of both.  Membership and
-containment are the rank identity rk [A; B] = rk A; there is no
-separate membership test.
+over bits.  ``rank_batch`` takes the narrower side as c and picks one of
+three paths from |F| and c:
+
+1. span fold, when the subspace-transition table of F^c fits
+   ``SPAN_TABLE_CAP``: T[s, v] is the span of subspace s of F^c and the
+   vector with code v, so each row costs one gather;
+2. packed rows, when |F|^c <= ``PACKED_CAP``: each row is one code and a
+   column is cleared from every row with flat add and scale tables;
+3. otherwise the pivots of ``echelon_batch``.
+
+The looped ``rref`` serves single subspaces and is the oracle of all
+three.  Membership and containment are the rank identity
+rk [A; B] = rk A; there is no separate membership test.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ RANK_CELLS = 1 << 16
 # Largest span table, in subspaces x |F|^c x |F|^c cells (the build's temporaries
 # stay within it): F_2 up to c = 5, F_3 up to 4, F_4 and F_5 at 3, F_7 to F_19 at 2.
 SPAN_TABLE_CAP = 1 << 22
+# Largest F^c whose rows rank_batch eliminates as packed codes; the flat add
+# table holds PACKED_CAP^2 cells: F_2 up to c = 10, F_3 up to 6, F_4 at 5, F_5 at 4.
+PACKED_CAP = 1 << 10
 
 
 def rref(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -69,8 +78,9 @@ def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
 
     With c the narrower side, a stack whose F^c has a span table folds its
     rows from the zero subspace, s <- span(s, row), and reads dim s.  Any
-    other stack is eliminated by echelon_batch RANK_CELLS cells at a time,
-    which bounds the temporaries whatever its length.
+    other stack is eliminated RANK_CELLS cells at a time, which bounds the
+    temporaries whatever its length: as packed row codes when F^c has
+    packed tables, else by echelon_batch.
     """
     M = np.asarray(M)
     if M.shape[1] < M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
@@ -87,11 +97,69 @@ def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
                 s += M[:, j, k] * F.size**k
             s = T[s]
         return dims[s // F.size**c]
+    packed = _packed_tables(F, c)
     ranks = np.zeros(B, dtype=np.int64)
     step = max(1, RANK_CELLS // (r * c))
     for lo in range(0, B, step):
-        ranks[lo : lo + step] = (echelon_batch(F, M[lo : lo + step])[1] < c).sum(axis=1)
+        X = M[lo : lo + step]
+        ranks[lo : lo + step] = _packed_rank(packed, X) if packed else (echelon_batch(F, X)[1] < c).sum(axis=1)
     return ranks
+
+
+def _packed_rank(tables: tuple[np.ndarray, ...], M: np.ndarray) -> np.ndarray:
+    """Ranks of a stack M (B, r, c) whose rows are eliminated as codes of F^c.
+
+    Per column j, each matrix takes its first row with a nonzero digit j as
+    pivot, scales it to digit 1 and subtracts digit-j multiples of it from
+    every row, the pivot row included, which becomes zero.  So no row needs
+    marking as used, and the rank is the number of pivot columns.
+    """
+    dig, vadd, scale, negscale, inv = tables
+    Qc = dig.shape[1]
+    codes = M @ len(inv) ** np.arange(len(dig))  # len(inv) = |F|
+    at = np.arange(len(M))
+    ranks = np.zeros(len(M), dtype=np.int64)
+    for digits in dig:
+        d = digits[codes]
+        piv = (d != 0).argmax(axis=1)
+        pd = d[at, piv]
+        ranks += pd != 0
+        prow = scale[inv[pd] * Qc + codes[at, piv]]  # 0 where the column has no pivot
+        codes = vadd[codes * Qc + negscale[d * Qc + prow[:, None]]]
+    return ranks
+
+
+def _packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...] | None:
+    """(dig, vadd, scale, negscale, inv) on the codes of F^c (as in the span
+    table), or None if |F|^c > PACKED_CAP; built once per field and width.
+
+    dig[j][v] is digit j of v, vadd[u |F|^c + v] = u + v, scale[a |F|^c + v]
+    = a v, negscale[a |F|^c + v] = -a v, and inv[a] = a^-1 with inv[0] = 0.
+    """
+    cache = vars(F).setdefault("_packed_tables", {})
+    if c not in cache:
+        cache[c] = None if F.size**c > PACKED_CAP else _build_packed_tables(F, c)
+    return cache[c]
+
+
+def _build_packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...]:
+    q = F.size
+    Qc = q**c
+    a = np.arange(q)
+    weights = q ** np.arange(c)
+    dig = (np.arange(Qc)[None] // weights[:, None] % q).astype(DTYPE)
+    add = np.asarray(F.add(a[:, None], a[None]), dtype=DTYPE)
+    vadd = np.zeros((1, 1), dtype=DTYPE)
+    for j in range(c):  # u + v on j + 1 digits from u + v on the low j digits
+        vadd = (add[:, None, :, None] * q**j + vadd[None, :, None, :]).reshape(q ** (j + 1), q ** (j + 1))
+    scale = (np.asarray(F.mul(a[:, None, None], dig.T[None]), dtype=DTYPE) @ weights).astype(DTYPE)  # (q, Qc)
+    negscale = scale[F.neg(a)]
+    inv = np.concatenate([[0], F.inv(a[1:])]).astype(DTYPE)
+    seen = np.zeros(Qc * Qc, dtype=bool)
+    seen[(np.arange(Qc)[:, None] * Qc + vadd).reshape(-1)] = True
+    certify(seen.all() and not vadd[np.arange(Qc), negscale[1]].any(),
+            f"F_{q}^{c} addition must permute each row and cancel u + (-1 u)")
+    return dig, vadd.reshape(-1), scale.reshape(-1), negscale.reshape(-1), inv
 
 
 def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -195,6 +263,8 @@ def left_kernel(F: SmallField, M: np.ndarray) -> np.ndarray:
 def matmul(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
         raise ValueError("shape mismatch")
+    if F.base is None:  # codes are residues: one integer product, reduced once
+        return (np.asarray(A, dtype=np.int64) @ np.asarray(B, dtype=np.int64) % F.p).astype(DTYPE)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=DTYPE)
     for i in range(A.shape[1]):
         out = np.asarray(F.add(out, F.mul(A[:, i, None], B[None, i, :])), dtype=DTYPE)

@@ -16,6 +16,7 @@ from subdesigns.errors import (
     MixedParameters,
     NormClash,
     NotABasis,
+    ParameterMismatch,
     TooManyBlocks,
 )
 from subdesigns.fieldcore import DTYPE
@@ -175,6 +176,14 @@ def test_dual_design(pseudo9):
     BPD = de.dual_design(BP, 1, 1)
     assert BPD.dims == (3, 3)
     assert de.design_profile(BPD, 1).A_min == 3
+
+
+def test_dual_design_blames_a_declared_A_below_A_min():
+    D = glued_design(2, 2, 4, 1)
+    assert de.design_profile(D, 2).A_min == 2
+    with pytest.raises(ParameterMismatch, match="A_min = 2"):
+        de.dual_design(D, 2, 1)
+    assert de.dual_design(D, 2, 2).dims == tuple(8 - d for d in D.dims)
 
 
 def test_hyperplane_histogram(pseudo9):

@@ -12,7 +12,7 @@ from subdesigns import sumrank as sr
 from subdesigns.cli import main as cli_main
 from subdesigns.errors import FormatError
 from subdesigns.gf import make_tower
-from subdesigns.repro import pseudoregulus_design, twisted_design
+from subdesigns.repro import glued_design, pseudoregulus_design, twisted_design
 
 
 def test_tower_round_trip(tmp_path):
@@ -129,6 +129,14 @@ def test_cli_dual_and_expander(tmp_path, capsys):
     assert rep["verdict"] is True and rep["per_dim"]["1"]["count"] == 364
 
 
+def test_cli_dual_with_A_below_A_min_is_a_parameter_mismatch(tmp_path, capsys):
+    design = tmp_path / "d.json"
+    design.write_text(fmt.dumps(fmt.design_to_json(glued_design(2, 2, 4, 1))))  # A_min = 2 at s = 2
+    assert run_cli("dual", "ordinary", str(design), "--s", "2") == 1  # --A defaults to 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ParameterMismatch"
+
+
 def test_cli_strong_verbs(tmp_path, capsys):
     strong = tmp_path / "strong.json"
     assert run_cli("strong", "cameron-liebler", "--kind", "point_pencil",
@@ -165,6 +173,16 @@ def test_cli_errors_and_exit_codes(tmp_path, capsys):
     assert run_cli("classify", str(bad)) == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "FormatError"
+
+
+def test_cli_malformed_element_is_a_format_error(tmp_path, capsys):
+    # a subspace design's rows hold F_q scalars, one digit list each, not the m lists of an F_8 element
+    design = tmp_path / "d.json"
+    assert run_cli("construct", "field-partition", "--q", "2", "--m", "3", "--k", "2", "-o", str(design)) == 0
+    capsys.readouterr()
+    assert run_cli("strong", "verify", str(design), "--s", "1") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "FormatError"
 
 
 def test_cli_cap(tmp_path, capsys):

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from subdesigns.errors import DivisionByZero, NotInBaseField, NotIrreducible, NotPrime, TowerMismatch
 from subdesigns.fieldcore import find_irreducible, poly_eval, poly_mod, smallest_root
-from subdesigns import gf
+from subdesigns import gf, linalg
+from subdesigns.design import construct_field_partition
 from subdesigns.formats import tower_from_json, tower_to_json
 from subdesigns.gf import FFElement, frobenius, make_tower, norm_trace
 from test_linalg import RANK_TOWERS
@@ -54,6 +55,20 @@ def test_towers_are_cached(f9, monkeypatch):
     monkeypatch.setattr(gf, "SmallField", None)
     assert make_tower(3, 1, 2, fq_modulus=[0, 1], fqm_modulus=(1, 0, 1)) is f9
     assert tower_from_json(tower_to_json(f9)) is f9
+
+
+def test_towers_share_their_fields(monkeypatch):
+    a, b = make_tower(3, 1, 2), make_tower(3, 1, 3)
+    assert a is not b and a.fq is b.fq is a.fp
+    # every table cached on F_3 is built once for both towers
+    assert linalg._span_table(a.fq, 2) is linalg._span_table(b.fq, 2)
+    assert linalg._packed_tables(a.fq, 6) is linalg._packed_tables(b.fq, 6)
+    with pytest.raises(TowerMismatch):
+        a.one() + b.one()
+    # the field partition's F_{q^(mk)} is interned too: a second construction builds no field
+    construct_field_partition(2, 3, 2)
+    monkeypatch.setattr(gf, "SmallField", None)
+    construct_field_partition(2, 3, 2)
 
 
 def test_field_arith_examples(f4, f9):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subdesigns import linalg
-from subdesigns.gf import make_tower
+from subdesigns.fieldcore import DTYPE
+from subdesigns.gf import make_tower, small_field
 from subdesigns.subspace import gaussian_binomial
 
 
@@ -124,8 +125,9 @@ def echelon_calls(monkeypatch):
 
 @pytest.mark.parametrize("key", RANK_TOWERS)
 @pytest.mark.parametrize("level", ["fq", "fqm"])
-def test_rank_batch_path_follows_span_table_cap(key, level, echelon_calls):
-    # every width whose table fits SPAN_TABLE_CAP folds; the first that does not eliminates
+def test_rank_batch_path_follows_span_table_cap(key, level, echelon_calls, monkeypatch):
+    # widths whose span table fits SPAN_TABLE_CAP fold; the next ones, while |F|^c <= PACKED_CAP,
+    # run as packed rows without building a span table; the first width past both eliminates
     F = getattr(make_tower(*key), level)
     rng = np.random.default_rng(F.size)
     c = 1
@@ -137,9 +139,39 @@ def test_rank_batch_path_follows_span_table_cap(key, level, echelon_calls):
         assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
         assert echelon_calls == []
         c += 1
+    built = []
+    build = linalg._build_span_table
+    monkeypatch.setattr(linalg, "_build_span_table", lambda *args: built.append(args) or build(*args))
+    while F.size**c <= linalg.PACKED_CAP:
+        assert linalg._packed_tables(F, c)[1].shape == (F.size ** (2 * c),)
+        M = rng.integers(0, F.size, (7, c + 2, c))
+        assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
+        assert echelon_calls == [] and built == []
+        c += 1
+    assert linalg._packed_tables(F, c) is None
     M = rng.integers(0, F.size, (3, c, c + 1))
     assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
-    assert echelon_calls == [(3, c + 1, c)]
+    assert echelon_calls == [(3, c + 1, c)] and built == []
+
+
+# F_2, F_3, F_4, F_5 and F_9, the last two as extensions of their prime field
+PACKED_FIELDS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("key", PACKED_FIELDS)
+@given(st.integers(0, 10_000))
+def test_packed_rank_matches_looped_rank(key, seed):
+    # every packed width, span-table widths included, with r above and below c
+    F = make_tower(*key).fq
+    rng = np.random.default_rng(seed)
+    c = int(rng.choice([c for c in range(1, 11) if F.size**c <= linalg.PACKED_CAP]))
+    B, r = int(rng.integers(0, 6)), int(rng.integers(1, 8))
+    M = rng.integers(0, F.size, (B, r, c))
+    if B and r > 2:
+        M[:, 1] = M[:, 0]  # a repeated row
+        M[rng.random(B) < 0.5, -1] = 0  # and a zero row
+    ranks = linalg._packed_rank(linalg._packed_tables(F, c), M)
+    assert ranks.tolist() == [linalg.rank(F, X) for X in M]
 
 
 def test_rank_batch_paths_on_sweep_shapes(echelon_calls):
@@ -151,10 +183,37 @@ def test_rank_batch_paths_on_sweep_shapes(echelon_calls):
     assert echelon_calls == []
     assert ranks[:300].tolist() == [linalg.rank(F3, X) for X in M[:300]]
     F2, F9 = make_tower(2, 1, 2).fq, make_tower(3, 1, 2).fqm
+    for F in (F2, F3):  # pairs minimality over F_2 and expander images over F_3: packed rows
+        M = rng.integers(0, F.size, (5000, 6, 6))
+        M[::3, 4] = M[::3, 1]
+        ranks = linalg.rank_batch(F, M)
+        assert echelon_calls == []
+        assert ranks[:300].tolist() == [linalg.rank(F, X) for X in M[:300]]
     for F, shape in [(F2, (100, 12, 12)), (F9, (100, 4, 4))]:
         M = rng.integers(0, F.size, shape)
         assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
         assert echelon_calls.pop() == shape
+
+
+def looped_matmul(F, A, B):
+    """The product as one add and mul gather per inner index: the oracle of matmul."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=DTYPE)
+    for i in range(A.shape[1]):
+        out = np.asarray(F.add(out, F.mul(A[:, i, None], B[None, i, :])), dtype=DTYPE)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 4099])
+@given(st.integers(0, 10_000))
+def test_prime_field_matmul_matches_looped_products(p, seed):
+    F = small_field(p)
+    rng = np.random.default_rng(seed)
+    for n, r, c in [(0, 3, 2), (2, 0, 3), (2, 3, 0), tuple(int(x) for x in rng.integers(1, 7, 3))]:
+        A, B = rng.integers(0, p, (n, r)), rng.integers(0, p, (r, c))
+        got = linalg.matmul(F, A, B)
+        assert got.dtype == DTYPE and np.array_equal(got, looped_matmul(F, A, B))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.matmul(F, np.zeros((2, 3), dtype=DTYPE), np.zeros((2, 3), dtype=DTYPE))
 
 
 def test_span_table_certificate_survives_python_O():
@@ -170,3 +229,19 @@ def test_span_table_certificate_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "CertificateFailed: F_3^3 must have 13 subspaces of dimension 1" in proc.stderr
+
+
+def test_packed_table_certificate_survives_python_O():
+    # the same broken addition at width 6, which has no span table: each row of the packed add
+    # table repeats one sum instead of permuting F_3^6
+    check = (
+        "import numpy as np\n"
+        "from subdesigns import linalg\n"
+        "from subdesigns.fieldcore import SmallField\n"
+        "F = SmallField(3, None, None)\n"
+        "F.add = lambda a, b: np.broadcast_arrays(a, b)[0]\n"
+        "linalg.rank_batch(F, np.eye(6, dtype=np.int32)[None])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: F_3^6 addition must permute each row" in proc.stderr
