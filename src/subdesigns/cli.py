@@ -24,7 +24,6 @@ from subdesigns import repro
 from subdesigns import strongbridge as sb
 from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
-from subdesigns.config import RunConfig
 from subdesigns.errors import BadParameters, FormatError, SubdesignsError
 from subdesigns.gf import make_tower, prime_power
 
@@ -109,12 +108,12 @@ def _fraction(text: str) -> Fraction:
 # --- construct -------------------------------------------------------------------
 
 
-def _cmd_construct(args, cfg: RunConfig) -> dict:
+def _cmd_construct(args) -> dict:
     kind = args.kind
     if kind == "pseudoregulus":
         tower = _tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, 2 * args.r)
-        D = de.construct_pseudoregulus(amb, args.s_exp, _parse_elements(tower, args.mus), cap=cfg.enumeration_cap)
+        D = de.construct_pseudoregulus(amb, args.s_exp, _parse_elements(tower, args.mus), cap=args.cap)
     elif kind == "twisted":
         tower = _tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, args.k)
@@ -123,19 +122,19 @@ def _cmd_construct(args, cfg: RunConfig) -> dict:
         if len(etas) != 1:
             raise BadParameters(f"--eta takes one field element, got {args.eta!r}")
         blocks = [de.full_field_block(tower)] * len(alphas)
-        D = de.construct_twisted(amb, alphas, etas[0], blocks, s_exp=args.s_exp, cap=cfg.enumeration_cap)
+        D = de.construct_twisted(amb, alphas, etas[0], blocks, s_exp=args.s_exp, cap=args.cap)
     elif kind == "basis-partition":
         tower = _tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, args.k)
         basis = np.eye(args.k, dtype=int).tolist()
         D = de.construct_basis_partition(amb, basis, args.partition)
     elif kind == "field-partition":
-        D = de.construct_field_partition(args.q, args.m, args.k, cap=cfg.enumeration_cap)
+        D = de.construct_field_partition(args.q, args.m, args.k, cap=args.cap)
     elif kind == "direct-sum":
-        D = de.direct_sum([_load_design(p) for p in args.inputs], cap=cfg.enumeration_cap)
+        D = de.direct_sum([_load_design(p) for p in args.inputs], cap=args.cap)
     elif kind == "enlarge":
         base = _load_design(args.inputs[0])
-        D = de.enlarge(base, args.s, args.increments, cap=cfg.enumeration_cap)
+        D = de.enlarge(base, args.s, args.increments, cap=args.cap)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     if args.output:
@@ -143,9 +142,9 @@ def _cmd_construct(args, cfg: RunConfig) -> dict:
     return {"kind": kind, "t": D.t, "dims": list(D.dims), "output": args.output}
 
 
-def _cmd_profile(args, cfg: RunConfig) -> dict:
+def _cmd_profile(args) -> dict:
     D = _load_design(args.design)
-    prof = de.design_profile(D, args.s, cap=cfg.enumeration_cap)
+    prof = de.design_profile(D, args.s, cap=args.cap)
     return {
         "s": prof.s,
         "A_min": prof.A_min,
@@ -155,16 +154,16 @@ def _cmd_profile(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_classify(args, cfg: RunConfig) -> dict:
+def _cmd_classify(args) -> dict:
     D = _load_design(args.design)
-    return de.classify(D, max_s=args.max_s, cap=cfg.enumeration_cap)
+    return de.classify(D, max_s=args.max_s, cap=args.cap)
 
 
-def _cmd_weights(args, cfg: RunConfig) -> dict:
+def _cmd_weights(args) -> dict:
     D = _load_design(args.design)
-    hist = de.hyperplane_weight_distribution(D, cap=cfg.enumeration_cap)
-    P = ha.ext_system(D, cap=cfg.enumeration_cap)
-    enum = ha.weight_enumerator(P, cap=cfg.enumeration_cap)
+    hist = de.hyperplane_weight_distribution(D, cap=args.cap)
+    P = ha.ext_system(D, cap=args.cap)
+    enum = ha.weight_enumerator(P, cap=args.cap)
     if args.hist_csv:
         Path(args.hist_csv).write_text(fmt.histogram_csv(hist, header=("intersection", "count")))
     if args.enumerator_csv:
@@ -172,33 +171,33 @@ def _cmd_weights(args, cfg: RunConfig) -> dict:
     return {"histogram": hist, "enumerator": enum, "length": P.length}
 
 
-def _cmd_msrd(args, cfg: RunConfig) -> dict:
+def _cmd_msrd(args) -> dict:
     D = _load_design(args.design)
     C = sr.code_from_system(D)
-    d = sr.min_distance(C, cap=cfg.enumeration_cap)
+    d = sr.min_distance(C, cap=args.cap)
     verdict = sr.singleton_msrd(C, d=d)
     if args.emit_code:
         _write(args.emit_code, fmt.code_to_json(C))
     if args.spectrum_csv:
-        spec = sr.weight_spectrum(C, cap=cfg.enumeration_cap)
+        spec = sr.weight_spectrum(C, cap=args.cap)
         Path(args.spectrum_csv).write_text(fmt.histogram_csv(spec))
     return verdict
 
 
-def _cmd_dual(args, cfg: RunConfig) -> dict:
+def _cmd_dual(args) -> dict:
     D = _load_design(args.design)
     if args.variant == "ordinary":
-        out = de.dual_design(D, args.s, args.A, cap=cfg.enumeration_cap)
+        out = de.dual_design(D, args.s, args.A, cap=args.cap)
     else:
-        out = sr.delsarte_dual(D, cap=cfg.enumeration_cap)
+        out = sr.delsarte_dual(D, cap=args.cap)
     if args.output:
         _write(args.output, fmt.design_to_json(out))
     return {"variant": args.variant, "dims": list(out.dims), "output": args.output}
 
 
-def _cmd_cutting(args, cfg: RunConfig) -> dict:
+def _cmd_cutting(args) -> dict:
     D = _load_design(args.design)
-    report = de.is_cutting(D, cap=cfg.enumeration_cap)
+    report = de.is_cutting(D, cap=args.cap)
     return {
         "cutting": report.cutting,
         "intersection_constant": report.intersection_constant,
@@ -207,13 +206,13 @@ def _cmd_cutting(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_minimal(args, cfg: RunConfig) -> dict:
+def _cmd_minimal(args) -> dict:
     payload = _read_json(args.code)
     if "generator" in payload:
         C = fmt.code_from_json(payload)
     else:
         C = sr.code_from_system(fmt.design_from_json(payload))
-    ok, witness = sr.is_minimal_code(C, method=args.method, cap=cfg.enumeration_cap)
+    ok, witness = sr.is_minimal_code(C, method=args.method, cap=args.cap)
     return {
         "minimal": ok,
         "method": args.method,
@@ -221,17 +220,17 @@ def _cmd_minimal(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_srg(args, cfg: RunConfig) -> dict:
+def _cmd_srg(args) -> dict:
     D = _load_design(args.design)
-    P = ha.ext_system(D, cap=cfg.enumeration_cap)
-    params = ha.srg_from_two_intersection(P, verify_graph=args.verify_graph, cap=cfg.enumeration_cap)
+    P = ha.ext_system(D, cap=args.cap)
+    params = ha.srg_from_two_intersection(P, verify_graph=args.verify_graph, cap=args.cap)
     if args.dot:
         Path(args.dot).write_text(ha.export_dot(P))
     return {"v": params.v, "K": params.K, "lambda": params.lam, "mu": params.mu,
             "graph_verified": bool(args.verify_graph)}
 
 
-def _cmd_expander(args, cfg: RunConfig) -> dict:
+def _cmd_expander(args) -> dict:
     D = _load_design(args.design)
     tower = D.ambient.tower
     beta = None if args.beta == "default" else _parse_elements(tower, args.beta)
@@ -242,9 +241,9 @@ def _cmd_expander(args, cfg: RunConfig) -> dict:
         args.max_dim,
         mode=args.mode,
         samples=args.samples,
-        seed=cfg.seed,
+        seed=args.seed,
         target=target,
-        cap=cfg.enumeration_cap,
+        cap=args.cap,
     )
     out = {"ell": fam.ell, "degree": len(fam.maps), "verdict": report.verdict, "per_dim": {}}
     for r, data in report.per_dim.items():
@@ -256,20 +255,22 @@ def _cmd_expander(args, cfg: RunConfig) -> dict:
     return out
 
 
-def _cmd_strong(args, cfg: RunConfig) -> dict:
+def _cmd_strong(args) -> dict:
     if args.strong_verb == "verify":
         S = fmt.strong_design_from_json(_read_json(args.design))
-        A = sb.verify_strong(S, args.s, cap=cfg.enumeration_cap)
+        A = sb.verify_strong(S, args.s, cap=args.cap)
         return {"s": args.s, "A_min": A, "t": S.t}
     if args.strong_verb == "cameron-liebler":
-        params = {"of": args.of} if args.of else None
-        S, predicted = sb.cameron_liebler(args.kind, args.n, args.k, args.q, params=params, cap=cfg.enumeration_cap)
+        # complement takes one base kind, union a list of them
+        of = args.of[0] if args.kind == "complement" and len(args.of or ()) == 1 else args.of
+        params = {"of": of} if of else None
+        S, predicted = sb.cameron_liebler(args.kind, args.n, args.k, args.q, params=params, cap=args.cap)
         if args.output:
             _write(args.output, fmt.strong_design_to_json(S))
         return {"t": S.t, "predicted": predicted, "output": args.output}
     if args.strong_verb == "intermediate":
         S = fmt.strong_design_from_json(_read_json(args.design))
-        out = sb.intermediate_field_design(S, args.c, args.s, A=args.A, cap=cfg.enumeration_cap)
+        out = sb.intermediate_field_design(S, args.c, args.s, A=args.A, cap=args.cap)
         if args.output:
             _write(args.output, fmt.design_to_json(out))
         return {"dims": list(out.dims), "output": args.output}
@@ -277,14 +278,14 @@ def _cmd_strong(args, cfg: RunConfig) -> dict:
         spec = _read_json(args.spec)
         tower = _tower_for(int(spec["q"]), int(spec["m"]))
         D = sb.places_embed(tower, spec["members"], spec["p"], int(spec["zeta"]), int(spec["k"]),
-                            cap=cfg.enumeration_cap)
+                            cap=args.cap)
         if args.output:
             _write(args.output, fmt.design_to_json(D))
         return {"dims": list(D.dims), "output": args.output}
     raise ValueError(args.strong_verb)  # pragma: no cover
 
 
-def _cmd_repro(args, cfg: RunConfig) -> dict:
+def _cmd_repro(args) -> dict:
     only = [int(x) for x in args.only.split(",")] if args.only else None
     results = repro.run(only=only)
     for res in results:
@@ -307,7 +308,7 @@ def _cmd_repro(args, cfg: RunConfig) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="subdesigns", description=__doc__)
-    ap.add_argument("--cap", type=_positive_int, default=RunConfig().enumeration_cap, help="enumeration cap")
+    ap.add_argument("--cap", type=_positive_int, default=sp.DEFAULT_ENUMERATION_CAP, help="enumeration cap")
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -436,9 +437,8 @@ def main(argv=None) -> int:
                    for name in _CONSTRUCT_NEEDS.get(args.kind, ()) if getattr(args, name) in (None, [])]
         if missing:
             ap.error(f"construct {args.kind} needs {', '.join(missing)}")
-    cfg = RunConfig(enumeration_cap=args.cap, seed=args.seed)
     try:
-        report = args.func(args, cfg)
+        report = args.func(args)
     except (SubdesignsError, AssertionError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
         return 1

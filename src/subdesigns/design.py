@@ -26,7 +26,6 @@ from math import gcd
 import numpy as np
 
 from subdesigns import linalg
-from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.errors import (
     AmbientMismatch,
     BadExponent,
@@ -48,6 +47,7 @@ from subdesigns.errors import (
 from subdesigns.fieldcore import DTYPE, LAZY_CAP, find_irreducible
 from subdesigns.gf import FFElement, FieldTower, make_tower, prime_power, small_field
 from subdesigns.subspace import (
+    DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
     FqSubspace,
     FqmSubspace,
@@ -233,9 +233,7 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
     if not 1 <= s <= k:
         raise DimensionMismatch(f"s must lie in [1, {k}]")
     span = D.span_dim()
-    if s == k:
-        best, witness = D.total_dim, FqmSubspace.from_rows(amb, np.eye(k, dtype=DTYPE))
-    elif s == 1:
+    if s == 1:
         best, witness = _profile_points(D, cap)
     elif s == k - 1:
         sums = D.hyperplane_dims(cap).sum(axis=0)

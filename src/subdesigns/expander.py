@@ -16,12 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from subdesigns import linalg
-from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
 from subdesigns.errors import BadDims, BadParameters, NotABasis, certify
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement
-from subdesigns.subspace import check_cap, gaussian_binomial, rref_matrix_blocks
+from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, check_cap, gaussian_binomial, rref_matrix_blocks
 
 
 @dataclass

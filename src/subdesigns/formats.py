@@ -150,15 +150,18 @@ def strong_design_to_json(S: StrongSubspaceDesign) -> dict:
 
 
 def strong_design_from_json(obj) -> StrongSubspaceDesign:
-    amb = ambient_from_json(obj["ambient"])
-    t = amb.tower
-    members = []
-    for rows in obj["members"]:
-        mat = [[element_from_json(t, e) for e in row] for row in rows]
-        V = FqmSubspace.from_rows(amb, np.asarray(mat, dtype=DTYPE) if mat else [])
-        if mat and not np.array_equal(V.basis, np.asarray(mat, dtype=DTYPE)):
-            raise FormatError("strong-design rows are not canonical RREF")
-        members.append(V)
+    try:
+        amb = ambient_from_json(obj["ambient"])
+        t = amb.tower
+        members = []
+        for rows in obj["members"]:
+            mat = [[element_from_json(t, e) for e in row] for row in rows]
+            V = FqmSubspace.from_rows(amb, np.asarray(mat, dtype=DTYPE) if mat else [])
+            if mat and not np.array_equal(V.basis, np.asarray(mat, dtype=DTYPE)):
+                raise FormatError("strong-design rows are not canonical RREF")
+            members.append(V)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad strong-design record: {exc}") from exc
     return StrongSubspaceDesign(amb, members)
 
 
@@ -184,12 +187,7 @@ def code_from_json(obj) -> SumRankCode:
     G = np.asarray(rows, dtype=DTYPE)
     if G.ndim != 2 or G.shape[1] != sum(lengths):
         raise FormatError("generator shape does not match the length profile")
-    blocks = []
-    at = 0
-    for n in lengths:
-        blocks.append(G[:, at : at + n])
-        at += n
-    return SumRankCode(tower, lengths, blocks)
+    return SumRankCode(tower, lengths, np.split(G, np.cumsum(lengths)[:-1], axis=1))
 
 
 # --- CSV / DOT ---------------------------------------------------------------------

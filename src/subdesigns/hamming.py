@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign
 from subdesigns.errors import BadParameters, EnumerationCapExceeded, NotTwoIntersection, ZeroMember, certify
 from subdesigns.fieldcore import DTYPE
-from subdesigns.subspace import ProjectiveSystem
+from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, ProjectiveSystem
 
 
 @dataclass

@@ -256,14 +256,10 @@ def right_kernel(F: SmallField, M: np.ndarray) -> np.ndarray:
     return rref(F, K)[0]
 
 
-def left_kernel(F: SmallField, M: np.ndarray) -> np.ndarray:
-    return right_kernel(F, M.T)
-
-
 def matmul(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
         raise ValueError("shape mismatch")
-    if F.base is None:  # codes are residues: one integer product, reduced once
+    if F.size == F.p:  # codes are residues mod p: one integer product, reduced once
         return (np.asarray(A, dtype=np.int64) @ np.asarray(B, dtype=np.int64) % F.p).astype(DTYPE)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=DTYPE)
     for i in range(A.shape[1]):
@@ -290,7 +286,7 @@ def intersect_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarr
         return np.zeros((0, A.shape[1] if A.ndim == 2 and A.shape[1] else B.shape[1]), dtype=DTYPE)
     # pairs (a, b) with a A = b B are the left kernel of [[A], [-B]]
     D = np.vstack([A, np.asarray(F.neg(B), dtype=DTYPE)])
-    L = left_kernel(F, D)
+    L = right_kernel(F, D.T)
     if L.shape[0] == 0:
         return np.zeros((0, A.shape[1]), dtype=DTYPE)
     return rref(F, matmul(F, L[:, :ra], A))[0]

@@ -454,12 +454,7 @@ def criterion_10() -> CriterionResult:
         G = rng.integers(0, tower.order, (k, sum(lengths)))
         if linalg.rank(tower.fqm, np.asarray(G, dtype=DTYPE)) != k:
             continue
-        blocks = []
-        at = 0
-        for n in lengths:
-            blocks.append(np.asarray(G[:, at : at + n], dtype=DTYPE))
-            at += n
-        C = sr.SumRankCode(tower, lengths, blocks)
+        C = sr.SumRankCode(tower, lengths, np.split(G, np.cumsum(lengths)[:-1], axis=1))
         d = sr.min_distance(C, method="classes")
         try:
             verdict = sr.singleton_msrd(C, d=d)

@@ -24,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from subdesigns import linalg
-from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import SubspaceDesign, design_profile
 from subdesigns.errors import (
     AmbientMismatch,
@@ -40,15 +39,14 @@ from subdesigns.errors import (
 from subdesigns.fieldcore import DTYPE, poly_eval, poly_is_irreducible, poly_monic, poly_trim, smallest_root
 from subdesigns.gf import FieldTower, make_tower, prime_power
 from subdesigns.subspace import (
+    DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
     FqmSubspace,
     FqSubspace,
-    check_cap,
-    enumerate_fqm_subspaces,
+    fqm_subspace_blocks,
     gaussian_binomial,
     meet_join,
     span_fq,
-    subspace_count,
 )
 
 
@@ -247,7 +245,9 @@ def cameron_liebler(
     Kinds: point_pencil (all n-spaces through a fixed point), in_hyperplane
     (all n-spaces inside a fixed hyperplane), mixed (their disjoint union
     for a point off the hyperplane), complement {"of": kind}, union
-    {"of": [kind, kind]}.  Returns the member list plus the closed-form
+    {"of": ["point_pencil", "in_hyperplane"]} (the same set as mixed).
+    Members come in enumeration order, read off masks over the blocks of
+    fqm_subspace_blocks.  Returns the member list plus the closed-form
     parameter x, the counts w_i / w'_i and the strong parameter A.
     """
     if k < 2 * n + 1:
@@ -257,62 +257,31 @@ def cameron_liebler(
         tower = make_tower(p, h, 1)
     if tower.order != q:
         raise BadParameters("tower top field must have q elements")
-    amb = AmbientSpace(tower, k + 1)
-    total = subspace_count(amb, n + 1)
-    check_cap(total, cap, "candidate subspaces")
-
-    def pencil_pred(point_vec):
-        pv = np.asarray(point_vec, dtype=DTYPE)
-
-        def pred(W: FqmSubspace) -> bool:
-            return W.contains(pv)
-
-        return pred
-
-    def hyperplane_pred():
-        def pred(W: FqmSubspace) -> bool:
-            return not np.any(W.basis[:, -1])
-
-        return pred
-
-    e1 = np.zeros(k + 1, dtype=DTYPE)
-    e1[0] = 1
-    elast = np.zeros(k + 1, dtype=DTYPE)
-    elast[-1] = 1
-
-    def base_pred(name: str):
-        if name == "point_pencil":
-            return pencil_pred(e1), 1
-        if name == "in_hyperplane":
-            return hyperplane_pred(), 1
-        if name == "mixed":
-            inner = pencil_pred(elast)
-            hyp = hyperplane_pred()
-
-            def pred(W):
-                return inner(W) or hyp(W)
-
-            return pred, 2
-        raise BadParameters(f"unknown base kind {name!r}")
-
     params = params or {}
-    if kind == "complement":
-        inner_pred, inner_x = base_pred(params.get("of", "point_pencil"))
-        pred = lambda W: not inner_pred(W)
-        predicted_x = q ** (n + 1) + 1 - inner_x
-    elif kind == "union":
-        # disjoint instances: pencil anchored off the fixed hyperplane
-        kinds = params.get("of", ["point_pencil", "in_hyperplane"])
-        anchors = {"point_pencil": pencil_pred(elast), "in_hyperplane": hyperplane_pred()}
-        if set(kinds) != {"point_pencil", "in_hyperplane"}:
+    base = params.get("of", "point_pencil") if kind == "complement" else kind
+    if kind == "union":
+        if set(params.get("of", ["point_pencil", "in_hyperplane"])) != {"point_pencil", "in_hyperplane"}:
             raise BadParameters("union supports point_pencil plus in_hyperplane")
-        p1, p2 = anchors[kinds[0]], anchors[kinds[1]]
-        pred = lambda W: p1(W) or p2(W)
-        predicted_x = 2
-    else:
-        pred, predicted_x = base_pred(kind)
+        base = "mixed"  # the disjoint instances: a pencil anchored off the fixed hyperplane
+    # base kind -> (coordinate of the pencil's point or None, members inside x_k = 0 taken, x)
+    shapes = {"point_pencil": (0, False, 1), "in_hyperplane": (None, True, 1), "mixed": (k, True, 2)}
+    if not isinstance(base, str) or base not in shapes:
+        raise BadParameters(f"unknown base kind {base!r}")
+    anchor, hyperplane, predicted_x = shapes[base]
+    if kind == "complement":
+        predicted_x = q ** (n + 1) + 1 - predicted_x
 
-    members = [W for W in enumerate_fqm_subspaces(amb, n + 1, cap=cap) if pred(W)]
+    amb = AmbientSpace(tower, k + 1)
+    members = []
+    for W, piv in fqm_subspace_blocks(amb, n + 1, cap=cap):
+        keep = ~W[:, :, -1].any(axis=1) if hyperplane else np.zeros(len(W), dtype=bool)
+        if anchor is not None:  # W contains the point e iff rk [W; e] = n + 1
+            e = np.zeros((len(W), 1, k + 1), dtype=DTYPE)
+            e[:, 0, anchor] = 1
+            keep |= linalg.rank_batch(tower.fqm, np.concatenate([W, e], axis=1)) == n + 1
+        if kind == "complement":
+            keep = ~keep
+        members += [FqmSubspace(amb, M, piv) for M in W[keep]]
     if not members:
         raise BadParameters("the requested set is empty")
     S = StrongSubspaceDesign(amb, members)

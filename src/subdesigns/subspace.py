@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from subdesigns import linalg
-from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.errors import (
     AmbientMismatch,
     DimensionMismatch,
@@ -45,6 +44,8 @@ if TYPE_CHECKING:
 
 # RREF matrices per stacked block in rref_matrix_blocks.
 RREF_CHUNK = 4096
+# Largest enumeration a library call makes unless given another cap.
+DEFAULT_ENUMERATION_CAP = 10**7
 
 
 def check_cap(count: int, cap: int | None, what: str) -> None:

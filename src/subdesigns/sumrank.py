@@ -21,7 +21,6 @@ from itertools import product
 import numpy as np
 
 from subdesigns import linalg
-from subdesigns.config import DEFAULT_ENUMERATION_CAP
 from subdesigns.design import (
     SubspaceDesign,
     block_digits,
@@ -43,6 +42,7 @@ from subdesigns.errors import (
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement, FieldTower
 from subdesigns.subspace import (
+    DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
     canonical_projective_reps,
     check_cap,
@@ -73,12 +73,12 @@ class SumRankCode:
         self.k = k
         self.blocks = blocks
         self.sort_perm = tuple(sort_perm) if sort_perm is not None else tuple(range(len(lengths)))
-        # the design a code was built from (code_from_system): the same
-        # members as system(), in the design's order, with its cached sections
+        # the design a code was built from (code_from_system), whose cached
+        # sections give the class weights
         self.design = design
         if linalg.rank(tower.fqm, self.generator) != k:
             raise DegenerateCode("generator must have full row rank over F_{q^m}")
-        self._system = None
+        self._system = design
 
     @property
     def t(self) -> int:
@@ -105,6 +105,8 @@ class SumRankCode:
         return True
 
     def system(self) -> SubspaceDesign:
+        """The associated system, built once: the source design of a code_from_system
+        code, whose members then come in design order, else system_from_code."""
         if self._system is None:
             self._system = system_from_code(self)
         return self._system
@@ -185,14 +187,21 @@ def support(C: SumRankCode, x) -> SumRankSupport:
     return SumRankSupport.from_bases(C.lengths, bases)
 
 
+def _class_weights(C: SumRankCode, cap: int | None) -> np.ndarray:
+    """The weight of xG for one message x per projective class, aligned with
+    canonical_projective_reps: N minus the hyperplane-section totals of the source
+    design of a code_from_system code, else expansion ranks (degenerate blocks too)."""
+    check_cap(gaussian_binomial(C.k, 1, C.tower.order), cap, "classes")
+    if C.design is not None:
+        return C.N - hyperplane_profile_sums(C.design, cap=cap)
+    return _weights(C, canonical_projective_reps(C.tower.order, C.k))
+
+
 def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, method: str = "hyperplane") -> int:
     """Exact minimum distance.
 
-    "hyperplane": N minus the maximal hyperplane-section total of the
-    associated system, or of the source design of a code_from_system code
-    (needs a non-degenerate code).
-    "classes": direct expansion-rank scan over projective classes of
-    messages (works for degenerate blocks too).
+    "hyperplane" and "classes" (one method under two names): the least
+    weight over projective classes of messages, from ``_class_weights``.
     "codewords": oracle scan of every one of the q^(mk) codewords.
     """
     t = C.tower
@@ -207,14 +216,9 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
             w = int(_weights(C, np.array([msg], dtype=DTYPE))[0])
             best = w if best is None else min(best, w)
         return int(best)
-    check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
-    if method == "classes":
-        return min(w for w in weight_spectrum(C, cap=cap) if w)
-    if method != "hyperplane":
+    if method not in ("hyperplane", "classes"):
         raise ValueError("method must be 'hyperplane', 'classes' or 'codewords'")
-    # section totals do not depend on member order, so a source design serves as well
-    D = C.system() if C.design is None else C.design
-    return C.N - int(hyperplane_profile_sums(D, cap=cap).max())
+    return int(_class_weights(C, cap).min())
 
 
 def singleton_msrd(C: SumRankCode, d: int | None = None, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict:
@@ -265,12 +269,7 @@ def dual_code(C: SumRankCode) -> SumRankCode:
     """Dual under the blockwise dot form; dimension N - k."""
     ker = linalg.right_kernel(C.tower.fqm, C.generator)
     certify(ker.shape[0] == C.N - C.k, "the dual code must have dimension N - k")
-    blocks = []
-    at = 0
-    for n in C.lengths:
-        blocks.append(ker[:, at : at + n])
-        at += n
-    return SumRankCode(C.tower, C.lengths, blocks)
+    return SumRankCode(C.tower, C.lengths, np.split(ker, np.cumsum(C.lengths)[:-1], axis=1))
 
 
 def delsarte_dual(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> SubspaceDesign:
@@ -337,8 +336,7 @@ def is_minimal_code(
         return True, None
     if method != "geometric":
         raise ValueError("method must be 'geometric' or 'pairs'")
-    # cutting does not depend on member order, so a source design serves as well
-    D = C.system() if C.design is None else C.design
+    D = C.system()
     report = is_cutting(D, cap=cap)
     if report.cutting:
         return True, None
@@ -385,8 +383,7 @@ def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:
 def weight_spectrum(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
     """Codeword counts per sum-rank weight (scalar classes share a weight)."""
     t = C.tower
-    check_cap(gaussian_binomial(C.k, 1, t.order), cap, "classes")
-    weights, counts = np.unique(_weights(C, canonical_projective_reps(t.order, C.k)), return_counts=True)
+    weights, counts = np.unique(_class_weights(C, cap), return_counts=True)
     spec: dict[int, int] = {0: 1}
     for w, n in zip(weights, counts):
         spec[int(w)] = spec.get(int(w), 0) + (t.order - 1) * int(n)

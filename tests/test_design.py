@@ -290,6 +290,8 @@ def test_witnesses_keep_enumeration_order(pseudo9):
     for D, A in ((glued_design(2, 2, 4, 1), 2), (glued_design(2, 3, 4, 1), 3), (pseudoregulus_design(2, 2, 2, 1), 2)):
         prof = de.design_profile(D, 2)
         assert (prof.A_min, prof.witness.basis.tolist()) == (A, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        whole = de.design_profile(D, 4)  # the one 4-subspace: the identity, meeting every member fully
+        assert (whole.A_min, whole.witness.basis.tolist()) == (D.total_dim, np.eye(4, dtype=int).tolist())
     assert de.is_cutting(pseudo9).witness.basis.tolist() == [[0, 1]]
 
 

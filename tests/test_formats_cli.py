@@ -185,6 +185,24 @@ def test_cli_malformed_element_is_a_format_error(tmp_path, capsys):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "FormatError"
 
 
+def test_cli_strong_verify_of_a_code_file_is_a_format_error(tmp_path, capsys):
+    design, code = tmp_path / "d.json", tmp_path / "c.json"
+    assert run_cli("construct", "field-partition", "--q", "2", "--m", "3", "--k", "2", "-o", str(design)) == 0
+    assert run_cli("msrd", str(design), "--emit-code", str(code)) == 0
+    capsys.readouterr()
+    assert run_cli("strong", "verify", str(code), "--s", "1") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "FormatError"
+
+
+def test_cli_cameron_liebler_complement_of_one_kind(capsys):
+    assert run_cli("strong", "cameron-liebler", "--kind", "complement", "--of", "point_pencil",
+                   "--n", "1", "--k", "3", "--q", "2") == 0
+    rep = json.loads(capsys.readouterr().out)
+    S, predicted = sb.cameron_liebler("complement", 1, 3, 2, params={"of": "point_pencil"})
+    assert (rep["t"], rep["predicted"]["x"]) == (S.t, predicted["x"]) == (28, 4)
+
+
 def test_cli_cap(tmp_path, capsys):
     design = tmp_path / "d.json"
     run_cli("construct", "pseudoregulus", "--q", "3", "--m", "2", "--r", "1",

@@ -206,14 +206,15 @@ def looped_matmul(F, A, B):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 4099])
 @given(st.integers(0, 10_000))
 def test_prime_field_matmul_matches_looped_products(p, seed):
-    F = small_field(p)
+    # F_p and its degree-1 extension, the F_{q^m} of every m = 1 tower: both hold residues mod p
     rng = np.random.default_rng(seed)
-    for n, r, c in [(0, 3, 2), (2, 0, 3), (2, 3, 0), tuple(int(x) for x in rng.integers(1, 7, 3))]:
-        A, B = rng.integers(0, p, (n, r)), rng.integers(0, p, (r, c))
-        got = linalg.matmul(F, A, B)
-        assert got.dtype == DTYPE and np.array_equal(got, looped_matmul(F, A, B))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        linalg.matmul(F, np.zeros((2, 3), dtype=DTYPE), np.zeros((2, 3), dtype=DTYPE))
+    for F in (small_field(p), make_tower(p, 1, 1).fqm):
+        for n, r, c in [(0, 3, 2), (2, 0, 3), (2, 3, 0), tuple(int(x) for x in rng.integers(1, 7, 3))]:
+            A, B = rng.integers(0, p, (n, r)), rng.integers(0, p, (r, c))
+            got = linalg.matmul(F, A, B)
+            assert got.dtype == DTYPE and np.array_equal(got, looped_matmul(F, A, B))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            linalg.matmul(F, np.zeros((2, 3), dtype=DTYPE), np.zeros((2, 3), dtype=DTYPE))
 
 
 def test_span_table_certificate_survives_python_O():

@@ -76,6 +76,32 @@ def test_cameron_liebler_other_kinds():
         sb.cameron_liebler("point_pencil", 1, 2, 2)  # k < 2n+1
 
 
+def _looped_cameron_liebler(kind, n, k, q, of=None):
+    """The members as a looped filter of enumerate_fqm_subspaces: the oracle of the masks."""
+    amb = AmbientSpace(make_tower(q, 1, 1), k + 1)
+    e1, elast = np.eye(k + 1, dtype=int)[[0, -1]]
+    preds = {
+        "point_pencil": lambda W: W.contains(e1),
+        "in_hyperplane": lambda W: not np.any(W.basis[:, -1]),
+        "mixed": lambda W: W.contains(elast) or not np.any(W.basis[:, -1]),
+    }
+    preds["union"] = preds["mixed"]
+    if kind == "complement":
+        return [W for W in enumerate_fqm_subspaces(amb, n + 1) if not preds[of](W)]
+    return [W for W in enumerate_fqm_subspaces(amb, n + 1) if preds[kind](W)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind,of", [("point_pencil", None), ("in_hyperplane", None), ("mixed", None),
+                                     ("union", ["in_hyperplane", "point_pencil"]), ("complement", "point_pencil"),
+                                     ("complement", "in_hyperplane"), ("complement", "mixed")])
+def test_cameron_liebler_masks_match_looped_filter(kind, of, q):
+    # member bases and their order are those of the per-subspace predicates
+    S, _ = sb.cameron_liebler(kind, 1, 3, q, params=None if of is None else {"of": of})
+    want = _looped_cameron_liebler(kind, 1, 3, q, of)
+    assert [(V.basis.tolist(), V.pivots) for V in S.members] == [(W.basis.tolist(), W.pivots) for W in want]
+
+
 def test_cameron_liebler_q3():
     S, pred = sb.cameron_liebler("point_pencil", 1, 3, 3)
     assert pred["x"] == 1 and S.t == 13

@@ -62,6 +62,8 @@ def test_degenerate_code_rejected():
     assert not C.non_degenerate
     with pytest.raises(DegenerateCode):
         sr.system_from_code(C)
+    # without a source design the class weights are expansion ranks, which need no system
+    assert sr.min_distance(C, method="hyperplane") == sr.min_distance(C, method="codewords") == 1
 
 
 def test_weights(code9):
