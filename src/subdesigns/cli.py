@@ -9,6 +9,7 @@ the global flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -306,6 +307,7 @@ def _cmd_repro(args) -> dict:
 # --- parser ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: main parses every argv with it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="subdesigns", description=__doc__)
     ap.add_argument("--cap", type=_positive_int, default=sp.DEFAULT_ENUMERATION_CAP, help="enumeration cap")

@@ -13,8 +13,12 @@ Its column sums give the (k-1)-profile, the histogram and the cutting
 totals; ``hamming`` reads the Ext point counts off it.  ``section_spans``
 gives the sections themselves as echelon rows, for the cutting test.
 Every other s reads the same identity off a closed-form basis X of W^perp:
-dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  All sweeps eliminate whole
-stacks at once through ``linalg.echelon_batch``.
+dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The F_q digits of X G_i are
+table lookups with no F_{q^m} product: ``digit_tables``, built once per
+design or code, holds the digits of every value of each group of base-q
+digits of x_l times row l of G_i, and ``block_digits`` sums one gathered
+row per coordinate and group.  All sweeps eliminate whole stacks at once
+through ``linalg.echelon_batch``.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class SubspaceDesign:
                 raise AmbientMismatch("member from a different ambient")
         self.ambient = ambient
         self.members = members
-        self._gen_blocks = None
+        self._digit_tables = None
         self._linear_sets = None
         self._hyperplane_dims = None
 
@@ -101,10 +105,11 @@ class SubspaceDesign:
     def __repr__(self) -> str:
         return f"SubspaceDesign(t={self.t}, dims={list(self.dims)}, ambient={self.ambient})"
 
-    def gen_blocks(self) -> list[np.ndarray]:
-        if self._gen_blocks is None:
-            self._gen_blocks = [U.gen_block() for U in self.members]
-        return self._gen_blocks
+    def digit_tables(self) -> list[np.ndarray]:
+        """block_digits tables of the members' generator blocks, built on first use."""
+        if self._digit_tables is None:
+            self._digit_tables = digit_tables(self.ambient.tower, [U.gen_block() for U in self.members])
+        return self._digit_tables
 
     def member_linear_sets(self, cap: int | None = DEFAULT_ENUMERATION_CAP):
         """linear_set of every nonzero member (None for zero ones); built once, with the
@@ -151,11 +156,64 @@ def _point_sort_key(point: tuple) -> tuple:
     return (lead, point[lead + 1 :])
 
 
-def block_digits(tower: FieldTower, X: np.ndarray, blocks) -> list[np.ndarray]:
-    """F_q digits (..., n_i, m) of x G_i for every row x of X (..., k), one array per block G_i (k, n_i)."""
+def _digit_groups(tower: FieldTower) -> tuple[np.ndarray, int]:
+    """(q^a for the lowest digit a of each group, q^w): the m base-q digits of an
+    F_{q^m} code split into the fewest groups of w consecutive digits with
+    q^w <= PACKED_CAP (w = 1 when q alone is larger), evened out so that w is as
+    small as that count of groups allows."""
+    q, m = tower.q, tower.m
+    groups = -(-m // max((w for w in range(1, m + 1) if q**w <= linalg.PACKED_CAP), default=1))
+    w = -(-m // groups)
+    return (q ** (w * np.arange(groups))).astype(DTYPE), q**w
+
+
+def digit_tables(tower: FieldTower, blocks) -> list[np.ndarray]:
+    """The lookup tables block_digits sums, one (k g, q^w, n_i m) array per block G_i (k, n_i).
+
+    Row c of term l g + j holds the F_q digits of (c q^a_j) G_i[l, :], where q^a_j
+    is the weight of digit group j: x_l G_i[l, :] is the sum over j of the rows
+    picked by the group codes of x_l.  Codes past q^m wrap (they are never picked).
+    Over a prime q the entries are kept in the narrowest unsigned dtype that
+    holds a sum of k g digits below q.
+    """
+    fqm = tower.fqm
+    shifts, span = _digit_groups(tower)
+    codes = np.arange(span)[None] * shifts[:, None] % tower.order  # (g, q^w)
+    tables = []
+    for G in blocks:
+        T = fqm.to_digits(fqm.mul(codes[None, :, :, None], G[:, None, None, :]))  # (k, g, q^w, n_i, m)
+        T = T.reshape(G.shape[0] * len(shifts), span, G.shape[1] * tower.m)
+        if tower.q == tower.p:  # integer sums, reduced once in block_digits
+            dtype = np.min_scalar_type(len(T) * (tower.p - 1))
+            certify(len(T) * int(T.max(initial=0)) <= np.iinfo(dtype).max,
+                    f"a sum of {len(T)} digit table rows must fit {dtype}")
+            T = T.astype(dtype)
+        tables.append(T)
+    return tables
+
+
+def block_digits(tower: FieldTower, X: np.ndarray, tables) -> list[np.ndarray]:
+    """F_q digits (..., n_i, m) of x G_i for every row x of X (..., k), one array per
+    block, from the block's digit_tables: one gather per coordinate and digit group."""
+    shifts, span = _digit_groups(tower)
     rows = X.reshape(-1, X.shape[-1])
-    return [tower.fqm.to_digits(linalg.matmul(tower.fqm, rows, G)).reshape(*X.shape[:-1], G.shape[1], tower.m)
-            for G in blocks]
+    if len(shifts) == 1:  # one group: the group code is the code itself
+        codes = rows.T
+    else:
+        codes = (rows[:, :, None] // shifts % span).reshape(len(rows), len(shifts) * rows.shape[1]).T
+    prime = tower.q == tower.p
+    out = []
+    for T in tables:
+        acc = T[0].take(codes[0], axis=0)
+        for term, code in zip(T[1:], codes[1:]):
+            if prime:
+                acc += term.take(code, axis=0)
+            else:
+                acc = tower.fq.add(acc, term.take(code, axis=0))
+        if prime:
+            acc %= tower.p
+        out.append(acc.astype(DTYPE, copy=False).reshape(*X.shape[:-1], T.shape[2] // tower.m, tower.m))
+    return out
 
 
 def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
@@ -166,7 +224,7 @@ def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
     """
     t = D.ambient.tower
     B, r, _ = X.shape
-    digits = block_digits(t, X, D.gen_blocks())  # (B, r, dim U_i, m) each
+    digits = block_digits(t, X, D.digit_tables())  # (B, r, dim U_i, m) each
     return np.array([U.dim - linalg.rank_batch(t.fq, d.swapaxes(1, 2).reshape(B, U.dim, r * t.m))
                      for U, d in zip(D.members, digits)])
 
@@ -183,7 +241,7 @@ def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
     amb = D.ambient
     m = amb.tower.m
     spans = []
-    for U, digs in zip(D.members, block_digits(amb.tower, normals, D.gen_blocks())):
+    for U, digs in zip(D.members, block_digits(amb.tower, normals, D.digit_tables())):
         rows = np.concatenate([digs, np.broadcast_to(U.basis, (len(normals), *U.basis.shape))], axis=2)
         E, lead = linalg.echelon_batch(amb.tower.fq, rows)
         spans.append(np.where((lead >= m)[:, :, None], E[:, :, m:], 0))

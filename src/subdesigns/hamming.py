@@ -97,7 +97,7 @@ def srg_from_two_intersection(
     Q = amb.tower.order
     k = amb.k
     counts = hyperplane_point_counts(P, cap=cap)
-    sizes = sorted(set(int(c) for c in counts))
+    sizes = np.unique(counts).tolist()
     if len(sizes) != 2:
         raise NotTwoIntersection(f"hyperplane intersection sizes are {sizes}")
     if not P.spans():

@@ -56,6 +56,9 @@ def _result(number: int, name: str, started: float, failures: list[str], details
 
 def distinct_norm_elements(tower, t: int) -> list[int]:
     """Smallest element codes realizing the first t norm values 1, 2, ..."""
+    if t > tower.q - 1:
+        raise BadParameters(f"the norms of t = {t} twisting elements must be distinct elements of F_{tower.q}^*: "
+                            f"t must be at most q - 1 = {tower.q - 1}")
     table = np.asarray(tower.norm_table)
     out = []
     for lam in range(1, t + 1):

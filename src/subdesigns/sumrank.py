@@ -24,6 +24,7 @@ from subdesigns import linalg
 from subdesigns.design import (
     SubspaceDesign,
     block_digits,
+    digit_tables,
     hyperplane_profile_sums,
     is_cutting,
     section_dims,
@@ -72,6 +73,7 @@ class SumRankCode:
         self.lengths = lengths
         self.k = k
         self.blocks = blocks
+        self._digit_tables = None
         self.sort_perm = tuple(sort_perm) if sort_perm is not None else tuple(range(len(lengths)))
         # the design a code was built from (code_from_system), whose cached
         # sections give the class weights
@@ -103,6 +105,12 @@ class SumRankCode:
             if linalg.rank(self.tower.fq, cols) != n:
                 return False
         return True
+
+    def digit_tables(self) -> list[np.ndarray]:
+        """block_digits tables of the blocks, built on first use."""
+        if self._digit_tables is None:
+            self._digit_tables = digit_tables(self.tower, self.blocks)
+        return self._digit_tables
 
     def system(self) -> SubspaceDesign:
         """The associated system, built once: the source design of a code_from_system
@@ -165,7 +173,7 @@ def system_from_code(C: SumRankCode) -> SubspaceDesign:
 
 def _weights(C: SumRankCode, X: np.ndarray) -> np.ndarray:
     """Sum-rank weights (B,) of the codewords xG for the rows x of X (B, k)."""
-    return sum(linalg.rank_batch(C.tower.fq, d) for d in block_digits(C.tower, X, C.blocks))
+    return sum(linalg.rank_batch(C.tower.fq, d) for d in block_digits(C.tower, X, C.digit_tables()))
 
 
 def sumrank_weight(C: SumRankCode, x) -> int:
@@ -280,11 +288,15 @@ def delsarte_dual(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) 
         raise DegenerateDual("dual code is the zero code")
     if not Cd.non_degenerate:
         raise DegenerateDual("dual code has an F_q-dependent block")
+    Q = D.ambient.tower.order
+    certificate = cap is not None and gaussian_binomial(C.k, 1, Q) <= cap
+    if certificate:  # min_distance(Cd) below scans the dual's classes: refuse them before building anything
+        check_cap(gaussian_binomial(Cd.k, 1, Q), cap, "classes")
     Dd = system_from_code(Cd)
     certify(sorted(Dd.dims) == sorted(C.lengths), "Delsarte dual must preserve the dimension multiset")
     m = D.ambient.tower.m
     ns = C.lengths
-    if cap is not None and gaussian_binomial(C.k, 1, D.ambient.tower.order) <= cap:
+    if certificate:
         d = min_distance(C, cap=cap)
         dd = min_distance(Cd, cap=cap)
         M, Md = C.N - d, Cd.N - dd
@@ -317,7 +329,7 @@ def is_minimal_code(
         # every block does.  As the joint rank is also at least rk S_i(y), only pairs
         # with wt_i(y) <= wt_i(x) in every block are ranked.  The digits (n_i, m) of
         # x G_i are S_i(x) transposed.
-        digits = block_digits(t, reps, C.blocks)
+        digits = block_digits(t, reps, C.digit_tables())
         bw = np.stack([linalg.rank_batch(t.fq, d) for d in digits], axis=1)  # (n, t) block weights
         wt = bw.sum(axis=1)
         n = len(reps)

@@ -3,11 +3,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from subdesigns import design as de
 from subdesigns import linalg
+from subdesigns import sumrank as sr
 from subdesigns.errors import (
     BadExponent,
+    BadParameters,
     BadPartition,
     EnumerationCapExceeded,
     EtaInNormGroup,
@@ -21,7 +24,7 @@ from subdesigns.errors import (
 )
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower
-from subdesigns.repro import glued_design, pseudoregulus_design, twisted_design
+from subdesigns.repro import distinct_norm_elements, glued_design, pseudoregulus_design, twisted_design
 from subdesigns.subspace import (
     AmbientSpace,
     FqmSubspace,
@@ -32,6 +35,7 @@ from subdesigns.subspace import (
     meet_join,
     span_fq,
 )
+from test_linalg import RANK_TOWERS
 
 
 @pytest.fixture(scope="module")
@@ -359,3 +363,76 @@ def test_cached_linear_sets_still_check_the_cap():
     with pytest.raises(EnumerationCapExceeded):
         D.member_linear_sets(cap=8)
     assert len(D.member_linear_sets(cap=9)) == D.t
+
+
+# --- block digits -------------------------------------------------------------------
+
+
+def matmul_block_digits(tower, X, blocks):
+    """The oracle of design.block_digits: an F_{q^m} product per block, split into F_q digits."""
+    rows = X.reshape(-1, X.shape[-1])
+    return [tower.fqm.to_digits(linalg.matmul(tower.fqm, rows, G)).reshape(*X.shape[:-1], G.shape[1], tower.m)
+            for G in blocks]
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+@given(st.integers(0, 10_000))
+def test_block_digits_match_matmul_oracle(key, seed):
+    t = make_tower(*key)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    blocks = [rng.integers(0, t.order, (k, n)).astype(DTYPE) for n in (int(rng.integers(1, 6)), 0)]
+    blocks[0][:, rng.integers(0, blocks[0].shape[1])] = 0  # a zero column
+    tables = de.digit_tables(t, blocks)
+    for shape in [(int(rng.integers(0, 40)), k), (int(rng.integers(0, 6)), 3, k), (k,)]:
+        X = rng.integers(0, t.order, shape).astype(DTYPE)
+        for got, want in zip(de.block_digits(t, X, tables), matmul_block_digits(t, X, blocks), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_digit_groups_split_wide_fields():
+    # F_6561 = F_9^4: 9^4 > PACKED_CAP, so its digits come in two groups of two; F_27 in one of three
+    assert de._digit_groups(make_tower(3, 2, 4))[0].tolist() == [1, 81]
+    assert de._digit_groups(make_tower(3, 1, 3))[0].tolist() == [1]
+
+
+def test_hyperplane_sweep_makes_no_fqm_matmul(monkeypatch):
+    # the headline design's sweeps (sections, cutting, class weights) run on cached digit tables
+    glued = glued_design(3, 3, 4, 2)
+    D = de.SubspaceDesign(glued.ambient, glued.members)
+    fields = []
+    product = linalg.matmul
+    monkeypatch.setattr(linalg, "matmul", lambda F, A, B: fields.append(F) or product(F, A, B))
+    assert de.hyperplane_weight_distribution(D) == {6: 19712, 7: 728}
+    assert not de.is_cutting(D).cutting
+    assert sr.min_distance(sr.code_from_system(D), method="classes") == 5
+    tables = D.digit_tables()
+    assert D.digit_tables() is tables  # built once per design object
+    assert not any(F is D.ambient.tower.fqm for F in fields)
+
+
+def test_digit_table_overflow_bound_survives_python_O():
+    # digits of 100 and more break the bound k g (p - 1) that sizes the integer sums over F_3;
+    # the certificate must refuse the tables with asserts stripped
+    check = (
+        "import numpy as np\n"
+        "from subdesigns import design as de\n"
+        "from subdesigns.gf import make_tower\n"
+        "t = make_tower(3, 1, 3)\n"
+        "t.fqm._dig = t.fqm._dig * 100\n"
+        "de.digit_tables(t, [np.ones((4, 2), dtype=np.int32)])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: a sum of 4 digit table rows must fit uint8" in proc.stderr
+
+
+@pytest.mark.parametrize("build", [
+    lambda: glued_design(2, 2, 2, 2),
+    lambda: twisted_design(3, 2, 2, 3),
+    lambda: pseudoregulus_design(2, 3, 1, 2),
+    lambda: distinct_norm_elements(make_tower(2, 2, 2), 4),
+])
+def test_more_twisting_elements_than_norms_is_bad_parameters(build):
+    with pytest.raises(BadParameters, match="t must be at most q - 1"):
+        build()

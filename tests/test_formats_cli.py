@@ -365,3 +365,24 @@ def test_cli_bad_values_never_raise_a_traceback(tmp_path, capsys, argv, outcome)
     else:
         assert run_cli(*argv) == 1
         assert json.loads(capsys.readouterr().out)["error"] == outcome
+
+
+def test_cli_main_calls_in_one_process_match_separate_processes(tmp_path, capsys):
+    # main parses every argv with one cached parser: options and defaults must not carry from one call
+    # to the next, so each call prints what a fresh process prints
+    design = tmp_path / "d.json"
+    design.write_text(fmt.dumps(fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))))
+    calls = [
+        ["--cap", "3", "profile", str(design), "--s", "1"],
+        ["profile", str(design), "--s", "1"],
+        ["minimal", str(design), "--method", "pairs"],
+        ["minimal", str(design)],
+    ]
+    in_process = []
+    for argv in calls:
+        rc = cli_main(argv)
+        in_process.append((rc, capsys.readouterr().out))
+    separate = [subprocess.run([sys.executable, "-m", "subdesigns.cli", *argv], capture_output=True, text=True,
+                               timeout=120) for argv in calls]
+    assert in_process == [(proc.returncode, proc.stdout) for proc in separate]
+    assert [rc for rc, _ in in_process] == [1, 0, 0, 0]

@@ -198,7 +198,7 @@ def test_srg_small_graph(subgeometry_design):
 
 def test_not_two_intersection():
     baer = de.construct_field_partition(2, 2, 3)
-    with pytest.raises(NotTwoIntersection):
+    with pytest.raises(NotTwoIntersection, match=r"^hyperplane intersection sizes are \[5\]$"):
         ha.srg_from_two_intersection(ha.ext_system(baer))
 
 

@@ -239,6 +239,16 @@ def test_caps_checked_before_enumerating(monkeypatch, pseudo9, code9):
     assert sorted(sr.delsarte_dual(pseudo9, cap=9).dims) == [2, 2]
 
 
+def test_delsarte_dual_refuses_the_dual_class_count_before_building_the_dual(monkeypatch):
+    # the code's 28 classes fit the cap, the dual code's 20440 do not: refused before its system exists
+    D = twisted_design(3, 3, 2, 2)
+    built = []
+    monkeypatch.setattr(sr, "system_from_code", built.append)
+    with pytest.raises(EnumerationCapExceeded, match="^20440 classes exceed cap 28$"):
+        sr.delsarte_dual(D, cap=28)
+    assert built == []
+
+
 def test_isometries(code9):
     ident = sr.apply_isometry(code9, [1, 1], [np.eye(2, dtype=int)] * 2, [0, 1])
     assert sr.weight_spectrum(ident) == sr.weight_spectrum(code9)
