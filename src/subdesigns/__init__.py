@@ -22,7 +22,7 @@ Everything is exact and deterministic; heavy sweeps are plain enumerations
 kept honest by configurable caps.
 """
 
-from subdesigns.gf import FieldTower, FFElement, make_tower, frobenius, norm_trace
+from subdesigns.gf import FieldTower, FFElement, make_tower, tower_for, frobenius, norm_trace
 from subdesigns.subspace import (
     AmbientSpace,
     FqSubspace,

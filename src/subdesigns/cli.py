@@ -26,7 +26,7 @@ from subdesigns import strongbridge as sb
 from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
 from subdesigns.errors import BadParameters, FormatError, SubdesignsError
-from subdesigns.gf import make_tower, prime_power
+from subdesigns.gf import tower_for
 
 
 def _jsonable(obj):
@@ -45,20 +45,12 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _emit(report: dict, path: str | None = None) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
-    if path:
-        Path(path).write_text(text + "\n")
-    print(text)
+def _emit(report: dict) -> None:
+    print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
 
 
 def _write(path: str, payload: dict) -> None:
     Path(path).write_text(fmt.dumps(payload))
-
-
-def _tower_for(q: int, m: int):
-    p, h = prime_power(q)
-    return make_tower(p, h, m)
 
 
 def _read_json(path: str):
@@ -112,11 +104,11 @@ def _fraction(text: str) -> Fraction:
 def _cmd_construct(args) -> dict:
     kind = args.kind
     if kind == "pseudoregulus":
-        tower = _tower_for(args.q, args.m)
+        tower = tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, 2 * args.r)
         D = de.construct_pseudoregulus(amb, args.s_exp, _parse_elements(tower, args.mus), cap=args.cap)
     elif kind == "twisted":
-        tower = _tower_for(args.q, args.m)
+        tower = tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, args.k)
         alphas = _parse_elements(tower, args.alphas)
         etas = _parse_elements(tower, args.eta)
@@ -125,7 +117,7 @@ def _cmd_construct(args) -> dict:
         blocks = [de.full_field_block(tower)] * len(alphas)
         D = de.construct_twisted(amb, alphas, etas[0], blocks, s_exp=args.s_exp, cap=args.cap)
     elif kind == "basis-partition":
-        tower = _tower_for(args.q, args.m)
+        tower = tower_for(args.q, args.m)
         amb = sp.AmbientSpace(tower, args.k)
         basis = np.eye(args.k, dtype=int).tolist()
         D = de.construct_basis_partition(amb, basis, args.partition)
@@ -136,8 +128,6 @@ def _cmd_construct(args) -> dict:
     elif kind == "enlarge":
         base = _load_design(args.inputs[0])
         D = de.enlarge(base, args.s, args.increments, cap=args.cap)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
     if args.output:
         _write(args.output, fmt.design_to_json(D))
     return {"kind": kind, "t": D.t, "dims": list(D.dims), "output": args.output}
@@ -277,7 +267,7 @@ def _cmd_strong(args) -> dict:
         return {"dims": list(out.dims), "output": args.output}
     if args.strong_verb == "places":
         spec = _read_json(args.spec)
-        tower = _tower_for(int(spec["q"]), int(spec["m"]))
+        tower = tower_for(int(spec["q"]), int(spec["m"]))
         D = sb.places_embed(tower, spec["members"], spec["p"], int(spec["zeta"]), int(spec["k"]),
                             cap=args.cap)
         if args.output:

@@ -49,7 +49,7 @@ from subdesigns.errors import (
     certify,
 )
 from subdesigns.fieldcore import DTYPE, LAZY_CAP, find_irreducible
-from subdesigns.gf import FFElement, FieldTower, make_tower, prime_power, small_field
+from subdesigns.gf import FieldTower, make_tower, prime_power, small_field
 from subdesigns.subspace import (
     DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
@@ -291,9 +291,10 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
     if not 1 <= s <= k:
         raise DimensionMismatch(f"s must lie in [1, {k}]")
     span = D.span_dim()
-    if s == 1:
+    if s == 1 and (cap is None or amb.tower.q ** max(D.dims) <= cap):
+        # the linear sets enumerate q^dim vectors per member; past the cap the sweep visits points
         best, witness = _profile_points(D, cap)
-    elif s == k - 1:
+    elif 1 < s == k - 1:
         sums = D.hyperplane_dims(cap).sum(axis=0)
         idx = int(np.argmax(sums))  # the first maximum keeps enumeration order
         best = int(sums[idx])
@@ -411,10 +412,7 @@ def _distinct_norms(tower: FieldTower, codes) -> list[int]:
 
 def construct_basis_partition(ambient: AmbientSpace, basis, partition) -> SubspaceDesign:
     """Members spanned over F_q by the blocks of a partition of an F_{q^m}-basis."""
-    vecs = []
-    for vec in basis:
-        vecs.append([e.code if isinstance(e, FFElement) else int(e) for e in vec])
-    M = np.asarray(vecs, dtype=DTYPE)
+    M = np.asarray([[int(e) for e in vec] for vec in basis], dtype=DTYPE)
     k = ambient.k
     if M.shape != (k, k) or linalg.rank(ambient.tower.fqm, M) != k:
         raise NotABasis("need k independent vectors over F_{q^m}")
@@ -455,8 +453,8 @@ def construct_twisted(
     """
     t = ambient.tower
     k = ambient.k
-    alpha_codes = [a.code if isinstance(a, FFElement) else int(a) for a in alphas]
-    eta_code = eta.code if isinstance(eta, FFElement) else int(eta)
+    alpha_codes = [int(a) for a in alphas]
+    eta_code = int(eta)
     if len(alpha_codes) >= t.q:
         raise TooManyBlocks(f"need t < q = {t.q}")
     norms = _distinct_norms(t, alpha_codes)
@@ -520,7 +518,7 @@ def construct_pseudoregulus(
     r = k // 2
     if gcd(s_exp, t.m) != 1:
         raise BadExponent("exponent must be coprime to m")
-    mu_codes = [u.code if isinstance(u, FFElement) else int(u) for u in mus]
+    mu_codes = [int(u) for u in mus]
     _distinct_norms(t, mu_codes)
     members = []
     for mu in mu_codes:
@@ -647,7 +645,7 @@ def enlarge(
     F = amb.tower.fq
     increments = list(increments)
     if len(increments) != D.t:
-        raise ValueError("one increment per member")
+        raise BadParameters("one increment per member")
     if any(j < 0 or j > amb.n_fq - U.dim for j, U in zip(increments, D.members)):
         raise IncrementTooLarge("increments must fit inside the ambient dimension")
     if profile is None:

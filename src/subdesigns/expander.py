@@ -19,7 +19,6 @@ from subdesigns import linalg
 from subdesigns.design import SubspaceDesign
 from subdesigns.errors import BadDims, BadParameters, NotABasis, certify
 from subdesigns.fieldcore import DTYPE
-from subdesigns.gf import FFElement
 from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, check_cap, gaussian_binomial, rref_matrix_blocks
 
 
@@ -36,10 +35,6 @@ class ExpanderFamily:
         amb = self.design.ambient
         return amb.tower.m * amb.k
 
-    @property
-    def t(self) -> int:
-        return self.design.t
-
 
 def build_expander(D: SubspaceDesign, beta=None) -> ExpanderFamily:
     """Assemble the maps f -> f(beta_j); requires member dims ell/t and t <= m."""
@@ -51,7 +46,7 @@ def build_expander(D: SubspaceDesign, beta=None) -> ExpanderFamily:
         raise BadDims(f"need t <= m and all member dims equal to ell/t = {ell}/{t}")
     if beta is None:
         beta = tw.y_basis
-    beta = [b.code if isinstance(b, FFElement) else int(b) for b in beta]
+    beta = [int(b) for b in beta]
     if len(beta) != tw.m or linalg.rank(tw.fq, tw.fqm.to_digits(np.array(beta, dtype=DTYPE))) != tw.m:
         raise NotABasis("beta must be an F_q-basis of F_{q^m}")
 

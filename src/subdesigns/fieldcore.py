@@ -255,29 +255,21 @@ def poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def poly_divmod(F: SmallField, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    a = list(a)
-    poly_trim(a)
-    b = list(b)
-    poly_trim(b)
+def poly_mod(F: SmallField, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    a = poly_trim(list(a))
+    b = poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db, lead = len(b) - 1, b[-1]
     ilead = int(F.inv(lead))
-    q = [0] * max(len(a) - db, 0)
     while len(a) - 1 >= db and a:
         c = int(F.mul(a[-1], ilead))
         s = len(a) - 1 - db
-        q[s] = c
         for j, cb in enumerate(b):
             if cb:
                 a[s + j] = int(F.sub(a[s + j], int(F.mul(c, cb))))
         poly_trim(a)
-    return poly_trim(q), a
-
-
-def poly_mod(F: SmallField, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    return poly_divmod(F, a, b)[1]
+    return a
 
 
 def poly_eval(F: SmallField, a, x):

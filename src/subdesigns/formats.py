@@ -31,15 +31,6 @@ def dumps(obj: dict) -> str:
 # --- scalars -------------------------------------------------------------------
 
 
-def _fq_digits(tower: FieldTower, code: int) -> list[int]:
-    digs = []
-    c = int(code)
-    for _ in range(tower.h):
-        digs.append(c % tower.p)
-        c //= tower.p
-    return digs
-
-
 def _fq_from_digits(p: int, h: int, digs) -> int:
     if len(digs) != h:
         raise FormatError(f"expected {h} base-p digits")
@@ -72,7 +63,7 @@ def tower_to_json(tower: FieldTower) -> dict:
         "h": tower.h,
         "m": tower.m,
         "fq_modulus": list(tower.fq_modulus),
-        "fqm_modulus": [_fq_digits(tower, c) for c in tower.fqm_modulus],
+        "fqm_modulus": tower.fq.to_digits(list(tower.fqm_modulus)).tolist(),
         "expansion_basis": "powers-of-y",
     }
 
@@ -102,8 +93,7 @@ def ambient_from_json(obj) -> AmbientSpace:
 
 
 def fq_subspace_rows(U: FqSubspace) -> list:
-    t = U.ambient.tower
-    return [[_fq_digits(t, int(c)) for c in row] for row in U.basis]
+    return U.ambient.tower.fq.to_digits(U.basis).tolist()
 
 
 def _rows_to_fq_subspace(amb: AmbientSpace, rows) -> FqSubspace:

@@ -285,6 +285,10 @@ class FFElement:
         """Nested polynomial-basis coordinates: m tuples of h residues mod p."""
         return self.tower.coeffs_from_code(self.code)
 
+    def __index__(self) -> int:
+        """The element's code, so ``int(x)`` and numpy accept elements and codes alike."""
+        return self.code
+
     def is_zero(self) -> bool:
         return self.code == 0
 
@@ -375,6 +379,11 @@ def make_tower(p: int, h: int, m: int, fq_modulus=None, fqm_modulus=None) -> Fie
         tower = _TOWER_CACHE.setdefault(tower.key, tower)
         _TOWER_CACHE[request] = tower
     return tower
+
+
+def tower_for(q: int, m: int) -> FieldTower:
+    """The default tower F_p < F_q < F_{q^m}; BadParameters unless q is a prime power."""
+    return make_tower(*prime_power(q), m)
 
 
 def frobenius(a: FFElement, j: int) -> FFElement:

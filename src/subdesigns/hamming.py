@@ -100,7 +100,7 @@ def srg_from_two_intersection(
     sizes = np.unique(counts).tolist()
     if len(sizes) != 2:
         raise NotTwoIntersection(f"hyperplane intersection sizes are {sizes}")
-    if not P.spans():
+    if P.design.span_dim() != k:
         raise NotTwoIntersection("the point set must span the space")
     w0, w1 = sizes
     N = P.length

@@ -272,24 +272,15 @@ def vecmat(F: SmallField, v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def sum_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape[0] == 0:
-        return rref(F, B)[0]
-    if B.shape[0] == 0:
-        return rref(F, A)[0]
     return rref(F, np.vstack([A, B]))[0]
 
 
 def intersect_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Canonical basis of rowspace(A) & rowspace(B); A, B need not be RREF."""
-    ra, rb = A.shape[0], B.shape[0]
-    if ra == 0 or rb == 0:
-        return np.zeros((0, A.shape[1] if A.ndim == 2 and A.shape[1] else B.shape[1]), dtype=DTYPE)
     # pairs (a, b) with a A = b B are the left kernel of [[A], [-B]]
     D = np.vstack([A, np.asarray(F.neg(B), dtype=DTYPE)])
     L = right_kernel(F, D.T)
-    if L.shape[0] == 0:
-        return np.zeros((0, A.shape[1]), dtype=DTYPE)
-    return rref(F, matmul(F, L[:, :ra], A))[0]
+    return rref(F, matmul(F, L[:, : A.shape[0]], A))[0]
 
 
 def invert(F: SmallField, M: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
 from subdesigns.errors import BadParameters
 from subdesigns.fieldcore import DTYPE
-from subdesigns.gf import make_tower, prime_power
+from subdesigns.gf import make_tower, tower_for
 
 # deterministic seeds for all randomized sub-suites
 SEEDS = {"sigma": 20240901, "duality": 20240902, "grassmann": 20240903, "singleton": 20240904, "rref": 20240905}
@@ -68,8 +68,7 @@ def distinct_norm_elements(tower, t: int) -> list[int]:
 
 
 def twisted_design(q: int, m: int, k: int, t: int, eta=0, s_exp: int = 1) -> de.SubspaceDesign:
-    p, h = prime_power(q)
-    tower = make_tower(p, h, m)
+    tower = tower_for(q, m)
     amb = sp.AmbientSpace(tower, k)
     alphas = distinct_norm_elements(tower, t)
     blocks = [de.full_field_block(tower)] * t
@@ -90,8 +89,7 @@ def glued_design(q: int, m: int, k: int, t: int) -> de.SubspaceDesign:
 
 
 def pseudoregulus_design(q: int, m: int, r: int, t: int, s_exp: int = 1) -> de.SubspaceDesign:
-    p, h = prime_power(q)
-    tower = make_tower(p, h, m)
+    tower = tower_for(q, m)
     amb = sp.AmbientSpace(tower, 2 * r)
     mus = distinct_norm_elements(tower, t)
     return de.construct_pseudoregulus(amb, s_exp, mus)

@@ -290,7 +290,7 @@ def kernel_dim(F: SigmaPoly) -> int:
 
 def twist(F: SigmaPoly, alpha: FFElement | int) -> SigmaPoly:
     """Coefficient twist f_i -> f_i * prod_{j<i} sigma^j(alpha)."""
-    code = alpha.code if isinstance(alpha, FFElement) else int(alpha)
+    code = int(alpha)
     if not 0 <= code < F.tower.order:
         raise BadParameters(f"twist by a code outside [0, {F.tower.order})")
     if code == 0:
@@ -305,7 +305,7 @@ def twist(F: SigmaPoly, alpha: FFElement | int) -> SigmaPoly:
 
 def lambda_value(F: SigmaPoly, lam: FFElement | int, check: bool = True) -> int:
     """deg gcrd(F, x^(sigma^m) - lam x); the kernel dimension of any norm-lam twist."""
-    code = lam.code if isinstance(lam, FFElement) else int(lam)
+    code = int(lam)
     t = F.tower
     if not 0 < code < t.order or not t.in_fq_code(code):
         raise NotInBaseField("lambda must lie in F_q^*")

@@ -37,7 +37,7 @@ from subdesigns.errors import (
     certify,
 )
 from subdesigns.fieldcore import DTYPE, poly_eval, poly_is_irreducible, poly_monic, poly_trim, smallest_root
-from subdesigns.gf import FieldTower, make_tower, prime_power
+from subdesigns.gf import FieldTower, make_tower, tower_for
 from subdesigns.subspace import (
     DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
@@ -253,8 +253,7 @@ def cameron_liebler(
     if k < 2 * n + 1:
         raise BadParameters("Cameron-Liebler sets need k >= 2n + 1")
     if tower is None:
-        p, h = prime_power(q)
-        tower = make_tower(p, h, 1)
+        tower = tower_for(q, 1)
     if tower.order != q:
         raise BadParameters("tower top field must have q elements")
     params = params or {}

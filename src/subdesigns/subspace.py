@@ -227,12 +227,6 @@ class ProjectiveSystem:
     def length(self) -> int:
         return sum(self.entries.values())
 
-    def point_matrix(self) -> np.ndarray:
-        return np.array(sorted(self.entries), dtype=DTYPE) if self.entries else np.zeros((0, self.ambient.k), dtype=DTYPE)
-
-    def spans(self) -> bool:
-        return linalg.rank(self.ambient.tower.fqm, self.point_matrix()) == self.ambient.k
-
 
 # --- constructors and lattice operations --------------------------------------
 
@@ -242,12 +236,9 @@ def _coerce_vectors(ambient: AmbientSpace, vectors: Iterable) -> np.ndarray:
     for vec in vectors:
         row = []
         for entry in vec:
-            if isinstance(entry, FFElement):
-                if entry.tower is not ambient.tower:
-                    raise AmbientMismatch("vector entry from another tower")
-                row.append(entry.code)
-            else:
-                row.append(int(entry))
+            if isinstance(entry, FFElement) and entry.tower is not ambient.tower:
+                raise AmbientMismatch("vector entry from another tower")
+            row.append(int(entry))
         if len(row) != ambient.k:
             raise DimensionMismatch(f"expected vectors of length {ambient.k}")
         rows.append(row)

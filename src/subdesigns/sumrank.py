@@ -31,6 +31,7 @@ from subdesigns.design import (
     section_spans,
 )
 from subdesigns.errors import (
+    BadParameters,
     DegenerateCode,
     DegenerateDual,
     InvalidDistance,
@@ -41,7 +42,7 @@ from subdesigns.errors import (
     certify,
 )
 from subdesigns.fieldcore import DTYPE
-from subdesigns.gf import FFElement, FieldTower
+from subdesigns.gf import FieldTower
 from subdesigns.subspace import (
     DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
@@ -61,14 +62,14 @@ class SumRankCode:
         if list(lengths) != sorted(lengths, reverse=True):
             raise ProfileNotSorted("length profile must be sorted descending")
         if any(n < 1 for n in lengths):
-            raise ValueError("block lengths must be positive")
+            raise BadParameters("block lengths must be positive")
         blocks = [np.asarray(b, dtype=DTYPE) for b in blocks]
         if len(blocks) != len(lengths):
-            raise ValueError("one generator block per length")
+            raise BadParameters("one generator block per length")
         k = blocks[0].shape[0]
         for b, n in zip(blocks, lengths):
             if b.shape != (k, n):
-                raise ValueError("generator block shape mismatch")
+                raise BadParameters("generator block shape mismatch")
         self.tower = tower
         self.lengths = lengths
         self.k = k
@@ -133,14 +134,6 @@ class SumRankSupport:
     blocks: tuple[bytes, ...]
     dims: tuple[int, ...]
 
-    @classmethod
-    def from_bases(cls, lengths, bases) -> "SumRankSupport":
-        return cls(
-            lengths=tuple(lengths),
-            blocks=tuple(np.ascontiguousarray(b, dtype=DTYPE).tobytes() for b in bases),
-            dims=tuple(b.shape[0] for b in bases),
-        )
-
     def basis(self, i: int) -> np.ndarray:
         return np.frombuffer(self.blocks[i], dtype=DTYPE).reshape(self.dims[i], self.lengths[i])
 
@@ -192,7 +185,7 @@ def support(C: SumRankCode, x) -> SumRankSupport:
     for y in C.encode(x):
         digs = C.tower.fqm.to_digits(np.asarray(y, dtype=DTYPE))  # n_i x m
         bases.append(linalg.rref(C.tower.fq, digs.T)[0])
-    return SumRankSupport.from_bases(C.lengths, bases)
+    return SumRankSupport(tuple(C.lengths), tuple(b.tobytes() for b in bases), tuple(len(b) for b in bases))
 
 
 def _class_weights(C: SumRankCode, cap: int | None) -> np.ndarray:
@@ -229,7 +222,7 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
     return int(_class_weights(C, cap).min())
 
 
-def singleton_msrd(C: SumRankCode, d: int | None = None, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict:
+def singleton_msrd(C: SumRankCode, d: int) -> dict:
     """Singleton-bound decomposition of d-1 and the MSRD verdict.
 
     Writes d - 1 = sum_{i<j} min(m, n_i) + delta with
@@ -238,8 +231,6 @@ def singleton_msrd(C: SumRankCode, d: int | None = None, cap: int | None = DEFAU
     """
     m = C.tower.m
     ns = C.lengths
-    if d is None:
-        d = min_distance(C, cap=cap)
     if d < 1 or d > sum(min(m, n) for n in ns):
         raise InvalidDistance(f"no valid Singleton decomposition for d={d}")
     j = None
@@ -374,7 +365,7 @@ def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:
         raise LengthProfileBroken("perm must be a permutation of the blocks")
     if any(C.lengths[perm[i]] != C.lengths[i] for i in range(C.t)):
         raise LengthProfileBroken("permutation must preserve the length profile")
-    scalars = [a.code if isinstance(a, FFElement) else int(a) for a in scalars]
+    scalars = [int(a) for a in scalars]
     if len(scalars) != C.t or any(a == 0 for a in scalars):
         raise ValueError("need t nonzero scalars")
     blocks = []

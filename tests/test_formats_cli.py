@@ -175,6 +175,25 @@ def test_cli_errors_and_exit_codes(tmp_path, capsys):
     assert err["error"] == "FormatError"
 
 
+def test_cli_enlarge_with_too_few_increments_is_bad_parameters(tmp_path, capsys):
+    design = tmp_path / "d.json"
+    design.write_text(fmt.dumps(fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))))  # 2 members
+    assert run_cli("construct", "enlarge", str(design), "--s", "1", "--increments", "1") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {"error": "BadParameters", "message": "one increment per member"}
+
+
+def test_cli_code_with_an_empty_block_is_bad_parameters(tmp_path, capsys):
+    obj = fmt.code_to_json(sr.code_from_system(pseudoregulus_design(3, 2, 1, 2)))
+    obj["lengths"] = obj["lengths"] + [0]  # the generator still has sum(lengths) columns
+    code = tmp_path / "c.json"
+    code.write_text(fmt.dumps(obj))
+    assert run_cli("minimal", str(code)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "BadParameters", "message": "block lengths must be positive"}
+
+
 def test_cli_malformed_element_is_a_format_error(tmp_path, capsys):
     # a subspace design's rows hold F_q scalars, one digit list each, not the m lists of an F_8 element
     design = tmp_path / "d.json"

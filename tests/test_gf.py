@@ -5,9 +5,15 @@ from hypothesis import given, strategies as st
 from subdesigns.errors import DivisionByZero, NotInBaseField, NotIrreducible, NotPrime, TowerMismatch
 from subdesigns.fieldcore import find_irreducible, poly_eval, poly_mod, smallest_root
 from subdesigns import gf, linalg
+from subdesigns import design as de
+from subdesigns import expander as ex
+from subdesigns import sumrank as sr
 from subdesigns.design import construct_field_partition
 from subdesigns.formats import tower_from_json, tower_to_json
 from subdesigns.gf import FFElement, frobenius, make_tower, norm_trace
+from subdesigns.repro import distinct_norm_elements, pseudoregulus_design, twisted_design
+from subdesigns.skewpoly import SigmaPoly, lambda_value, twist
+from subdesigns.subspace import AmbientSpace
 from test_linalg import RANK_TOWERS
 
 # towers swept exhaustively where the contracts ask for it (q^m <= 3^6)
@@ -299,3 +305,30 @@ def test_inverse_of_zero_inside_an_array(key):
     assert inv.shape == a.shape and set(F.mul(a, inv).tolist()) == {1}
     assert np.ndim(F.inv(2)) == 0 and int(F.mul(2, F.inv(2))) == 1
     assert F.inv(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
+# Each builds one result from field elements passed through `given`: as FFElements or as plain codes.
+T9 = make_tower(3, 1, 2)
+NORMS_1_2 = distinct_norm_elements(T9, 2)
+TAKES_ELEMENTS = {
+    "construct_twisted": lambda given: [U.basis.tolist() for U in de.construct_twisted(
+        AmbientSpace(T9, 2), given(NORMS_1_2), given([0])[0], [de.full_field_block(T9)] * 2).members],
+    "construct_pseudoregulus": lambda given: [U.basis.tolist() for U in de.construct_pseudoregulus(
+        AmbientSpace(T9, 2), 1, given(NORMS_1_2)).members],
+    "construct_basis_partition": lambda given: [U.basis.tolist() for U in de.construct_basis_partition(
+        AmbientSpace(T9, 2), [given([1, 0]), given([T9.q, 1])], [[1], [2]]).members],
+    "build_expander": lambda given: [M.tolist() for M in ex.build_expander(
+        twisted_design(3, 2, 2, 2), beta=given([1, T9.q + 1])).maps],
+    "twist": lambda given: twist(SigmaPoly(T9, [2, 1]), given([T9.q + 1])[0]).coeffs,
+    "lambda_value": lambda given: lambda_value(SigmaPoly(T9, [2, 0, 1]), given([1])[0]),
+    "apply_isometry": lambda given: sr.apply_isometry(
+        sr.code_from_system(pseudoregulus_design(3, 2, 1, 2)), given([T9.q, 1]), [np.eye(2, dtype=int)] * 2, [0, 1]
+    ).generator.tolist(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_ELEMENTS))
+def test_elements_and_codes_are_interchangeable(name):
+    # int(x) of an FFElement is its code, so no function forks on the element type
+    build = TAKES_ELEMENTS[name]
+    assert build(lambda codes: [T9.element(c) for c in codes]) == build(list)

@@ -202,6 +202,17 @@ def test_not_two_intersection():
         ha.srg_from_two_intersection(ha.ext_system(baer))
 
 
+def test_srg_needs_a_spanning_point_set():
+    # F_4^2 x {0} as an F_2-subspace of F_4^3: two hyperplane sizes, but its five points span only a plane
+    t = make_tower(2, 1, 2)
+    amb = AmbientSpace(t, 3)
+    U = span_fq(amb, [[c, 0, 0] for c in t.y_basis.tolist()] + [[0, c, 0] for c in t.y_basis.tolist()])
+    P = ha.ext_system(de.SubspaceDesign(amb, [U]))
+    assert np.unique(ha.hyperplane_point_counts(P)).tolist() == [3, 15]
+    with pytest.raises(NotTwoIntersection, match=r"^the point set must span the space$"):
+        ha.srg_from_two_intersection(P)
+
+
 def test_srg_feasibility_guard():
     with pytest.raises(AssertionError):
         ha.SrgParams(v=10, K=3, lam=0, mu=2)

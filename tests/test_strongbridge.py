@@ -11,6 +11,7 @@ from subdesigns.errors import (
     BadParameters,
     DegreeTooLarge,
     DimensionMismatch,
+    EnumerationCapExceeded,
     NotAMultiple,
     NotEvasive,
     NotIrreducible,
@@ -38,6 +39,18 @@ def test_verify_strong_basics(strong_f4):
     assert sb.verify_strong(sb.StrongSubspaceDesign(amb, [full]), 1) == 1
     point = FqmSubspace.from_rows(amb, [[1, 0]])
     assert sb.verify_strong(sb.StrongSubspaceDesign(amb, [point]), 1) == 1
+
+
+def test_verify_strong_s1_past_the_vector_cap_sweeps_points():
+    # the whole of F_4^2: 16 vectors but 5 points, so cap 10 takes the section sweep, with the same witness
+    amb = AmbientSpace(make_tower(2, 1, 2), 2)
+    S = sb.StrongSubspaceDesign(amb, [FqmSubspace.from_rows(amb, [[1, 0], [0, 1]])])
+    assert sb.verify_strong(S, 1, cap=10) == 1
+    D = de.SubspaceDesign(amb, [S.members[0].expand_fq()])
+    fast, swept = de.design_profile(D, 1), de.design_profile(D, 1, cap=10)
+    assert (swept.A_min, swept.witness.basis.tolist()) == (fast.A_min, fast.witness.basis.tolist()) == (2, [[1, 0]])
+    with pytest.raises(EnumerationCapExceeded):
+        sb.verify_strong(S, 1, cap=4)
 
 
 @pytest.mark.parametrize("p,h,m,k", [(2, 1, 3, 3), (2, 1, 2, 4)])

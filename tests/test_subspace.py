@@ -73,6 +73,13 @@ def test_meet_join_examples(amb4):
         meet_join(U, span_fq(other, []))
 
 
+def test_span_fq_takes_elements_and_codes_but_not_another_tower(amb4):
+    t = amb4.tower
+    assert span_fq(amb4, [(t.gen(), t.one())]) == span_fq(amb4, [(t.gen().code, 1)])
+    with pytest.raises(AmbientMismatch):
+        span_fq(amb4, [(make_tower(2, 1, 3).one(), t.zero())])
+
+
 def test_fqm_span_examples(amb4):
     assert fqm_span(subgeometry(amb4)).dim == 2
     line = span_fq(amb4, [(amb4.tower.one(), amb4.tower.zero())])
