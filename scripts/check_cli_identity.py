@@ -8,7 +8,8 @@ Writes the headline glued design (q=3, m=3, k=4, t=2) and the
 with the PARENT_SRC tree.  Then runs each verb below on each design in a
 fresh process, once against PARENT_SRC and once against SRC (default: this
 repository's ``src/``), and compares exit codes, stdout and every file the
-verb writes.  Each tree runs in its own working directory and writes its
+verb writes.  ``srg --verify-graph --dot`` runs only on the designs with
+Q^k <= 256, the DOT cap.  Each tree runs in its own working directory and writes its
 files under the same relative names, so echoed output paths agree too.
 Prints one line per difference and exits 1 if there is any.
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Run in the reference tree: writes one design JSON per name and prints each name and its k.
+# Run in the reference tree: writes one design JSON per name and prints each name, its k and Q^k.
 WRITE_DESIGNS = """
 import sys
 from pathlib import Path
@@ -36,11 +37,11 @@ designs = [("headline glued q3 m3 k4 t2", glued_design(3, 3, 4, 2))]
 designs += [(n, D) for n, D in max1_corpus() if D.ambient.tower.order ** D.ambient.k <= 4096]
 for i, (name, D) in enumerate(designs):
     (out / f"design{i:02d}.json").write_text(fmt.dumps(fmt.design_to_json(D)))
-    print(f"design{i:02d}.json", D.ambient.k, name, sep="\\t")
+    print(f"design{i:02d}.json", D.ambient.k, D.ambient.tower.order ** D.ambient.k, name, sep="\\t")
 """
 
 
-def verbs(design: str, k: int) -> list[list[str]]:
+def verbs(design: str, k: int, size: int) -> list[list[str]]:
     """The CLI runs for one design; file arguments are relative to the run's directory."""
     runs = [
         ["weights", design, "--hist-csv", "hist.csv", "--enumerator-csv", "enum.csv"],
@@ -52,6 +53,8 @@ def verbs(design: str, k: int) -> list[list[str]]:
         ["minimal", design, "--method", "pairs"],
         ["construct", "direct-sum", design, design, "-o", "sum.json"],
     ]
+    if size <= 256:
+        runs.append(["srg", design, "--verify-graph", "--dot", "graph.dot"])
     return runs + [["profile", design, "--s", str(s)] for s in range(1, k)]
 
 
@@ -78,8 +81,8 @@ def main() -> int:
                                  text=True, env=dict(os.environ, PYTHONPATH=str(trees["parent"]))).stdout
         jobs = []
         for line in listing.splitlines():
-            name, k, label = line.split("\t")
-            for j, argv in enumerate(verbs(str(tmp / name), int(k))):
+            name, k, size, label = line.split("\t")
+            for j, argv in enumerate(verbs(str(tmp / name), int(k), int(size))):
                 jobs.append((f"{label}: {' '.join(argv[:1] + argv[2:])}", f"{name}-{j:02d}", argv))
 
         def compare(job) -> list[str]:

@@ -4,15 +4,15 @@ The package is organised around a small exact-arithmetic core:
 
 * ``gf``          -- the two-level field tower, Frobenius, norm and trace;
 * ``subspace``    -- canonical F_q- and F_{q^m}-subspaces, enumeration,
-                     weighted point sets (linear sets), ordinary duality;
+                     linear sets as point -> weight maps, ordinary duality;
 * ``skewpoly``    -- the sigma-polynomial algebra (composition, gcrd/lclm,
                      kernel dimensions, twists, lambda-values);
 * ``design``      -- subspace-design constructions and brute-force
                      certification;
 * ``sumrank``     -- linear sum-rank metric codes and the design/code
                      correspondence (Singleton bound, MSRD, minimality);
-* ``hamming``     -- associated Hamming codes, two-intersection sets and
-                     strongly regular graphs;
+* ``hamming``     -- the Ext system of a design, associated Hamming codes,
+                     two-intersection sets and strongly regular graphs;
 * ``strongbridge``-- strong subspace designs and the conversions down to
                      ordinary designs;
 * ``expander``    -- dimension-expander families built from designs;
@@ -27,7 +27,6 @@ from subdesigns.subspace import (
     AmbientSpace,
     FqSubspace,
     FqmSubspace,
-    ProjectiveSystem,
     span_fq,
     meet_join,
     fqm_span,
@@ -65,7 +64,7 @@ from subdesigns.sumrank import (
     is_minimal_code,
     apply_isometry,
 )
-from subdesigns.hamming import SrgParams, ext_system, weight_enumerator, srg_from_two_intersection
+from subdesigns.hamming import ProjectiveSystem, SrgParams, ext_system, weight_enumerator, srg_from_two_intersection
 from subdesigns.strongbridge import (
     StrongSubspaceDesign,
     verify_strong,

@@ -4,13 +4,13 @@ A design is an ordered tuple (U_1, ..., U_t) of F_q-subspaces of
 V = F_{q^m}^k.  Certification is exact enumeration: the profile at s is
 the true maximum of sum_i dim_q(U_i meet W) over all s-dimensional
 F_{q^m}-subspaces W, with a maximising witness (ties broken by
-enumeration order).  Two fast paths cover the interesting ends: s = 1
-through the members' linear sets, s = k-1 through the hyperplanes.
-Every hyperplane question reduces one array, built once per design by
-``SubspaceDesign.hyperplane_dims``: dim_q(U_i meet x^perp) =
-dim U_i - rk_q(x G_i) for every member and every canonical normal x.
-Its column sums give the (k-1)-profile, the histogram and the cutting
-totals; ``hamming`` reads the Ext point counts off it.  ``section_spans``
+enumeration order).  The two ends each reduce one array built once per
+design.  At s = 1 it is ``SubspaceDesign.point_dims``: dim_q(U_i meet P)
+on the points P of the members' linear sets, which ``hamming`` also reads
+for the Ext points.  At s = k-1 it is ``SubspaceDesign.hyperplane_dims``:
+dim_q(U_i meet x^perp) = dim U_i - rk_q(x G_i) for every member and every
+canonical normal x.  Its column sums give the (k-1)-profile, the histogram
+and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
 gives the sections themselves as echelon rows, for the cutting test.
 Every other s reads the same identity off a closed-form basis X of W^perp:
 dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The F_q digits of X G_i are
@@ -23,7 +23,6 @@ through ``linalg.echelon_batch``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -80,7 +79,7 @@ class SubspaceDesign:
         self.ambient = ambient
         self.members = members
         self._digit_tables = None
-        self._linear_sets = None
+        self._point_dims = None
         self._hyperplane_dims = None
 
     @property
@@ -111,17 +110,21 @@ class SubspaceDesign:
             self._digit_tables = digit_tables(self.ambient.tower, [U.gen_block() for U in self.members])
         return self._digit_tables
 
-    def member_linear_sets(self, cap: int | None = DEFAULT_ENUMERATION_CAP):
-        """linear_set of every nonzero member (None for zero ones); built once, with the
-        cap checked on every call."""
+    def point_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
+        """(points, dims): the canonical points of the members' linear sets, shape (#P, k),
+        first-seen member by member, and dim_q(U_i meet P), shape (t, #P); built once from
+        linear_set, with the cap checked on every call."""
         for U in self.members:
             if U.dim:  # the count linear_set checks
                 check_cap(self.ambient.tower.q**U.dim, cap, "vectors")
-        if self._linear_sets is None:
-            self._linear_sets = [
-                linear_set(U, cap=cap) if U.dim else None for U in self.members
-            ]
-        return self._linear_sets
+        if self._point_dims is None:
+            sets = [linear_set(U, cap=cap) if U.dim else {} for U in self.members]
+            points = list(dict.fromkeys(pt for ls in sets for pt in ls))
+            dims = np.array([[ls.get(pt, 0) for pt in points] for ls in sets], dtype=np.int64)
+            pts = np.array(points, dtype=DTYPE).reshape(len(points), self.ambient.k)
+            pts.flags.writeable = dims.flags.writeable = False
+            self._point_dims = (pts, dims)
+        return self._point_dims
 
     def hyperplane_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """dim_q(U_i meet x^perp), shape (t, #H), rows in member order, columns in
@@ -256,14 +259,12 @@ def hyperplane_profile_sums(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERA
 def _profile_points(D: SubspaceDesign, cap) -> tuple[int, FqmSubspace]:
     """Fast s=1 path via member linear sets."""
     amb = D.ambient
-    totals = Counter()
-    for ls in D.member_linear_sets(cap=cap):
-        totals.update(ls.entries if ls is not None else {})
-    if not totals:
-        witness = next(enumerate_fqm_subspaces(amb, 1, cap=cap))
-        return 0, witness
-    best = max(totals.values())
-    pick = min((pt for pt, v in totals.items() if v == best), key=_point_sort_key)
+    pts, dims = D.point_dims(cap)
+    if not len(pts):
+        return 0, next(enumerate_fqm_subspaces(amb, 1, cap=cap))
+    totals = dims.sum(axis=0)
+    best = int(totals.max())
+    pick = min(map(tuple, pts[totals == best].tolist()), key=_point_sort_key)
     return best, FqmSubspace.from_rows(amb, [list(pick)])
 
 
@@ -453,8 +454,8 @@ def construct_twisted(
     """
     t = ambient.tower
     k = ambient.k
-    alpha_codes = [int(a) for a in alphas]
-    eta_code = int(eta)
+    alpha_codes = [int(t.element(a)) for a in alphas]
+    eta_code = int(t.element(eta))
     if len(alpha_codes) >= t.q:
         raise TooManyBlocks(f"need t < q = {t.q}")
     norms = _distinct_norms(t, alpha_codes)
@@ -518,7 +519,7 @@ def construct_pseudoregulus(
     r = k // 2
     if gcd(s_exp, t.m) != 1:
         raise BadExponent("exponent must be coprime to m")
-    mu_codes = [int(u) for u in mus]
+    mu_codes = [int(t.element(u)) for u in mus]
     _distinct_norms(t, mu_codes)
     members = []
     for mu in mu_codes:
@@ -534,12 +535,8 @@ def construct_pseudoregulus(
         members.append(U)
     D = SubspaceDesign(ambient, members)
     certify_max_1_design(D, cap=cap)
-    sets = D.member_linear_sets(cap=cap)
-    seen: set = set()
-    for ls in sets:
-        pts = set(ls.entries)
-        certify(not (pts & seen), "pseudoregulus linear sets must be pairwise disjoint")
-        seen |= pts
+    on_members = (D.point_dims(cap)[1] > 0).sum(axis=0)
+    certify(np.all(on_members == 1), "pseudoregulus linear sets must be pairwise disjoint")
     return D
 
 
@@ -624,11 +621,8 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
         rep = int(big.mul(rep, g))
     D = SubspaceDesign(amb, members)
     # partition check: every projective point covered exactly once
-    totals = Counter()
-    for ls in D.member_linear_sets(cap=cap):
-        totals.update(ls.entries)
-    n_points = (q ** (m * k) - 1) // (q**m - 1)
-    certify(len(totals) == n_points and all(v == 1 for v in totals.values()),
+    pts, dims = D.point_dims(cap)
+    certify(len(pts) == (q ** (m * k) - 1) // (q**m - 1) and np.all(dims.sum(axis=0) == 1),
             "subgeometries failed to partition the point set")
     return D
 

@@ -132,7 +132,7 @@ class FieldTower:
         if isinstance(spec, (int, np.integer)):
             code = int(spec)
             if not 0 <= code < self.order:
-                raise ValueError(f"element code {code} out of range")
+                raise BadParameters(f"element code {code} out of range")
             return FFElement(self, code)
         if isinstance(spec, str):
             return FFElement(self, self._parse(spec))

@@ -1,28 +1,29 @@
 """Associated Hamming codes, two-intersection sets and strongly regular graphs.
 
-The bridge out of the sum-rank world is the multiset union of the
-members' linear sets, each point carrying multiplicity
-(q^w - 1)/(q - 1) for its weight w.  Weight enumerators of the
-associated [N, k] Hamming codes over F_{q^m} are computed hyperplane-
-wise (q^m - 1 codewords per hyperplane plus the zero word).  The point
-count of a hyperplane x^perp is never gathered point by point: member
-U_i puts (q^d - 1)/(q - 1) points on it, d = dim_q(U_i meet x^perp),
-read off the source design's one cached section array
-(``SubspaceDesign.hyperplane_dims``).  The code is never materialised;
-the tests scan it as a small-scale oracle.  Certificates raise ``CertificateFailed``
-and survive ``python -O``.
+The bridge out of the sum-rank world is the Ext system of a design
+(``ProjectiveSystem``): the multiset union of the members' linear sets,
+point P with multiplicity sum_i (q^w_i - 1)/(q - 1), w_i = dim_q(U_i meet P).
+It holds only the design.  Its length has a closed form, its points come
+from ``SubspaceDesign.point_dims`` on first read, and a hyperplane x^perp
+holds sum_i (q^d_i - 1)/(q - 1) of them, d_i = dim_q(U_i meet x^perp),
+read off the design's one cached ``hyperplane_dims`` array.  So the weight
+enumerator of any associated [N, k] Hamming code over F_{q^m} (q^m - 1
+codewords per hyperplane plus the zero word) builds no point and no
+codeword; the tests scan the code as a small-scale oracle.  Certificates
+raise ``CertificateFailed`` and survive ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from subdesigns.design import SubspaceDesign
-from subdesigns.errors import BadParameters, EnumerationCapExceeded, NotTwoIntersection, ZeroMember, certify
+from subdesigns.errors import EnumerationCapExceeded, NotTwoIntersection, ZeroMember, certify
 from subdesigns.fieldcore import DTYPE
-from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, ProjectiveSystem
+from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, AmbientSpace
 
 
 @dataclass
@@ -40,28 +41,42 @@ class SrgParams:
         return (self.v, self.K, self.lam, self.mu)
 
 
+@dataclass(eq=False)
+class ProjectiveSystem:
+    """The Ext system of a design, with the cap that reading its points is held to."""
+
+    design: SubspaceDesign
+    cap: int | None
+
+    @property
+    def ambient(self) -> AmbientSpace:
+        return self.design.ambient
+
+    @property
+    def length(self) -> int:
+        q = self.ambient.tower.q
+        return sum((q**n - 1) // (q - 1) for n in self.design.dims)
+
+    @cached_property
+    def entries(self) -> dict[tuple, int]:
+        """{canonical point: sum_i (q^w_i - 1)/(q - 1)}, points in point_dims order."""
+        q = self.ambient.tower.q
+        pts, dims = self.design.point_dims(self.cap)
+        mult = ((q**dims - 1) // (q - 1)).sum(axis=0)
+        certify(int(mult.sum()) == self.length, "Ext length must be sum_i (q^n_i - 1)/(q - 1)")
+        return dict(zip(map(tuple, pts.tolist()), mult.tolist()))
+
+
 def ext_system(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> ProjectiveSystem:
-    """Disjoint union of the members' linear sets with rank multiplicities."""
+    """Disjoint union of the members' linear sets with rank multiplicities; builds no point."""
     if any(U.dim == 0 for U in D.members):
         raise ZeroMember("all members must be nonzero")
-    q = D.ambient.tower.q
-    entries: dict[tuple, int] = {}
-    for ls in D.member_linear_sets(cap=cap):
-        for pt, w in ls.entries.items():
-            entries[pt] = entries.get(pt, 0) + (q**w - 1) // (q - 1)
-    P = ProjectiveSystem(D.ambient, entries, design=D)
-    certify(P.length == sum((q**n - 1) // (q - 1) for n in D.dims), "Ext length must be sum_i (q^n_i - 1)/(q - 1)")
-    return P
+    return ProjectiveSystem(D, cap)
 
 
 def hyperplane_point_counts(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Multiplicity-weighted point count on each hyperplane (normal-vector order).
-
-    Needs the Ext system of a design: the counts sum (q^d - 1)/(q - 1)
-    over the members' section dimensions d on each hyperplane.
-    """
-    if P.design is None:
-        raise BadParameters("hyperplane point counts need the Ext system of a design (ext_system)")
+    """Multiplicity-weighted point count on each hyperplane (normal-vector order): the sum
+    of (q^d - 1)/(q - 1) over the members' section dimensions d on each hyperplane."""
     q = P.ambient.tower.q
     return ((q ** P.design.hyperplane_dims(cap) - 1) // (q - 1)).sum(axis=0)
 
@@ -149,7 +164,8 @@ def verify_srg(P: ProjectiveSystem, params: SrgParams, cap: int = 4096) -> None:
     A = graph_adjacency(P, cap=cap)
     deg = A.sum(axis=1)
     certify(np.all(deg == params.K), "graph is not K-regular")
-    common = (A.astype(np.int64) @ A.astype(np.int64))
+    F = A.astype(np.float32)
+    common = F @ F  # BLAS; exact, as entries and partial sums are integers <= v, and any A in memory has v < 2^24
     adj = A.astype(bool)
     off = ~np.eye(A.shape[0], dtype=bool)
     certify(np.all(common[adj] == params.lam), "lambda mismatch on adjacent pairs")

@@ -1,4 +1,4 @@
-"""F_q- and F_{q^m}-subspaces of the ambient V = F_{q^m}^k, and point multisets.
+"""F_q- and F_{q^m}-subspaces of the ambient V = F_{q^m}^k, and their linear sets.
 
 Both kinds of subspace share one base, ``RowSpace``: a canonical RREF
 basis, parameterised by its field and row width.  F_q-subspaces live in
@@ -6,11 +6,8 @@ the expanded space F_q^(mk); the expansion basis of F_{q^m} over F_q is
 fixed once and for all as 1, y, ..., y^(m-1) per coordinate block (and
 recorded as such in the serialized formats).  F_{q^m}-subspaces are RREF
 bases over the top field.  Canonical bases make equality a row-wise
-comparison.
-
-``ProjectiveSystem`` is the one weighted projective point set: linear
-sets store the weights dim_q(U meet P), the Ext system of a design the
-point multiplicities and the design it came from.
+comparison.  ``linear_set`` maps each point of L_U to its weight
+dim_q(U meet P).
 
 Enumeration streams are deterministic, restartable and chunkable by
 index range: pivot supports run in lexicographic order and the free
@@ -23,8 +20,7 @@ Gaussian binomials before any iteration starts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,9 +34,6 @@ from subdesigns.errors import (
 )
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import FFElement, FieldTower
-
-if TYPE_CHECKING:
-    from subdesigns.design import SubspaceDesign
 
 # RREF matrices per stacked block in rref_matrix_blocks.
 RREF_CHUNK = 4096
@@ -208,24 +201,6 @@ class FqmSubspace(RowSpace):
     def contains(self, vec) -> bool:
         """rk [basis; vec] = dim."""
         return linalg.rank(self.ambient.tower.fqm, np.vstack([self.basis, np.asarray(vec, dtype=DTYPE)])) == self.dim
-
-
-@dataclass
-class ProjectiveSystem:
-    """Projective points with positive integer values; keys are canonical representatives.
-
-    A linear set L_U stores the weights w(P) = dim_q(U meet P); the Ext
-    system of a design stores the multiplicities (q^w - 1)/(q - 1) and,
-    as ``design``, the SubspaceDesign it was built from.
-    """
-
-    ambient: AmbientSpace
-    entries: dict[tuple, int]
-    design: SubspaceDesign | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def length(self) -> int:
-        return sum(self.entries.values())
 
 
 # --- constructors and lattice operations --------------------------------------
@@ -411,8 +386,8 @@ def subspace_count(ambient: AmbientSpace, s: int) -> int:
     return gaussian_binomial(ambient.k, s, ambient.tower.order)
 
 
-def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> ProjectiveSystem:
-    """The linear set L_U with point weights w(P) = dim_q(U meet P).
+def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[tuple, int]:
+    """The linear set L_U as {canonical point P: weight dim_q(U meet P)}.
 
     All nonzero vectors of U are normalised at once (first nonzero
     coordinate 1, as canonical_point does for one vector) and counted
@@ -437,8 +412,7 @@ def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> Proj
     certify(np.array_equal(q**w - 1, counts), "point multiplicity is not of the form q^w - 1")
     n = U.dim
     certify(int(((q**w - 1) // (q - 1)).sum()) == (q**n - 1) // (q - 1), "linear-set rank identity violated")
-    entries = dict(zip(map(tuple, keys[seen].tolist()), w[seen].tolist()))
-    return ProjectiveSystem(amb, entries)
+    return dict(zip(map(tuple, keys[seen].tolist()), w[seen].tolist()))
 
 
 def ordinary_dual(U: FqSubspace) -> FqSubspace:

@@ -57,15 +57,15 @@ from subdesigns.subspace import (
 class SumRankCode:
     """[(n_1, ..., n_t), k] code over F_{q^m}/F_q, lengths sorted descending."""
 
-    def __init__(self, tower: FieldTower, lengths, blocks, sort_perm=None, design: SubspaceDesign | None = None):
+    def __init__(self, tower: FieldTower, lengths, blocks, design: SubspaceDesign | None = None):
         lengths = tuple(int(n) for n in lengths)
         if list(lengths) != sorted(lengths, reverse=True):
             raise ProfileNotSorted("length profile must be sorted descending")
         if any(n < 1 for n in lengths):
             raise BadParameters("block lengths must be positive")
         blocks = [np.asarray(b, dtype=DTYPE) for b in blocks]
-        if len(blocks) != len(lengths):
-            raise BadParameters("one generator block per length")
+        if not blocks or len(blocks) != len(lengths):
+            raise BadParameters("one generator block per length, and at least one")
         k = blocks[0].shape[0]
         for b, n in zip(blocks, lengths):
             if b.shape != (k, n):
@@ -75,7 +75,6 @@ class SumRankCode:
         self.k = k
         self.blocks = blocks
         self._digit_tables = None
-        self.sort_perm = tuple(sort_perm) if sort_perm is not None else tuple(range(len(lengths)))
         # the design a code was built from (code_from_system), whose cached
         # sections give the class weights
         self.design = design
@@ -152,7 +151,7 @@ def code_from_system(D: SubspaceDesign) -> SumRankCode:
     order = sorted(range(D.t), key=lambda i: -D.members[i].dim)
     blocks = [D.members[i].gen_block() for i in order]
     lengths = [D.members[i].dim for i in order]
-    return SumRankCode(D.ambient.tower, lengths, blocks, sort_perm=order, design=D)
+    return SumRankCode(D.ambient.tower, lengths, blocks, design=D)
 
 
 def system_from_code(C: SumRankCode) -> SubspaceDesign:

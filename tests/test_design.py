@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from subdesigns import design as de
 from subdesigns import linalg
@@ -32,6 +32,7 @@ from subdesigns.subspace import (
     enumerate_fqm_subspaces,
     hyperplane_normals,
     hyperplane_subspace,
+    linear_set,
     meet_join,
     span_fq,
 )
@@ -361,8 +362,27 @@ def test_cached_linear_sets_still_check_the_cap():
     with pytest.raises(EnumerationCapExceeded):
         de.design_profile(D, 1, cap=5)
     with pytest.raises(EnumerationCapExceeded):
-        D.member_linear_sets(cap=8)
-    assert len(D.member_linear_sets(cap=9)) == D.t
+        D.point_dims(cap=8)
+    assert len(D.point_dims(cap=9)[1]) == D.t
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+@settings(max_examples=20)
+@given(st.integers(0, 10_000))
+def test_point_dims_match_member_linear_sets(key, seed):
+    # overlapping members and a zero member: dims[i, p] = linear_set(U_i).get(p, 0), points first-seen
+    t = make_tower(*key)
+    rng = np.random.default_rng(seed)
+    amb = AmbientSpace(t, int(rng.integers(1, 4)))
+    n = min(amb.n_fq, int(np.log(2000) / np.log(t.q)))
+    U = FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (int(rng.integers(1, n + 1)), amb.n_fq)))
+    shared = U.basis[: int(rng.integers(0, n))]
+    V = FqSubspace.from_expanded_rows(amb, np.vstack([shared, rng.integers(0, t.q, (1, amb.n_fq))]))
+    members = [U, span_fq(amb, []), V]
+    sets = [linear_set(M) if M.dim else {} for M in members]
+    pts, dims = de.SubspaceDesign(amb, members).point_dims()
+    assert [tuple(p) for p in pts.tolist()] == list(dict.fromkeys(p for ls in sets for p in ls))
+    assert dims.tolist() == [[ls.get(tuple(p), 0) for p in pts.tolist()] for ls in sets]
 
 
 # --- block digits -------------------------------------------------------------------

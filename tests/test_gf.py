@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from subdesigns.errors import DivisionByZero, NotInBaseField, NotIrreducible, NotPrime, TowerMismatch
+from subdesigns.errors import BadParameters, DivisionByZero, NotInBaseField, NotIrreducible, NotPrime, TowerMismatch
 from subdesigns.fieldcore import find_irreducible, poly_eval, poly_mod, smallest_root
 from subdesigns import gf, linalg
 from subdesigns import design as de
@@ -332,3 +332,30 @@ def test_elements_and_codes_are_interchangeable(name):
     # int(x) of an FFElement is its code, so no function forks on the element type
     build = TAKES_ELEMENTS[name]
     assert build(lambda codes: [T9.element(c) for c in codes]) == build(list)
+
+
+# construct_twisted (alphas, eta) and construct_pseudoregulus (mus) read each element through the tower
+ELEMENT_ARGUMENTS = {
+    "alphas": lambda x: de.construct_twisted(AmbientSpace(T9, 2), [1, x], 0, [de.full_field_block(T9)] * 2),
+    "eta": lambda x: de.construct_twisted(AmbientSpace(T9, 2), NORMS_1_2, x, [de.full_field_block(T9)] * 2),
+    "mus": lambda x: de.construct_pseudoregulus(AmbientSpace(T9, 2), 1, [x]),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(ELEMENT_ARGUMENTS))
+def test_element_code_past_the_field_is_bad_parameters(argument):
+    with pytest.raises(BadParameters, match="element code 100 out of range"):
+        ELEMENT_ARGUMENTS[argument](100)
+
+
+@pytest.mark.parametrize("argument", sorted(ELEMENT_ARGUMENTS))
+def test_negative_element_code_is_bad_parameters(argument):
+    # not the code 8 that a table index of -1 reads over F_9
+    with pytest.raises(BadParameters, match="element code -1 out of range"):
+        ELEMENT_ARGUMENTS[argument](-1)
+
+
+@pytest.mark.parametrize("argument", sorted(ELEMENT_ARGUMENTS))
+def test_element_of_another_tower_is_tower_mismatch(argument):
+    with pytest.raises(TowerMismatch):
+        ELEMENT_ARGUMENTS[argument](make_tower(2, 1, 2).one())

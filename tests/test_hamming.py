@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from subdesigns import design as de
 from subdesigns import hamming as ha
 from subdesigns import linalg
-from subdesigns.errors import BadParameters, CertificateFailed, EnumerationCapExceeded, NotTwoIntersection, ZeroMember
+from subdesigns.errors import CertificateFailed, EnumerationCapExceeded, NotTwoIntersection, ZeroMember
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower
 from subdesigns.repro import glued_design, pseudoregulus_design
-from subdesigns.subspace import AmbientSpace, FqmSubspace, FqSubspace, hyperplane_normals, linear_set, span_fq
+from subdesigns.subspace import AmbientSpace, FqmSubspace, FqSubspace, hyperplane_normals, span_fq
 
 
 def materialized_enumerator(P) -> dict[int, int]:
@@ -116,6 +116,7 @@ def test_closed_form_enumerator_across_corpus():
         if h0:
             expected[N - w0] = expected.get(N - w0, 0) + (q**m - 1) * h0
         assert enum == expected, (name, enum, expected)
+        assert sum(P.entries.values()) == N  # runs the Ext-length certificate on the points
 
 
 def test_degenerate_point_enumerator():
@@ -125,14 +126,6 @@ def test_degenerate_point_enumerator():
     P = ha.ext_system(de.SubspaceDesign(amb, [span_fq(amb, [(1,)])]))
     assert P.entries == {(1,): 1}
     assert ha.weight_enumerator(P) == {0: 1, 1: 3}
-
-
-def test_point_counts_need_a_source_design():
-    amb = AmbientSpace(make_tower(2, 1, 2), 2)
-    U = span_fq(amb, [(1, 0)])
-    for P in (ha.ProjectiveSystem(amb, {(1, 0): 1}), linear_set(U)):
-        with pytest.raises(BadParameters):
-            ha.hyperplane_point_counts(P)
 
 
 @pytest.mark.parametrize("p,h,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)])
@@ -174,6 +167,30 @@ def test_one_section_sweep_per_design(monkeypatch):
     assert len(set(counts.tolist())) == 2 and params.v == 9**4
 
 
+def test_ext_system_reads_points_only_for_entries(monkeypatch):
+    # weights and srg read the section array alone; the points cost one linear_set per member, once
+    glued = glued_design(3, 3, 4, 2)
+    D = de.SubspaceDesign(glued.ambient, glued.members)
+    calls = []
+    build = de.linear_set
+    monkeypatch.setattr(de, "linear_set", lambda U, cap: calls.append(U) or build(U, cap))
+    P = ha.ext_system(D)
+    assert ha.weight_enumerator(P) == {0: 1, 675: 18928, 702: 512512}
+    assert ha.srg_from_two_intersection(P).as_tuple() == (531441, 18928, 1327, 650)
+    assert calls == []
+    assert sum(P.entries.values()) == P.length == 728
+    assert P.entries is P.entries and ha.ext_system(D).entries == P.entries
+    assert calls == list(D.members)
+
+
+def test_ext_length_certificate_checks_point_dims(monkeypatch):
+    D = pseudoregulus_design(3, 2, 1, 2)
+    pts, dims = D.point_dims()
+    monkeypatch.setattr(D, "point_dims", lambda cap: (pts[1:], dims[:, 1:]))  # one point lost
+    with pytest.raises(CertificateFailed, match="Ext length"):
+        ha.ext_system(D).entries
+
+
 def test_cached_sections_still_check_the_cap():
     D = glued_design(2, 2, 4, 1)
     P = ha.ext_system(D)
@@ -211,6 +228,18 @@ def test_srg_needs_a_spanning_point_set():
     assert np.unique(ha.hyperplane_point_counts(P)).tolist() == [3, 15]
     with pytest.raises(NotTwoIntersection, match=r"^the point set must span the space$"):
         ha.srg_from_two_intersection(P)
+
+
+def test_verify_srg_catches_a_wrong_lambda_or_mu():
+    # 729 vertices: the float32 common-neighbour counts still tell lambda and mu apart exactly
+    P = ha.ext_system(pseudoregulus_design(3, 3, 1, 1))
+    params = ha.srg_from_two_intersection(P, verify_graph=True)
+    assert params.v == 729
+    for name, message in (("lam", "lambda mismatch"), ("mu", "mu mismatch")):
+        wrong = ha.SrgParams(*params.as_tuple())
+        setattr(wrong, name, getattr(wrong, name) + 1)
+        with pytest.raises(CertificateFailed, match=message):
+            ha.verify_srg(P, wrong)
 
 
 def test_srg_feasibility_guard():

@@ -152,14 +152,14 @@ def test_hyperplane_sweep_agrees_with_generic(amb9):
 
 def test_linear_set_examples(amb4, amb9):
     L = linear_set(subgeometry(amb4))
-    assert len(L.entries) == 3 and set(L.entries.values()) == {1}
+    assert len(L) == 3 and set(L.values()) == {1}
     line = FqmSubspace.from_rows(amb4, [[1, 0]]).expand_fq()
     L2 = linear_set(line)
-    assert len(L2.entries) == 1 and list(L2.entries.values()) == [2]
+    assert len(L2) == 1 and list(L2.values()) == [2]
     i = amb9.tower.gen()
     U1 = span_fq(amb9, [(amb9.tower.one(), amb9.tower.one()), (i, frobenius(i, 1))])
     L3 = linear_set(U1)
-    assert len(L3.entries) == 4 and set(L3.entries.values()) == {1}
+    assert len(L3) == 4 and set(L3.values()) == {1}
     with pytest.raises(ZeroSubspace):
         linear_set(span_fq(amb4, []))
 
@@ -196,7 +196,7 @@ def test_linear_set_matches_looped_canonical_points(p, h, m, seed):
     U = FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (n, amb.n_fq)))
     if U.dim == 0:
         return
-    assert list(linear_set(U).entries.items()) == list(_looped_linear_set(U).items())
+    assert list(linear_set(U).items()) == list(_looped_linear_set(U).items())
 
 
 def test_ordinary_dual_examples(amb4):

@@ -12,6 +12,7 @@ from subdesigns import linalg
 from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
 from subdesigns.errors import (
+    BadParameters,
     DegenerateCode,
     DegenerateDual,
     EnumerationCapExceeded,
@@ -373,3 +374,8 @@ def test_sumrank_certificate_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "CertificateFailed: direct and geometric weights disagree" in proc.stderr
+
+
+def test_code_without_blocks_is_bad_parameters(f9):
+    with pytest.raises(BadParameters, match="at least one"):
+        sr.SumRankCode(f9, [], [])
