@@ -5,13 +5,16 @@
 
 Writes the headline glued design (q=3, m=3, k=4, t=2) and the
 ``max1_corpus`` designs with Q^k <= 4096 to a temporary directory, built
-with the PARENT_SRC tree.  Then runs each verb below on each design in a
-fresh process, once against PARENT_SRC and once against SRC (default: this
-repository's ``src/``), and compares exit codes, stdout and every file the
-verb writes.  ``srg --verify-graph --dot`` runs only on the designs with
-Q^k <= 256, the DOT cap.  Each tree runs in its own working directory and writes its
-files under the same relative names, so echoed output paths agree too.
-Prints one line per difference and exits 1 if there is any.
+with the PARENT_SRC tree.  Then runs each verb below on each design, and the
+design-free runs of ``FIXED_RUNS`` once, in a fresh process per step, once
+against PARENT_SRC and once against SRC (default: this repository's
+``src/``), and compares exit codes, stdout and every file the run writes.
+A run of several steps (``msrd --emit-code`` then ``minimal`` on the code
+file) runs them in order in one directory.  ``srg --verify-graph --dot``
+runs only on the designs with Q^k <= 256, the DOT cap.  Each tree runs in
+its own working directory and writes its files under the same relative
+names, so echoed output paths agree too.  Prints one line per difference
+and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -41,29 +44,46 @@ for i, (name, D) in enumerate(designs):
 """
 
 
-def verbs(design: str, k: int, size: int) -> list[list[str]]:
-    """The CLI runs for one design; file arguments are relative to the run's directory."""
+# Runs that read no design file: a twisted design that is accepted, one refused
+# with EtaInNormGroup, one over F_27, and a strong design written and read back.
+TWISTED = ["construct", "twisted", "--alphas", "1", "-o", "tw.json"]
+FIXED_RUNS = [
+    [TWISTED + ["--q", "3", "--m", "2", "--k", "2", "--eta", "1+y"]],
+    [TWISTED + ["--q", "3", "--m", "2", "--k", "2", "--eta", "y"]],
+    [TWISTED + ["--q", "3", "--m", "3", "--k", "3", "--eta", "1"]],
+    [["strong", "cameron-liebler", "--kind", "point_pencil", "--n", "1", "--k", "3", "--q", "2", "-o", "strong.json"],
+     ["strong", "verify", "strong.json", "--s", "2"]],
+]
+
+
+def verbs(design: str, k: int, size: int) -> list[list[list[str]]]:
+    """The CLI runs for one design, each a list of steps; file arguments are relative to the run's directory."""
     runs = [
-        ["weights", design, "--hist-csv", "hist.csv", "--enumerator-csv", "enum.csv"],
-        ["srg", design],
-        ["msrd", design, "--spectrum-csv", "spectrum.csv", "--emit-code", "code.json"],
-        ["cutting", design],
-        ["classify", design],
-        ["minimal", design, "--method", "geometric"],
-        ["minimal", design, "--method", "pairs"],
-        ["construct", "direct-sum", design, design, "-o", "sum.json"],
+        [["weights", design, "--hist-csv", "hist.csv", "--enumerator-csv", "enum.csv"]],
+        [["srg", design]],
+        [["msrd", design, "--spectrum-csv", "spectrum.csv", "--emit-code", "code.json"], ["minimal", "code.json"]],
+        [["cutting", design]],
+        [["classify", design]],
+        [["minimal", design, "--method", "geometric"]],
+        [["minimal", design, "--method", "pairs"]],
+        [["construct", "direct-sum", design, design, "-o", "sum.json"]],
+        [["dual", "ordinary", design, "--s", "1", "--A", "1", "-o", "dual.json"]],
     ]
     if size <= 256:
-        runs.append(["srg", design, "--verify-graph", "--dot", "graph.dot"])
-    return runs + [["profile", design, "--s", str(s)] for s in range(1, k)]
+        runs.append([["srg", design, "--verify-graph", "--dot", "graph.dot"]])
+    return runs + [[["profile", design, "--s", str(s)]] for s in range(1, k)]
 
 
-def run(src: Path, cwd: Path, argv: list[str]) -> dict[str, bytes]:
-    """Exit code, stdout, stderr and every file the run writes, keyed by name."""
+def run(src: Path, cwd: Path, steps: list[list[str]]) -> dict[str, bytes]:
+    """Exit code, stdout and stderr of each step and every file the run writes, keyed by name."""
     cwd.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "subdesigns.cli", *argv], cwd=cwd, env=env, capture_output=True)
-    out = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr}
+    out = {}
+    for i, argv in enumerate(steps):
+        proc = subprocess.run([sys.executable, "-m", "subdesigns.cli", *argv], cwd=cwd, env=env, capture_output=True)
+        step = f"step {i + 1} " if len(steps) > 1 else ""
+        out.update({f"{step}exit code": str(proc.returncode).encode(), f"{step}stdout": proc.stdout,
+                    f"{step}stderr": proc.stderr})
     out.update({p.name: p.read_bytes() for p in sorted(cwd.iterdir())})
     return out
 
@@ -79,15 +99,18 @@ def main() -> int:
         tmp = Path(tmp)
         listing = subprocess.run([sys.executable, "-c", WRITE_DESIGNS, str(tmp)], check=True, capture_output=True,
                                  text=True, env=dict(os.environ, PYTHONPATH=str(trees["parent"]))).stdout
-        jobs = []
+        jobs = [(" then ".join(" ".join(argv) for argv in steps), f"fixed-{j:02d}", steps)
+                for j, steps in enumerate(FIXED_RUNS)]
         for line in listing.splitlines():
             name, k, size, label = line.split("\t")
-            for j, argv in enumerate(verbs(str(tmp / name), int(k), int(size))):
-                jobs.append((f"{label}: {' '.join(argv[:1] + argv[2:])}", f"{name}-{j:02d}", argv))
+            path = str(tmp / name)
+            for j, steps in enumerate(verbs(path, int(k), int(size))):
+                title = " then ".join(" ".join(a for a in argv if a != path) for argv in steps)
+                jobs.append((f"{label}: {title}", f"{name}-{j:02d}", steps))
 
         def compare(job) -> list[str]:
-            title, slot, argv = job
-            got = {tree: run(src, tmp / tree / slot, argv) for tree, src in trees.items()}
+            title, slot, steps = job
+            got = {tree: run(src, tmp / tree / slot, steps) for tree, src in trees.items()}
             return [f"{title}: {key} differs" for key in sorted(set(got["parent"]) | set(got["change"]))
                     if got["parent"].get(key) != got["change"].get(key)]
 

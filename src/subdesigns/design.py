@@ -24,6 +24,7 @@ through ``linalg.echelon_batch``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from math import gcd
 
 import numpy as np
@@ -78,7 +79,6 @@ class SubspaceDesign:
                 raise AmbientMismatch("member from a different ambient")
         self.ambient = ambient
         self.members = members
-        self._digit_tables = None
         self._point_dims = None
         self._hyperplane_dims = None
 
@@ -104,11 +104,10 @@ class SubspaceDesign:
     def __repr__(self) -> str:
         return f"SubspaceDesign(t={self.t}, dims={list(self.dims)}, ambient={self.ambient})"
 
+    @cached_property
     def digit_tables(self) -> list[np.ndarray]:
         """block_digits tables of the members' generator blocks, built on first use."""
-        if self._digit_tables is None:
-            self._digit_tables = digit_tables(self.ambient.tower, [U.gen_block() for U in self.members])
-        return self._digit_tables
+        return digit_tables(self.ambient.tower, [U.gen_block() for U in self.members])
 
     def point_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
         """(points, dims): the canonical points of the members' linear sets, shape (#P, k),
@@ -136,11 +135,7 @@ class SubspaceDesign:
         return self._hyperplane_dims
 
     def span_dim(self) -> int:
-        rows = [U.basis for U in self.members if U.dim]
-        if not rows:
-            return 0
-        stacked = np.vstack(rows)
-        return linalg.rank(self.ambient.tower.fqm, self.ambient.contract(stacked))
+        return linalg.rank(self.ambient.tower.fqm, self.ambient.contract(np.vstack([U.basis for U in self.members])))
 
 
 @dataclass
@@ -227,7 +222,7 @@ def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
     """
     t = D.ambient.tower
     B, r, _ = X.shape
-    digits = block_digits(t, X, D.digit_tables())  # (B, r, dim U_i, m) each
+    digits = block_digits(t, X, D.digit_tables)  # (B, r, dim U_i, m) each
     return np.array([U.dim - linalg.rank_batch(t.fq, d.swapaxes(1, 2).reshape(B, U.dim, r * t.m))
                      for U, d in zip(D.members, digits)])
 
@@ -244,7 +239,7 @@ def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
     amb = D.ambient
     m = amb.tower.m
     spans = []
-    for U, digs in zip(D.members, block_digits(amb.tower, normals, D.digit_tables())):
+    for U, digs in zip(D.members, block_digits(amb.tower, normals, D.digit_tables)):
         rows = np.concatenate([digs, np.broadcast_to(U.basis, (len(normals), *U.basis.shape))], axis=2)
         E, lead = linalg.echelon_batch(amb.tower.fq, rows)
         spans.append(np.where((lead >= m)[:, :, None], E[:, :, m:], 0))
@@ -467,19 +462,11 @@ def construct_twisted(
     if sum(len(b) for b in block_bases) < k:
         raise TooFewBlocks("total block dimension must be at least k")
     if eta_code != 0:
-        # norm subgroup generated by the alpha norms inside F_q^*
-        group = {1}
-        frontier = [1]
-        while frontier:
-            x = frontier.pop()
-            for n in norms:
-                y = int(t.fq.mul(x, n))
-                if y not in group:
-                    group.add(y)
-                    frontier.append(y)
+        # the alpha norms generate the g^j of the cyclic group F_q^* with gcd(q - 1, log N(alpha_i)) | j
+        step = reduce(gcd, (int(t.fq._log[n]) for n in norms), t.q - 1)
         sign = int(t.fq.pow(t.p - 1, k * t.m))
         val = int(t.fq.mul(sign, t.fq_code(t.norm_code(eta_code))))
-        if val in group:
+        if t.fq._log[val] % step == 0:
             raise EtaInNormGroup("(-1)^{km} N(eta) lies in the norm subgroup")
 
     def image(x: int, alpha: int) -> list[int]:
@@ -561,19 +548,12 @@ def direct_sum(designs, s: int | None = None, cap: int | None = DEFAULT_ENUMERAT
             raise MixedParameters("summands need one tower and equal t")
     k = sum(D.ambient.k for D in designs)
     amb = AmbientSpace(tower, k)
+    ends = np.cumsum([D.ambient.n_fq for D in designs])
     members = []
-    for i in range(t_count):
-        rows = []
-        offset = 0
-        for D in designs:
-            U = D.members[i]
-            sub_k = D.ambient.k
-            for row in U.ambient.contract(U.basis):
-                vec = [0] * k
-                vec[offset : offset + sub_k] = [int(c) for c in row]
-                rows.append(vec)
-            offset += sub_k
-        members.append(span_fq(amb, rows))
+    for i in range(t_count):  # each summand's expanded basis in its own block of columns, canonicalised once
+        rows = [np.pad(D.members[i].basis, ((0, 0), (end - D.ambient.n_fq, amb.n_fq - end)))
+                for D, end in zip(designs, ends)]
+        members.append(FqSubspace.from_expanded_rows(amb, np.vstack(rows)))
     out = SubspaceDesign(amb, members)
     certify(out.dims == tuple(sum(D.dims[i] for D in designs) for i in range(t_count)), "direct-sum dims must add up")
     if s is not None:

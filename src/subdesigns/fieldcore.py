@@ -29,6 +29,8 @@ two-level tower used by the rest of the library.
 
 from __future__ import annotations
 
+import itertools
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,21 +87,10 @@ class SmallField:
 
     def _build_tables(self) -> None:
         Q = self.size
-        if self.base is None:
-            self._dig = np.arange(Q, dtype=DTYPE).reshape(Q, 1)
-            self._pow = np.array([1], dtype=DTYPE)
-            self._neg = (-np.arange(Q)) % self.p
-            self._neg = self._neg.astype(DTYPE)
-        else:
-            B = self.base.size
-            codes = np.arange(Q, dtype=np.int64)
-            dig = np.empty((Q, self.degree), dtype=DTYPE)
-            for i in range(self.degree):
-                dig[:, i] = codes % B
-                codes //= B
-            self._dig = dig
-            self._pow = np.array([B**i for i in range(self.degree)], dtype=np.int64)
-            self._neg = self._encode_digits(self.base.neg(dig))
+        B = self.p if self.base is None else self.base.size
+        self._pow = B ** np.arange(self.degree, dtype=DTYPE)
+        self._dig = np.arange(Q, dtype=DTYPE)[:, None] // self._pow % B
+        self._neg = self._encode_digits(-self._dig % B if self.base is None else self.base.neg(self._dig))
 
         self._add_table = self._mul_table = None
         if Q <= FULL_TABLE_CAP:
@@ -111,7 +102,6 @@ class SmallField:
                 self._add_table = self._encode_digits(ds)
 
         self._exp, self._log = self._build_log_tables()
-        self._zech = None
 
         if Q <= FULL_TABLE_CAP:
             ls = self._log[:, None] + self._log[None, :]
@@ -172,28 +162,26 @@ class SmallField:
         self.generator_code = gen
         return np.concatenate([exp, exp]), log
 
-    @property
+    @cached_property
     def zech(self) -> np.ndarray:
         """Z(n) = log(1 + g^n) for 0 <= n < Q - 1 as int32, -1 at the one n
         with 1 + g^n = 0; built on first use, TABLE_CHUNK exponents at a time."""
-        if self._zech is None:
-            n = self.size - 1
+        n = self.size - 1
 
-            def log_one_plus(e):
-                s = self.add(1, self._exp[e])
-                return np.where(s == 0, -1, self._log[s])
+        def log_one_plus(e):
+            s = self.add(1, self._exp[e])
+            return np.where(s == 0, -1, self._log[s])
 
-            def breaks_symmetry(e):
-                # Z(-n) = log(g^-n (g^n + 1)) = Z(n) - n wherever both sides are defined
-                zn, zm = z[e], z[-e % n]
-                return (zn >= 0) & (zm >= 0) & ((zm - zn + e) % n != 0)
+        def breaks_symmetry(e):
+            # Z(-n) = log(g^-n (g^n + 1)) = Z(n) - n wherever both sides are defined
+            zn, zm = z[e], z[-e % n]
+            return (zn >= 0) & (zm >= 0) & ((zm - zn + e) % n != 0)
 
-            # exp is stored twice over, so the last exponent, Q - 1, repeats exponent 0
-            z = self._over_codes(log_one_plus)
-            certify(np.count_nonzero(z[:n] < 0) == 1 and not self._over_codes(breaks_symmetry).any(),
-                    f"Zech table of F_{self.size} is inconsistent: the field addition is corrupt")
-            self._zech = z[:n]
-        return self._zech
+        # exp is stored twice over, so the last exponent, Q - 1, repeats exponent 0
+        z = self._over_codes(log_one_plus)
+        certify(np.count_nonzero(z[:n] < 0) == 1 and not self._over_codes(breaks_symmetry).any(),
+                f"Zech table of F_{self.size} is inconsistent: the field addition is corrupt")
+        return z[:n]
 
     # -- element helpers -----------------------------------------------------
 
@@ -296,16 +284,8 @@ def poly_monic(F: SmallField, a: Sequence[int]) -> list[int]:
 
 
 def _monic_polys(F: SmallField, degree: int) -> Iterable[list[int]]:
-    # little-endian lexicographic order of the coefficient vector
-    Q = F.size
-    for code in range(Q**degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % Q)
-            c //= Q
-        coeffs.append(1)
-        yield coeffs
+    # little-endian lexicographic order of the coefficient vector: the constant term runs fastest
+    return ([*reversed(low), 1] for low in itertools.product(range(F.size), repeat=degree))
 
 
 def poly_is_irreducible(F: SmallField, a: Sequence[int]) -> bool:

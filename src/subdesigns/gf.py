@@ -3,7 +3,8 @@
 Elements live in F_{q^m} and are encoded as integer codes (little-endian
 base-q digit strings of the coordinates in the basis 1, y, ..., y^(m-1);
 each F_q digit is itself a base-p digit string over the basis 1, x, ...,
-x^(h-1)).  F_q sits inside F_{q^m} as the codes below q.
+x^(h-1)).  F_q sits inside F_{q^m} as the codes below q.  Both levels of
+digits go through the fields' one codec, ``SmallField.to_digits``/``from_digits``.
 
 Default moduli are the lexicographically smallest monic irreducibles
 (little-endian coefficient lists), found by a deterministic search when a
@@ -23,7 +24,7 @@ share its SmallField, and so every table cached on it.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -108,9 +109,7 @@ class FieldTower:
         # a -> a^q on F_{q^m}, the Galois generator sigma with s = 1
         codes = np.arange(self.order)
         self.frob = np.asarray(self.fqm.pow(codes, self.q))
-        self._frob_pows = None
         self._norm_arr = None
-        self._trace_arr = None
 
     # -- representation -------------------------------------------------------
 
@@ -153,32 +152,18 @@ class FieldTower:
         return (FFElement(self, c) for c in range(self.order))
 
     def code_from_coeffs(self, coeffs: Sequence[Sequence[int]]) -> int:
+        """The code of m coefficients of h base-p digits each; ValueError on any malformed digit."""
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} F_q coefficients")
-        code = 0
-        for j, fq_digits in enumerate(reversed(coeffs)):
-            if len(fq_digits) != self.h:
-                raise ValueError(f"expected {self.h} base-p digits per coefficient")
-            c = 0
-            for d in reversed(fq_digits):
-                d = int(d)
-                if not 0 <= d < self.p:
-                    raise ValueError("digit out of range")
-                c = c * self.p + d
-            code = code * self.q + c
-        return code
+        if any(len(fq_digits) != self.h for fq_digits in coeffs):
+            raise ValueError(f"expected {self.h} base-p digits per coefficient")
+        digits = [[int(d) for d in fq_digits] for fq_digits in coeffs]
+        if not all(0 <= d < self.p for fq_digits in digits for d in fq_digits):
+            raise ValueError("digit out of range")
+        return int(self.fqm.from_digits(self.fq.from_digits(digits)))
 
     def coeffs_from_code(self, code: int) -> tuple:
-        out = []
-        for _ in range(self.m):
-            c = code % self.q
-            code //= self.q
-            digs = []
-            for _ in range(self.h):
-                digs.append(c % self.p)
-                c //= self.p
-            out.append(tuple(digs))
-        return tuple(out)
+        return tuple(map(tuple, self.fq.to_digits(self.fqm.to_digits(code)).tolist()))
 
     # -- string parsing: sums of terms over the generators y (and x) ----------
 
@@ -223,16 +208,14 @@ class FieldTower:
     def frobenius_code(self, code: int, j: int = 1) -> int:
         return int(self.frob_powers[j % self.m, code])
 
-    @property
+    @cached_property
     def frob_powers(self) -> np.ndarray:
         """(m, q^m) gather table, row j mapping a -> a^(q^j); built on first use."""
-        if self._frob_pows is None:
-            T = np.empty((self.m, self.order), dtype=DTYPE)
-            T[0] = np.arange(self.order)
-            for j in range(1, self.m):
-                T[j] = self.frob[T[j - 1]]
-            self._frob_pows = T
-        return self._frob_pows
+        T = np.empty((self.m, self.order), dtype=DTYPE)
+        T[0] = np.arange(self.order)
+        for j in range(1, self.m):
+            T[j] = self.frob[T[j - 1]]
+        return T
 
     @property
     def norm_table(self) -> np.ndarray:
@@ -241,12 +224,10 @@ class FieldTower:
             self._norm_arr = np.asarray(self.fqm.pow(np.arange(self.order), (self.order - 1) // (self.q - 1)))
         return self._norm_arr
 
-    @property
+    @cached_property
     def trace_table(self) -> np.ndarray:
         """a -> a + a^q + ... + a^(q^(m-1)) on every code; built on first use."""
-        if self._trace_arr is None:
-            self._trace_arr = np.asarray(reduce(self.fqm.add, self.frob_powers))
-        return self._trace_arr
+        return np.asarray(reduce(self.fqm.add, self.frob_powers))
 
     def norm_code(self, code: int) -> int:
         return int(self.norm_table[code])
@@ -335,10 +316,7 @@ class FFElement:
         if self.code == 0:
             return "0"
         parts = []
-        for j, fq_digits in enumerate(self.coeffs):
-            c = 0
-            for d in reversed(fq_digits):
-                c = c * t.p + d
+        for j, (c, fq_digits) in enumerate(zip(t.fqm.to_digits(self.code).tolist(), self.coeffs)):
             if c == 0:
                 continue
             if t.h == 1:

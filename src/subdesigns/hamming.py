@@ -140,20 +140,15 @@ def graph_adjacency(P: ProjectiveSystem, cap: int = 4096) -> np.ndarray:
     v = Q**k
     if v > cap:
         raise EnumerationCapExceeded(f"{v} vertices exceed the graph cap {cap}")
-    vec_codes = np.arange(v, dtype=np.int64)
-    vecs = np.empty((v, k), dtype=DTYPE)
-    tmp = vec_codes.copy()
-    for c in range(k):
-        vecs[:, c] = tmp % Q
-        tmp //= Q
-    weights = np.array([Q**c for c in range(k)], dtype=np.int64)
+    weights = Q ** np.arange(k, dtype=np.int64)
+    vecs = np.arange(v)[:, None] // weights % Q  # vertex c is the vector of base-Q digits of c
     A = np.zeros((v, v), dtype=np.uint8)
     for pt in P.entries:
         p = np.array(pt, dtype=DTYPE)
         for scal in range(1, Q):
             step = np.asarray(F.mul(scal, p), dtype=DTYPE)
             nbr = np.asarray(F.add(vecs, step[None, :]), dtype=np.int64) @ weights
-            A[vec_codes, nbr] = 1
+            A[np.arange(v), nbr] = 1
     certify(not A.diagonal().any(), "the difference graph must be loopless")
     certify(np.array_equal(A, A.T), "the difference graph must be undirected")
     return A
@@ -174,12 +169,5 @@ def verify_srg(P: ProjectiveSystem, params: SrgParams, cap: int = 4096) -> None:
 
 def export_dot(P: ProjectiveSystem, cap: int = 256) -> str:
     """Tiny DOT rendering of the difference graph for eyeballing."""
-    A = graph_adjacency(P, cap=cap)
-    lines = ["graph srg {"]
-    v = A.shape[0]
-    for i in range(v):
-        for j in range(i + 1, v):
-            if A[i, j]:
-                lines.append(f"  v{i} -- v{j};")
-    lines.append("}")
-    return "\n".join(lines)
+    edges = np.argwhere(np.triu(graph_adjacency(P, cap=cap), 1))  # row-major: i < j
+    return "\n".join(["graph srg {", *(f"  v{i} -- v{j};" for i, j in edges), "}"])

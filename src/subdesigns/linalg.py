@@ -246,8 +246,6 @@ def right_kernel(F: SmallField, M: np.ndarray) -> np.ndarray:
     R, piv = rref(F, M)
     rows, cols = R.shape
     free = [c for c in range(cols) if c not in piv]
-    if not free:
-        return np.zeros((0, cols), dtype=DTYPE)
     K = np.zeros((len(free), cols), dtype=DTYPE)
     for idx, f in enumerate(free):
         K[idx, f] = 1

@@ -194,11 +194,7 @@ def places_embed(
         gens = [poly_trim([int(cf) for cf in g]) for g in gens]
         if any(len(g) - 1 >= k * m for g in gens):
             raise DegreeTooLarge(f"polynomials must have degree < km = {k * m}")
-        padded = (
-            np.array([g + [0] * (k * m - len(g)) for g in gens], dtype=DTYPE)
-            if gens
-            else np.zeros((0, k * m), dtype=DTYPE)
-        )
+        padded = np.array([g + [0] * (k * m - len(g)) for g in gens], dtype=DTYPE).reshape(-1, k * m)
         span_dim_in = linalg.rank(fq, padded)
         U = span_fq(amb, [poly_eval(t.fqm, g, roots) for g in gens])
         certify(U.dim == span_dim_in, "the residue map must be injective on F_q[x]_{<km}")

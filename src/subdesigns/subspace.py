@@ -20,6 +20,7 @@ Gaussian binomials before any iteration starts.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -68,7 +69,6 @@ class AmbientSpace:
         self.tower = tower
         self.k = k
         self.n_fq = tower.m * k
-        self._gram = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AmbientSpace) and other.tower is self.tower and other.k == self.k
@@ -93,23 +93,21 @@ class AmbientSpace:
         dig = vecs.reshape(*vecs.shape[:-1], self.k, self.tower.m)
         return self.tower.fqm.from_digits(dig).astype(DTYPE)
 
-    @property
+    @cached_property
     def trace_gram(self) -> np.ndarray:
-        """Gram matrix over F_q of (u, v) -> Tr(u . v) in expanded coordinates."""
-        if self._gram is None:
-            t = self.tower
-            m, k = t.m, self.k
-            T = np.zeros((m, m), dtype=DTYPE)
-            gen = t.q if m > 1 else 0
-            for a in range(m):
-                for b in range(m):
-                    ypow = int(t.fqm.pow(gen, a + b)) if m > 1 else 1
-                    T[a, b] = t.fq_code(t.trace_code(ypow))
-            G = np.zeros((m * k, m * k), dtype=DTYPE)
-            for i in range(k):
-                G[i * m : (i + 1) * m, i * m : (i + 1) * m] = T
-            self._gram = G
-        return self._gram
+        """Gram matrix over F_q of (u, v) -> Tr(u . v) in expanded coordinates: the
+        traces Tr(y^a y^b) in each of the k diagonal blocks."""
+        t = self.tower
+        T = t.trace_table[t.fqm.mul(t.y_basis[:, None], t.y_basis[None, :])]
+        certify(np.array_equal(t.frob[T], T), "traces must lie in F_q; the tower tables are corrupt")
+        return np.kron(np.eye(self.k, dtype=DTYPE), T)
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """Canonical normal vectors of all hyperplanes of V, read-only; built on first use."""
+        normals = canonical_projective_reps(self.tower.order, self.k)
+        normals.flags.writeable = False
+        return normals
 
 
 class RowSpace:
@@ -131,8 +129,7 @@ class RowSpace:
 
     @classmethod
     def _canonical(cls, ambient: AmbientSpace, rows):
-        width = getattr(ambient, cls.width_name)
-        M = np.asarray(rows, dtype=DTYPE).reshape(-1, width) if len(rows) else np.zeros((0, width), dtype=DTYPE)
+        M = np.asarray(rows, dtype=DTYPE).reshape(-1, getattr(ambient, cls.width_name))
         R, piv = linalg.rref(getattr(ambient.tower, cls.field_name), M)
         return cls(ambient, R, piv)
 
@@ -217,15 +214,12 @@ def _coerce_vectors(ambient: AmbientSpace, vectors: Iterable) -> np.ndarray:
         if len(row) != ambient.k:
             raise DimensionMismatch(f"expected vectors of length {ambient.k}")
         rows.append(row)
-    return np.asarray(rows, dtype=DTYPE) if rows else np.zeros((0, ambient.k), dtype=DTYPE)
+    return np.asarray(rows, dtype=DTYPE).reshape(-1, ambient.k)
 
 
 def span_fq(ambient: AmbientSpace, vectors: Iterable) -> FqSubspace:
     """Canonical F_q-span of vectors of F_{q^m}^k (given as FFElement tuples or codes)."""
-    V = _coerce_vectors(ambient, vectors)
-    if V.shape[0] == 0:
-        return FqSubspace.from_expanded_rows(ambient, [])
-    return FqSubspace.from_expanded_rows(ambient, ambient.expand(V))
+    return FqSubspace.from_expanded_rows(ambient, ambient.expand(_coerce_vectors(ambient, vectors)))
 
 
 def _as_fq(X) -> FqSubspace:
@@ -249,8 +243,6 @@ def meet_join(U, W) -> tuple[FqSubspace, FqSubspace]:
 
 def fqm_span(U: FqSubspace) -> FqmSubspace:
     """Smallest F_{q^m}-subspace containing U."""
-    if U.dim == 0:
-        return FqmSubspace.from_rows(U.ambient, [])
     return FqmSubspace.from_rows(U.ambient, U.ambient.contract(U.basis))
 
 
@@ -275,8 +267,8 @@ def canonical_projective_reps(Q: int, k: int) -> np.ndarray:
 
 
 def hyperplane_normals(ambient: AmbientSpace) -> np.ndarray:
-    """Canonical normal vectors of all hyperplanes of V(k, q^m)."""
-    return canonical_projective_reps(ambient.tower.order, ambient.k)
+    """Canonical normal vectors of all hyperplanes of V(k, q^m): one read-only array per ambient."""
+    return ambient.normals
 
 
 def hyperplane_subspace(ambient: AmbientSpace, normal) -> FqmSubspace:
@@ -419,9 +411,6 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
     """Orthogonal complement under (u, v) -> Tr(u . v); dim U + dim U' = mk."""
     amb = U.ambient
     F = amb.tower.fq
-    if U.dim == 0:
-        full = np.eye(amb.n_fq, dtype=DTYPE)
-        return FqSubspace(amb, full, list(range(amb.n_fq)))
     cond = linalg.matmul(F, U.basis, amb.trace_gram)
     ker = linalg.right_kernel(F, cond)
     dual = FqSubspace.from_expanded_rows(amb, ker)
@@ -432,8 +421,6 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
 def fqm_dual(W: FqmSubspace) -> FqmSubspace:
     """Orthogonal complement over F_{q^m} under the standard dot form."""
     amb = W.ambient
-    if W.dim == 0:
-        return FqmSubspace(amb, np.eye(amb.k, dtype=DTYPE), list(range(amb.k)))
     ker = linalg.right_kernel(amb.tower.fqm, W.basis)
     return FqmSubspace.from_rows(amb, ker)
 

@@ -16,6 +16,7 @@ stacked with those of y, sum to wt(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -74,13 +75,11 @@ class SumRankCode:
         self.lengths = lengths
         self.k = k
         self.blocks = blocks
-        self._digit_tables = None
-        # the design a code was built from (code_from_system), whose cached
-        # sections give the class weights
+        # the associated system, once known (code_from_system, system()), whose
+        # cached sections give the class weights
         self.design = design
         if linalg.rank(tower.fqm, self.generator) != k:
             raise DegenerateCode("generator must have full row rank over F_{q^m}")
-        self._system = design
 
     @property
     def t(self) -> int:
@@ -106,18 +105,17 @@ class SumRankCode:
                 return False
         return True
 
+    @cached_property
     def digit_tables(self) -> list[np.ndarray]:
         """block_digits tables of the blocks, built on first use."""
-        if self._digit_tables is None:
-            self._digit_tables = digit_tables(self.tower, self.blocks)
-        return self._digit_tables
+        return digit_tables(self.tower, self.blocks)
 
     def system(self) -> SubspaceDesign:
         """The associated system, built once: the source design of a code_from_system
-        code, whose members then come in design order, else system_from_code."""
-        if self._system is None:
-            self._system = system_from_code(self)
-        return self._system
+        code, whose members then come in design order, else system_from_code, kept as design."""
+        if self.design is None:
+            self.design = system_from_code(self)
+        return self.design
 
     def encode(self, x) -> list[np.ndarray]:
         """Blocked codeword xG for a message vector x over F_{q^m}."""
@@ -165,7 +163,7 @@ def system_from_code(C: SumRankCode) -> SubspaceDesign:
 
 def _weights(C: SumRankCode, X: np.ndarray) -> np.ndarray:
     """Sum-rank weights (B,) of the codewords xG for the rows x of X (B, k)."""
-    return sum(linalg.rank_batch(C.tower.fq, d) for d in block_digits(C.tower, X, C.digit_tables()))
+    return sum(linalg.rank_batch(C.tower.fq, d) for d in block_digits(C.tower, X, C.digit_tables))
 
 
 def sumrank_weight(C: SumRankCode, x) -> int:
@@ -189,20 +187,20 @@ def support(C: SumRankCode, x) -> SumRankSupport:
 
 def _class_weights(C: SumRankCode, cap: int | None) -> np.ndarray:
     """The weight of xG for one message x per projective class, aligned with
-    canonical_projective_reps: N minus the hyperplane-section totals of the source
-    design of a code_from_system code, else expansion ranks (degenerate blocks too)."""
+    canonical_projective_reps: N minus the hyperplane-section totals of the code's
+    design once it has one, else expansion ranks (degenerate blocks too)."""
     check_cap(gaussian_binomial(C.k, 1, C.tower.order), cap, "classes")
     if C.design is not None:
         return C.N - hyperplane_profile_sums(C.design, cap=cap)
     return _weights(C, canonical_projective_reps(C.tower.order, C.k))
 
 
-def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, method: str = "hyperplane") -> int:
+def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, method: str = "classes") -> int:
     """Exact minimum distance.
 
-    "hyperplane" and "classes" (one method under two names): the least
-    weight over projective classes of messages, from ``_class_weights``.
-    "codewords": oracle scan of every one of the q^(mk) codewords.
+    "classes": the least weight over projective classes of messages, from
+    ``_class_weights``.  "codewords": oracle scan of every one of the
+    q^(mk) codewords.
     """
     t = C.tower
     if C.k == 0:
@@ -216,8 +214,8 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
             w = int(_weights(C, np.array([msg], dtype=DTYPE))[0])
             best = w if best is None else min(best, w)
         return int(best)
-    if method not in ("hyperplane", "classes"):
-        raise ValueError("method must be 'hyperplane', 'classes' or 'codewords'")
+    if method != "classes":
+        raise ValueError("method must be 'classes' or 'codewords'")
     return int(_class_weights(C, cap).min())
 
 
@@ -319,7 +317,7 @@ def is_minimal_code(
         # every block does.  As the joint rank is also at least rk S_i(y), only pairs
         # with wt_i(y) <= wt_i(x) in every block are ranked.  The digits (n_i, m) of
         # x G_i are S_i(x) transposed.
-        digits = block_digits(t, reps, C.digit_tables())
+        digits = block_digits(t, reps, C.digit_tables)
         bw = np.stack([linalg.rank_batch(t.fq, d) for d in digits], axis=1)  # (n, t) block weights
         wt = bw.sum(axis=1)
         n = len(reps)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subdesigns import design as de
-from subdesigns import linalg
+from subdesigns import linalg, subspace
 from subdesigns import sumrank as sr
 from subdesigns.errors import (
     BadExponent,
     BadParameters,
     BadPartition,
+    DualSpanTooSmall,
     EnumerationCapExceeded,
     EtaInNormGroup,
     GcdViolation,
@@ -20,6 +21,7 @@ from subdesigns.errors import (
     NormClash,
     NotABasis,
     ParameterMismatch,
+    TooFewBlocks,
     TooManyBlocks,
 )
 from subdesigns.fieldcore import DTYPE
@@ -99,6 +101,31 @@ def test_twisted_preconditions():
         de.construct_twisted(amb, [t.one(), a2], t.one(), blocks)
 
 
+@pytest.mark.parametrize("key,norms", [((5, 1, 2), [4]), ((7, 1, 2), [2]), ((7, 1, 2), [6, 1]), ((2, 2, 2), [1]),
+                                       ((3, 2, 2), [2]), ((3, 2, 2), [8])])
+def test_twisted_eta_check_matches_the_norm_closure(key, norms):
+    # EtaInNormGroup exactly when (-1)^(km) N(eta) lies in the closure of the alpha norms under products
+    t, k = make_tower(*key), 2
+    alphas = [next(c for c in range(1, t.order) if t.norm_code(c) == n) for n in norms]
+    group = {1}
+    while (grown := group | {int(t.fq.mul(g, n)) for g in group for n in norms}) != group:
+        group = grown
+    sign = int(t.fq.pow(t.p - 1, k * t.m))
+    for eta in range(1, t.order):
+        build = lambda: de.construct_twisted(AmbientSpace(t, k), alphas, eta, [de.full_field_block(t)] * len(alphas))
+        if int(t.fq.mul(sign, t.norm_code(eta))) in group:
+            with pytest.raises(EtaInNormGroup):
+                build()
+        else:
+            assert build().dims == (t.m,) * len(alphas)
+
+
+def test_twisted_blocks_of_total_dimension_below_k_are_too_few():
+    t = make_tower(3, 1, 2)
+    with pytest.raises(TooFewBlocks):
+        de.construct_twisted(AmbientSpace(t, 3), [1], 0, [span_fq(AmbientSpace(t, 1), [[1]])])
+
+
 def test_twisted_with_proper_blocks():
     # blocks may be proper subspaces of F_{q^m}; dims follow the blocks
     t = make_tower(3, 1, 3)
@@ -132,6 +159,12 @@ def test_direct_sum(pseudo9):
     B = de.SubspaceDesign(amb1, [span_fq(amb1, [[1]])])
     out = de.direct_sum([A, B])
     assert out.ambient.k == 3 and out.dims == (A.dims[0] + 1,)
+    # the member is spanned by each summand's member placed in its own coordinates
+    for left, right in ((A, B), (B, A)):
+        rows = [r + [0] * right.ambient.k for r in left.ambient.contract(left.members[0].basis).tolist()]
+        rows += [[0] * left.ambient.k + r for r in right.ambient.contract(right.members[0].basis).tolist()]
+        out = de.direct_sum([left, right])
+        assert out.members[0] == span_fq(out.ambient, rows)
 
 
 def test_pseudoregulus_preconditions():
@@ -181,6 +214,18 @@ def test_dual_design(pseudo9):
     BPD = de.dual_design(BP, 1, 1)
     assert BPD.dims == (3, 3)
     assert de.design_profile(BPD, 1).A_min == 3
+
+
+def test_dual_of_the_whole_space_spans_too_little():
+    amb = AmbientSpace(make_tower(3, 1, 2), 2)
+    whole = FqSubspace.from_expanded_rows(amb, np.eye(amb.n_fq, dtype=DTYPE))
+    with pytest.raises(DualSpanTooSmall):
+        de.dual_design(de.SubspaceDesign(amb, [whole]), 1, 4)
+
+
+def test_span_dim_of_zero_members_is_zero():
+    amb = AmbientSpace(make_tower(3, 1, 2), 2)
+    assert de.SubspaceDesign(amb, [span_fq(amb, [])] * 2).span_dim() == 0
 
 
 def test_dual_design_blames_a_declared_A_below_A_min():
@@ -426,9 +471,24 @@ def test_hyperplane_sweep_makes_no_fqm_matmul(monkeypatch):
     assert de.hyperplane_weight_distribution(D) == {6: 19712, 7: 728}
     assert not de.is_cutting(D).cutting
     assert sr.min_distance(sr.code_from_system(D), method="classes") == 5
-    tables = D.digit_tables()
-    assert D.digit_tables() is tables  # built once per design object
+    tables = D.digit_tables
+    assert D.digit_tables is tables  # built once per design object
     assert not any(F is D.ambient.tower.fqm for F in fields)
+
+
+def test_hyperplane_normals_are_built_once_per_design(monkeypatch):
+    # the histogram, the cutting test and the (k-1)-profile witness read one normal array
+    T = twisted_design(3, 3, 3, 2)
+    D = de.SubspaceDesign(AmbientSpace(T.ambient.tower, 3), T.members)  # an ambient with no normals yet
+    reps, calls = subspace.canonical_projective_reps, []
+    monkeypatch.setattr(subspace, "canonical_projective_reps", lambda Q, k: calls.append((Q, k)) or reps(Q, k))
+    de.hyperplane_weight_distribution(D)
+    de.is_cutting(D)
+    prof = de.design_profile(D, 2)
+    assert calls == [(27, 3)]
+    normals = hyperplane_normals(D.ambient)
+    assert normals is hyperplane_normals(D.ambient) and not normals.flags.writeable
+    assert prof.witness == hyperplane_subspace(D.ambient, normals[np.argmax(de.hyperplane_profile_sums(D))])
 
 
 def test_digit_table_overflow_bound_survives_python_O():

@@ -55,6 +55,20 @@ def test_strong_design_round_trip():
     assert fmt.dumps(fmt.strong_design_to_json(S2)) == blob
 
 
+@pytest.mark.parametrize("key", [(3, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("fault", ["coefficient count", "digit count", "digit p", "digit -1", "digit 10**30"])
+def test_malformed_element_digits_are_value_errors(key, fault):
+    p, h, m = key
+    t = make_tower(p, h, m)
+    rest = [[0] * h for _ in range(m - 1)]
+    bad = {"coefficient count": rest, "digit count": [[0] * (h + 1)] + rest, "digit p": [[p] * h] + rest,
+           "digit -1": [[-1] * h] + rest, "digit 10**30": [[10**30] * h] + rest}[fault]
+    with pytest.raises(ValueError):
+        t.element(bad)
+    with pytest.raises(FormatError):
+        fmt.element_from_json(t, bad)
+
+
 def test_histogram_csv():
     assert fmt.histogram_csv({2: 9, 0: 1}) == "weight,count\n0,1\n2,9\n"
 

@@ -202,6 +202,17 @@ def test_coeffs_round_trip(f9):
         assert f9.element(a.coeffs) == a
 
 
+@pytest.mark.parametrize("p,h,m", [(2, 2, 2), (3, 1, 2), (2, 1, 3)])
+def test_coeffs_codec_round_trips_every_code(p, h, m):
+    t = make_tower(p, h, m)
+    for code in range(t.order):
+        coeffs = t.coeffs_from_code(code)
+        assert [len(c) for c in coeffs] == [h] * m and all(type(d) is int for c in coeffs for d in c)
+        # little-endian base-q coefficients, each a little-endian string of base-p digits
+        assert sum(d * p**i * t.q**j for j, c in enumerate(coeffs) for i, d in enumerate(c)) == code
+        assert t.code_from_coeffs(coeffs) == code
+
+
 def test_subfield_membership(f9):
     in_fq = [a.code for a in f9.elements() if f9.in_fq_code(a.code)]
     assert in_fq == [0, 1, 2]

@@ -39,6 +39,12 @@ def test_kernel_annihilates_and_ranks_add(seed):
         assert not np.any(linalg.matmul(F, M, K.T))
 
 
+def test_kernel_of_an_invertible_matrix_is_empty(fields):
+    for F in fields:
+        K = linalg.right_kernel(F, np.array([[1, 1, 0], [0, 1, 2], [2, 0, 1]], dtype=DTYPE))  # det 2
+        assert K.shape == (0, 3) and K.dtype == DTYPE
+
+
 @given(st.integers(0, 10_000))
 def test_intersection_grassmann(seed):
     t = make_tower(2, 1, 3)

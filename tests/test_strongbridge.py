@@ -16,6 +16,7 @@ from subdesigns.errors import (
     NotEvasive,
     NotIrreducible,
     PlacesCollide,
+    SpanTooSmall,
 )
 from subdesigns.fieldcore import poly_eval, poly_is_irreducible
 from subdesigns.gf import make_tower
@@ -179,6 +180,18 @@ def test_places_embed():
         sb.places_embed(t, [[[1]]], [0, 0, 0, 1], 2, 2)  # y^3 is reducible
     with pytest.raises(BadParameters):
         sb.places_embed(t, [[[1]]], [1, 1, 0, 0, 1], 2, 2)  # degree != m
+
+
+def test_places_embed_of_an_empty_member():
+    D = sb.places_embed(make_tower(2, 2, 3), [[], [[1]]], [1, 1, 0, 1], 2, 2)
+    assert D.dims == (0, 1)
+
+
+def test_evasive_intersection_with_the_zero_subspace_spans_too_little():
+    amb = AmbientSpace(make_tower(3, 1, 2), 2)
+    S = sb.StrongSubspaceDesign(amb, [FqmSubspace.from_rows(amb, [[1, 0]])])
+    with pytest.raises(SpanTooSmall):
+        sb.evasive_intersect(S, span_fq(amb, []), 1, 1)
 
 
 def test_places_injectivity_larger_space():

@@ -209,6 +209,13 @@ def test_ordinary_dual_examples(amb4):
     assert lhs == 4 - 2 - 2 * 1 == 0
 
 
+@pytest.mark.parametrize("key", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)])
+def test_duals_of_the_zero_subspace_are_the_whole_space(key):
+    amb = AmbientSpace(make_tower(*key), 2)
+    assert ordinary_dual(span_fq(amb, [])) == FqSubspace.from_expanded_rows(amb, np.eye(amb.n_fq, dtype=DTYPE))
+    assert fqm_dual(FqmSubspace.from_rows(amb, [])) == FqmSubspace.from_rows(amb, np.eye(amb.k, dtype=DTYPE))
+
+
 def test_dual_involution_exhaustive_f4(amb4):
     count = 0
     for r in range(5):

@@ -64,7 +64,7 @@ def test_degenerate_code_rejected():
     with pytest.raises(DegenerateCode):
         sr.system_from_code(C)
     # without a source design the class weights are expansion ranks, which need no system
-    assert sr.min_distance(C, method="hyperplane") == sr.min_distance(C, method="codewords") == 1
+    assert sr.min_distance(C, method="classes") == sr.min_distance(C, method="codewords") == 1
 
 
 def test_weights(code9):
@@ -109,7 +109,7 @@ def test_support_full_and_zero_blocks():
 
 
 def test_min_distance_methods_agree(code9):
-    d_h = sr.min_distance(code9, method="hyperplane")
+    d_h = sr.min_distance(code9, method="classes")
     d_c = sr.min_distance(code9, method="classes")
     d_o = sr.min_distance(code9, method="codewords")
     assert d_h == d_c == d_o == 3
