@@ -44,15 +44,30 @@ for i, (name, D) in enumerate(designs):
 """
 
 
-# Runs that read no design file: a twisted design that is accepted, one refused
-# with EtaInNormGroup, one over F_27, and a strong design written and read back.
+# Runs that read no design file: twisted designs, accepted with eta = 0 and eta != 0
+# or refused with EtaInNormGroup, the other constructions over several fields
+# (field-partition with k = 1 too), and strong designs, one written and read back.
 TWISTED = ["construct", "twisted", "--alphas", "1", "-o", "tw.json"]
+CONSTRUCT = ["construct", "-o", "design.json"]
+CL = ["strong", "cameron-liebler", "--n", "1", "-o", "strong.json"]
 FIXED_RUNS = [
     [TWISTED + ["--q", "3", "--m", "2", "--k", "2", "--eta", "1+y"]],
     [TWISTED + ["--q", "3", "--m", "2", "--k", "2", "--eta", "y"]],
     [TWISTED + ["--q", "3", "--m", "3", "--k", "3", "--eta", "1"]],
     [["strong", "cameron-liebler", "--kind", "point_pencil", "--n", "1", "--k", "3", "--q", "2", "-o", "strong.json"],
      ["strong", "verify", "strong.json", "--s", "2"]],
+    [CONSTRUCT + ["pseudoregulus", "--q", "3", "--m", "3", "--r", "1", "--mus", "1,2"]],
+    [CONSTRUCT + ["pseudoregulus", "--q", "4", "--m", "3", "--r", "2", "--mus", "1", "--s-exp", "2"]],
+    [CONSTRUCT + ["field-partition", "--q", "2", "--m", "2", "--k", "3"]],
+    [CONSTRUCT + ["field-partition", "--q", "3", "--m", "2", "--k", "3"]],
+    [CONSTRUCT + ["field-partition", "--q", "2", "--m", "3", "--k", "2"]],
+    [CONSTRUCT + ["field-partition", "--q", "3", "--m", "2", "--k", "1"]],
+    [CONSTRUCT + ["basis-partition", "--q", "4", "--m", "2", "--k", "3", "--partition", "1;2,3"]],
+    [CONSTRUCT + ["twisted", "--q", "4", "--m", "3", "--k", "3", "--alphas", "1,y"]],
+    [CONSTRUCT + ["twisted", "--q", "5", "--m", "2", "--k", "3", "--alphas", "1,y,y+1", "--eta", "y"]],
+    [CONSTRUCT + ["twisted", "--q", "5", "--m", "2", "--k", "3", "--alphas", "1,2", "--eta", "y"]],
+    [CL + ["--kind", "complement", "--of", "mixed", "--k", "3", "--q", "3"]],
+    [CL + ["--kind", "in_hyperplane", "--k", "4", "--q", "2"]],
 ]
 
 

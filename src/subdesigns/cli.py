@@ -252,9 +252,7 @@ def _cmd_strong(args) -> dict:
         A = sb.verify_strong(S, args.s, cap=args.cap)
         return {"s": args.s, "A_min": A, "t": S.t}
     if args.strong_verb == "cameron-liebler":
-        # complement takes one base kind, union a list of them
-        of = args.of[0] if args.kind == "complement" and len(args.of or ()) == 1 else args.of
-        params = {"of": of} if of else None
+        params = {"of": args.of} if args.of else None
         S, predicted = sb.cameron_liebler(args.kind, args.n, args.k, args.q, params=params, cap=args.cap)
         if args.output:
             _write(args.output, fmt.strong_design_to_json(S))
@@ -265,15 +263,12 @@ def _cmd_strong(args) -> dict:
         if args.output:
             _write(args.output, fmt.design_to_json(out))
         return {"dims": list(out.dims), "output": args.output}
-    if args.strong_verb == "places":
-        spec = _read_json(args.spec)
-        tower = tower_for(int(spec["q"]), int(spec["m"]))
-        D = sb.places_embed(tower, spec["members"], spec["p"], int(spec["zeta"]), int(spec["k"]),
-                            cap=args.cap)
-        if args.output:
-            _write(args.output, fmt.design_to_json(D))
-        return {"dims": list(D.dims), "output": args.output}
-    raise ValueError(args.strong_verb)  # pragma: no cover
+    spec = _read_json(args.spec)  # places
+    tower = tower_for(int(spec["q"]), int(spec["m"]))
+    D = sb.places_embed(tower, spec["members"], spec["p"], int(spec["zeta"]), int(spec["k"]), cap=args.cap)
+    if args.output:
+        _write(args.output, fmt.design_to_json(D))
+    return {"dims": list(D.dims), "output": args.output}
 
 
 def _cmd_repro(args) -> dict:
@@ -384,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=_cmd_strong)
     scl = stsub.add_parser("cameron-liebler")
     scl.add_argument("--kind", required=True,
-                     choices=["point_pencil", "in_hyperplane", "mixed", "complement", "union"])
+                     choices=["point_pencil", "in_hyperplane", "mixed", "complement"])
     scl.add_argument("--n", type=int, required=True)
     scl.add_argument("--k", type=int, required=True)
     scl.add_argument("--q", type=int, required=True)
-    scl.add_argument("--of", nargs="*", default=None)
+    scl.add_argument("--of", default=None, help="the base kind of a complement")
     scl.add_argument("-o", "--output")
     scl.set_defaults(func=_cmd_strong)
     sin = stsub.add_parser("intermediate")

@@ -424,7 +424,7 @@ def _block_field_elements(block) -> list[int]:
     """An F_q-basis (codes) of a subspace of F_{q^m} given as a k=1 FqSubspace."""
     amb = block.ambient
     if amb.k != 1:
-        raise ValueError("blocks must be subspaces of F_{q^m} itself (k = 1 ambient)")
+        raise DimensionMismatch("blocks must be subspaces of F_{q^m} itself (k = 1 ambient)")
     return [int(c) for c in amb.contract(block.basis).reshape(-1)]
 
 
@@ -445,7 +445,8 @@ def construct_twisted(
 
     Member i is the image of the block S_i under
     x -> (x + eta N^k(a_i) sigma^k(x), sigma(x) N^1(a_i), ..., sigma^(k-1)(x) N^(k-1)(a_i));
-    eta = 0 recovers the linearized Reed-Solomon designs.
+    eta = 0 recovers the linearized Reed-Solomon designs.  On an F_q-basis x of S_i,
+    column j is N^j(a_i) sigma^j(x), and eta times the term for j = k joins column 0.
     """
     t = ambient.tower
     k = ambient.k
@@ -458,7 +459,7 @@ def construct_twisted(
         raise BadExponent("sigma exponent must be coprime to m")
     block_bases = [_block_field_elements(b) for b in blocks]
     if len(block_bases) != len(alpha_codes):
-        raise ValueError("one block per alpha")
+        raise BadParameters("one block per alpha")
     if sum(len(b) for b in block_bases) < k:
         raise TooFewBlocks("total block dimension must be at least k")
     if eta_code != 0:
@@ -469,21 +470,11 @@ def construct_twisted(
         if t.fq._log[val] % step == 0:
             raise EtaInNormGroup("(-1)^{km} N(eta) lies in the norm subgroup")
 
-    def image(x: int, alpha: int) -> list[int]:
-        row = []
-        first = x
-        if eta_code:
-            nk = t.nsigma_code(alpha, k, s_exp)
-            first = int(t.fqm.add(x, int(t.fqm.mul(eta_code, int(t.fqm.mul(nk, t.frobenius_code(x, s_exp * k)))))))
-        row.append(first)
-        for j in range(1, k):
-            nj = t.nsigma_code(alpha, j, s_exp)
-            row.append(int(t.fqm.mul(nj, t.frobenius_code(x, s_exp * j))))
-        return row
-
     members = []
     for alpha, base in zip(alpha_codes, block_bases):
-        U = span_fq(ambient, [image(x, alpha) for x in base])
+        cols = [t.fqm.mul(t.nsigma_code(alpha, j, s_exp), t.frob_powers[s_exp * j % t.m][base]) for j in range(k + 1)]
+        cols[0] = t.fqm.add(cols[0], t.fqm.mul(eta_code, cols[k]))
+        U = span_fq(ambient, np.stack(cols[:k], axis=1))
         certify(U.dim == len(base), "the evaluation map must be injective on the block")
         members.append(U)
     D = SubspaceDesign(ambient, members)
@@ -502,22 +493,16 @@ def construct_pseudoregulus(
     t = ambient.tower
     k = ambient.k
     if k % 2:
-        raise ValueError("pseudoregulus needs an even ambient dimension k = 2r")
+        raise DimensionMismatch("pseudoregulus needs an even ambient dimension k = 2r")
     r = k // 2
     if gcd(s_exp, t.m) != 1:
         raise BadExponent("exponent must be coprime to m")
     mu_codes = [int(t.element(u)) for u in mus]
     _distinct_norms(t, mu_codes)
     members = []
-    for mu in mu_codes:
-        vecs = []
-        for slot in range(r):
-            for x in t.y_basis.tolist():
-                vec = [0] * k
-                vec[2 * slot] = x
-                vec[2 * slot + 1] = int(t.fqm.mul(mu, t.frobenius_code(x, s_exp)))
-                vecs.append(vec)
-        U = span_fq(ambient, vecs)
+    for mu in mu_codes:  # the pairs (x, mu sigma^s(x)) over the y^j, one block of coordinates per slot
+        pair = np.stack([t.y_basis, t.fqm.mul(mu, t.frob_powers[s_exp % t.m][t.y_basis])], axis=1)
+        U = span_fq(ambient, np.kron(np.eye(r, dtype=DTYPE), pair))
         certify(U.dim == r * t.m, "a pseudoregulus member must have dimension rm")
         members.append(U)
     D = SubspaceDesign(ambient, members)
@@ -581,7 +566,7 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
         raise BadParameters(f"F_{q ** (m * k)} exceeds the supported field size {LAZY_CAP}")
     tower = make_tower(p, h, m)
     amb = AmbientSpace(tower, k)
-    big = small_field(p, tower.fqm, find_irreducible(tower.fqm, k)) if k > 1 else tower.fqm
+    big = small_field(p, tower.fqm, find_irreducible(tower.fqm, k))  # codes are F_{q^m}-digit vectors
     Q = big.size
     g = big.generator_code
     e_k = (Q - 1) // (q**k - 1)
@@ -589,16 +574,12 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
     t_count = gcd(e_k, e_m)
     expected = (q ** (m * k) - 1) * (q - 1) // ((q**k - 1) * (q**m - 1))
     certify(t_count == expected, "coset index does not match the closed form")
-    subfield = [0] + [int(big.pow(g, e_k * j)) for j in range(q**k - 1)]
-    coords = (lambda e: big.to_digits(e)) if k > 1 else (lambda e: [e])
+    subfield = [int(big.pow(g, e_k * j)) for j in range(q**k - 1)]  # F_{q^k}^*
     members = []
-    rep = 1
-    for _ in range(t_count):
-        vecs = [coords(int(big.mul(rep, u))) for u in subfield if u]
-        U = span_fq(amb, vecs)
+    for j in range(t_count):
+        U = span_fq(amb, big.to_digits(big.mul(big.pow(g, j), subfield)))
         certify(U.dim == k, "every subgeometry must have dimension k")
         members.append(U)
-        rep = int(big.mul(rep, g))
     D = SubspaceDesign(amb, members)
     # partition check: every projective point covered exactly once
     pts, dims = D.point_dims(cap)
@@ -633,7 +614,7 @@ def enlarge(
             vec = np.zeros(amb.n_fq, dtype=DTYPE)
             vec[col] = 1
             col += 1
-            R, piv = linalg.rref(F, np.vstack([basis, vec.reshape(1, -1)]) if basis.shape[0] else vec.reshape(1, -1))
+            R, piv = linalg.rref(F, np.vstack([basis, vec.reshape(1, -1)]))
             if R.shape[0] > basis.shape[0]:
                 basis = R
                 added += 1
@@ -697,7 +678,7 @@ def hyperplane_weight_distribution(D: SubspaceDesign, cap: int | None = DEFAULT_
 def h_values(q: int, m: int, k: int, t: int) -> tuple[int, int]:
     """Closed-form counts (h0, h1) of low/high hyperplanes of a maximum 1-design."""
     if (m * k) % 2:
-        raise ValueError("mk must be even")
+        raise BadParameters("mk must be even")
     mk2 = m * k // 2
     mkm2 = m * (k - 2) // 2
     num = t * ((q**mk2 - 1) * (q ** (m * (k - 1)) - 1) - (q**mkm2 - 1) * (q ** (m * k) - 1))

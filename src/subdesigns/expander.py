@@ -110,12 +110,10 @@ def expansion_check(
                 drawn = np.concatenate([drawn, X[linalg.rank_batch(tw.fq, X) == r]])
             blocks = [drawn]
         else:
-            raise ValueError("mode must be 'exhaustive' or 'sample'")
+            raise BadParameters("mode must be 'exhaustive' or 'sample'")
         best = None
         witness = None
         for X in blocks:
-            if not X.shape[0]:
-                continue
             flat = X.reshape(-1, ell)
             images = np.concatenate([linalg.matmul(tw.fq, flat, M).reshape(X.shape[0], r, -1) for M in fam.maps], axis=1)
             ranks = linalg.rank_batch(tw.fq, images)

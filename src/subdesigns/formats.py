@@ -96,16 +96,18 @@ def fq_subspace_rows(U: FqSubspace) -> list:
     return U.ambient.tower.fq.to_digits(U.basis).tolist()
 
 
+def _element_rows(rows, width: int, read) -> np.ndarray:
+    """The (len(rows), width) code array of a list of rows of JSON field elements, one read per entry."""
+    if any(len(row) != width for row in rows):
+        raise FormatError(f"rows must have {width} entries")
+    return np.array([[read(e) for e in row] for row in rows], dtype=DTYPE).reshape(len(rows), width)
+
+
 def _rows_to_fq_subspace(amb: AmbientSpace, rows) -> FqSubspace:
     t = amb.tower
-    mat = []
-    for row in rows:
-        if len(row) != amb.n_fq:
-            raise FormatError(f"rows must have {amb.n_fq} F_q coordinates")
-        mat.append([_fq_from_digits(t.p, t.h, digs) for digs in row])
-    arr = np.asarray(mat, dtype=DTYPE) if mat else np.zeros((0, amb.n_fq), dtype=DTYPE)
+    arr = _element_rows(rows, amb.n_fq, lambda digs: _fq_from_digits(t.p, t.h, digs))
     U = FqSubspace.from_expanded_rows(amb, arr)
-    if U.basis.shape != arr.shape or not np.array_equal(U.basis, arr):
+    if not np.array_equal(U.basis, arr):
         raise FormatError("subspace rows are not in canonical reduced echelon form")
     return U
 
@@ -142,12 +144,11 @@ def strong_design_to_json(S: StrongSubspaceDesign) -> dict:
 def strong_design_from_json(obj) -> StrongSubspaceDesign:
     try:
         amb = ambient_from_json(obj["ambient"])
-        t = amb.tower
         members = []
         for rows in obj["members"]:
-            mat = [[element_from_json(t, e) for e in row] for row in rows]
-            V = FqmSubspace.from_rows(amb, np.asarray(mat, dtype=DTYPE) if mat else [])
-            if mat and not np.array_equal(V.basis, np.asarray(mat, dtype=DTYPE)):
+            mat = _element_rows(rows, amb.k, lambda e: element_from_json(amb.tower, e))
+            V = FqmSubspace.from_rows(amb, mat)
+            if not np.array_equal(V.basis, mat):
                 raise FormatError("strong-design rows are not canonical RREF")
             members.append(V)
     except (KeyError, TypeError) as exc:
@@ -171,11 +172,10 @@ def code_from_json(obj) -> SumRankCode:
     try:
         tower = tower_from_json(obj["tower"])
         lengths = [int(n) for n in obj["lengths"]]
-        rows = [[element_from_json(tower, e) for e in row] for row in obj["generator"]]
+        G = _element_rows(obj["generator"], sum(lengths), lambda e: element_from_json(tower, e))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad code record: {exc}") from exc
-    G = np.asarray(rows, dtype=DTYPE)
-    if G.ndim != 2 or G.shape[1] != sum(lengths):
+    if not len(G):
         raise FormatError("generator shape does not match the length profile")
     return SumRankCode(tower, lengths, np.split(G, np.cumsum(lengths)[:-1], axis=1))
 

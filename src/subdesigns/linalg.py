@@ -12,12 +12,15 @@ elimination in the spirit of M4RI, vectorised over the batch instead of
 over bits.  ``rank_batch`` takes the narrower side as c and picks one of
 three paths from |F| and c:
 
-1. span fold, when the subspace-transition table of F^c fits
-   ``SPAN_TABLE_CAP``: T[s, v] is the span of subspace s of F^c and the
-   vector with code v, so each row costs one gather;
+1. span fold, when F^c has packed tables and its subspace-transition
+   table fits ``SPAN_TABLE_CAP``: T[s, v] is the span of subspace s of F^c
+   and the vector with code v, so each row costs one gather;
 2. packed rows, when |F|^c <= ``PACKED_CAP``: each row is one code and a
    column is cleared from every row with flat add and scale tables;
 3. otherwise the pivots of ``echelon_batch``.
+
+A stack with no rows or no columns folds through the span table of F^0
+to rank 0.
 
 The looped ``rref`` serves single subspaces and is the oracle of all
 three.  Membership and containment are the rank identity
@@ -86,8 +89,6 @@ def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
     if M.shape[1] < M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
         M = M.transpose(0, 2, 1)
     B, r, c = M.shape
-    if r == 0 or c == 0:
-        return np.zeros(B, dtype=np.int64)
     table = _span_table(F, c)
     if table is not None:
         T, dims = table
@@ -148,9 +149,9 @@ def _build_packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...]:
     a = np.arange(q)
     weights = q ** np.arange(c)
     dig = (np.arange(Qc)[None] // weights[:, None] % q).astype(DTYPE)
-    add = np.asarray(F.add(a[:, None], a[None]), dtype=DTYPE)
     vadd = np.zeros((1, 1), dtype=DTYPE)
     for j in range(c):  # u + v on j + 1 digits from u + v on the low j digits
+        add = np.asarray(F.add(a[:, None], a[None]), dtype=DTYPE)  # here, so width 0 builds no |F|^2 table
         vadd = (add[:, None, :, None] * q**j + vadd[None, :, None, :]).reshape(q ** (j + 1), q ** (j + 1))
     scale = (np.asarray(F.mul(a[:, None, None], dig.T[None]), dtype=DTYPE) @ weights).astype(DTYPE)  # (q, Qc)
     negscale = scale[F.neg(a)]
@@ -163,7 +164,8 @@ def _build_packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...]:
 
 
 def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(T, dims) over the subspaces of F^c, or None if it would exceed SPAN_TABLE_CAP.
+    """(T, dims) over the subspaces of F^c, or None if F^c has no packed tables
+    or T would exceed SPAN_TABLE_CAP.
 
     A vector's code is its base-|F| digits read as one number.  Subspaces
     are numbered by dimension, each level in the order of its membership
@@ -171,7 +173,7 @@ def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
     outside it, and its size is certified against the Gaussian binomial.
     T is flat: T[s * |F|^c + v] = span(s, v) * |F|^c, so a fold adds the
     next code to the last lookup.  dims[s] is dim s.  Built once per field
-    and width.
+    and width from the sums u + v and multiples a v of the packed tables.
     """
     cache = vars(F).setdefault("_span_tables", {})
     if c not in cache:
@@ -179,17 +181,16 @@ def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
 
         q = F.size
         counts = [gaussian_binomial(c, d, q) for d in range(c + 1)]
-        cache[c] = None if sum(counts) * q ** (2 * c) > SPAN_TABLE_CAP else _build_span_table(F, c, counts)
+        too_big = _packed_tables(F, c) is None or sum(counts) * q ** (2 * c) > SPAN_TABLE_CAP
+        cache[c] = None if too_big else _build_span_table(F, c, counts)
     return cache[c]
 
 
 def _build_span_table(F: SmallField, c: int, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     q = F.size
     Qc = q**c
-    weights = q ** np.arange(c)
-    digits = np.arange(Qc)[:, None] // weights % q
-    vadd = (F.add(digits[:, None], digits[None]) @ weights).astype(DTYPE)  # (Qc, Qc): u + v
-    lines = (F.mul(np.arange(q)[:, None, None], digits[None]) @ weights).T.astype(DTYPE)  # (Qc, q): a v
+    _, vadd, scale, _, _ = _packed_tables(F, c)
+    vadd, lines = vadd.reshape(Qc, Qc), scale.reshape(q, Qc).T  # u + v, and a v in row v
     T = np.empty((sum(counts), Qc), dtype=DTYPE)
     S = np.zeros((1, 1), dtype=DTYPE)  # level 0: the zero subspace, as its element codes
     inside = np.arange(Qc)[None] == 0  # (subspaces, Qc) membership of the current level

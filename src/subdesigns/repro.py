@@ -229,8 +229,7 @@ def criterion_4() -> CriterionResult:
     towers = sigma_towers()
     for tower in towers:
         Q, q, m = tower.order, tower.q, tower.m
-        table = np.asarray(tower.norm_table)
-        alphas = {lam: int(np.nonzero(table == lam)[0][0]) for lam in range(1, q)}
+        alphas = dict(enumerate(distinct_norm_elements(tower, q - 1), 1))  # norm lam -> alpha
         for _ in range(200):
             d = int(rng.integers(1, 4))
             coeffs = [int(rng.integers(0, Q)) for _ in range(d)] + [int(rng.integers(1, Q))]
@@ -352,11 +351,7 @@ def criterion_7() -> CriterionResult:
     one, zero = t4.one(), t4.zero()
     U = sp.span_fq(amb, [(one, zero), (zero, one)])
     D = de.SubspaceDesign(amb, [U])
-    P = ha.ext_system(D)
-    try:
-        params = ha.srg_from_two_intersection(P, verify_graph=True)
-    except AssertionError as exc:
-        return _result(7, "SRG direct check", started, [str(exc)], "graph verification failed")
+    params = ha.srg_from_two_intersection(ha.ext_system(D), verify_graph=True)
     if params.as_tuple() != (16, 9, 4, 6):
         failures.append(f"params {params.as_tuple()} != (16, 9, 4, 6)")
     return _result(7, "SRG direct check", started, failures, f"params {params.as_tuple()}, 16-vertex graph verified")
@@ -425,9 +420,7 @@ def criterion_10() -> CriterionResult:
         for _ in range(100):
             A = sp.FqSubspace.from_expanded_rows(amb, rng.integers(0, tower.q, (int(rng.integers(0, 5)), amb.n_fq)))
             B = sp.FqSubspace.from_expanded_rows(amb, rng.integers(0, tower.q, (int(rng.integers(0, 5)), amb.n_fq)))
-            meet, join = sp.meet_join(A, B)  # certifies Grassmann internally
-            if meet.dim + join.dim != A.dim + B.dim:
-                failures.append("Grassmann identity violated")
+            sp.meet_join(A, B)  # certifies the Grassmann identity
     rng = np.random.default_rng(SEEDS["rref"])
     t9 = make_tower(3, 1, 2)
     amb9 = sp.AmbientSpace(t9, 2)

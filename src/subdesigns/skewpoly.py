@@ -14,9 +14,9 @@ a tuple).  Coefficient arithmetic reads the field's exp, log and Zech
 tables and the tower's Frobenius power table ``FieldTower.frob_powers``
 through zero-copy memoryviews: a product is exp[log a + log b], a sum
 exp[log a + Z(log b - log a)] (``SmallField.zech``) and sigma^i one
-lookup, each on Python ints with no numpy call.  Every composition,
-division and gcrd/lclm is certified on the spot (``errors.certify``,
-which ``python -O`` keeps).
+lookup, each on Python ints with no numpy call, ``SigmaPoly.evaluate``
+included.  Every composition, division and gcrd/lclm is certified on the
+spot (``errors.certify``, which ``python -O`` keeps).
 """
 
 from __future__ import annotations
@@ -221,14 +221,14 @@ class SigmaPoly:
     # -- the induced F_q-linear map -------------------------------------------------
 
     def evaluate(self, x):
-        """F(x) for a code or an array of codes of F_{q^m} (same shape)."""
-        t = self.tower
+        """F(x) for a code or an array of codes of F_{q^m} (same shape): sum_i f_i sigma^i(x)."""
         x = np.asarray(x, dtype=DTYPE)
-        acc = np.zeros_like(x)
+        A, acc = self._algebra(), [0] * x.size
+        flat = x.reshape(-1).tolist()
         for i, a in enumerate(self.coeffs):
             if a:
-                acc = t.fqm.add(acc, t.fqm.mul(a, t.frob_powers[self.s * i % t.m][x]))
-        return acc
+                A._axpy(acc, 0, a, i, flat)
+        return np.array(acc, dtype=DTYPE).reshape(x.shape)
 
     def matrix(self) -> np.ndarray:
         """m x m matrix over F_q of the induced map on the basis 1, y, ..., y^(m-1)."""

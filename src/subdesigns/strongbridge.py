@@ -97,7 +97,7 @@ def evasive_intersect(
         raise AmbientMismatch("E must live in the strong design's ambient")
     c = Fraction(c)
     if c <= 0:
-        raise ValueError("c must be positive")
+        raise BadParameters("c must be positive")
     for h in range(1, s + 1):
         worst = design_profile(SubspaceDesign(E.ambient, [E]), h, cap=cap).A_min
         if worst > c * h:
@@ -164,14 +164,12 @@ def places_embed(
     t = tower
     q = t.q
     fq = t.fq
-    p_poly = poly_trim([int(cf) for cf in p_poly])
+    p_poly = poly_monic(fq, [int(cf) for cf in p_poly])
     m = len(p_poly) - 1
     if m != t.m:
         raise BadParameters(f"p must have degree m = {t.m}")
     if m > q - 1:
         raise BadParameters("the construction needs m <= q - 1")
-    if p_poly[-1] != 1:
-        p_poly = poly_monic(fq, p_poly)
     if not poly_is_irreducible(fq, p_poly):
         raise NotIrreducible("p must be irreducible over F_q")
     zeta = int(zeta)
@@ -233,31 +231,21 @@ def cameron_liebler(
     k: int,
     q: int,
     params: dict | None = None,
-    tower: FieldTower | None = None,
     cap: int | None = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[StrongSubspaceDesign, dict]:
     """A Cameron-Liebler set of projective n-spaces of PG(k, q) as a strong design.
 
     Kinds: point_pencil (all n-spaces through a fixed point), in_hyperplane
     (all n-spaces inside a fixed hyperplane), mixed (their disjoint union
-    for a point off the hyperplane), complement {"of": kind}, union
-    {"of": ["point_pencil", "in_hyperplane"]} (the same set as mixed).
-    Members come in enumeration order, read off masks over the blocks of
+    for a point off the hyperplane) and complement {"of": kind}.  Members
+    come in enumeration order, read off masks over the blocks of
     fqm_subspace_blocks.  Returns the member list plus the closed-form
     parameter x, the counts w_i / w'_i and the strong parameter A.
     """
     if k < 2 * n + 1:
         raise BadParameters("Cameron-Liebler sets need k >= 2n + 1")
-    if tower is None:
-        tower = tower_for(q, 1)
-    if tower.order != q:
-        raise BadParameters("tower top field must have q elements")
-    params = params or {}
-    base = params.get("of", "point_pencil") if kind == "complement" else kind
-    if kind == "union":
-        if set(params.get("of", ["point_pencil", "in_hyperplane"])) != {"point_pencil", "in_hyperplane"}:
-            raise BadParameters("union supports point_pencil plus in_hyperplane")
-        base = "mixed"  # the disjoint instances: a pencil anchored off the fixed hyperplane
+    tower = tower_for(q, 1)
+    base = (params or {}).get("of", "point_pencil") if kind == "complement" else kind
     # base kind -> (coordinate of the pencil's point or None, members inside x_k = 0 taken, x)
     shapes = {"point_pencil": (0, False, 1), "in_hyperplane": (None, True, 1), "mixed": (k, True, 2)}
     if not isinstance(base, str) or base not in shapes:

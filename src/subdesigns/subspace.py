@@ -65,7 +65,7 @@ class AmbientSpace:
 
     def __init__(self, tower: FieldTower, k: int):
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise DimensionMismatch("k must be >= 1")
         self.tower = tower
         self.k = k
         self.n_fq = tower.m * k
@@ -167,9 +167,7 @@ class FqSubspace(RowSpace):
         q = self.ambient.tower.q
         r = self.dim
         check_cap(q**r, cap, "vectors")
-        if r == 0:
-            return np.zeros((1, self.ambient.n_fq), dtype=DTYPE)
-        combos = np.indices((q,) * r).reshape(r, -1).T.astype(DTYPE)
+        combos = np.indices((q,) * r).reshape(r, q**r).T.astype(DTYPE)
         return linalg.matmul(self.ambient.tower.fq, combos, self.basis)
 
     def gen_block(self) -> np.ndarray:
@@ -291,10 +289,6 @@ def enumerate_rref_matrices(
     total = gaussian_binomial(k, s, Q)
     if stop is None:
         stop = total
-    if s == 0:
-        if start <= 0 < stop:
-            yield np.zeros((0, k), dtype=DTYPE), []
-        return
     idx = 0
     for pivots in itertools.combinations(range(k), s):
         free_pos = [
@@ -328,9 +322,6 @@ def rref_matrix_blocks(Q: int, s: int, k: int) -> Iterator[tuple[np.ndarray, lis
     Each stack holds at most RREF_CHUNK matrices of one pivot support,
     which is yielded with it.
     """
-    if s == 0:
-        yield np.zeros((1, 0, k), dtype=DTYPE), []
-        return
     for pivots in itertools.combinations(range(k), s):
         free_pos = [(i, c) for i in range(s) for c in range(pivots[i] + 1, k) if c not in pivots]
         rows = [i for i, _ in free_pos]

@@ -215,7 +215,7 @@ def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, meth
             best = w if best is None else min(best, w)
         return int(best)
     if method != "classes":
-        raise ValueError("method must be 'classes' or 'codewords'")
+        raise BadParameters("method must be 'classes' or 'codewords'")
     return int(_class_weights(C, cap).min())
 
 
@@ -335,7 +335,7 @@ def is_minimal_code(
                 return False, (np.hstack(C.encode(reps[i])), np.hstack(C.encode(reps[b])))
         return True, None
     if method != "geometric":
-        raise ValueError("method must be 'geometric' or 'pairs'")
+        raise BadParameters("method must be 'geometric' or 'pairs'")
     D = C.system()
     report = is_cutting(D, cap=cap)
     if report.cutting:
@@ -363,13 +363,13 @@ def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:
     if any(C.lengths[perm[i]] != C.lengths[i] for i in range(C.t)):
         raise LengthProfileBroken("permutation must preserve the length profile")
     scalars = [int(a) for a in scalars]
-    if len(scalars) != C.t or any(a == 0 for a in scalars):
-        raise ValueError("need t nonzero scalars")
+    if len(scalars) != C.t or not all(0 < a < t.order for a in scalars):
+        raise BadParameters(f"need t nonzero scalars, codes in [1, {t.order})")
     blocks = []
     for i in range(C.t):
         M = np.asarray(matrices[i], dtype=DTYPE)
         n = C.lengths[i]
-        if M.shape != (n, n) or np.any(M >= t.q):
+        if M.shape != (n, n) or np.any((M < 0) | (M >= t.q)):
             raise NotInvertible("block matrices must be n_i x n_i over F_q")
         try:
             linalg.invert(t.fq, M)

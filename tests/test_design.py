@@ -12,6 +12,7 @@ from subdesigns.errors import (
     BadExponent,
     BadParameters,
     BadPartition,
+    DimensionMismatch,
     DualSpanTooSmall,
     EnumerationCapExceeded,
     EtaInNormGroup,
@@ -516,3 +517,63 @@ def test_digit_table_overflow_bound_survives_python_O():
 def test_more_twisting_elements_than_norms_is_bad_parameters(build):
     with pytest.raises(BadParameters, match="t must be at most q - 1"):
         build()
+
+
+def _looped_twisted_members(amb, alphas, eta, blocks, s_exp):
+    """The members of construct_twisted built one scalar at a time: the oracle of its array columns."""
+    t, k = amb.tower, amb.k
+
+    def image(x, alpha):
+        first = x
+        if eta:
+            nk = t.nsigma_code(alpha, k, s_exp)
+            first = int(t.fqm.add(x, int(t.fqm.mul(eta, int(t.fqm.mul(nk, t.frobenius_code(x, s_exp * k)))))))
+        return [first] + [int(t.fqm.mul(t.nsigma_code(alpha, j, s_exp), t.frobenius_code(x, s_exp * j)))
+                          for j in range(1, k)]
+
+    return [span_fq(amb, [image(x, a) for x in de._block_field_elements(b)]) for a, b in zip(alphas, blocks)]
+
+
+@pytest.mark.parametrize("key,k,norms,eta", [((3, 1, 3), 3, [1], 1), ((3, 1, 3), 2, [1], 3), ((2, 2, 3), 3, [1, 2], 0),
+                                             ((5, 1, 3), 2, [1, 4], 2)])
+def test_twisted_members_match_the_looped_image(key, k, norms, eta):
+    # sigma = x -> x^(q^2), eta != 0 where the norm check admits it, and a proper block <1, y>
+    t = make_tower(*key)
+    amb = AmbientSpace(t, k)
+    alphas = [next(c for c in range(1, t.order) if t.norm_code(c) == n) for n in norms]
+    blocks = [span_fq(AmbientSpace(t, 1), [[1], [t.q]])] + [de.full_field_block(t)] * (len(alphas) - 1)
+    if sum(b.dim for b in blocks) < k:
+        blocks = [de.full_field_block(t)] * len(alphas)
+    D = de.construct_twisted(amb, alphas, eta, blocks, s_exp=2)
+    assert list(D.members) == _looped_twisted_members(amb, alphas, eta, blocks, 2)
+
+
+def _typed_error_calls():
+    from subdesigns import expander as ex
+    from subdesigns import strongbridge as sb
+
+    t = make_tower(3, 1, 2)
+    amb = AmbientSpace(t, 2)
+    D = twisted_design(3, 2, 2, 2)
+    C = sr.code_from_system(D)
+    S = sb.StrongSubspaceDesign(amb, [FqmSubspace.from_rows(amb, [[1, 0]])])
+    return {
+        "block of a k = 2 ambient": (lambda: de._block_field_elements(span_fq(amb, [[1, 0]])), DimensionMismatch),
+        "one block per alpha": (lambda: de.construct_twisted(amb, [1], 0, []), BadParameters),
+        "odd-k pseudoregulus": (lambda: de.construct_pseudoregulus(AmbientSpace(t, 3), 1, [1]), DimensionMismatch),
+        "h_values of odd mk": (lambda: de.h_values(3, 3, 3, 1), BadParameters),
+        "evasive c <= 0": (lambda: sb.evasive_intersect(S, span_fq(amb, [[1, 0]]), 0, 1), BadParameters),
+        "expansion mode": (lambda: ex.expansion_check(ex.build_expander(D), 1, mode="fast"), BadParameters),
+        "min_distance method": (lambda: sr.min_distance(C, method="hyperplane"), BadParameters),
+        "is_minimal_code method": (lambda: sr.is_minimal_code(C, method="cutting"), BadParameters),
+        "isometry scalar count": (lambda: sr.apply_isometry(C, [1], [np.eye(2, dtype=int)] * 2, [0, 1]), BadParameters),
+        "ambient k = 0": (lambda: AmbientSpace(t, 0), DimensionMismatch),
+    }
+
+
+@pytest.mark.parametrize("name", list(_typed_error_calls()))
+def test_library_mistakes_raise_typed_value_errors(name):
+    call, error = _typed_error_calls()[name]
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)

@@ -419,3 +419,44 @@ def test_cli_main_calls_in_one_process_match_separate_processes(tmp_path, capsys
                                timeout=120) for argv in calls]
     assert in_process == [(proc.returncode, proc.stdout) for proc in separate]
     assert [rc for rc, _ in in_process] == [1, 0, 0, 0]
+
+
+def _one_error_line(capsys, *argv) -> dict:
+    assert run_cli(*argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_cli_design_with_k_zero_is_one_error_line(tmp_path, capsys):
+    design = tmp_path / "d.json"
+    assert run_cli("construct", "field-partition", "--q", "2", "--m", "2", "--k", "3", "-o", str(design)) == 0
+    capsys.readouterr()
+    obj = json.loads(design.read_text())
+    obj["ambient"]["k"] = 0
+    design.write_text(json.dumps(obj))
+    assert _one_error_line(capsys, "cutting", str(design))["error"] == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("fault", ["ragged", "short"])
+def test_cli_strong_design_with_a_bad_member_row_is_one_error_line(tmp_path, capsys, fault):
+    strong = tmp_path / "s.json"
+    obj = fmt.strong_design_to_json(sb.cameron_liebler("point_pencil", 1, 3, 2)[0])
+    rows = obj["members"][0]
+    if fault == "ragged":
+        rows[1] = rows[1][:-1]
+    else:
+        obj["members"][0] = [row[:-1] for row in rows]
+    strong.write_text(json.dumps(obj))
+    assert _one_error_line(capsys, "strong", "verify", str(strong), "--s", "2")["error"] == "FormatError"
+
+
+def test_cli_code_with_a_ragged_generator_row_is_one_error_line(tmp_path, capsys):
+    design, code = tmp_path / "d.json", tmp_path / "c.json"
+    assert run_cli("construct", "field-partition", "--q", "2", "--m", "3", "--k", "2", "-o", str(design)) == 0
+    assert run_cli("msrd", str(design), "--emit-code", str(code)) == 0
+    capsys.readouterr()
+    obj = json.loads(code.read_text())
+    obj["generator"][1] = obj["generator"][1][:-1]
+    code.write_text(json.dumps(obj))
+    assert _one_error_line(capsys, "minimal", str(code))["error"] == "FormatError"

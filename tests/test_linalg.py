@@ -224,13 +224,14 @@ def test_prime_field_matmul_matches_looped_products(p, seed):
 
 
 def test_span_table_certificate_survives_python_O():
-    # an addition that ignores its second term collapses every span onto the zero subspace
+    # a product with 1 v = 0 and 2 v = -v leaves the packed tables' checks intact, but every
+    # span of a vector v is then {0, -v}, so each line of F_3^3 is found twice
     check = (
         "import numpy as np\n"
         "from subdesigns import linalg\n"
         "from subdesigns.fieldcore import SmallField\n"
         "F = SmallField(3, None, None)\n"
-        "F.add = lambda a, b: np.broadcast_arrays(a, b)[0]\n"
+        "F.mul = lambda a, b: np.where(np.asarray(a) == 2, F.neg(b), 0) + 0 * np.asarray(b)\n"
         "linalg.rank_batch(F, np.eye(3, dtype=np.int32)[None])\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
@@ -252,3 +253,16 @@ def test_packed_table_certificate_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "CertificateFailed: F_3^6 addition must permute each row" in proc.stderr
+
+
+@pytest.mark.parametrize("q", [3, 1031, 4099])
+def test_rank_batch_of_stacks_without_rows_or_columns(q):
+    # (B, 0, c) and (B, r, 0) fold through the span table of F^0, also over fields too large for
+    # packed tables of width 1 (1031) or for full add/mul tables (4099); rank 0 for every matrix
+    F = small_field(q)
+    for shape in [(5, 0, 3), (5, 3, 0), (2, 0, 0), (0, 0, 4)]:
+        ranks = linalg.rank_batch(F, np.zeros(shape, dtype=DTYPE))
+        assert ranks.shape == (shape[0],) and not ranks.any()
+    # width 1: F_3 folds; F_1031 (no packed tables, so no span table) and F_4099 take echelon_batch
+    M = np.random.default_rng(q).integers(0, 2, (6, 3, 1)).astype(DTYPE)
+    assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]

@@ -364,3 +364,20 @@ def test_zech_certificate_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "CertificateFailed: Zech table of F_9 is inconsistent" in proc.stderr
+
+
+@pytest.mark.parametrize("p,h,m", [key for key in ORACLE_TOWERS if make_tower(*key).order > FULL_TABLE_CAP])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_evaluate_matches_the_looped_sum(p, h, m, shape):
+    # F(x) = sum_i f_i sigma^i(x), one element at a time, for sigma = x -> x^(q^s) with s != 1
+    t = make_tower(p, h, m)
+    rng = np.random.default_rng(p * 100 + m)
+    s = next(s for s in range(2, m) if np.gcd(s, m) == 1)
+    F = SigmaPoly(t, rng.integers(0, t.order, 4).tolist() + [int(rng.integers(1, t.order))], s)
+    x = rng.integers(0, t.order, shape)
+    want = np.zeros(shape, dtype=np.int64)
+    for idx in np.ndindex(*shape):
+        for i, f in enumerate(F.coeffs):
+            want[idx] = int(t.fqm.add(int(want[idx]), int(t.fqm.mul(f, t.frobenius_code(int(x[idx]), s * i)))))
+    got = F.evaluate(x)
+    assert got.shape == shape and np.array_equal(got, want)

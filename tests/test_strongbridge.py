@@ -7,6 +7,7 @@ import pytest
 from subdesigns import design as de
 from subdesigns import linalg
 from subdesigns import strongbridge as sb
+from subdesigns.cli import main as cli_main
 from subdesigns.errors import (
     BadParameters,
     DegreeTooLarge,
@@ -84,8 +85,8 @@ def test_cameron_liebler_other_kinds():
     S, pred = sb.cameron_liebler("complement", 1, 3, 2, params={"of": "point_pencil"})
     assert pred["x"] == 2**2 + 1 - 1 == 4
     assert sb.verify_strong(S, 2) == pred["A"]
-    S, pred = sb.cameron_liebler("union", 1, 3, 2, params={"of": ["point_pencil", "in_hyperplane"]})
-    assert pred["x"] == 2
+    with pytest.raises(BadParameters):  # "union" was a second name for mixed
+        sb.cameron_liebler("union", 1, 3, 2, params={"of": ["point_pencil", "in_hyperplane"]})
     with pytest.raises(BadParameters):
         sb.cameron_liebler("point_pencil", 1, 2, 2)  # k < 2n+1
 
@@ -99,7 +100,6 @@ def _looped_cameron_liebler(kind, n, k, q, of=None):
         "in_hyperplane": lambda W: not np.any(W.basis[:, -1]),
         "mixed": lambda W: W.contains(elast) or not np.any(W.basis[:, -1]),
     }
-    preds["union"] = preds["mixed"]
     if kind == "complement":
         return [W for W in enumerate_fqm_subspaces(amb, n + 1) if not preds[of](W)]
     return [W for W in enumerate_fqm_subspaces(amb, n + 1) if preds[kind](W)]
@@ -107,13 +107,23 @@ def _looped_cameron_liebler(kind, n, k, q, of=None):
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("kind,of", [("point_pencil", None), ("in_hyperplane", None), ("mixed", None),
-                                     ("union", ["in_hyperplane", "point_pencil"]), ("complement", "point_pencil"),
-                                     ("complement", "in_hyperplane"), ("complement", "mixed")])
+                                     ("complement", "point_pencil"), ("complement", "in_hyperplane"),
+                                     ("complement", "mixed")])
 def test_cameron_liebler_masks_match_looped_filter(kind, of, q):
     # member bases and their order are those of the per-subspace predicates
     S, _ = sb.cameron_liebler(kind, 1, 3, q, params=None if of is None else {"of": of})
     want = _looped_cameron_liebler(kind, 1, 3, q, of)
     assert [(V.basis.tolist(), V.pivots) for V in S.members] == [(W.basis.tolist(), W.pivots) for W in want]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cameron_liebler_union_is_refused(q):
+    # the set "union" named is built as mixed; the library and the CLI refuse the second name
+    with pytest.raises(BadParameters, match="unknown base kind 'union'"):
+        sb.cameron_liebler("union", 1, 3, q, params={"of": ["in_hyperplane", "point_pencil"]})
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["strong", "cameron-liebler", "--kind", "union", "--n", "1", "--k", "3", "--q", str(q)])
+    assert exc.value.code == 2
 
 
 def test_cameron_liebler_q3():

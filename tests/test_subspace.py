@@ -314,3 +314,19 @@ def test_expand_contract_round_trip(amb9):
     rng = np.random.default_rng(0)
     V = rng.integers(0, 9, (10, 2))
     assert np.array_equal(amb9.contract(amb9.expand(V)), V)
+
+
+@pytest.mark.parametrize("Q,k", [(2, 3), (9, 2)])
+def test_zero_dimensional_rref_matrices(Q, k):
+    # s = 0: one (0, k) matrix with no pivots, for the stream (with start/stop) and the blocks alike
+    assert [(M.shape, piv) for M, piv in enumerate_rref_matrices(Q, 0, k)] == [((0, k), [])]
+    assert [(M.shape, piv) for M, piv in enumerate_rref_matrices(Q, 0, k, start=0, stop=1)] == [((0, k), [])]
+    assert list(enumerate_rref_matrices(Q, 0, k, start=1)) == []
+    assert list(enumerate_rref_matrices(Q, 0, k, stop=0)) == []
+    assert [(M.shape, piv) for M, piv in rref_matrix_blocks(Q, 0, k)] == [((1, 0, k), [])]
+
+
+def test_vectors_of_the_zero_subspace(amb9):
+    U = FqSubspace.from_expanded_rows(amb9, np.zeros((0, amb9.n_fq), dtype=DTYPE))
+    V = U.vectors_expanded()
+    assert V.shape == (1, amb9.n_fq) and not V.any()

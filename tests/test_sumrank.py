@@ -379,3 +379,13 @@ def test_sumrank_certificate_survives_python_O():
 def test_code_without_blocks_is_bad_parameters(f9):
     with pytest.raises(BadParameters, match="at least one"):
         sr.SumRankCode(f9, [], [])
+
+
+@pytest.mark.parametrize("scalars,matrices,error", [
+    ([1, 1], [-np.eye(2, dtype=int), np.eye(2, dtype=int)], NotInvertible),  # -I: entries outside [0, q)
+    ([-1, 1], [np.eye(2, dtype=int)] * 2, BadParameters),  # a code below 0, not the top code of F_9
+    ([1000, 1], [np.eye(2, dtype=int)] * 2, BadParameters),  # a code past F_9
+])
+def test_isometry_refuses_entries_outside_the_fields(code9, scalars, matrices, error):
+    with pytest.raises(error):
+        sr.apply_isometry(code9, scalars, matrices, [0, 1])
