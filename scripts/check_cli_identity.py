@@ -13,8 +13,10 @@ A run of several steps (``msrd --emit-code`` then ``minimal`` on the code
 file) runs them in order in one directory.  ``srg --verify-graph --dot``
 runs only on the designs with Q^k <= 256, the DOT cap.  Each tree runs in
 its own working directory and writes its files under the same relative
-names, so echoed output paths agree too.  Prints one line per difference
-and exits 1 if there is any.
+names, so echoed output paths agree too.  One more step, ``SIGMA_VALUES``,
+prints sigma-polynomial kernel dimensions, lambda-values and gcrd/lclm
+coefficients in each tree, since the CLI shows them only in timed output.
+Prints one line per difference and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -41,6 +43,31 @@ designs += [(n, D) for n, D in max1_corpus() if D.ambient.tower.order ** D.ambie
 for i, (name, D) in enumerate(designs):
     (out / f"design{i:02d}.json").write_text(fmt.dumps(fmt.design_to_json(D)))
     print(f"design{i:02d}.json", D.ambient.k, D.ambient.tower.order ** D.ambient.k, name, sep="\\t")
+"""
+
+# Criterion 4's seeded polynomials F over its towers, then eight over each big_fields tower with a random
+# sigma exponent s; per F the twist kernels and lambda-values for lambda = 1..q-1, and gcrd and lclm of
+# F o R and H o R for seeded H, R (a common right factor, so that the gcrd is not 1).
+SIGMA_VALUES = """
+import numpy as np
+from subdesigns import skewpoly as sk
+from subdesigns.gf import make_tower
+from subdesigns.repro import SEEDS, distinct_norm_elements, sigma_towers
+rng, other = np.random.default_rng(SEEDS["sigma"]), np.random.default_rng(2020)
+def poly(t, d, s=1, gen=rng):
+    return sk.SigmaPoly(t, [int(gen.integers(0, t.order)) for _ in range(d)] + [int(gen.integers(1, t.order))], s)
+cases = [(t, [poly(t, int(rng.integers(1, 4))) for _ in range(200)]) for t in sigma_towers()]
+for key in [(3, 2, 4), (3, 2, 5), (2, 2, 6), (5, 1, 6)]:
+    t = make_tower(*key)
+    s = int(other.choice([s for s in range(1, t.m) if np.gcd(s, t.m) == 1]))
+    cases.append((t, [poly(t, 1 + i % t.m, s, other) for i in range(8)]))
+for t, polys in cases:
+    alphas = dict(enumerate(distinct_norm_elements(t, t.q - 1), 1))
+    for F in polys:
+        H, R = poly(t, int(other.integers(0, 3)), F.s, other), poly(t, int(other.integers(0, 3)), F.s, other)
+        print(t, F.s, F.coeffs, [sk.kernel_dim(sk.twist(F, a)) for a in alphas.values()],
+              [sk.lambda_value(F, lam, check=True) for lam in alphas],
+              *(X.coeffs for X in sk.gcrd_lclm(sk.skew_mul(F, R), sk.skew_mul(H, R))))
 """
 
 
@@ -95,7 +122,8 @@ def run(src: Path, cwd: Path, steps: list[list[str]]) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = {}
     for i, argv in enumerate(steps):
-        proc = subprocess.run([sys.executable, "-m", "subdesigns.cli", *argv], cwd=cwd, env=env, capture_output=True)
+        cmd = argv if argv[0] == "-c" else ["-m", "subdesigns.cli", *argv]
+        proc = subprocess.run([sys.executable, *cmd], cwd=cwd, env=env, capture_output=True)
         step = f"step {i + 1} " if len(steps) > 1 else ""
         out.update({f"{step}exit code": str(proc.returncode).encode(), f"{step}stdout": proc.stdout,
                     f"{step}stderr": proc.stderr})
@@ -116,6 +144,7 @@ def main() -> int:
                                  text=True, env=dict(os.environ, PYTHONPATH=str(trees["parent"]))).stdout
         jobs = [(" then ".join(" ".join(argv) for argv in steps), f"fixed-{j:02d}", steps)
                 for j, steps in enumerate(FIXED_RUNS)]
+        jobs.append(("sigma-polynomial values", "sigma", [["-c", SIGMA_VALUES]]))
         for line in listing.splitlines():
             name, k, size, label = line.split("\t")
             path = str(tmp / name)

@@ -4,9 +4,12 @@ A sigma-polynomial f_0 x + f_1 x^sigma + ... + f_d x^(sigma^d), with
 sigma: x -> x^(q^s) a generator of Gal(F_{q^m}/F_q) (so gcd(s, m) = 1),
 is both an F_q-linear map on F_{q^m} and an element of the right-
 Euclidean composition algebra.  Division, gcrd and lclm follow the
-textbook Euclidean scheme with composition as multiplication; kernel
-dimensions come from the matrix of the induced map on the expansion
-basis and are checked against the degree bound on every call.
+textbook Euclidean scheme with composition as multiplication, in one
+loop with cofactors.  A lambda-value, deg gcrd(F, G) for G =
+x^(sigma^m) - lambda x, needs no lclm: a o F + b o G = r with r right-
+dividing F and G certifies r (Ore, Annals of Math. 34, 1933).  A kernel
+dimension is m minus the F_q-rank of the codes F(y^j), by elimination on
+leading base-q digits, and is checked against the degree bound.
 
 The algebra runs on lists of plain int codes of F_{q^m} (index =
 sigma-degree, no trailing zeros; ``SigmaPoly.coeffs`` is the same data as
@@ -15,8 +18,9 @@ tables and the tower's Frobenius power table ``FieldTower.frob_powers``
 through zero-copy memoryviews: a product is exp[log a + log b], a sum
 exp[log a + Z(log b - log a)] (``SmallField.zech``) and sigma^i one
 lookup, each on Python ints with no numpy call, ``SigmaPoly.evaluate``
-included.  Every composition, division and gcrd/lclm is certified on the
-spot (``errors.certify``, which ``python -O`` keeps).
+and the kernel ranks included.  Every composition, division, gcrd/lclm
+and lambda-value is certified on the spot (``errors.certify``, which
+``python -O`` keeps).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from subdesigns import linalg
 from subdesigns.errors import (
     BadParameters,
     BothZero,
@@ -130,6 +133,23 @@ class _Algebra:
         certify(len(r) < len(g) and self.add(self.mul(q, g), r) == list(f), "divmod remainder or recomposition failed")
         return q, r
 
+    def apply(self, f: Sequence[int], xs: Sequence[int]) -> list[int]:
+        """f(x) = sum_i f_i sigma^i(x) for each code x of xs."""
+        acc = [0] * len(xs)
+        for i, a in enumerate(f):
+            if a:
+                self._axpy(acc, 0, a, i, xs)
+        return acc
+
+    def euclid(self, f: Sequence[int], g: Sequence[int]) -> tuple[list[int], ...]:
+        """r, a, b, a', b' with a o f + b o g = r, a gcrd, and a' o f + b' o g = 0 (the last cofactors)."""
+        r0, a0, b0 = f, [1], []
+        r1, a1, b1 = g, [], [1]
+        while r1:
+            q, r = self.divmod(r0, r1)
+            r0, a0, b0, r1, a1, b1 = r1, a1, b1, r, self.sub(a0, self.mul(q, a1)), self.sub(b0, self.mul(q, b1))
+        return list(r0), a0, b0, a1, b1
+
 
 class SigmaPoly:
     """Immutable sigma-polynomial; coeffs are F_{q^m} codes, trailing nonzero."""
@@ -222,13 +242,11 @@ class SigmaPoly:
 
     def evaluate(self, x):
         """F(x) for a code or an array of codes of F_{q^m} (same shape): sum_i f_i sigma^i(x)."""
-        x = np.asarray(x, dtype=DTYPE)
-        A, acc = self._algebra(), [0] * x.size
-        flat = x.reshape(-1).tolist()
-        for i, a in enumerate(self.coeffs):
-            if a:
-                A._axpy(acc, 0, a, i, flat)
-        return np.array(acc, dtype=DTYPE).reshape(x.shape)
+        x = np.asarray(x)
+        flat = [int(c) for c in x.reshape(-1).tolist()]
+        if not all(0 <= c < self.tower.order for c in flat):
+            raise BadParameters(f"evaluation points must be codes in [0, {self.tower.order})")
+        return np.array(self._algebra().apply(self.coeffs, flat), dtype=DTYPE).reshape(x.shape)
 
     def matrix(self) -> np.ndarray:
         """m x m matrix over F_q of the induced map on the basis 1, y, ..., y^(m-1)."""
@@ -261,13 +279,8 @@ def gcrd_lclm(F: SigmaPoly, G: SigmaPoly) -> tuple[SigmaPoly, SigmaPoly]:
         raise BothZero("gcrd of two zero polynomials")
     A = F._algebra()
     f, g = F.coeffs, G.coeffs
-    # remainders with cofactors: r_i = a_i o f + b_i o g
-    r0, a0, b0 = f, [1], []
-    r1, a1, b1 = g, [], [1]
-    while r1:
-        q, r = A.divmod(r0, r1)
-        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r, A.sub(a0, A.mul(q, a1)), A.sub(b0, A.mul(q, b1))
-    gcrd = A.monic(r0)
+    r, _, _, a1, b1 = A.euclid(f, g)
+    gcrd = A.monic(r)
     if not (f and g):
         return F._new(gcrd), F._new(A.monic(f or g))
     lclm = A.monic(A.mul(a1, f))
@@ -282,8 +295,19 @@ def kernel_dim(F: SigmaPoly) -> int:
     """dim_q ker of the induced map; always at most the sigma-degree (checked)."""
     if F.is_zero():
         raise ZeroPoly("kernel of the zero polynomial is everything")
-    t = F.tower
-    d = t.m - linalg.rank(t.fq, F.matrix())
+    t, A = F.tower, F._algebra()
+    log, q = A.log, t.q
+    pivots = {}  # base-q place j -> a code of the span below q^(j+1) whose digit at j is 1
+    for w in A.apply(F.coeffs, t.y_basis.tolist()):
+        for j in reversed(range(t.m)):
+            e = w // q**j  # the digit at j: every place above j is already 0
+            if e and j in pivots:  # w - e * pivot, one Zech lookup as in _axpy
+                z = A.zech[(log[A.neg[e]] + log[pivots[j]] - log[w]) % A.n]
+                w = A.exp[log[w] + z] if z >= 0 else 0
+            elif e:
+                pivots[j] = A.times(A.inverse(e), w)
+                break
+    d = t.m - len(pivots)
     certify(d <= F.deg, "degree bound on the kernel dimension violated")
     return d
 
@@ -311,8 +335,12 @@ def lambda_value(F: SigmaPoly, lam: FFElement | int, check: bool = True) -> int:
         raise NotInBaseField("lambda must lie in F_q^*")
     if F.is_zero():
         raise ZeroPoly("lambda-value of the zero polynomial")
-    G = SigmaPoly(t, [int(t.fqm.neg(code))] + [0] * (t.m - 1) + [1], F.s)
-    d = gcrd_lclm(F, G)[0].deg
+    A, f = F._algebra(), F.coeffs
+    g = [A.neg[code]] + [0] * (t.m - 1) + [1]
+    r, a, b, _, _ = A.euclid(f, g)
+    certify(A.add(A.mul(a, f), A.mul(b, g)) == r, "Bezout identity for the gcrd failed")
+    certify(not (A.divmod(f, r)[1] or A.divmod(g, r)[1]), "gcrd does not right-divide both")
+    d = len(r) - 1
     if check:
         alpha = int(np.nonzero(np.asarray(t.norm_table) == code)[0][0])
         certify(kernel_dim(twist(F, alpha)) == d, "lambda-value / twist-kernel mismatch")

@@ -367,10 +367,11 @@ def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:
         raise BadParameters(f"need t nonzero scalars, codes in [1, {t.order})")
     blocks = []
     for i in range(C.t):
-        M = np.asarray(matrices[i], dtype=DTYPE)
+        M = np.asarray(matrices[i])  # range-checked before the int32 cast, which would wrap or overflow
         n = C.lengths[i]
-        if M.shape != (n, n) or np.any((M < 0) | (M >= t.q)):
+        if M.shape != (n, n) or not all(0 <= int(x) < t.q for x in M.reshape(-1).tolist()):
             raise NotInvertible("block matrices must be n_i x n_i over F_q")
+        M = M.astype(DTYPE)
         try:
             linalg.invert(t.fq, M)
         except ValueError as exc:

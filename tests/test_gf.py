@@ -332,8 +332,10 @@ TAKES_ELEMENTS = {
         twisted_design(3, 2, 2, 2), beta=given([1, T9.q + 1])).maps],
     "twist": lambda given: twist(SigmaPoly(T9, [2, 1]), given([T9.q + 1])[0]).coeffs,
     "lambda_value": lambda given: lambda_value(SigmaPoly(T9, [2, 0, 1]), given([1])[0]),
+    "evaluate": lambda given: SigmaPoly(T9, [2, 1]).evaluate(given([T9.q + 1, 0, 8])).tolist(),
     "apply_isometry": lambda given: sr.apply_isometry(
-        sr.code_from_system(pseudoregulus_design(3, 2, 1, 2)), given([T9.q, 1]), [np.eye(2, dtype=int)] * 2, [0, 1]
+        sr.code_from_system(pseudoregulus_design(3, 2, 1, 2)), given([T9.q, 1]),
+        [[given([1, 2]), given([1, 1])], np.eye(2, dtype=int)], [0, 1]
     ).generator.tolist(),
 }
 

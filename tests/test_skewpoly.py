@@ -296,6 +296,49 @@ def test_int_algebra_matches_array_oracle(p, h, m, seed):
 
 
 @pytest.mark.parametrize("p,h,m", ORACLE_TOWERS)
+def test_kernel_dim_and_lambda_value_match_the_oracles(p, h, m):
+    # kernel_dim against m - rank of the looped rref on F.matrix(); lambda_value against the full gcrd_lclm
+    t = make_tower(p, h, m)
+    rng = np.random.default_rng(1000 * p + 10 * h + m)
+    zero_map = [int(t.fqm.neg(1))] + [0] * (m - 1) + [1]  # x^(sigma^m) - x vanishes on F_{q^m}
+    seen = set()
+    for _ in range(12):
+        s = _sigma_exponent(t, rng)
+        F = _random_poly(t, rng, s, 2 * m)
+        alpha = int(rng.integers(1, t.order))
+        for G in (F, twist(F, alpha), skew_mul(F, SigmaPoly(t, zero_map, s))):
+            kd = kernel_dim(G)
+            assert kd == m - linalg.rank(t.fq, G.matrix())
+            seen.add(kd)
+        for lam in range(1, t.q):
+            G = SigmaPoly(t, [int(t.fqm.neg(lam))] + [0] * (m - 1) + [1], s)
+            assert lambda_value(F, lam) == gcrd_lclm(F, G)[0].deg
+    assert {0, m} <= seen
+
+
+def test_lambda_value_certificates_survive_python_O():
+    # a wrong Bezout cofactor, and a "gcrd" that satisfies Bezout but does not divide f, are both refused
+    faults = {
+        "Bezout identity for the gcrd failed":
+            "    r, a, b, a1, b1 = euclid(self, f, g)\n    return r, self.add(a, [1]), b, a1, b1\n",
+        "gcrd does not right-divide both": "    return list(g), [], [1], [], []\n",
+    }
+    for message, body in faults.items():
+        check = (
+            "from subdesigns import skewpoly as sk\n"
+            "from subdesigns.gf import make_tower\n"
+            "euclid = sk._Algebra.euclid\n"
+            f"def faulty(self, f, g):\n{body}"
+            "sk._Algebra.euclid = faulty\n"
+            "t = make_tower(3, 1, 2)\n"
+            "sk.lambda_value(sk.SigmaPoly(t, [1, 1]), 1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert f"CertificateFailed: {message}" in proc.stderr
+
+
+@pytest.mark.parametrize("p,h,m", ORACLE_TOWERS)
 def test_zech_arithmetic_matches_the_field(p, h, m):
     t = make_tower(p, h, m)
     K, A = t.fqm, skewpoly._Algebra(t, 1)
@@ -315,11 +358,15 @@ def test_zech_arithmetic_matches_the_field(p, h, m):
         A.inverse(0)
 
 
-@pytest.mark.parametrize("code", [-1, -9, 9, 100])
+@pytest.mark.parametrize("code", [-1, -9, 9, 100, 2**40])
 def test_codes_outside_the_field_are_refused(t9, code):
     with pytest.raises(BadParameters):
         SigmaPoly(t9, [code, 1])
     F = P(t9, 2, 1)
+    with pytest.raises(BadParameters):
+        F.evaluate(code)
+    with pytest.raises(BadParameters):  # checked before the int32 cast, which would wrap 2**40 to 0
+        F.evaluate(np.array([1, code]))
     with pytest.raises(NotInBaseField):
         lambda_value(F, code)
     with pytest.raises(BadParameters):

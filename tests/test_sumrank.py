@@ -385,6 +385,8 @@ def test_code_without_blocks_is_bad_parameters(f9):
     ([1, 1], [-np.eye(2, dtype=int), np.eye(2, dtype=int)], NotInvertible),  # -I: entries outside [0, q)
     ([-1, 1], [np.eye(2, dtype=int)] * 2, BadParameters),  # a code below 0, not the top code of F_9
     ([1000, 1], [np.eye(2, dtype=int)] * 2, BadParameters),  # a code past F_9
+    ([1, 1], [[[10**30, 0], [0, 1]], np.eye(2, dtype=int)], NotInvertible),  # past int64, checked before the cast
+    ([1, 1], [[[2**32 + 1, 0], [0, 1]], np.eye(2, dtype=int)], NotInvertible),  # past int32, checked before the cast
 ])
 def test_isometry_refuses_entries_outside_the_fields(code9, scalars, matrices, error):
     with pytest.raises(error):
