@@ -73,8 +73,11 @@ for t, polys in cases:
 
 # Runs that read no design file: twisted designs, accepted with eta = 0 and eta != 0
 # or refused with EtaInNormGroup, the other constructions over several fields
-# (field-partition with k = 1 too), and strong designs, one written and read back.
+# (field-partition with k = 1 too), strong designs, one written and read back, and
+# the README's expander on its twisted q3 m3 k2 design, exhaustive to dimension 1
+# and sampled with the default seed.
 TWISTED = ["construct", "twisted", "--alphas", "1", "-o", "tw.json"]
+README_D2 = ["construct", "twisted", "--q", "3", "--m", "3", "--k", "2", "--alphas", "1,2", "--eta", "0", "-o", "d2.json"]
 CONSTRUCT = ["construct", "-o", "design.json"]
 CL = ["strong", "cameron-liebler", "--n", "1", "-o", "strong.json"]
 FIXED_RUNS = [
@@ -95,6 +98,8 @@ FIXED_RUNS = [
     [CONSTRUCT + ["twisted", "--q", "5", "--m", "2", "--k", "3", "--alphas", "1,2", "--eta", "y"]],
     [CL + ["--kind", "complement", "--of", "mixed", "--k", "3", "--q", "3"]],
     [CL + ["--kind", "in_hyperplane", "--k", "4", "--q", "2"]],
+    [README_D2, ["expander", "d2.json", "--beta", "default", "--max-dim", "1", "--target", "1/6", "2"]],
+    [README_D2, ["expander", "d2.json", "--mode", "sample"]],
 ]
 
 

@@ -11,14 +11,19 @@ for the Ext points.  At s = k-1 it is ``SubspaceDesign.hyperplane_dims``:
 dim_q(U_i meet x^perp) = dim U_i - rk_q(x G_i) for every member and every
 canonical normal x.  Its column sums give the (k-1)-profile, the histogram
 and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
-gives the sections themselves as echelon rows, for the cutting test.
+gives F_q-bases of the sections themselves, for the cutting test.
 Every other s reads the same identity off a closed-form basis X of W^perp:
-dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The F_q digits of X G_i are
+dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The F_{q^m} codes of X G_i are
 table lookups with no F_{q^m} product: ``digit_tables``, built once per
-design or code, holds the digits of every value of each group of base-q
-digits of x_l times row l of G_i, and ``block_digits`` sums one gathered
-row per coordinate and group.  All sweeps eliminate whole stacks at once
-through ``linalg.echelon_batch``.
+design or code, holds the codes of every value of each group of base-q
+digits of x_l times row l of G_i, stored carry-free (each base-p digit
+in its own place of a base large enough for the whole sum), and
+``block_codes`` adds one gathered row per coordinate and group as plain
+integers and maps the sums back to codes through one per-field table.
+The codes are the rank kernel's native input: an F_{q^m} code is the
+packed code of its F_q-coordinates, so ``fq_ranks`` hands the rows of
+(X G_i)^T, one code of F_q^{rm} each, to ``linalg.rank_codes``; rows
+past its packed tables, or wider than they are many, go back to digits.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ class SubspaceDesign:
         self.members = members
         self._point_dims = None
         self._hyperplane_dims = None
+        self._cutting = None
 
     @property
     def t(self) -> int:
@@ -105,8 +111,8 @@ class SubspaceDesign:
         return f"SubspaceDesign(t={self.t}, dims={list(self.dims)}, ambient={self.ambient})"
 
     @cached_property
-    def digit_tables(self) -> list[np.ndarray]:
-        """block_digits tables of the members' generator blocks, built on first use."""
+    def digit_tables(self) -> list[tuple[np.ndarray, int]]:
+        """block_codes tables of the members' generator blocks, built on first use."""
         return digit_tables(self.ambient.tower, [U.gen_block() for U in self.members])
 
     def point_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
@@ -165,83 +171,124 @@ def _digit_groups(tower: FieldTower) -> tuple[np.ndarray, int]:
     return (q ** (w * np.arange(groups))).astype(DTYPE), q**w
 
 
-def digit_tables(tower: FieldTower, blocks) -> list[np.ndarray]:
-    """The lookup tables block_digits sums, one (k g, q^w, n_i m) array per block G_i (k, n_i).
+def _carry_free(tower: FieldTower, terms: int) -> tuple[int, int, np.ndarray]:
+    """(b, d, R) for adding `terms` codes of F_{q^m} as integers.  Each of the mh base-p
+    digits of a code gets its own place of base b = terms (p - 1) + 1, so a sum of
+    `terms` codes never carries; the places come in chunks of d, the fewest chunks
+    with b^d <= LAZY_CAP, evened out.  R[s] is the code of a chunk sum s, each place
+    taken mod p.  Built once per field and base, with the field's other lazy tables."""
+    p, places = tower.p, tower.h * tower.m
+    b = terms * (p - 1) + 1
+    cache = vars(tower.fqm).setdefault("_carry_free", {})
+    if b not in cache:
+        chunks = -(-places // max((d for d in range(1, places + 1) if b**d <= LAZY_CAP), default=1))
+        d = -(-places // chunks)
+        sums = np.arange(b**d)
+        cache[b] = d, sum(sums // b**i % b % p * p**i for i in range(d)).astype(DTYPE)
+    return (b, *cache[b])
 
-    Row c of term l g + j holds the F_q digits of (c q^a_j) G_i[l, :], where q^a_j
+
+def digit_tables(tower: FieldTower, blocks) -> list[tuple[np.ndarray, int]]:
+    """The code tables block_codes sums, one (words, n_i) per block G_i (k, n_i).
+
+    Row c of term l g + j holds the codes of (c q^a_j) G_i[l, :], where q^a_j
     is the weight of digit group j: x_l G_i[l, :] is the sum over j of the rows
-    picked by the group codes of x_l.  Codes past q^m wrap (they are never picked).
-    Over a prime q the entries are kept in the narrowest unsigned dtype that
-    holds a sum of k g digits below q.
+    picked by the group codes of x_l.  Codes past q^m wrap (they are never
+    picked).  Each code is stored carry-free (_carry_free), one lane per chunk,
+    in the narrowest unsigned dtype that holds a chunk sum of the k g terms, and
+    a row's lanes are packed into uint64 words, shape (k g, q^w, words): rows
+    add as whole words, as no lane carries into the next.
     """
     fqm = tower.fqm
     shifts, span = _digit_groups(tower)
     codes = np.arange(span)[None] * shifts[:, None] % tower.order  # (g, q^w)
+    places = np.arange(tower.h * tower.m)
     tables = []
     for G in blocks:
-        T = fqm.to_digits(fqm.mul(codes[None, :, :, None], G[:, None, None, :]))  # (k, g, q^w, n_i, m)
-        T = T.reshape(G.shape[0] * len(shifts), span, G.shape[1] * tower.m)
-        if tower.q == tower.p:  # integer sums, reduced once in block_digits
-            dtype = np.min_scalar_type(len(T) * (tower.p - 1))
-            certify(len(T) * int(T.max(initial=0)) <= np.iinfo(dtype).max,
-                    f"a sum of {len(T)} digit table rows must fit {dtype}")
-            T = T.astype(dtype)
-        tables.append(T)
+        terms = G.shape[0] * len(shifts)
+        b, d, _ = _carry_free(tower, terms)
+        digits = fqm.to_digits(fqm.mul(codes[None, :, :, None], G[:, None, None, :]))  # (k, g, q^w, n_i, m)
+        if tower.h > 1:  # each F_q digit is itself h base-p digits
+            digits = tower.fq.to_digits(digits)
+        digits = digits.reshape(terms, span, G.shape[1], len(places))
+        certify(terms * int(digits.max(initial=0)) < b, f"a sum of {terms} code table rows must not carry past base {b}")
+        weights = np.zeros((len(places), -(-len(places) // d)), dtype=np.int64)  # place i: b^(i mod d) in chunk i // d
+        weights[places, places // d] = b ** (places % d)
+        lanes = (digits @ weights).reshape(terms, span, -1).astype(np.min_scalar_type(b**d - 1))
+        words = np.zeros((terms, span, -(-lanes.shape[2] * lanes.itemsize // 8)), dtype=np.uint64)
+        words.view(lanes.dtype)[:, :, : lanes.shape[2]] = lanes
+        tables.append((words, G.shape[1]))
     return tables
 
 
-def block_digits(tower: FieldTower, X: np.ndarray, tables) -> list[np.ndarray]:
-    """F_q digits (..., n_i, m) of x G_i for every row x of X (..., k), one array per
-    block, from the block's digit_tables: one gather per coordinate and digit group."""
+def block_codes(tower: FieldTower, X: np.ndarray, tables) -> list[np.ndarray]:
+    """F_{q^m} codes (..., n_i) of x G_i for every row x of X (..., k), one array per block,
+    from the block's digit_tables: one gather per coordinate and digit group, added as
+    integers, then one gather through the field's reduction table."""
     shifts, span = _digit_groups(tower)
     rows = X.reshape(-1, X.shape[-1])
-    if len(shifts) == 1:  # one group: the group code is the code itself
-        codes = rows.T
-    else:
-        codes = (rows[:, :, None] // shifts % span).reshape(len(rows), len(shifts) * rows.shape[1]).T
-    prime = tower.q == tower.p
+    if len(shifts) > 1:  # else one group: the group code is the code itself
+        rows = (rows[:, :, None] // shifts % span).reshape(len(rows), len(shifts) * rows.shape[1])
+    codes = np.ascontiguousarray(rows.T, dtype=np.intp)
+    b, d, reduce_sums = _carry_free(tower, len(codes))
+    lane, chunks = np.min_scalar_type(b**d - 1), -(-tower.h * tower.m // d)
     out = []
-    for T in tables:
-        acc = T[0].take(codes[0], axis=0)
-        for term, code in zip(T[1:], codes[1:]):
-            if prime:
-                acc += term.take(code, axis=0)
-            else:
-                acc = tower.fq.add(acc, term.take(code, axis=0))
-        if prime:
-            acc %= tower.p
-        out.append(acc.astype(DTYPE, copy=False).reshape(*X.shape[:-1], T.shape[2] // tower.m, tower.m))
+    for words, n in tables:
+        acc = words[0].take(codes[0], axis=0)
+        for term, code in zip(words[1:], codes[1:]):
+            acc += term.take(code, axis=0)
+        # reduced transposed, so that the codes of each column come out as one contiguous row
+        sums = reduce_sums.take(acc.view(lane).T[: n * chunks]).reshape(n, chunks, len(acc))
+        y = sums[:, 0]
+        for i in range(1, chunks):
+            y = y + sums[:, i] * tower.p ** (d * i)
+        out.append(y.T.reshape(*X.shape[:-1], n))
     return out
+
+
+def fq_ranks(tower: FieldTower, codes: np.ndarray) -> np.ndarray:
+    """F_q-ranks (B,) of the matrices (n, r m) whose row j holds the F_q digits of the
+    codes (B, r, n)[b, :, j].  Row j is one code of F_q^{rm}, sum_l codes[b, l, j] q^{ml},
+    for linalg.rank_codes when F_q^{rm} has packed tables and the matrices have no more
+    columns than rows; other stacks go back to digits for linalg.rank_batch, which
+    ranks the transpose (fewer columns, fewer passes) or eliminates."""
+    B, r, n = codes.shape
+    c = r * tower.m
+    if 0 < c <= n and tower.q**c <= linalg.PACKED_CAP:  # r = 0 (W = V) has no columns: rank_batch
+        rows = codes[:, -1]
+        for l in range(r - 2, -1, -1):  # Horner's rule in q^m
+            rows = rows * tower.order + codes[:, l]
+        return linalg.rank_codes(tower.fq, rows, c)
+    return linalg.rank_batch(tower.fq, tower.fqm.to_digits(codes).transpose(0, 2, 1, 3).reshape(B, n, c))
 
 
 def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
     """dim_q(U_i meet X_b^perp) = dim U_i - rk_q(X_b G_i) for a stack X (B, r, k), shape (t, B).
 
-    Row j of member i's digit matrix (dim U_i, r m) holds the digits of
+    Row j of member i's F_q matrix (dim U_i, r m) holds the digits of
     x_l . u_j for every row x_l of X_b.
     """
     t = D.ambient.tower
-    B, r, _ = X.shape
-    digits = block_digits(t, X, D.digit_tables)  # (B, r, dim U_i, m) each
-    return np.array([U.dim - linalg.rank_batch(t.fq, d.swapaxes(1, 2).reshape(B, U.dim, r * t.m))
-                     for U, d in zip(D.members, digits)])
+    return np.array([U.dim - fq_ranks(t, codes) for U, codes in zip(D.members, block_codes(t, X, D.digit_tables))])
 
 
 def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
     """F_q-bases of the sections U_i meet x^perp as F_{q^m}-rows, shape (B, sum_i dim U_i, k).
 
-    Per member, the rows [F_q digits of x u_j | u_j] over its basis u_j
-    are eliminated for all normals at once.  The echelon rows with their
-    pivot right of the m digit columns have x u = 0, so their right parts
-    are a basis of the section; the other rows are zero.  The
-    F_{q^m}-rank of spans[b] is the dimension of the span of the sections.
+    Per member, the rows [F_q digits of x u_j | u_j] over its basis u_j are
+    eliminated on their m digit columns for all normals at once.  The rows
+    left without a pivot there have x u = 0, and as the rows stay
+    independent their right parts are a basis of the section; the other
+    rows are zero.  The F_{q^m}-rank of spans[b] is the dimension of the
+    span of the sections.
     """
     amb = D.ambient
     m = amb.tower.m
     spans = []
-    for U, digs in zip(D.members, block_digits(amb.tower, normals, D.digit_tables)):
-        rows = np.concatenate([digs, np.broadcast_to(U.basis, (len(normals), *U.basis.shape))], axis=2)
-        E, lead = linalg.echelon_batch(amb.tower.fq, rows)
+    for U, codes in zip(D.members, block_codes(amb.tower, normals, D.digit_tables)):
+        digits = amb.tower.fqm.to_digits(codes)  # (B, dim U, m)
+        rows = np.concatenate([digits, np.broadcast_to(U.basis, (*codes.shape, amb.n_fq))], axis=2)
+        E, lead = linalg.echelon_batch(amb.tower.fq, rows, stop=m)
         spans.append(np.where((lead >= m)[:, :, None], E[:, :, m:], 0))
     return amb.contract(np.concatenate(spans, axis=1))
 
@@ -695,7 +742,7 @@ def h_values(q: int, m: int, k: int, t: int) -> tuple[int, int]:
 CUTTING_CHUNK = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class CuttingReport:
     cutting: bool
     witness: FqmSubspace | None
@@ -709,24 +756,27 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     Also reports whether the total section dimension is constant across
     hyperplanes (a sufficient condition, cross-checked when it holds).
     The witness, when any, is the first violating hyperplane in
-    enumeration order.
+    enumeration order.  The report is built once per design object, next
+    to its hyperplane sections, with the cap checked on every call.
     """
     amb = D.ambient
     sums = D.hyperplane_dims(cap).sum(axis=0)
-    normals = hyperplane_normals(amb)
-    witness = None
-    for lo in range(0, len(normals), CUTTING_CHUNK):
-        ranks = linalg.rank_batch(amb.tower.fqm, section_spans(D, normals[lo : lo + CUTTING_CHUNK]))
-        bad = np.nonzero(ranks != amb.k - 1)[0]
-        if bad.size:  # the first violating normal keeps enumeration order
-            witness = hyperplane_subspace(amb, normals[lo + int(bad[0])])
-            break
-    constant = len(np.unique(sums)) == 1
-    if constant and sums[0] > 0:
-        certify(witness is None, "constant positive intersection must imply cutting")
-    return CuttingReport(
-        cutting=witness is None,
-        witness=witness,
-        intersection_constant=constant,
-        constant_value=int(sums[0]) if constant else None,
-    )
+    if D._cutting is None:
+        normals = hyperplane_normals(amb)
+        witness = None
+        for lo in range(0, len(normals), CUTTING_CHUNK):
+            ranks = linalg.rank_batch(amb.tower.fqm, section_spans(D, normals[lo : lo + CUTTING_CHUNK]))
+            bad = np.nonzero(ranks != amb.k - 1)[0]
+            if bad.size:  # the first violating normal keeps enumeration order
+                witness = hyperplane_subspace(amb, normals[lo + int(bad[0])])
+                break
+        constant = len(np.unique(sums)) == 1
+        if constant and sums[0] > 0:
+            certify(witness is None, "constant positive intersection must imply cutting")
+        D._cutting = CuttingReport(
+            cutting=witness is None,
+            witness=witness,
+            intersection_constant=constant,
+            constant_value=int(sums[0]) if constant else None,
+        )
+    return D._cutting

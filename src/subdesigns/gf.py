@@ -24,6 +24,7 @@ share its SmallField, and so every table cached on it.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property, reduce
 from typing import Sequence
 
@@ -357,6 +358,15 @@ def make_tower(p: int, h: int, m: int, fq_modulus=None, fqm_modulus=None) -> Fie
         tower = _TOWER_CACHE.setdefault(tower.key, tower)
         _TOWER_CACHE[request] = tower
     return tower
+
+
+def code_of(x) -> int:
+    """x as a code: an int, a numpy integer or an FFElement; BadParameters for anything
+    else, such as a float, which is refused rather than truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise BadParameters(f"element code {x!r} is not an integer") from None
 
 
 def tower_for(q: int, m: int) -> FieldTower:

@@ -5,25 +5,28 @@ reduced row-echelon based: RREF output is canonical (pivots 1, pivot
 columns elementary, pivots strictly increasing), so row spaces compare
 by array equality.
 
-The sweeps need ranks and echelon rows of many tiny matrices.
-``echelon_batch``, the one batched elimination, reduces a whole stack
-(B, r, c) column by column with one field gather per step: table-driven
-elimination in the spirit of M4RI, vectorised over the batch instead of
-over bits.  ``rank_batch`` takes the narrower side as c and picks one of
-three paths from |F| and c:
+The sweeps need ranks and echelon rows of many tiny matrices, and their
+native input is codes: ``rank_codes`` ranks stacks (B, r) of row codes
+of F^c, a row's base-|F| digits read as one number, which over F = F_q
+and c = m is exactly the F_{q^m} code of the row.  It takes one of two
+paths, both for |F|^c <= ``PACKED_CAP``:
 
-1. span fold, when F^c has packed tables and its subspace-transition
-   table fits ``SPAN_TABLE_CAP``: T[s, v] is the span of subspace s of F^c
-   and the vector with code v, so each row costs one gather;
-2. packed rows, when |F|^c <= ``PACKED_CAP``: each row is one code and a
-   column is cleared from every row with flat add and scale tables;
-3. otherwise the pivots of ``echelon_batch``.
+1. span fold, when the subspace-transition table of F^c fits
+   ``SPAN_TABLE_CAP``: T[s, v] is the span of subspace s of F^c and the
+   vector with code v, so each row costs one gather;
+2. packed rows: a column is cleared from every row with flat add and
+   scale tables.
 
-A stack with no rows or no columns folds through the span table of F^0
-to rank 0.
+``rank_batch`` ranks digit stacks (B, r, c): with c the narrower side it
+packs each row into its code for ``rank_codes`` while |F|^c <=
+``PACKED_CAP``, and otherwise reads the pivots of ``echelon_batch``, the
+one batched elimination.  That reduces a whole stack column by column
+with one field gather per step: table-driven elimination in the spirit
+of M4RI, vectorised over the batch instead of over bits.  A stack with
+no rows or no columns folds through the span table of F^0 to rank 0.
 
 The looped ``rref`` serves single subspaces and is the oracle of all
-three.  Membership and containment are the rank identity
+the paths.  Membership and containment are the rank identity
 rk [A; B] = rk A; there is no separate membership test.
 """
 
@@ -34,12 +37,12 @@ import numpy as np
 from subdesigns.errors import certify
 from subdesigns.fieldcore import DTYPE, SmallField
 
-# Matrix cells per elimination chunk in rank_batch.
+# Matrix cells per elimination chunk in rank_codes and rank_batch.
 RANK_CELLS = 1 << 16
 # Largest span table, in subspaces x |F|^c x |F|^c cells (the build's temporaries
 # stay within it): F_2 up to c = 5, F_3 up to 4, F_4 and F_5 at 3, F_7 to F_19 at 2.
 SPAN_TABLE_CAP = 1 << 22
-# Largest F^c whose rows rank_batch eliminates as packed codes; the flat add
+# Largest F^c whose rows rank_codes eliminates as packed codes; the flat add
 # table holds PACKED_CAP^2 cells: F_2 up to c = 10, F_3 up to 6, F_4 at 5, F_5 at 4.
 PACKED_CAP = 1 << 10
 
@@ -79,36 +82,56 @@ def rank(F: SmallField, M: np.ndarray) -> int:
 def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
     """F-ranks (B,) of a stack M (B, r, c) of matrices.
 
-    With c the narrower side, a stack whose F^c has a span table folds its
-    rows from the zero subspace, s <- span(s, row), and reads dim s.  Any
-    other stack is eliminated RANK_CELLS cells at a time, which bounds the
-    temporaries whatever its length: as packed row codes when F^c has
-    packed tables, else by echelon_batch.
+    With c the narrower side, a stack whose F^c has packed tables goes to
+    rank_codes, one code per row; any other is eliminated by echelon_batch
+    RANK_CELLS cells at a time, which bounds the temporaries whatever its
+    length.
     """
     M = np.asarray(M)
     if M.shape[1] < M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
         M = M.transpose(0, 2, 1)
     B, r, c = M.shape
-    table = _span_table(F, c)
-    if table is not None:
-        T, dims = table
-        s = np.zeros(B, dtype=DTYPE)  # T offset of the span so far
-        for j in range(r):
-            for k in range(c):  # s + code of row j, built in place one digit at a time
-                s += M[:, j, k] * F.size**k
-            s = T[s]
-        return dims[s // F.size**c]
-    packed = _packed_tables(F, c)
+    if F.size**c <= PACKED_CAP:
+        codes = np.zeros((B, r), dtype=np.intp)
+        for k in reversed(range(c)):  # the code of each row by Horner's rule, in place
+            codes *= F.size
+            codes += M[:, :, k]
+        return rank_codes(F, codes, c)
     ranks = np.zeros(B, dtype=np.int64)
     step = max(1, RANK_CELLS // (r * c))
     for lo in range(0, B, step):
-        X = M[lo : lo + step]
-        ranks[lo : lo + step] = _packed_rank(packed, X) if packed else (echelon_batch(F, X)[1] < c).sum(axis=1)
+        ranks[lo : lo + step] = (echelon_batch(F, M[lo : lo + step])[1] < c).sum(axis=1)
     return ranks
 
 
-def _packed_rank(tables: tuple[np.ndarray, ...], M: np.ndarray) -> np.ndarray:
-    """Ranks of a stack M (B, r, c) whose rows are eliminated as codes of F^c.
+def rank_codes(F: SmallField, codes: np.ndarray, c: int) -> np.ndarray:
+    """F-ranks (B,) of stacks of row codes (B, r) over F^c, |F|^c <= PACKED_CAP.
+
+    A row's code is its base-|F| digits read as one number, as an F_{q^m}
+    code is the code of its F_q-coordinates.  Where F^c has a span table the
+    rows fold from the zero subspace, s <- span(s, row), and dim s is read
+    off; otherwise they are eliminated as packed codes RANK_CELLS cells at
+    a time.
+    """
+    codes = np.asarray(codes, dtype=np.intp)
+    B, r = codes.shape
+    table = _span_table(F, c)
+    if table is not None:
+        T, dims = table
+        s = np.zeros(B, dtype=np.intp)  # T offset of the span so far
+        for row in np.ascontiguousarray(codes.T):
+            s = T.take(s + row)
+        return dims[s // F.size**c]
+    packed = _packed_tables(F, c)
+    ranks = np.zeros(B, dtype=np.int64)
+    step = max(1, RANK_CELLS // max(1, r * c))
+    for lo in range(0, B if r else 0, step):  # no rows, no pivots: rank 0
+        ranks[lo : lo + step] = _packed_rank(packed, codes[lo : lo + step])
+    return ranks
+
+
+def _packed_rank(tables: tuple[np.ndarray, ...], codes: np.ndarray) -> np.ndarray:
+    """Ranks of a stack of row codes (B, r) over F^c, eliminated as codes.
 
     Per column j, each matrix takes its first row with a nonzero digit j as
     pivot, scales it to digit 1 and subtracts digit-j multiples of it from
@@ -117,9 +140,8 @@ def _packed_rank(tables: tuple[np.ndarray, ...], M: np.ndarray) -> np.ndarray:
     """
     dig, vadd, scale, negscale, inv = tables
     Qc = dig.shape[1]
-    codes = M @ len(inv) ** np.arange(len(dig))  # len(inv) = |F|
-    at = np.arange(len(M))
-    ranks = np.zeros(len(M), dtype=np.int64)
+    at = np.arange(len(codes))
+    ranks = np.zeros(len(codes), dtype=np.int64)
     for digits in dig:
         d = digits[codes]
         piv = (d != 0).argmax(axis=1)
@@ -212,13 +234,15 @@ def _build_span_table(F: SmallField, c: int, counts: list[int]) -> tuple[np.ndar
     return (T * Qc).reshape(-1), np.repeat(np.arange(c + 1), counts)
 
 
-def echelon_batch(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward elimination of a stack M (B, r, c); returns (E, lead).
+def echelon_batch(F: SmallField, M: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Forward elimination of a stack M (B, r, c) on its first ``stop``
+    columns (all by default); returns (E, lead).
 
     Per column, each matrix takes its first unused row with a nonzero
     entry there as pivot and clears that column from its other unused
     rows; rows keep their places.  lead (B, r) is each row's pivot column,
-    c for the rows left without one, which are zero.  The rows with
+    c for the rows left without one, which are zero on the eliminated
+    columns (zero everywhere after a full elimination).  The rows with
     lead >= j span the part of the row space that vanishes on columns < j.
     Only F.mul, F.add, F.neg and F.inv are used, so log/exp fields work too.
     """
@@ -226,7 +250,7 @@ def echelon_batch(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     B, r, c = M.shape
     lead = np.full((B, r), c, dtype=np.int64)
     free = np.ones((B, r), dtype=bool)
-    for col in range(c):
+    for col in range(c if stop is None else stop):
         cand = (M[:, :, col] != 0) & free
         b = np.nonzero(cand.any(axis=1))[0]
         if b.size == 0:

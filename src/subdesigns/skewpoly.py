@@ -42,7 +42,7 @@ from subdesigns.errors import (
     certify,
 )
 from subdesigns.fieldcore import DTYPE, poly_trim
-from subdesigns.gf import FFElement, FieldTower
+from subdesigns.gf import FFElement, FieldTower, code_of
 
 
 class _Algebra:
@@ -243,7 +243,7 @@ class SigmaPoly:
     def evaluate(self, x):
         """F(x) for a code or an array of codes of F_{q^m} (same shape): sum_i f_i sigma^i(x)."""
         x = np.asarray(x)
-        flat = [int(c) for c in x.reshape(-1).tolist()]
+        flat = [code_of(c) for c in x.reshape(-1).tolist()]
         if not all(0 <= c < self.tower.order for c in flat):
             raise BadParameters(f"evaluation points must be codes in [0, {self.tower.order})")
         return np.array(self._algebra().apply(self.coeffs, flat), dtype=DTYPE).reshape(x.shape)

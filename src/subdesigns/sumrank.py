@@ -8,7 +8,7 @@ an F_q-basis of member U_i) and `system_from_code`.  Weights are always
 computable two ways - expansion ranks and hyperplane-section dimensions
 of the associated system - and the pair is certified equal wherever both
 apply.  Every expansion rank, and every comparison of supports, is a
-``linalg.rank_batch`` of the block digits ``design.block_digits`` forms:
+``design.fq_ranks`` of the block codes ``design.block_codes`` forms:
 supp(y) lies in supp(x) exactly when the ranks of the blocks of x,
 stacked with those of y, sum to wt(x).
 """
@@ -24,8 +24,9 @@ import numpy as np
 from subdesigns import linalg
 from subdesigns.design import (
     SubspaceDesign,
-    block_digits,
+    block_codes,
     digit_tables,
+    fq_ranks,
     hyperplane_profile_sums,
     is_cutting,
     section_dims,
@@ -43,7 +44,7 @@ from subdesigns.errors import (
     certify,
 )
 from subdesigns.fieldcore import DTYPE
-from subdesigns.gf import FieldTower
+from subdesigns.gf import FieldTower, code_of
 from subdesigns.subspace import (
     DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
@@ -106,8 +107,8 @@ class SumRankCode:
         return True
 
     @cached_property
-    def digit_tables(self) -> list[np.ndarray]:
-        """block_digits tables of the blocks, built on first use."""
+    def digit_tables(self) -> list[tuple[np.ndarray, int]]:
+        """block_codes tables of the blocks, built on first use."""
         return digit_tables(self.tower, self.blocks)
 
     def system(self) -> SubspaceDesign:
@@ -163,7 +164,7 @@ def system_from_code(C: SumRankCode) -> SubspaceDesign:
 
 def _weights(C: SumRankCode, X: np.ndarray) -> np.ndarray:
     """Sum-rank weights (B,) of the codewords xG for the rows x of X (B, k)."""
-    return sum(linalg.rank_batch(C.tower.fq, d) for d in block_digits(C.tower, X, C.digit_tables))
+    return sum(fq_ranks(C.tower, codes[:, None]) for codes in block_codes(C.tower, X, C.digit_tables))
 
 
 def sumrank_weight(C: SumRankCode, x) -> int:
@@ -315,10 +316,10 @@ def is_minimal_code(
         # supp(y) <= supp(x) iff sum_i rk [S_i(x); S_i(y)] = wt(x) for the expansions
         # S_i of block i: no joint rank is below rk S_i(x), so the sums meet only when
         # every block does.  As the joint rank is also at least rk S_i(y), only pairs
-        # with wt_i(y) <= wt_i(x) in every block are ranked.  The digits (n_i, m) of
-        # x G_i are S_i(x) transposed.
-        digits = block_digits(t, reps, C.digit_tables)
-        bw = np.stack([linalg.rank_batch(t.fq, d) for d in digits], axis=1)  # (n, t) block weights
+        # with wt_i(y) <= wt_i(x) in every block are ranked.  The F_q digits (n_i, m)
+        # of the codes of x G_i are S_i(x) transposed.
+        codes = block_codes(t, reps, C.digit_tables)
+        bw = np.stack([fq_ranks(t, c[:, None]) for c in codes], axis=1)  # (n, t) block weights
         wt = bw.sum(axis=1)
         n = len(reps)
         step = max(1, linalg.RANK_CELLS // (2 * t.m * C.N * max(1, n)))  # rows a per chunk
@@ -327,8 +328,8 @@ def is_minimal_code(
             near = (bw[None] <= bw[a, None]).all(axis=2) & (a[:, None] != np.arange(n))
             pa, pb = np.nonzero(near)  # candidate pairs in row-major order
             joint = 0
-            for d in digits:  # the digits [x G_i | y G_i] of every candidate, (pairs, n_i, 2m)
-                joint = joint + linalg.rank_batch(t.fq, np.concatenate([d[a[pa]], d[pb]], axis=2))
+            for c in codes:  # [x G_i | y G_i] of every candidate, row j coded x u_j + (y u_j) q^m
+                joint = joint + fq_ranks(t, np.stack([c[a[pa]], c[pb]], axis=1))
             hit = np.flatnonzero(joint == wt[a[pa]])
             if hit.size:
                 i, b = a[pa[hit[0]]], pb[hit[0]]  # the first pair (a, b) in row-major order
@@ -362,16 +363,17 @@ def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:
         raise LengthProfileBroken("perm must be a permutation of the blocks")
     if any(C.lengths[perm[i]] != C.lengths[i] for i in range(C.t)):
         raise LengthProfileBroken("permutation must preserve the length profile")
-    scalars = [int(a) for a in scalars]
+    scalars = [code_of(a) for a in scalars]
     if len(scalars) != C.t or not all(0 < a < t.order for a in scalars):
         raise BadParameters(f"need t nonzero scalars, codes in [1, {t.order})")
     blocks = []
     for i in range(C.t):
-        M = np.asarray(matrices[i])  # range-checked before the int32 cast, which would wrap or overflow
+        M = np.asarray(matrices[i])  # checked before the int32 cast, which would truncate, wrap or overflow
         n = C.lengths[i]
-        if M.shape != (n, n) or not all(0 <= int(x) < t.q for x in M.reshape(-1).tolist()):
+        entries = [code_of(x) for x in M.reshape(-1).tolist()]
+        if M.shape != (n, n) or not all(0 <= x < t.q for x in entries):
             raise NotInvertible("block matrices must be n_i x n_i over F_q")
-        M = M.astype(DTYPE)
+        M = np.array(entries, dtype=DTYPE).reshape(n, n)
         try:
             linalg.invert(t.fq, M)
         except ValueError as exc:

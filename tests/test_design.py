@@ -33,6 +33,7 @@ from subdesigns.subspace import (
     FqmSubspace,
     FqSubspace,
     enumerate_fqm_subspaces,
+    fqm_dual,
     hyperplane_normals,
     hyperplane_subspace,
     linear_set,
@@ -269,6 +270,22 @@ def test_is_cutting(pseudo9):
     assert not de.is_cutting(single).cutting
 
 
+def test_cutting_verdict_is_computed_once_per_design(monkeypatch, pseudo9):
+    # the report is cached next to the hyperplane sections: a second call and the geometric
+    # minimality test read it without spanning any section, and the cap is still checked
+    baer = de.construct_field_partition(2, 2, 3)
+    reports = [(D, de.is_cutting(D)) for D in (baer, pseudo9)]
+    calls = []
+    spans = de.section_spans
+    monkeypatch.setattr(de, "section_spans", lambda *args: calls.append(args) or spans(*args))
+    for D, report in reports:
+        assert de.is_cutting(D) is report
+        with pytest.raises(EnumerationCapExceeded):
+            de.is_cutting(D, cap=3)
+    assert sr.is_minimal_code(sr.code_from_system(baer), method="geometric") == (True, None)
+    assert calls == []
+
+
 def _first_uncut_normal(D):
     """Looped oracle: index of the first normal whose sections, one right_kernel
     per member, span less than x^perp; None for a cutting design."""
@@ -431,11 +448,11 @@ def test_point_dims_match_member_linear_sets(key, seed):
     assert dims.tolist() == [[ls.get(tuple(p), 0) for p in pts.tolist()] for ls in sets]
 
 
-# --- block digits -------------------------------------------------------------------
+# --- block codes --------------------------------------------------------------------
 
 
 def matmul_block_digits(tower, X, blocks):
-    """The oracle of design.block_digits: an F_{q^m} product per block, split into F_q digits."""
+    """The oracle of design.block_codes: an F_{q^m} product per block, split into F_q digits."""
     rows = X.reshape(-1, X.shape[-1])
     return [tower.fqm.to_digits(linalg.matmul(tower.fqm, rows, G)).reshape(*X.shape[:-1], G.shape[1], tower.m)
             for G in blocks]
@@ -452,8 +469,41 @@ def test_block_digits_match_matmul_oracle(key, seed):
     tables = de.digit_tables(t, blocks)
     for shape in [(int(rng.integers(0, 40)), k), (int(rng.integers(0, 6)), 3, k), (k,)]:
         X = rng.integers(0, t.order, shape).astype(DTYPE)
-        for got, want in zip(de.block_digits(t, X, tables), matmul_block_digits(t, X, blocks), strict=True):
-            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        for got, want in zip(de.block_codes(t, X, tables), matmul_block_digits(t, X, blocks), strict=True):
+            assert got.dtype == DTYPE and np.array_equal(t.fqm.to_digits(got), want)
+
+
+def test_block_codes_of_the_big_fields_design():
+    # F_6561 = F_9^4 at k = 2: 2 coordinates x 2 digit groups = 4 terms, so base 9, and the eight
+    # base-3 places of a code reduce in two chunks of four
+    D = twisted_design(9, 4, 2, 2)
+    t = D.ambient.tower
+    b, d, _ = de._carry_free(t, 2 * len(de._digit_groups(t)[0]))
+    assert (b, d, t.h * t.m) == (9, 4, 8)
+    rng = np.random.default_rng(6561)
+    X = np.vstack([hyperplane_normals(D.ambient), rng.integers(0, t.order, (500, 2))]).astype(DTYPE)
+    blocks = [U.gen_block() for U in D.members]
+    for got, want in zip(de.block_codes(t, X, D.digit_tables), matmul_block_digits(t, X, blocks), strict=True):
+        assert np.array_equal(t.fqm.to_digits(got), want)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 3), (2, 2, 2)])
+def test_section_totals_match_looped_meets(key):
+    # r = 1, 2, 3 rows of W^perp in F_{q^m}^4 against members of dimension 2, 5 and 8: rows of r m
+    # F_q digits fold or run as packed codes, or go back to digits when they outnumber the rows or
+    # pass PACKED_CAP (3^9 and 4^6)
+    t = make_tower(*key)
+    amb = AmbientSpace(t, 4)
+    rng = np.random.default_rng(sum(key))
+    members = [FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (n, amb.n_fq))) for n in (2, 5, 8)]
+    D = de.SubspaceDesign(amb, members)
+    for r in (1, 2, 3):
+        Ws = [FqmSubspace.from_rows(amb, rng.integers(0, t.order, (4 - r, 4))) for _ in range(10)]
+        Ws = [W for W in Ws if W.dim == 4 - r]
+        X = np.stack([fqm_dual(W).basis for W in Ws])
+        assert X.shape == (len(Ws), r, 4)
+        want = [sum(meet_join(U, W)[0].dim for U in members) for W in Ws]
+        assert de.section_dims(D, X).sum(axis=0).tolist() == want
 
 
 def test_digit_groups_split_wide_fields():
@@ -505,7 +555,7 @@ def test_digit_table_overflow_bound_survives_python_O():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
-    assert "CertificateFailed: a sum of 4 digit table rows must fit uint8" in proc.stderr
+    assert "CertificateFailed: a sum of 4 code table rows must not carry past base 9" in proc.stderr
 
 
 @pytest.mark.parametrize("build", [

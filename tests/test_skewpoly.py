@@ -358,6 +358,22 @@ def test_zech_arithmetic_matches_the_field(p, h, m):
         A.inverse(0)
 
 
+@pytest.mark.parametrize("x", [1.5, 2.0, np.float64(1.5), np.array([1, 0.5]), np.array([[2.0]])])
+def test_non_integral_evaluation_points_are_refused(t9, x):
+    # a float is refused, never truncated: F(1.5) would read F(1) = 0 over F_9
+    with pytest.raises(BadParameters, match="is not an integer"):
+        SigmaPoly(t9, [2, 1]).evaluate(x)
+
+
+def test_integer_evaluation_points_keep_their_shape_and_values(t9):
+    F = SigmaPoly(t9, [2, 1])
+    want = [int(F.evaluate(c)) for c in range(t9.order)]
+    for dtype in (np.uint8, np.int32, np.int64):
+        got = F.evaluate(np.arange(t9.order, dtype=dtype).reshape(3, 3))
+        assert got.shape == (3, 3) and got.reshape(-1).tolist() == want
+    assert F.evaluate(np.int64(4)).shape == () and int(F.evaluate(np.int64(4))) == want[4]
+
+
 @pytest.mark.parametrize("code", [-1, -9, 9, 100, 2**40])
 def test_codes_outside_the_field_are_refused(t9, code):
     with pytest.raises(BadParameters):

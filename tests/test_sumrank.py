@@ -120,8 +120,8 @@ def test_min_distance_reuses_the_source_design_sections(monkeypatch):
     D = glued_design(3, 2, 4, 2)
     D.hyperplane_dims()
     calls = []
-    rank_batch = linalg.rank_batch
-    monkeypatch.setattr(linalg, "rank_batch", lambda F, M: calls.append(M.shape) or rank_batch(F, M))
+    rank_codes = linalg.rank_codes
+    monkeypatch.setattr(linalg, "rank_codes", lambda F, M, c: calls.append(M.shape) or rank_codes(F, M, c))
     C = sr.code_from_system(D)
     assert C.design is D
     d = sr.min_distance(C)
@@ -391,3 +391,20 @@ def test_code_without_blocks_is_bad_parameters(f9):
 def test_isometry_refuses_entries_outside_the_fields(code9, scalars, matrices, error):
     with pytest.raises(error):
         sr.apply_isometry(code9, scalars, matrices, [0, 1])
+
+
+@pytest.mark.parametrize("scalars,matrices", [
+    ([1.5, 1], [np.eye(2, dtype=int)] * 2),  # a scalar that int() would truncate to 1
+    ([1, 1], [np.array([[1.5, 0], [0, 1]]), np.eye(2, dtype=int)]),  # an entry that int() would truncate to 1
+    ([1, 1], [np.eye(2), np.eye(2, dtype=int)]),  # float entries, integral or not
+])
+def test_isometry_refuses_non_integral_codes(code9, scalars, matrices):
+    with pytest.raises(BadParameters, match="is not an integer"):
+        sr.apply_isometry(code9, scalars, matrices, [0, 1])
+
+
+def test_isometry_takes_numpy_integer_codes(code9):
+    plain = sr.apply_isometry(code9, [4, 1], [[[1, 2], [1, 1]], np.eye(2, dtype=int)], [0, 1])
+    typed = sr.apply_isometry(code9, np.array([4, 1], dtype=np.int64),
+                              [np.array([[1, 2], [1, 1]], dtype=np.uint8), np.eye(2, dtype=np.int32)], [0, 1])
+    assert np.array_equal(plain.generator, typed.generator)
