@@ -75,11 +75,15 @@ for t, polys in cases:
 # or refused with EtaInNormGroup, the other constructions over several fields
 # (field-partition with k = 1 too), strong designs, one written and read back, and
 # the README's expander on its twisted q3 m3 k2 design, exhaustive to dimension 1
-# and sampled with the default seed.
+# and sampled with the default seed, and the weights, cutting and msrd verbs on the
+# twisted q9 m4 k2 t2 design over F_{9^4}, which the Q^k <= 4096 filter leaves out.
 TWISTED = ["construct", "twisted", "--alphas", "1", "-o", "tw.json"]
 README_D2 = ["construct", "twisted", "--q", "3", "--m", "3", "--k", "2", "--alphas", "1,2", "--eta", "0", "-o", "d2.json"]
 CONSTRUCT = ["construct", "-o", "design.json"]
 CL = ["strong", "cameron-liebler", "--n", "1", "-o", "strong.json"]
+Q9M4 = ["-c", "from pathlib import Path\nfrom subdesigns import formats as fmt\n"
+              "from subdesigns.repro import twisted_design\n"
+              "Path('q9m4.json').write_text(fmt.dumps(fmt.design_to_json(twisted_design(9, 4, 2, 2))))\n"]
 FIXED_RUNS = [
     [TWISTED + ["--q", "3", "--m", "2", "--k", "2", "--eta", "1+y"]],
     [TWISTED + ["--q", "3", "--m", "2", "--k", "2", "--eta", "y"]],
@@ -100,6 +104,7 @@ FIXED_RUNS = [
     [CL + ["--kind", "in_hyperplane", "--k", "4", "--q", "2"]],
     [README_D2, ["expander", "d2.json", "--beta", "default", "--max-dim", "1", "--target", "1/6", "2"]],
     [README_D2, ["expander", "d2.json", "--mode", "sample"]],
+    [Q9M4, ["weights", "q9m4.json"], ["cutting", "q9m4.json"], ["msrd", "q9m4.json"]],
 ]
 
 

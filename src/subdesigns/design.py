@@ -17,13 +17,16 @@ dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The F_{q^m} codes of X G_i are
 table lookups with no F_{q^m} product: ``digit_tables``, built once per
 design or code, holds the codes of every value of each group of base-q
 digits of x_l times row l of G_i, stored carry-free (each base-p digit
-in its own place of a base large enough for the whole sum), and
+in its own place of a base large enough for the whole sum, by
+``linalg._carry_free``, which the packed rank rows use too), and
 ``block_codes`` adds one gathered row per coordinate and group as plain
-integers and maps the sums back to codes through one per-field table.
-The codes are the rank kernel's native input: an F_{q^m} code is the
-packed code of its F_q-coordinates, so ``fq_ranks`` hands the rows of
-(X G_i)^T, one code of F_q^{rm} each, to ``linalg.rank_codes``; rows
-past its packed tables, or wider than they are many, go back to digits.
+integers and maps the sums back to codes through one table.  The codes
+are the rank kernel's native input: an F_{q^m} code is the packed code
+of its F_q-coordinates, so ``fq_ranks`` hands the rows of (X G_i)^T, one
+code of F_q^{rm} each, to ``linalg.rank_codes``; rows past its packed
+tables (which reach F_9^4, F_3^8 and F_2^12), or wider than they are many,
+go back to digits.  ``SubspaceDesign.span_dim`` is computed once per
+design object, like the point and hyperplane arrays.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ from subdesigns.subspace import (
     subspace_count,
 )
 
+# Largest q^w of a digit group: digit_tables holds q^w rows per coordinate and group.
+PACKED_CAP = 1 << 10
+
 
 class SubspaceDesign:
     """Ordered tuple of F_q-subspaces sharing one ambient space."""
@@ -87,6 +93,7 @@ class SubspaceDesign:
         self._point_dims = None
         self._hyperplane_dims = None
         self._cutting = None
+        self._span_dim = None
 
     @property
     def t(self) -> int:
@@ -141,7 +148,11 @@ class SubspaceDesign:
         return self._hyperplane_dims
 
     def span_dim(self) -> int:
-        return linalg.rank(self.ambient.tower.fqm, self.ambient.contract(np.vstack([U.basis for U in self.members])))
+        """dim_{q^m} of the span of the members; computed once, as the members are a tuple."""
+        if self._span_dim is None:
+            rows = self.ambient.contract(np.vstack([U.basis for U in self.members]))
+            self._span_dim = linalg.rank(self.ambient.tower.fqm, rows)
+        return self._span_dim
 
 
 @dataclass
@@ -166,26 +177,9 @@ def _digit_groups(tower: FieldTower) -> tuple[np.ndarray, int]:
     q^w <= PACKED_CAP (w = 1 when q alone is larger), evened out so that w is as
     small as that count of groups allows."""
     q, m = tower.q, tower.m
-    groups = -(-m // max((w for w in range(1, m + 1) if q**w <= linalg.PACKED_CAP), default=1))
+    groups = -(-m // max((w for w in range(1, m + 1) if q**w <= PACKED_CAP), default=1))
     w = -(-m // groups)
     return (q ** (w * np.arange(groups))).astype(DTYPE), q**w
-
-
-def _carry_free(tower: FieldTower, terms: int) -> tuple[int, int, np.ndarray]:
-    """(b, d, R) for adding `terms` codes of F_{q^m} as integers.  Each of the mh base-p
-    digits of a code gets its own place of base b = terms (p - 1) + 1, so a sum of
-    `terms` codes never carries; the places come in chunks of d, the fewest chunks
-    with b^d <= LAZY_CAP, evened out.  R[s] is the code of a chunk sum s, each place
-    taken mod p.  Built once per field and base, with the field's other lazy tables."""
-    p, places = tower.p, tower.h * tower.m
-    b = terms * (p - 1) + 1
-    cache = vars(tower.fqm).setdefault("_carry_free", {})
-    if b not in cache:
-        chunks = -(-places // max((d for d in range(1, places + 1) if b**d <= LAZY_CAP), default=1))
-        d = -(-places // chunks)
-        sums = np.arange(b**d)
-        cache[b] = d, sum(sums // b**i % b % p * p**i for i in range(d)).astype(DTYPE)
-    return (b, *cache[b])
 
 
 def digit_tables(tower: FieldTower, blocks) -> list[tuple[np.ndarray, int]]:
@@ -194,7 +188,7 @@ def digit_tables(tower: FieldTower, blocks) -> list[tuple[np.ndarray, int]]:
     Row c of term l g + j holds the codes of (c q^a_j) G_i[l, :], where q^a_j
     is the weight of digit group j: x_l G_i[l, :] is the sum over j of the rows
     picked by the group codes of x_l.  Codes past q^m wrap (they are never
-    picked).  Each code is stored carry-free (_carry_free), one lane per chunk,
+    picked).  Each code is stored carry-free (linalg._carry_free), one lane per chunk,
     in the narrowest unsigned dtype that holds a chunk sum of the k g terms, and
     a row's lanes are packed into uint64 words, shape (k g, q^w, words): rows
     add as whole words, as no lane carries into the next.
@@ -206,7 +200,7 @@ def digit_tables(tower: FieldTower, blocks) -> list[tuple[np.ndarray, int]]:
     tables = []
     for G in blocks:
         terms = G.shape[0] * len(shifts)
-        b, d, _ = _carry_free(tower, terms)
+        b, d, _ = linalg._carry_free(tower.p, len(places), terms)
         digits = fqm.to_digits(fqm.mul(codes[None, :, :, None], G[:, None, None, :]))  # (k, g, q^w, n_i, m)
         if tower.h > 1:  # each F_q digit is itself h base-p digits
             digits = tower.fq.to_digits(digits)
@@ -230,7 +224,7 @@ def block_codes(tower: FieldTower, X: np.ndarray, tables) -> list[np.ndarray]:
     if len(shifts) > 1:  # else one group: the group code is the code itself
         rows = (rows[:, :, None] // shifts % span).reshape(len(rows), len(shifts) * rows.shape[1])
     codes = np.ascontiguousarray(rows.T, dtype=np.intp)
-    b, d, reduce_sums = _carry_free(tower, len(codes))
+    b, d, reduce_sums = linalg._carry_free(tower.p, tower.h * tower.m, len(codes))
     lane, chunks = np.min_scalar_type(b**d - 1), -(-tower.h * tower.m // d)
     out = []
     for words, n in tables:
@@ -238,7 +232,7 @@ def block_codes(tower: FieldTower, X: np.ndarray, tables) -> list[np.ndarray]:
         for term, code in zip(words[1:], codes[1:]):
             acc += term.take(code, axis=0)
         # reduced transposed, so that the codes of each column come out as one contiguous row
-        sums = reduce_sums.take(acc.view(lane).T[: n * chunks]).reshape(n, chunks, len(acc))
+        sums = reduce_sums.take(acc.view(lane).T[: n * chunks]).reshape(n, chunks, len(acc)).astype(DTYPE)
         y = sums[:, 0]
         for i in range(1, chunks):
             y = y + sums[:, i] * tower.p ** (d * i)
@@ -254,7 +248,7 @@ def fq_ranks(tower: FieldTower, codes: np.ndarray) -> np.ndarray:
     ranks the transpose (fewer columns, fewer passes) or eliminates."""
     B, r, n = codes.shape
     c = r * tower.m
-    if 0 < c <= n and tower.q**c <= linalg.PACKED_CAP:  # r = 0 (W = V) has no columns: rank_batch
+    if 0 < c <= n and linalg._packed_tables(tower.fq, c) is not None:  # r = 0 (W = V) has no columns: rank_batch
         rows = codes[:, -1]
         for l in range(r - 2, -1, -1):  # Horner's rule in q^m
             rows = rows * tower.order + codes[:, l]

@@ -103,10 +103,11 @@ def expansion_check(
             check_cap(count, cap, f"subspaces of dim {r}")
             blocks = (X for X, _ in rref_matrix_blocks(q, r, ell))
         elif mode == "sample":
-            # each round draws the deficit, one matrix per call, and keeps the full-rank draws
+            check_cap(samples, cap, f"sampled subspaces of dim {r}")
+            # each round draws the deficit in one call and keeps the full-rank draws
             drawn = np.zeros((0, r, ell), dtype=DTYPE)
             while len(drawn) < samples:
-                X = np.array([rng.integers(0, q, (r, ell)) for _ in range(samples - len(drawn))], dtype=DTYPE)
+                X = rng.integers(0, q, (samples - len(drawn), r, ell)).astype(DTYPE)
                 drawn = np.concatenate([drawn, X[linalg.rank_batch(tw.fq, X) == r]])
             blocks = [drawn]
         else:

@@ -9,21 +9,27 @@ The sweeps need ranks and echelon rows of many tiny matrices, and their
 native input is codes: ``rank_codes`` ranks stacks (B, r) of row codes
 of F^c, a row's base-|F| digits read as one number, which over F = F_q
 and c = m is exactly the F_{q^m} code of the row.  It takes one of two
-paths, both for |F|^c <= ``PACKED_CAP``:
+paths, both for an F^c with packed tables, whose q |F|^c scale cells and
+b^(c h) sum cells (|F| = p^h, b = 2p - 1) fit ``LAZY_CAP``: F_2 up to
+c = 12, F_3 up to 8, F_4 and F_5 up to 6, F_7 up to 5, F_8 and F_9 up
+to 4.
 
 1. span fold, when the subspace-transition table of F^c fits
    ``SPAN_TABLE_CAP``: T[s, v] is the span of subspace s of F^c and the
    vector with code v, so each row costs one gather;
-2. packed rows: a column is cleared from every row with flat add and
-   scale tables.
+2. packed rows: a column is cleared from every row by adding a scaled
+   pivot row.  Each base-p digit of a row gets its own place of base b,
+   as in ``_carry_free``, so two rows add as plain integers with no
+   carry, and one sum table maps the sum back to a code.
 
 ``rank_batch`` ranks digit stacks (B, r, c): with c the narrower side it
-packs each row into its code for ``rank_codes`` while |F|^c <=
-``PACKED_CAP``, and otherwise reads the pivots of ``echelon_batch``, the
-one batched elimination.  That reduces a whole stack column by column
-with one field gather per step: table-driven elimination in the spirit
-of M4RI, vectorised over the batch instead of over bits.  A stack with
-no rows or no columns folds through the span table of F^0 to rank 0.
+packs each row into its code for ``rank_codes`` where F^c has packed
+tables, and otherwise reads the pivots of ``echelon_batch``, the one
+batched elimination.  That reduces a whole stack column by column with
+one field gather per step: table-driven elimination in the spirit of
+M4RI (Albrecht, Bard & Hart, ACM TOMS 37(1), 2010), vectorised over the
+batch instead of over bits.  A stack with no rows or no columns folds
+through the span table of F^0 to rank 0.
 
 The looped ``rref`` serves single subspaces and is the oracle of all
 the paths.  Membership and containment are the rank identity
@@ -32,19 +38,19 @@ rk [A; B] = rk A; there is no separate membership test.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from subdesigns.errors import certify
-from subdesigns.fieldcore import DTYPE, SmallField
+from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField
 
 # Matrix cells per elimination chunk in rank_codes and rank_batch.
 RANK_CELLS = 1 << 16
 # Largest span table, in subspaces x |F|^c x |F|^c cells (the build's temporaries
 # stay within it): F_2 up to c = 5, F_3 up to 4, F_4 and F_5 at 3, F_7 to F_19 at 2.
 SPAN_TABLE_CAP = 1 << 22
-# Largest F^c whose rows rank_codes eliminates as packed codes; the flat add
-# table holds PACKED_CAP^2 cells: F_2 up to c = 10, F_3 up to 6, F_4 at 5, F_5 at 4.
-PACKED_CAP = 1 << 10
 
 
 def rref(F: SmallField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -91,7 +97,7 @@ def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
     if M.shape[1] < M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
         M = M.transpose(0, 2, 1)
     B, r, c = M.shape
-    if F.size**c <= PACKED_CAP:
+    if _packed_tables(F, c) is not None:
         codes = np.zeros((B, r), dtype=np.intp)
         for k in reversed(range(c)):  # the code of each row by Horner's rule, in place
             codes *= F.size
@@ -105,7 +111,7 @@ def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
 
 
 def rank_codes(F: SmallField, codes: np.ndarray, c: int) -> np.ndarray:
-    """F-ranks (B,) of stacks of row codes (B, r) over F^c, |F|^c <= PACKED_CAP.
+    """F-ranks (B,) of stacks of row codes (B, r) over F^c, for an F^c with packed tables.
 
     A row's code is its base-|F| digits read as one number, as an F_{q^m}
     code is the code of its F_q-coordinates.  Where F^c has a span table the
@@ -133,56 +139,82 @@ def rank_codes(F: SmallField, codes: np.ndarray, c: int) -> np.ndarray:
 def _packed_rank(tables: tuple[np.ndarray, ...], codes: np.ndarray) -> np.ndarray:
     """Ranks of a stack of row codes (B, r) over F^c, eliminated as codes.
 
-    Per column j, each matrix takes its first row with a nonzero digit j as
-    pivot, scales it to digit 1 and subtracts digit-j multiples of it from
-    every row, the pivot row included, which becomes zero.  So no row needs
-    marking as used, and the rank is the number of pivot columns.
+    Columns go from the top digit down.  Per column j, each matrix takes
+    its first row with a nonzero digit j as pivot, scales it to digit 1 and
+    subtracts digit-j multiples of it from every row, the pivot row
+    included, which becomes zero.  So every row is zero above column j, its
+    digit j is its code // |F|^j, no row needs marking as used, and the
+    rank is the number of pivot columns.  A row and a multiple add as
+    carry-free integers, which the sum table maps back to a code.
     """
-    dig, vadd, scale, negscale, inv = tables
-    Qc = dig.shape[1]
+    powers, sums, free, scale, negfree, inv = tables
+    Qc = len(free)
     at = np.arange(len(codes))
     ranks = np.zeros(len(codes), dtype=np.int64)
-    for digits in dig:
-        d = digits[codes]
+    for power in powers[::-1]:
+        d = codes // power  # intp: the sums' narrow codes are promoted by the intp power
         piv = (d != 0).argmax(axis=1)
         pd = d[at, piv]
         ranks += pd != 0
         prow = scale[inv[pd] * Qc + codes[at, piv]]  # 0 where the column has no pivot
-        codes = vadd[codes * Qc + negscale[d * Qc + prow[:, None]]]
+        codes = sums.take(free.take(codes) + negfree.take(d * Qc + prow[:, None]))
     return ranks
 
 
-def _packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...] | None:
-    """(dig, vadd, scale, negscale, inv) on the codes of F^c (as in the span
-    table), or None if |F|^c > PACKED_CAP; built once per field and width.
+@functools.cache
+def _carry_free(p: int, places: int, terms: int) -> tuple[int, int, np.ndarray]:
+    """(b, d, R) for adding `terms` numbers of `places` base-p digits as integers.
 
-    dig[j][v] is digit j of v, vadd[u |F|^c + v] = u + v, scale[a |F|^c + v]
-    = a v, negscale[a |F|^c + v] = -a v, and inv[a] = a^-1 with inv[0] = 0.
+    Each digit gets its own place of base b = terms (p - 1) + 1, so a sum
+    of `terms` numbers never carries; the places come in chunks of d, the
+    fewest chunks with b^d <= LAZY_CAP, evened out.  R[s] is the base-p
+    number of a chunk sum s, each place taken mod p, in the narrowest
+    unsigned dtype that holds it.  Built once per (p, places, terms).
+    """
+    b = terms * (p - 1) + 1
+    chunks = max(1, -(-places // max((d for d in range(1, places + 1) if b**d <= LAZY_CAP), default=1)))
+    d = -(-places // chunks)
+    R = np.zeros(1, dtype=np.min_scalar_type(p**d - 1))
+    for i in range(d):  # place i above the places below it, so the peak is one table
+        R = ((np.arange(b) % p * p**i).astype(R.dtype)[:, None] + R).reshape(-1)
+    R.flags.writeable = False  # one array for every caller
+    return b, d, R
+
+
+def _packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...] | None:
+    """(powers, sums, free, scale, negfree, inv) on the codes of F^c (as in the
+    span table), or None if they exceed LAZY_CAP: the q |F|^c cells of scale
+    or the b^(c h) of sums, for |F| = p^h and b = 2p - 1; built once per
+    field and width.
+
+    powers[j] = |F|^j.  free[v] is v carry-free (_carry_free: each base-p
+    digit in its own place of base b), so sums[free[u] + free[v]] = u + v;
+    scale[a |F|^c + v] = a v, negfree[a |F|^c + v] = free[-a v], and
+    inv[a] = a^-1 with inv[0] = 0.
     """
     cache = vars(F).setdefault("_packed_tables", {})
     if c not in cache:
-        cache[c] = None if F.size**c > PACKED_CAP else _build_packed_tables(F, c)
+        places = c * round(math.log(F.size, F.p))
+        fits = F.size ** (c + 1) <= LAZY_CAP and (2 * F.p - 1) ** places <= LAZY_CAP
+        cache[c] = _build_packed_tables(F, c, places) if fits else None
     return cache[c]
 
 
-def _build_packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...]:
-    q = F.size
+def _build_packed_tables(F: SmallField, c: int, places: int) -> tuple[np.ndarray, ...]:
+    q, p = F.size, F.p
     Qc = q**c
-    a = np.arange(q)
-    weights = q ** np.arange(c)
-    dig = (np.arange(Qc)[None] // weights[:, None] % q).astype(DTYPE)
-    vadd = np.zeros((1, 1), dtype=DTYPE)
-    for j in range(c):  # u + v on j + 1 digits from u + v on the low j digits
-        add = np.asarray(F.add(a[:, None], a[None]), dtype=DTYPE)  # here, so width 0 builds no |F|^2 table
-        vadd = (add[:, None, :, None] * q**j + vadd[None, :, None, :]).reshape(q ** (j + 1), q ** (j + 1))
-    scale = (np.asarray(F.mul(a[:, None, None], dig.T[None]), dtype=DTYPE) @ weights).astype(DTYPE)  # (q, Qc)
-    negscale = scale[F.neg(a)]
-    inv = np.concatenate([[0], F.inv(a[1:])]).astype(DTYPE)
-    seen = np.zeros(Qc * Qc, dtype=bool)
-    seen[(np.arange(Qc)[:, None] * Qc + vadd).reshape(-1)] = True
-    certify(seen.all() and not vadd[np.arange(Qc), negscale[1]].any(),
-            f"F_{q}^{c} addition must permute each row and cancel u + (-1 u)")
-    return dig, vadd.reshape(-1), scale.reshape(-1), negscale.reshape(-1), inv
+    b, _, sums = _carry_free(p, places, 2)
+    a, codes = np.arange(q), np.arange(Qc)
+    powers = q ** np.arange(c)
+    free = (codes[:, None] // p ** np.arange(places) % p) @ b ** np.arange(places)
+    scale = np.asarray(F.mul(a[:, None, None], (codes[:, None] // powers % q)[None]), dtype=np.intp) @ powers
+    negfree = free[scale[F.neg(a)]]
+    inv = np.concatenate([[0], F.inv(a[1:])]).astype(np.intp)
+    u = codes[:q]  # the digits of F, as the codes of F^c below |F| (only 0 for c = 0)
+    certify(np.array_equal(sums[free[u, None] + free[u]], F.add(u[:, None], u))
+            and np.array_equal(sums[free], codes) and not sums[free + negfree[1]].any(),
+            f"F_{q}^{c} carry-free sums must match F.add and give u + 0 = u and u + (-1 u) = 0")
+    return powers, sums, free, scale.reshape(-1), negfree.reshape(-1), inv
 
 
 def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -195,7 +227,8 @@ def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
     outside it, and its size is certified against the Gaussian binomial.
     T is flat: T[s * |F|^c + v] = span(s, v) * |F|^c, so a fold adds the
     next code to the last lookup.  dims[s] is dim s.  Built once per field
-    and width from the sums u + v and multiples a v of the packed tables.
+    and width from the carry-free sums u + v and multiples a v of the packed
+    tables.
     """
     cache = vars(F).setdefault("_span_tables", {})
     if c not in cache:
@@ -211,8 +244,8 @@ def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
 def _build_span_table(F: SmallField, c: int, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     q = F.size
     Qc = q**c
-    _, vadd, scale, _, _ = _packed_tables(F, c)
-    vadd, lines = vadd.reshape(Qc, Qc), scale.reshape(q, Qc).T  # u + v, and a v in row v
+    _, sums, free, scale, _, _ = _packed_tables(F, c)
+    lines = free[scale.reshape(q, Qc).T]  # a v in row v, carry-free
     T = np.empty((sum(counts), Qc), dtype=DTYPE)
     S = np.zeros((1, 1), dtype=DTYPE)  # level 0: the zero subspace, as its element codes
     inside = np.arange(Qc)[None] == 0  # (subspaces, Qc) membership of the current level
@@ -221,7 +254,7 @@ def _build_span_table(F: SmallField, c: int, counts: list[int]) -> tuple[np.ndar
         n = len(S)
         T[lo : lo + n] = np.arange(lo, lo + n)[:, None]
         s, v = np.nonzero(~inside)
-        span = vadd[S[s][:, :, None], lines[v][:, None, :]].reshape(len(s), -1)
+        span = sums[free[S[s]][:, :, None] + lines[v][:, None, :]].reshape(len(s), -1)
         inside = np.zeros((len(s), Qc), dtype=bool)
         inside[np.arange(len(s))[:, None], span] = True
         # one row per distinct span, keyed by its packed membership bits

@@ -15,8 +15,9 @@ The algebra runs on lists of plain int codes of F_{q^m} (index =
 sigma-degree, no trailing zeros; ``SigmaPoly.coeffs`` is the same data as
 a tuple).  Coefficient arithmetic reads the field's exp, log and Zech
 tables and the tower's Frobenius power table ``FieldTower.frob_powers``
-through zero-copy memoryviews: a product is exp[log a + log b], a sum
-exp[log a + Z(log b - log a)] (``SmallField.zech``) and sigma^i one
+through zero-copy memoryviews, held by one ``_Algebra`` per (tower, s),
+built on first use and kept on the tower: a product is exp[log a + log b],
+a sum exp[log a + Z(log b - log a)] (``SmallField.zech``) and sigma^i one
 lookup, each on Python ints with no numpy call, ``SigmaPoly.evaluate``
 and the kernel ranks included.  Every composition, division, gcrd/lclm
 and lambda-value is certified on the spot (``errors.certify``, which
@@ -217,7 +218,11 @@ class SigmaPoly:
             raise ParameterMismatch("sigma-polynomials from different algebras")
 
     def _algebra(self) -> _Algebra:
-        return _Algebra(self.tower, self.s)
+        """The one algebra of (tower, s), held with the tower's other lazily built tables."""
+        cache = vars(self.tower).setdefault("_sigma_algebras", {})
+        if self.s not in cache:
+            cache[self.s] = _Algebra(self.tower, self.s)
+        return cache[self.s]
 
     def _new(self, coeffs: Sequence[int]) -> "SigmaPoly":
         return SigmaPoly(self.tower, coeffs, self.s)

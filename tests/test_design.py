@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subdesigns import design as de
+from subdesigns import hamming as ha
 from subdesigns import linalg, subspace
 from subdesigns import sumrank as sr
 from subdesigns.errors import (
@@ -478,7 +479,7 @@ def test_block_codes_of_the_big_fields_design():
     # base-3 places of a code reduce in two chunks of four
     D = twisted_design(9, 4, 2, 2)
     t = D.ambient.tower
-    b, d, _ = de._carry_free(t, 2 * len(de._digit_groups(t)[0]))
+    b, d, _ = linalg._carry_free(t.p, t.h * t.m, 2 * len(de._digit_groups(t)[0]))
     assert (b, d, t.h * t.m) == (9, 4, 8)
     rng = np.random.default_rng(6561)
     X = np.vstack([hyperplane_normals(D.ambient), rng.integers(0, t.order, (500, 2))]).astype(DTYPE)
@@ -487,11 +488,28 @@ def test_block_codes_of_the_big_fields_design():
         assert np.array_equal(t.fqm.to_digits(got), want)
 
 
+def test_big_fields_hyperplane_sweep_runs_on_packed_rows(monkeypatch):
+    # F_6561 = F_9^4: every section is a 4 x 4 matrix over F_9, ranked as carry-free packed rows
+    # with no echelon_batch; a sample of normals matches the looped rank of x G_i
+    D = twisted_design(9, 4, 2, 2)
+    t = D.ambient.tower
+    calls = []
+    eliminate = linalg.echelon_batch
+    monkeypatch.setattr(linalg, "echelon_batch", lambda *args, **kw: calls.append(args) or eliminate(*args, **kw))
+    dims = D.hyperplane_dims()
+    assert calls == [] and dims.shape == (2, 6562)
+    normals = hyperplane_normals(D.ambient)
+    for i in np.random.default_rng(6561).choice(len(normals), 60, replace=False):
+        for U, dim in zip(D.members, dims[:, i]):
+            digits = t.fqm.to_digits(linalg.matmul(t.fqm, normals[i][None], U.gen_block())[0])  # (dim U, m)
+            assert dim == U.dim - linalg.rank(t.fq, digits)
+
+
 @pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 3), (2, 2, 2)])
 def test_section_totals_match_looped_meets(key):
     # r = 1, 2, 3 rows of W^perp in F_{q^m}^4 against members of dimension 2, 5 and 8: rows of r m
     # F_q digits fold or run as packed codes, or go back to digits when they outnumber the rows or
-    # pass PACKED_CAP (3^9 and 4^6)
+    # their carry-free tables pass LAZY_CAP (F_3^9, with 5^9 sum cells)
     t = make_tower(*key)
     amb = AmbientSpace(t, 4)
     rng = np.random.default_rng(sum(key))
@@ -525,6 +543,21 @@ def test_hyperplane_sweep_makes_no_fqm_matmul(monkeypatch):
     tables = D.digit_tables
     assert D.digit_tables is tables  # built once per design object
     assert not any(F is D.ambient.tower.fqm for F in fields)
+
+
+def test_span_dim_is_computed_once_per_design(monkeypatch):
+    # the profiles, classify, the histogram and the SRG read one F_{q^m}-rank of the members
+    glued = glued_design(3, 2, 4, 2)
+    D = de.SubspaceDesign(glued.ambient, glued.members)
+    shapes = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda F, M: shapes.append(np.shape(M)) or rank(F, M))
+    for s in (1, 3):
+        de.design_profile(D, s)
+    de.classify(D, max_s=1)
+    de.hyperplane_weight_distribution(D)
+    ha.srg_from_two_intersection(ha.ext_system(D))
+    assert shapes.count((D.total_dim, D.ambient.k)) == 1 and D.span_dim() == 4
 
 
 def test_hyperplane_normals_are_built_once_per_design(monkeypatch):

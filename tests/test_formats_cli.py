@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -245,6 +246,30 @@ def test_cli_cap(tmp_path, capsys):
     assert run_cli("--cap", "3", "profile", str(design), "--s", "1") == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "EnumerationCapExceeded"
+
+
+def test_cli_sampled_expander_checks_the_cap_before_drawing(tmp_path, capsys):
+    # 3 * 10^7 draws of a 1 x 6 matrix would fill gigabytes; the cap refuses them before any is
+    # drawn, in a child process limited to 2 GiB of address space
+    design = tmp_path / "d2.json"
+    run_cli("construct", "twisted", "--q", "3", "--m", "3", "--k", "2", "--alphas", "1,2", "--eta", "0",
+            "-o", str(design))
+    capsys.readouterr()
+    argv = ["--cap", "100", "expander", str(design), "--beta", "default", "--max-dim", "1",
+            "--mode", "sample", "--samples", "30000000"]
+    check = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from subdesigns.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1 and len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {"error": "EnumerationCapExceeded",
+                                    "message": "30000000 sampled subspaces of dim 1 exceed cap 100"}
 
 
 def test_cli_missing_option_is_a_usage_error(capsys):

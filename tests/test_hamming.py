@@ -149,7 +149,8 @@ def test_point_counts_match_direct_count(p, h, m, seed):
 
 def test_one_section_sweep_per_design(monkeypatch):
     # the (k-1)-profile, sums, point counts, SRG and cutting totals share one F_q-rank round;
-    # the cutting test adds only the F_{q^m}-ranks of its section spans, one chunk of normals here
+    # the cutting test adds only the F_{q^m}-ranks of its section spans, one chunk of normals here,
+    # which rank_batch hands to rank_codes as F_9^4 packed rows
     D = glued_design(3, 2, 4, 2)
     fq = D.ambient.tower.fq
     calls = []
@@ -163,7 +164,7 @@ def test_one_section_sweep_per_design(monkeypatch):
     counts = ha.hyperplane_point_counts(P)
     params = ha.srg_from_two_intersection(P)
     cut = de.is_cutting(D)
-    assert calls == [True] * D.t + [False]
+    assert calls == [True] * D.t + [False, False]
     assert prof.A_min == sums.max() and cut.intersection_constant == (len(set(sums.tolist())) == 1)
     assert len(set(counts.tolist())) == 2 and params.v == 9**4
 

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subdesigns import linalg
-from subdesigns.fieldcore import DTYPE
+from subdesigns.fieldcore import DTYPE, LAZY_CAP
 from subdesigns.gf import make_tower, small_field
 from subdesigns.subspace import gaussian_binomial
 
@@ -132,8 +133,9 @@ def echelon_calls(monkeypatch):
 @pytest.mark.parametrize("key", RANK_TOWERS)
 @pytest.mark.parametrize("level", ["fq", "fqm"])
 def test_rank_batch_path_follows_span_table_cap(key, level, echelon_calls, monkeypatch):
-    # widths whose span table fits SPAN_TABLE_CAP fold; the next ones, while |F|^c <= PACKED_CAP,
-    # run as packed rows without building a span table; the first width past both eliminates
+    # widths whose span table fits SPAN_TABLE_CAP fold; the next ones, while the carry-free tables
+    # fit LAZY_CAP, run as packed rows without building a span table; the first width past both
+    # eliminates
     F = getattr(make_tower(*key), level)
     rng = np.random.default_rng(F.size)
     c = 1
@@ -148,13 +150,18 @@ def test_rank_batch_path_follows_span_table_cap(key, level, echelon_calls, monke
     built = []
     build = linalg._build_span_table
     monkeypatch.setattr(linalg, "_build_span_table", lambda *args: built.append(args) or build(*args))
-    while F.size**c <= linalg.PACKED_CAP:
-        assert linalg._packed_tables(F, c)[1].shape == (F.size ** (2 * c),)
+    h = round(math.log(F.size, F.p))
+    while (packed := linalg._packed_tables(F, c)) is not None:
+        powers, sums, free, scale, negfree, inv = packed
+        # the scale tables hold q |F|^c cells and the sum table b^(c h) for b = 2p - 1, none past LAZY_CAP
+        assert scale.shape == negfree.shape == (F.size ** (c + 1),) and free.shape == (F.size**c,)
+        assert sums.shape == ((2 * F.p - 1) ** (c * h),) and max(sums.size, scale.size) <= LAZY_CAP
+        assert sums.dtype == np.min_scalar_type(F.size**c - 1) and powers.tolist() == [F.size**j for j in range(c)]
         M = rng.integers(0, F.size, (7, c + 2, c))
         assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
         assert echelon_calls == [] and built == []
         c += 1
-    assert linalg._packed_tables(F, c) is None
+    assert max(F.size ** (c + 1), (2 * F.p - 1) ** (c * h)) > LAZY_CAP
     M = rng.integers(0, F.size, (3, c, c + 1))
     assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
     assert echelon_calls == [(3, c + 1, c)] and built == []
@@ -167,10 +174,13 @@ PACKED_FIELDS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 2)]
 @pytest.mark.parametrize("key", PACKED_FIELDS)
 @given(st.integers(0, 10_000))
 def test_packed_rank_matches_looped_rank(key, seed):
-    # every packed width, span-table widths included, with r above and below c
+    # every width with carry-free tables, span-table widths included, up to F_2^12, F_3^8, F_4^6,
+    # F_5^6 and F_9^4, with r above and below c
     F = make_tower(*key).fq
     rng = np.random.default_rng(seed)
-    c = int(rng.choice([c for c in range(1, 11) if F.size**c <= linalg.PACKED_CAP]))
+    widths = [c for c in range(1, 14) if linalg._packed_tables(F, c) is not None]
+    assert widths == list(range(1, {2: 12, 3: 8, 4: 6, 5: 6, 9: 4}[F.size] + 1))
+    c = int(rng.choice(widths))
     B, r = int(rng.integers(0, 6)), int(rng.integers(1, 8))
     M = rng.integers(0, F.size, (B, r, c))
     if B and r > 2:
@@ -188,17 +198,20 @@ def test_rank_batch_paths_on_sweep_shapes(echelon_calls):
     ranks = linalg.rank_batch(F3, M)
     assert echelon_calls == []
     assert ranks[:300].tolist() == [linalg.rank(F3, X) for X in M[:300]]
-    F2, F9 = make_tower(2, 1, 2).fq, make_tower(3, 1, 2).fqm
+    F2, F9, F27 = make_tower(2, 1, 2).fq, make_tower(3, 1, 2).fqm, make_tower(3, 1, 3).fqm
     for F in (F2, F3):  # pairs minimality over F_2 and expander images over F_3: packed rows
         M = rng.integers(0, F.size, (5000, 6, 6))
         M[::3, 4] = M[::3, 1]
         ranks = linalg.rank_batch(F, M)
         assert echelon_calls == []
         assert ranks[:300].tolist() == [linalg.rank(F, X) for X in M[:300]]
-    for F, shape in [(F2, (100, 12, 12)), (F9, (100, 4, 4))]:
+    for F, shape in [(F2, (100, 12, 12)), (F9, (100, 4, 4))]:  # carry-free rows up to LAZY_CAP
         M = rng.integers(0, F.size, shape)
         assert linalg.rank_batch(F, M).tolist() == [linalg.rank(F, X) for X in M]
-        assert echelon_calls.pop() == shape
+        assert echelon_calls == []
+    M = rng.integers(0, 27, (100, 4, 4))  # F_27^4: 5^12 sum cells, past LAZY_CAP
+    assert linalg.rank_batch(F27, M).tolist() == [linalg.rank(F27, X) for X in M]
+    assert echelon_calls == [(100, 4, 4)]
 
 
 def looped_matmul(F, A, B):
@@ -240,8 +253,8 @@ def test_span_table_certificate_survives_python_O():
 
 
 def test_packed_table_certificate_survives_python_O():
-    # the same broken addition at width 6, which has no span table: each row of the packed add
-    # table repeats one sum instead of permuting F_3^6
+    # the same broken addition at width 6, which has no span table: the carry-free sum table
+    # adds digitwise mod 3, and F.add no longer does
     check = (
         "import numpy as np\n"
         "from subdesigns import linalg\n"
@@ -252,7 +265,7 @@ def test_packed_table_certificate_survives_python_O():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
-    assert "CertificateFailed: F_3^6 addition must permute each row" in proc.stderr
+    assert "CertificateFailed: F_3^6 carry-free sums must match F.add" in proc.stderr
 
 
 @pytest.mark.parametrize("q", [3, 1031, 4099])

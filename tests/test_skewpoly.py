@@ -444,3 +444,16 @@ def test_evaluate_matches_the_looped_sum(p, h, m, shape):
             want[idx] = int(t.fqm.add(int(want[idx]), int(t.fqm.mul(f, t.frobenius_code(int(x[idx]), s * i)))))
     got = F.evaluate(x)
     assert got.shape == shape and np.array_equal(got, want)
+
+
+def test_one_algebra_per_tower_and_s(monkeypatch):
+    # every operation of one (tower, s) reads one _Algebra, built on first use and kept on the tower
+    t = make_tower(3, 1, 4)
+    F, G = SigmaPoly(t, [1, 2, 1]), SigmaPoly(t, [5, 1], s=3)
+    assert F._algebra() is SigmaPoly(t, [7])._algebra() is (F + F)._algebra()
+    assert G._algebra() is G._algebra() is not F._algebra()
+    built = []
+    init = skewpoly._Algebra.__init__
+    monkeypatch.setattr(skewpoly._Algebra, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    assert lambda_value(F, 1) == kernel_dim(twist(F, 1)) and gcrd_lclm(F, F + F)[0] == F.monic()
+    assert built == []
