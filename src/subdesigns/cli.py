@@ -199,7 +199,7 @@ def _cmd_cutting(args) -> dict:
 
 def _cmd_minimal(args) -> dict:
     payload = _read_json(args.code)
-    if "generator" in payload:
+    if isinstance(payload, dict) and "generator" in payload:  # else a design record, or a FormatError
         C = fmt.code_from_json(payload)
     else:
         C = sr.code_from_system(fmt.design_from_json(payload))
@@ -263,9 +263,8 @@ def _cmd_strong(args) -> dict:
         if args.output:
             _write(args.output, fmt.design_to_json(out))
         return {"dims": list(out.dims), "output": args.output}
-    spec = _read_json(args.spec)  # places
-    tower = tower_for(int(spec["q"]), int(spec["m"]))
-    D = sb.places_embed(tower, spec["members"], spec["p"], int(spec["zeta"]), int(spec["k"]), cap=args.cap)
+    q, m, members, p, zeta, k = fmt.places_from_json(_read_json(args.spec))
+    D = sb.places_embed(tower_for(q, m), members, p, zeta, k, cap=args.cap)
     if args.output:
         _write(args.output, fmt.design_to_json(D))
     return {"dims": list(D.dims), "output": args.output}

@@ -13,20 +13,11 @@ canonical normal x.  Its column sums give the (k-1)-profile, the histogram
 and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
 gives F_q-bases of the sections themselves, for the cutting test.
 Every other s reads the same identity off a closed-form basis X of W^perp:
-dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The F_{q^m} codes of X G_i are
-table lookups with no F_{q^m} product: ``digit_tables``, built once per
-design or code, holds the codes of every value of each group of base-q
-digits of x_l times row l of G_i, stored carry-free (each base-p digit
-in its own place of a base large enough for the whole sum, by
-``linalg._carry_free``, which the packed rank rows use too), and
-``block_codes`` adds one gathered row per coordinate and group as plain
-integers and maps the sums back to codes through one table.  The codes
-are the rank kernel's native input: an F_{q^m} code is the packed code
-of its F_q-coordinates, so ``fq_ranks`` hands the rows of (X G_i)^T, one
-code of F_q^{rm} each, to ``linalg.rank_codes``; rows past its packed
-tables (which reach F_9^4, F_3^8 and F_2^12), or wider than they are many,
-go back to digits.  ``SubspaceDesign.span_dim`` is computed once per
-design object, like the point and hyperplane arrays.
+dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The codes of X G_i are
+``linalg.block_codes`` of tables built once per design or code
+(``digit_tables``), and their F_q-ranks are ``linalg.base_ranks``.
+``SubspaceDesign.span_dim`` is computed once per design object, like the
+point and hyperplane arrays.
 """
 
 from __future__ import annotations
@@ -74,10 +65,6 @@ from subdesigns.subspace import (
     subspace_count,
 )
 
-# Largest q^w of a digit group: digit_tables holds q^w rows per coordinate and group.
-PACKED_CAP = 1 << 10
-
-
 class SubspaceDesign:
     """Ordered tuple of F_q-subspaces sharing one ambient space."""
 
@@ -119,8 +106,8 @@ class SubspaceDesign:
 
     @cached_property
     def digit_tables(self) -> list[tuple[np.ndarray, int]]:
-        """block_codes tables of the members' generator blocks, built on first use."""
-        return digit_tables(self.ambient.tower, [U.gen_block() for U in self.members])
+        """linalg.block_codes tables of the members' generator blocks, built on first use."""
+        return linalg.digit_tables(self.ambient.tower.fqm, [U.gen_block() for U in self.members])
 
     def point_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
         """(points, dims): the canonical points of the members' linear sets, shape (#P, k),
@@ -171,99 +158,15 @@ def _point_sort_key(point: tuple) -> tuple:
     return (lead, point[lead + 1 :])
 
 
-def _digit_groups(tower: FieldTower) -> tuple[np.ndarray, int]:
-    """(q^a for the lowest digit a of each group, q^w): the m base-q digits of an
-    F_{q^m} code split into the fewest groups of w consecutive digits with
-    q^w <= PACKED_CAP (w = 1 when q alone is larger), evened out so that w is as
-    small as that count of groups allows."""
-    q, m = tower.q, tower.m
-    groups = -(-m // max((w for w in range(1, m + 1) if q**w <= PACKED_CAP), default=1))
-    w = -(-m // groups)
-    return (q ** (w * np.arange(groups))).astype(DTYPE), q**w
-
-
-def digit_tables(tower: FieldTower, blocks) -> list[tuple[np.ndarray, int]]:
-    """The code tables block_codes sums, one (words, n_i) per block G_i (k, n_i).
-
-    Row c of term l g + j holds the codes of (c q^a_j) G_i[l, :], where q^a_j
-    is the weight of digit group j: x_l G_i[l, :] is the sum over j of the rows
-    picked by the group codes of x_l.  Codes past q^m wrap (they are never
-    picked).  Each code is stored carry-free (linalg._carry_free), one lane per chunk,
-    in the narrowest unsigned dtype that holds a chunk sum of the k g terms, and
-    a row's lanes are packed into uint64 words, shape (k g, q^w, words): rows
-    add as whole words, as no lane carries into the next.
-    """
-    fqm = tower.fqm
-    shifts, span = _digit_groups(tower)
-    codes = np.arange(span)[None] * shifts[:, None] % tower.order  # (g, q^w)
-    places = np.arange(tower.h * tower.m)
-    tables = []
-    for G in blocks:
-        terms = G.shape[0] * len(shifts)
-        b, d, _ = linalg._carry_free(tower.p, len(places), terms)
-        digits = fqm.to_digits(fqm.mul(codes[None, :, :, None], G[:, None, None, :]))  # (k, g, q^w, n_i, m)
-        if tower.h > 1:  # each F_q digit is itself h base-p digits
-            digits = tower.fq.to_digits(digits)
-        digits = digits.reshape(terms, span, G.shape[1], len(places))
-        certify(terms * int(digits.max(initial=0)) < b, f"a sum of {terms} code table rows must not carry past base {b}")
-        weights = np.zeros((len(places), -(-len(places) // d)), dtype=np.int64)  # place i: b^(i mod d) in chunk i // d
-        weights[places, places // d] = b ** (places % d)
-        lanes = (digits @ weights).reshape(terms, span, -1).astype(np.min_scalar_type(b**d - 1))
-        words = np.zeros((terms, span, -(-lanes.shape[2] * lanes.itemsize // 8)), dtype=np.uint64)
-        words.view(lanes.dtype)[:, :, : lanes.shape[2]] = lanes
-        tables.append((words, G.shape[1]))
-    return tables
-
-
-def block_codes(tower: FieldTower, X: np.ndarray, tables) -> list[np.ndarray]:
-    """F_{q^m} codes (..., n_i) of x G_i for every row x of X (..., k), one array per block,
-    from the block's digit_tables: one gather per coordinate and digit group, added as
-    integers, then one gather through the field's reduction table."""
-    shifts, span = _digit_groups(tower)
-    rows = X.reshape(-1, X.shape[-1])
-    if len(shifts) > 1:  # else one group: the group code is the code itself
-        rows = (rows[:, :, None] // shifts % span).reshape(len(rows), len(shifts) * rows.shape[1])
-    codes = np.ascontiguousarray(rows.T, dtype=np.intp)
-    b, d, reduce_sums = linalg._carry_free(tower.p, tower.h * tower.m, len(codes))
-    lane, chunks = np.min_scalar_type(b**d - 1), -(-tower.h * tower.m // d)
-    out = []
-    for words, n in tables:
-        acc = words[0].take(codes[0], axis=0)
-        for term, code in zip(words[1:], codes[1:]):
-            acc += term.take(code, axis=0)
-        # reduced transposed, so that the codes of each column come out as one contiguous row
-        sums = reduce_sums.take(acc.view(lane).T[: n * chunks]).reshape(n, chunks, len(acc)).astype(DTYPE)
-        y = sums[:, 0]
-        for i in range(1, chunks):
-            y = y + sums[:, i] * tower.p ** (d * i)
-        out.append(y.T.reshape(*X.shape[:-1], n))
-    return out
-
-
-def fq_ranks(tower: FieldTower, codes: np.ndarray) -> np.ndarray:
-    """F_q-ranks (B,) of the matrices (n, r m) whose row j holds the F_q digits of the
-    codes (B, r, n)[b, :, j].  Row j is one code of F_q^{rm}, sum_l codes[b, l, j] q^{ml},
-    for linalg.rank_codes when F_q^{rm} has packed tables and the matrices have no more
-    columns than rows; other stacks go back to digits for linalg.rank_batch, which
-    ranks the transpose (fewer columns, fewer passes) or eliminates."""
-    B, r, n = codes.shape
-    c = r * tower.m
-    if 0 < c <= n and linalg._packed_tables(tower.fq, c) is not None:  # r = 0 (W = V) has no columns: rank_batch
-        rows = codes[:, -1]
-        for l in range(r - 2, -1, -1):  # Horner's rule in q^m
-            rows = rows * tower.order + codes[:, l]
-        return linalg.rank_codes(tower.fq, rows, c)
-    return linalg.rank_batch(tower.fq, tower.fqm.to_digits(codes).transpose(0, 2, 1, 3).reshape(B, n, c))
-
-
 def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
     """dim_q(U_i meet X_b^perp) = dim U_i - rk_q(X_b G_i) for a stack X (B, r, k), shape (t, B).
 
     Row j of member i's F_q matrix (dim U_i, r m) holds the digits of
     x_l . u_j for every row x_l of X_b.
     """
-    t = D.ambient.tower
-    return np.array([U.dim - fq_ranks(t, codes) for U, codes in zip(D.members, block_codes(t, X, D.digit_tables))])
+    F = D.ambient.tower.fqm
+    return np.array([U.dim - linalg.base_ranks(F, codes)
+                     for U, codes in zip(D.members, linalg.block_codes(F, X, D.digit_tables))])
 
 
 def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
@@ -279,7 +182,7 @@ def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
     amb = D.ambient
     m = amb.tower.m
     spans = []
-    for U, codes in zip(D.members, block_codes(amb.tower, normals, D.digit_tables)):
+    for U, codes in zip(D.members, linalg.block_codes(amb.tower.fqm, normals, D.digit_tables)):
         digits = amb.tower.fqm.to_digits(codes)  # (B, dim U, m)
         rows = np.concatenate([digits, np.broadcast_to(U.basis, (*codes.shape, amb.n_fq))], axis=2)
         E, lead = linalg.echelon_batch(amb.tower.fq, rows, stop=m)

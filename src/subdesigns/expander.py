@@ -19,7 +19,7 @@ from subdesigns import linalg
 from subdesigns.design import SubspaceDesign
 from subdesigns.errors import BadDims, BadParameters, NotABasis, certify
 from subdesigns.fieldcore import DTYPE
-from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, check_cap, gaussian_binomial, rref_matrix_blocks
+from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, RREF_CHUNK, check_cap, gaussian_binomial, rref_matrix_blocks
 
 
 @dataclass
@@ -72,6 +72,17 @@ class ExpansionReport:
     verdict: bool | None = None
 
 
+def _full_rank_draws(F, rng: np.random.Generator, samples: int, r: int, ell: int):
+    """The first `samples` full-rank draws (r, ell) of rng in stream order, in blocks of at most
+    RREF_CHUNK: no round draws past the deficit, so the stream stops at the last one kept."""
+    while samples:
+        X = rng.integers(0, F.size, (min(samples, RREF_CHUNK), r, ell)).astype(DTYPE)
+        X = X[linalg.rank_batch(F, X) == r]
+        samples -= len(X)
+        if len(X):
+            yield X
+
+
 def expansion_check(
     fam: ExpanderFamily,
     max_dim: int,
@@ -104,12 +115,7 @@ def expansion_check(
             blocks = (X for X, _ in rref_matrix_blocks(q, r, ell))
         elif mode == "sample":
             check_cap(samples, cap, f"sampled subspaces of dim {r}")
-            # each round draws the deficit in one call and keeps the full-rank draws
-            drawn = np.zeros((0, r, ell), dtype=DTYPE)
-            while len(drawn) < samples:
-                X = rng.integers(0, q, (samples - len(drawn), r, ell)).astype(DTYPE)
-                drawn = np.concatenate([drawn, X[linalg.rank_batch(tw.fq, X) == r]])
-            blocks = [drawn]
+            blocks = _full_rank_draws(tw.fq, rng, samples, r, ell)
         else:
             raise BadParameters("mode must be 'exhaustive' or 'sample'")
         best = None

@@ -156,6 +156,15 @@ def strong_design_from_json(obj) -> StrongSubspaceDesign:
     return StrongSubspaceDesign(amb, members)
 
 
+def places_from_json(obj) -> tuple:
+    """(q, m, members, p, zeta, k) of a places spec, members as lists of coefficient lists."""
+    try:
+        members = [[[int(cf) for cf in g] for g in gens] for gens in obj["members"]]
+        return int(obj["q"]), int(obj["m"]), members, [int(cf) for cf in obj["p"]], int(obj["zeta"]), int(obj["k"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad places spec: {exc}") from exc
+
+
 # --- codes -----------------------------------------------------------------------
 
 

@@ -3,37 +3,34 @@
 Matrices are 2-D numpy int32 arrays of element codes.  Everything is
 reduced row-echelon based: RREF output is canonical (pivots 1, pivot
 columns elementary, pivots strictly increasing), so row spaces compare
-by array equality.
+by array equality.  The looped ``rref`` serves single subspaces and is
+the oracle of the batched paths.  Membership and containment are the
+rank identity rk [A; B] = rk A; there is no separate membership test.
 
-The sweeps need ranks and echelon rows of many tiny matrices, and their
-native input is codes: ``rank_codes`` ranks stacks (B, r) of row codes
-of F^c, a row's base-|F| digits read as one number, which over F = F_q
-and c = m is exactly the F_{q^m} code of the row.  It takes one of two
-paths, both for an F^c with packed tables, whose q |F|^c scale cells and
-b^(c h) sum cells (|F| = p^h, b = 2p - 1) fit ``LAZY_CAP``: F_2 up to
+The sweeps need F_q-ranks of many tiny matrices, and this module owns
+the format they travel in.  The row code of a row of F^c is its base-|F|
+digits read as one number, so an F_{q^m} code is the row code of its
+F_q-coordinates.  ``block_codes`` forms the F_{q^m} codes of x G_i with
+no F_{q^m} product, from per-block ``digit_tables`` whose rows add as
+plain integers: each base-p digit has its own place of a base so large
+that no sum carries (``_carry_free``), and one table maps a sum back to
+a code.  ``base_ranks`` reads F_q-ranks off such codes.
+
+Two functions choose a rank path.  ``rank_batch`` ranks digit stacks
+(B, r, c): with c the narrower side, it hands the rows' codes to
+``rank_codes`` where F^c has packed tables (q |F|^c scale cells and
+b^(c h) sum cells, |F| = p^h, b = 2p - 1, within ``LAZY_CAP``: F_2 up to
 c = 12, F_3 up to 8, F_4 and F_5 up to 6, F_7 up to 5, F_8 and F_9 up
-to 4.
-
-1. span fold, when the subspace-transition table of F^c fits
-   ``SPAN_TABLE_CAP``: T[s, v] is the span of subspace s of F^c and the
-   vector with code v, so each row costs one gather;
-2. packed rows: a column is cleared from every row by adding a scaled
-   pivot row.  Each base-p digit of a row gets its own place of base b,
-   as in ``_carry_free``, so two rows add as plain integers with no
-   carry, and one sum table maps the sum back to a code.
-
-``rank_batch`` ranks digit stacks (B, r, c): with c the narrower side it
-packs each row into its code for ``rank_codes`` where F^c has packed
-tables, and otherwise reads the pivots of ``echelon_batch``, the one
-batched elimination.  That reduces a whole stack column by column with
-one field gather per step: table-driven elimination in the spirit of
-M4RI (Albrecht, Bard & Hart, ACM TOMS 37(1), 2010), vectorised over the
-batch instead of over bits.  A stack with no rows or no columns folds
-through the span table of F^0 to rank 0.
-
-The looped ``rref`` serves single subspaces and is the oracle of all
-the paths.  Membership and containment are the rank identity
-rk [A; B] = rk A; there is no separate membership test.
+to 4), and otherwise eliminates through ``echelon_batch``, the one
+batched elimination: table-driven elimination in the spirit of M4RI
+(Albrecht, Bard & Hart, ACM TOMS 37(1), 2010), vectorised over the batch
+instead of over bits.  ``rank_codes`` sends a wide stack (c > r) or one
+without packed tables back to digits for rank_batch; it folds the others
+through the span table of F^c where that fits ``SPAN_TABLE_CAP`` (one
+gather per row), else eliminates them as packed rows (``_packed_rank``).
+Packed rows and echelon_batch run ``RANK_CELLS`` cells at a time; a
+stack with no rows or no columns folds through the span table of F^0 to
+rank 0.
 """
 
 from __future__ import annotations
@@ -43,11 +40,13 @@ import math
 
 import numpy as np
 
-from subdesigns.errors import certify
+from subdesigns.errors import EnumerationCapExceeded, certify
 from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField
 
 # Matrix cells per elimination chunk in rank_codes and rank_batch.
 RANK_CELLS = 1 << 16
+# Largest q^w of a digit group: digit_tables holds q^w rows per coordinate and group.
+PACKED_CAP = 1 << 10
 # Largest span table, in subspaces x |F|^c x |F|^c cells (the build's temporaries
 # stay within it): F_2 up to c = 5, F_3 up to 4, F_4 and F_5 at 3, F_7 to F_19 at 2.
 SPAN_TABLE_CAP = 1 << 22
@@ -86,41 +85,31 @@ def rank(F: SmallField, M: np.ndarray) -> int:
 
 
 def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
-    """F-ranks (B,) of a stack M (B, r, c) of matrices.
-
-    With c the narrower side, a stack whose F^c has packed tables goes to
-    rank_codes, one code per row; any other is eliminated by echelon_batch
-    RANK_CELLS cells at a time, which bounds the temporaries whatever its
-    length.
-    """
+    """F-ranks (B,) of a stack M (B, r, c) of matrices: with c the narrower side, rank_codes
+    of the rows' codes where F^c has packed tables, else echelon_batch."""
     M = np.asarray(M)
     if M.shape[1] < M.shape[2]:  # rk M = rk M^T; fewer columns, fewer passes
         M = M.transpose(0, 2, 1)
     B, r, c = M.shape
-    if _packed_tables(F, c) is not None:
-        codes = np.zeros((B, r), dtype=np.intp)
-        for k in reversed(range(c)):  # the code of each row by Horner's rule, in place
-            codes *= F.size
-            codes += M[:, :, k]
-        return rank_codes(F, codes, c)
-    ranks = np.zeros(B, dtype=np.int64)
-    step = max(1, RANK_CELLS // (r * c))
-    for lo in range(0, B, step):
-        ranks[lo : lo + step] = (echelon_batch(F, M[lo : lo + step])[1] < c).sum(axis=1)
-    return ranks
+    if _packed_tables(F, c) is None:
+        return _by_chunks(lambda part: (echelon_batch(F, part)[1] < c).sum(axis=1), M, c)
+    codes = np.zeros((B, r), dtype=np.intp)
+    for k in reversed(range(c)):  # the code of each row by Horner's rule, in place
+        codes *= F.size
+        codes += M[:, :, k]
+    return rank_codes(F, codes, c)
 
 
 def rank_codes(F: SmallField, codes: np.ndarray, c: int) -> np.ndarray:
-    """F-ranks (B,) of stacks of row codes (B, r) over F^c, for an F^c with packed tables.
-
-    A row's code is its base-|F| digits read as one number, as an F_{q^m}
-    code is the code of its F_q-coordinates.  Where F^c has a span table the
-    rows fold from the zero subspace, s <- span(s, row), and dim s is read
-    off; otherwise they are eliminated as packed codes RANK_CELLS cells at
-    a time.
-    """
+    """F-ranks (B,) of stacks of row codes (B, r) of F^c: the span fold, else packed rows;
+    a wide stack (c > r) or one without packed tables goes to digits for rank_batch."""
     codes = np.asarray(codes, dtype=np.intp)
     B, r = codes.shape
+    if F.size**c > 1 << 63:
+        raise EnumerationCapExceeded(f"F_{F.size}^{c} has {F.size}**{c} row codes, past int64")
+    packed = _packed_tables(F, c)
+    if packed is None or c > r:
+        return rank_batch(F, codes[:, :, None] // F.size ** np.arange(c) % F.size)
     table = _span_table(F, c)
     if table is not None:
         T, dims = table
@@ -128,11 +117,30 @@ def rank_codes(F: SmallField, codes: np.ndarray, c: int) -> np.ndarray:
         for row in np.ascontiguousarray(codes.T):
             s = T.take(s + row)
         return dims[s // F.size**c]
-    packed = _packed_tables(F, c)
+    return _by_chunks(functools.partial(_packed_rank, packed), codes, c)
+
+
+def base_ranks(F: SmallField, codes: np.ndarray) -> np.ndarray:
+    """F_q-ranks (B,) of the matrices (n, r m) whose row j holds the F_q digits of the
+    F = F_{q^m} codes (B, r, n)[b, :, j]: row j is the code sum_l codes[b, l, j] q^{ml}
+    of F_q^{rm}, formed by Horner's rule from the last row.  For r = 0 there is no last
+    row, and the matrices are stacks of no rows of F_q^0, rank 0."""
+    B, r, n = codes.shape
+    rows = codes[:, -1:]
+    for l in range(r - 2, -1, -1):  # in intp, as |F|^r may pass the int32 of codes
+        rows = np.multiply(rows, F.size, dtype=np.intp) + codes[:, l : l + 1]
+    # the middle axis has length 1 or 0, so both index orders agree, and order "A" keeps the
+    # column-major layout of block_codes with no copy
+    return rank_codes(F.base, rows.reshape(B, rows.shape[1] * n, order="A"), r * F.degree)
+
+
+def _by_chunks(rank, stack: np.ndarray, c: int) -> np.ndarray:
+    """rank of a stack (B, r, ...) of width c, RANK_CELLS cells at a time; no rows, rank 0."""
+    B, r = stack.shape[:2]
     ranks = np.zeros(B, dtype=np.int64)
     step = max(1, RANK_CELLS // max(1, r * c))
-    for lo in range(0, B if r else 0, step):  # no rows, no pivots: rank 0
-        ranks[lo : lo + step] = _packed_rank(packed, codes[lo : lo + step])
+    for lo in range(0, B if r else 0, step):
+        ranks[lo : lo + step] = rank(stack[lo : lo + step])
     return ranks
 
 
@@ -325,6 +333,72 @@ def matmul(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def vecmat(F: SmallField, v: np.ndarray, A: np.ndarray) -> np.ndarray:
     return matmul(F, np.asarray(v, dtype=DTYPE).reshape(1, -1), A).reshape(-1)
+
+
+def _digit_groups(F: SmallField) -> tuple[np.ndarray, int]:
+    """(q^a for the lowest digit a of each group, q^w): the m base-q digits of a code of
+    F = F_{q^m} split into the fewest groups of w consecutive digits with q^w <= PACKED_CAP
+    (w = 1 when q alone is larger), evened out so that w is as small as that count allows."""
+    q, m = F.base.size, F.degree
+    groups = -(-m // max((w for w in range(1, m + 1) if q**w <= PACKED_CAP), default=1))
+    w = -(-m // groups)
+    return (q ** (w * np.arange(groups))).astype(DTYPE), q**w
+
+
+def digit_tables(F: SmallField, blocks) -> list[tuple[np.ndarray, int]]:
+    """The code tables block_codes sums, one (words, n_i) per block G_i (k, n_i) over F = F_{q^m}.
+
+    Row c of term l g + j holds the codes of (c q^a_j) G_i[l, :], q^a_j the weight of digit
+    group j, so x_l G_i[l, :] sums the rows picked by the group codes of x_l (codes past q^m
+    wrap; they are never picked).  Each code is stored carry-free, one lane per chunk in the
+    narrowest unsigned dtype that holds a chunk sum of the k g terms, and a row's lanes are
+    packed into uint64 words, shape (k g, q^w, words), which add whole as no lane carries.
+    """
+    shifts, span = _digit_groups(F)
+    codes = np.arange(span)[None] * shifts[:, None] % F.size  # (g, q^w)
+    places = np.arange(F.degree * F.base.degree)
+    tables = []
+    for G in blocks:
+        terms = G.shape[0] * len(shifts)
+        b, d, _ = _carry_free(F.p, len(places), terms)
+        digits = F.to_digits(F.mul(codes[None, :, :, None], G[:, None, None, :]))  # (k, g, q^w, n_i, m)
+        if F.base.base is not None:  # each F_q digit is itself h base-p digits
+            digits = F.base.to_digits(digits)
+        digits = digits.reshape(terms, span, G.shape[1], len(places))
+        certify(terms * int(digits.max(initial=0)) < b, f"a sum of {terms} code table rows must not carry past base {b}")
+        weights = np.zeros((len(places), -(-len(places) // d)), dtype=np.int64)  # place i: b^(i mod d) in chunk i // d
+        weights[places, places // d] = b ** (places % d)
+        lanes = (digits @ weights).reshape(terms, span, -1).astype(np.min_scalar_type(b**d - 1))
+        words = np.zeros((terms, span, -(-lanes.shape[2] * lanes.itemsize // 8)), dtype=np.uint64)
+        words.view(lanes.dtype)[:, :, : lanes.shape[2]] = lanes
+        tables.append((words, G.shape[1]))
+    return tables
+
+
+def block_codes(F: SmallField, X: np.ndarray, tables) -> list[np.ndarray]:
+    """Codes (..., n_i) of x G_i over F = F_{q^m} for every row x of X (..., k), one array per
+    block, from the block's digit_tables: one gather per coordinate and digit group, added
+    as integers, then one gather through the carry-free reduction table."""
+    shifts, span = _digit_groups(F)
+    rows = X.reshape(-1, X.shape[-1])
+    if len(shifts) > 1:  # else one group: the group code is the code itself
+        rows = (rows[:, :, None] // shifts % span).reshape(len(rows), len(shifts) * rows.shape[1])
+    codes = np.ascontiguousarray(rows.T, dtype=np.intp)
+    places = F.degree * F.base.degree
+    b, d, reduce_sums = _carry_free(F.p, places, len(codes))
+    lane, chunks = np.min_scalar_type(b**d - 1), -(-places // d)
+    out = []
+    for words, n in tables:
+        acc = words[0].take(codes[0], axis=0)
+        for term, code in zip(words[1:], codes[1:]):
+            acc += term.take(code, axis=0)
+        # reduced transposed, so that the codes of each column come out as one contiguous row
+        sums = reduce_sums.take(acc.view(lane).T[: n * chunks]).reshape(n, chunks, len(acc)).astype(DTYPE)
+        y = sums[:, 0]
+        for i in range(1, chunks):
+            y = y + sums[:, i] * F.p ** (d * i)
+        out.append(y.T.reshape(*X.shape[:-1], n))
+    return out
 
 
 def sum_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ an F_q-basis of member U_i) and `system_from_code`.  Weights are always
 computable two ways - expansion ranks and hyperplane-section dimensions
 of the associated system - and the pair is certified equal wherever both
 apply.  Every expansion rank, and every comparison of supports, is a
-``design.fq_ranks`` of the block codes ``design.block_codes`` forms:
+``linalg.base_ranks`` of the block codes ``linalg.block_codes`` forms:
 supp(y) lies in supp(x) exactly when the ranks of the blocks of x,
 stacked with those of y, sum to wt(x).
 """
@@ -24,9 +24,6 @@ import numpy as np
 from subdesigns import linalg
 from subdesigns.design import (
     SubspaceDesign,
-    block_codes,
-    digit_tables,
-    fq_ranks,
     hyperplane_profile_sums,
     is_cutting,
     section_dims,
@@ -108,8 +105,8 @@ class SumRankCode:
 
     @cached_property
     def digit_tables(self) -> list[tuple[np.ndarray, int]]:
-        """block_codes tables of the blocks, built on first use."""
-        return digit_tables(self.tower, self.blocks)
+        """linalg.block_codes tables of the blocks, built on first use."""
+        return linalg.digit_tables(self.tower.fqm, self.blocks)
 
     def system(self) -> SubspaceDesign:
         """The associated system, built once: the source design of a code_from_system
@@ -164,7 +161,8 @@ def system_from_code(C: SumRankCode) -> SubspaceDesign:
 
 def _weights(C: SumRankCode, X: np.ndarray) -> np.ndarray:
     """Sum-rank weights (B,) of the codewords xG for the rows x of X (B, k)."""
-    return sum(fq_ranks(C.tower, codes[:, None]) for codes in block_codes(C.tower, X, C.digit_tables))
+    F = C.tower.fqm
+    return sum(linalg.base_ranks(F, codes[:, None]) for codes in linalg.block_codes(F, X, C.digit_tables))
 
 
 def sumrank_weight(C: SumRankCode, x) -> int:
@@ -318,8 +316,8 @@ def is_minimal_code(
         # every block does.  As the joint rank is also at least rk S_i(y), only pairs
         # with wt_i(y) <= wt_i(x) in every block are ranked.  The F_q digits (n_i, m)
         # of the codes of x G_i are S_i(x) transposed.
-        codes = block_codes(t, reps, C.digit_tables)
-        bw = np.stack([fq_ranks(t, c[:, None]) for c in codes], axis=1)  # (n, t) block weights
+        codes = linalg.block_codes(t.fqm, reps, C.digit_tables)
+        bw = np.stack([linalg.base_ranks(t.fqm, c[:, None]) for c in codes], axis=1)  # (n, t) block weights
         wt = bw.sum(axis=1)
         n = len(reps)
         step = max(1, linalg.RANK_CELLS // (2 * t.m * C.N * max(1, n)))  # rows a per chunk
@@ -329,7 +327,7 @@ def is_minimal_code(
             pa, pb = np.nonzero(near)  # candidate pairs in row-major order
             joint = 0
             for c in codes:  # [x G_i | y G_i] of every candidate, row j coded x u_j + (y u_j) q^m
-                joint = joint + fq_ranks(t, np.stack([c[a[pa]], c[pb]], axis=1))
+                joint = joint + linalg.base_ranks(t.fqm, np.stack([c[a[pa]], c[pb]], axis=1))
             hit = np.flatnonzero(joint == wt[a[pa]])
             if hit.size:
                 i, b = a[pa[hit[0]]], pb[hit[0]]  # the first pair (a, b) in row-major order
@@ -364,8 +362,8 @@ def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:
     if any(C.lengths[perm[i]] != C.lengths[i] for i in range(C.t)):
         raise LengthProfileBroken("permutation must preserve the length profile")
     scalars = [code_of(a) for a in scalars]
-    if len(scalars) != C.t or not all(0 < a < t.order for a in scalars):
-        raise BadParameters(f"need t nonzero scalars, codes in [1, {t.order})")
+    if len(scalars) != C.t or len(matrices) != C.t or not all(0 < a < t.order for a in scalars):
+        raise BadParameters(f"need t block matrices and t nonzero scalars, codes in [1, {t.order})")
     blocks = []
     for i in range(C.t):
         M = np.asarray(matrices[i])  # checked before the int32 cast, which would truncate, wrap or overflow

@@ -453,7 +453,7 @@ def test_point_dims_match_member_linear_sets(key, seed):
 
 
 def matmul_block_digits(tower, X, blocks):
-    """The oracle of design.block_codes: an F_{q^m} product per block, split into F_q digits."""
+    """The oracle of linalg.block_codes: an F_{q^m} product per block, split into F_q digits."""
     rows = X.reshape(-1, X.shape[-1])
     return [tower.fqm.to_digits(linalg.matmul(tower.fqm, rows, G)).reshape(*X.shape[:-1], G.shape[1], tower.m)
             for G in blocks]
@@ -467,10 +467,10 @@ def test_block_digits_match_matmul_oracle(key, seed):
     k = int(rng.integers(1, 5))
     blocks = [rng.integers(0, t.order, (k, n)).astype(DTYPE) for n in (int(rng.integers(1, 6)), 0)]
     blocks[0][:, rng.integers(0, blocks[0].shape[1])] = 0  # a zero column
-    tables = de.digit_tables(t, blocks)
+    tables = linalg.digit_tables(t.fqm, blocks)
     for shape in [(int(rng.integers(0, 40)), k), (int(rng.integers(0, 6)), 3, k), (k,)]:
         X = rng.integers(0, t.order, shape).astype(DTYPE)
-        for got, want in zip(de.block_codes(t, X, tables), matmul_block_digits(t, X, blocks), strict=True):
+        for got, want in zip(linalg.block_codes(t.fqm, X, tables), matmul_block_digits(t, X, blocks), strict=True):
             assert got.dtype == DTYPE and np.array_equal(t.fqm.to_digits(got), want)
 
 
@@ -479,12 +479,12 @@ def test_block_codes_of_the_big_fields_design():
     # base-3 places of a code reduce in two chunks of four
     D = twisted_design(9, 4, 2, 2)
     t = D.ambient.tower
-    b, d, _ = linalg._carry_free(t.p, t.h * t.m, 2 * len(de._digit_groups(t)[0]))
+    b, d, _ = linalg._carry_free(t.p, t.h * t.m, 2 * len(linalg._digit_groups(t.fqm)[0]))
     assert (b, d, t.h * t.m) == (9, 4, 8)
     rng = np.random.default_rng(6561)
     X = np.vstack([hyperplane_normals(D.ambient), rng.integers(0, t.order, (500, 2))]).astype(DTYPE)
     blocks = [U.gen_block() for U in D.members]
-    for got, want in zip(de.block_codes(t, X, D.digit_tables), matmul_block_digits(t, X, blocks), strict=True):
+    for got, want in zip(linalg.block_codes(t.fqm, X, D.digit_tables), matmul_block_digits(t, X, blocks), strict=True):
         assert np.array_equal(t.fqm.to_digits(got), want)
 
 
@@ -526,8 +526,8 @@ def test_section_totals_match_looped_meets(key):
 
 def test_digit_groups_split_wide_fields():
     # F_6561 = F_9^4: 9^4 > PACKED_CAP, so its digits come in two groups of two; F_27 in one of three
-    assert de._digit_groups(make_tower(3, 2, 4))[0].tolist() == [1, 81]
-    assert de._digit_groups(make_tower(3, 1, 3))[0].tolist() == [1]
+    assert linalg._digit_groups(make_tower(3, 2, 4).fqm)[0].tolist() == [1, 81]
+    assert linalg._digit_groups(make_tower(3, 1, 3).fqm)[0].tolist() == [1]
 
 
 def test_hyperplane_sweep_makes_no_fqm_matmul(monkeypatch):
@@ -580,11 +580,11 @@ def test_digit_table_overflow_bound_survives_python_O():
     # the certificate must refuse the tables with asserts stripped
     check = (
         "import numpy as np\n"
-        "from subdesigns import design as de\n"
+        "from subdesigns import linalg\n"
         "from subdesigns.gf import make_tower\n"
         "t = make_tower(3, 1, 3)\n"
         "t.fqm._dig = t.fqm._dig * 100\n"
-        "de.digit_tables(t, [np.ones((4, 2), dtype=np.int32)])\n"
+        "linalg.digit_tables(t.fqm, [np.ones((4, 2), dtype=np.int32)])\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
@@ -650,6 +650,7 @@ def _typed_error_calls():
         "min_distance method": (lambda: sr.min_distance(C, method="hyperplane"), BadParameters),
         "is_minimal_code method": (lambda: sr.is_minimal_code(C, method="cutting"), BadParameters),
         "isometry scalar count": (lambda: sr.apply_isometry(C, [1], [np.eye(2, dtype=int)] * 2, [0, 1]), BadParameters),
+        "isometry matrix count": (lambda: sr.apply_isometry(C, [1, 1], [np.eye(2, dtype=int)], [0, 1]), BadParameters),
         "ambient k = 0": (lambda: AmbientSpace(t, 0), DimensionMismatch),
     }
 

@@ -124,10 +124,15 @@ SAMPLED = {
 
 
 @pytest.mark.parametrize("q,m,seed,samples", list(SAMPLED))
-def test_sample_mode_pinned_draws(q, m, seed, samples):
-    report = ex.expansion_check(ex.build_expander(twisted_design(q, m, 2, 2)), 3, mode="sample", samples=samples, seed=seed)
-    got = {r: (str(data["min_ratio"]), data["witness"].tolist()) for r, data in report.per_dim.items()}
-    assert got == SAMPLED[(q, m, seed, samples)]
+def test_sample_mode_pinned_draws(q, m, seed, samples, monkeypatch):
+    # rounds of at most RREF_CHUNK draws, none past the deficit, read the same stream whatever
+    # RREF_CHUNK is: the same draws, witnesses and rng state for the next dimension
+    fam = ex.build_expander(twisted_design(q, m, 2, 2))
+    for chunk in (ex.RREF_CHUNK, 4):
+        monkeypatch.setattr(ex, "RREF_CHUNK", chunk)
+        report = ex.expansion_check(fam, 3, mode="sample", samples=samples, seed=seed)
+        got = {r: (str(data["min_ratio"]), data["witness"].tolist()) for r, data in report.per_dim.items()}
+        assert got == SAMPLED[(q, m, seed, samples)]
 
 
 def test_expander_certificate_survives_python_O():

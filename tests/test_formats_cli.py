@@ -408,13 +408,26 @@ def test_cli_expander_bad_values_are_usage_errors(tmp_path, capsys, argv, option
     (["construct", "twisted", "--q", "3", "--m", "2", "--k", "2", "--alphas", "1", "--eta", "1,2"], "BadParameters"),
     (["construct", "pseudoregulus", "--q", "3", "--m", "2", "--r", "1", "--mus", "1,g"], "BadParameters"),
     (["strong", "verify", "STRONG", "--s", "0"], "DimensionMismatch"),
+    (["strong", "places", 'FILE:{"m": 3, "members": [[[1]]], "p": [1, 1, 0, 1], "zeta": 2, "k": 2}'], "FormatError"),
+    (["strong", "places", "FILE:[4, 3]"], "FormatError"),
+    (["strong", "places", 'FILE:{"q": "x", "m": 3, "members": [[[1]]], "p": [1, 1, 0, 1], "zeta": 2, "k": 2}'],
+     "FormatError"),
+    (["strong", "places", 'FILE:{"q": 4, "m": 3, "members": [[["a"]]], "p": [1, 1, 0, 1], "zeta": 2, "k": 2}'],
+     "FormatError"),
+    (["minimal", "FILE:5"], "FormatError"),
 ])
 def test_cli_bad_values_never_raise_a_traceback(tmp_path, capsys, argv, outcome):
-    # out-of-range integers are usage errors (exit 2); unparsable elements and s = 0 are error JSON
+    # out-of-range integers are usage errors (exit 2); unparsable elements, s = 0 and malformed
+    # input files (FILE:<the file's text>) are error JSON
     design, strong = tmp_path / "d.json", tmp_path / "s.json"
     design.write_text(fmt.dumps(fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))))
     strong.write_text(fmt.dumps(fmt.strong_design_to_json(sb.cameron_liebler("point_pencil", 1, 3, 2)[0])))
-    argv = [{"DESIGN": str(design), "STRONG": str(strong)}.get(a, a) for a in argv]
+    files = {"DESIGN": design, "STRONG": strong}
+    for a in argv:
+        if a.startswith("FILE:"):
+            files[a] = tmp_path / "input.json"
+            files[a].write_text(a[len("FILE:"):])
+    argv = [str(files.get(a, a)) for a in argv]
     if outcome.startswith("--"):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)

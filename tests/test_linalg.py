@@ -1,4 +1,8 @@
+import ast
+import importlib
+import inspect
 import math
+import pkgutil
 import subprocess
 import sys
 
@@ -6,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import subdesigns
 from subdesigns import linalg
+from subdesigns.errors import EnumerationCapExceeded
 from subdesigns.fieldcore import DTYPE, LAZY_CAP
 from subdesigns.gf import make_tower, small_field
 from subdesigns.subspace import gaussian_binomial
@@ -212,6 +218,62 @@ def test_rank_batch_paths_on_sweep_shapes(echelon_calls):
     M = rng.integers(0, 27, (100, 4, 4))  # F_27^4: 5^12 sum cells, past LAZY_CAP
     assert linalg.rank_batch(F27, M).tolist() == [linalg.rank(F27, X) for X in M]
     assert echelon_calls == [(100, 4, 4)]
+
+
+@pytest.mark.parametrize("key,level,c,path", [
+    ((3, 1, 3), "fq", 3, "fold"),  # the headline sections, F_3^3
+    ((3, 2, 2), "fq", 4, "packed"),  # big_fields' sections, F_9^4
+    ((3, 1, 3), "fqm", 4, None),  # F_27^4, 5^12 sum cells
+    ((3, 1, 3), "fq", 9, None),  # F_3^9, 5^9 sum cells
+    ((3, 2, 4), "fqm", 2, None),  # F_6561^2, 6561^3 scale cells
+    ((3, 1, 3), "fq", 0, "fold"),  # F_3^0
+])
+@given(st.integers(0, 10_000))
+def test_rank_codes_match_looped_rank_on_every_path(key, level, c, path, seed):
+    # rank_codes takes any F^c: stacks without rows, wide (r < c) and tall ones, on every path
+    F = getattr(make_tower(*key), level)
+    assert (linalg._span_table(F, c) is not None, linalg._packed_tables(F, c) is not None) == {
+        "fold": (True, True), "packed": (False, True), None: (False, False)}[path]
+    rng = np.random.default_rng(seed)
+    for r in sorted({0, c // 2, c, c + 2}):
+        M = rng.integers(0, F.size, (int(rng.integers(0, 6)), r, c))
+        if len(M) and r > 2:
+            M[:, 1] = M[:, 0]  # a repeated row
+            M[rng.random(len(M)) < 0.5, -1] = 0  # and a zero row
+        ranks = linalg.rank_codes(F, M @ F.size ** np.arange(c), c)
+        assert ranks.tolist() == [linalg.rank(F, X) for X in M]
+
+
+@given(st.integers(0, 10_000))
+def test_base_ranks_match_looped_rank(seed):
+    # F_3-ranks of F_27 code stacks (B, r, n), r = 0 (W = V) and empty stacks included
+    t = make_tower(3, 1, 3)
+    rng = np.random.default_rng(seed)
+    for r in range(4):
+        codes = rng.integers(0, t.order, (int(rng.integers(0, 5)), r, int(rng.integers(0, 5)))).astype(DTYPE)
+        digits = t.fqm.to_digits(codes).transpose(0, 2, 1, 3).reshape(len(codes), codes.shape[2], 3 * r)
+        assert linalg.base_ranks(t.fqm, codes).tolist() == [linalg.rank(t.fq, X) for X in digits]
+
+
+def test_row_codes_past_int64_raise_a_typed_error():
+    # 2^64 codes of F_2^64; seven rows of F_1024 codes make rows of F_2^70
+    with pytest.raises(EnumerationCapExceeded):
+        linalg.rank_codes(small_field(2), np.ones((1, 70), dtype=np.int64), 64)
+    assert linalg.rank_codes(small_field(2), np.full((1, 70), 2**62), 63).tolist() == [1]
+    with pytest.raises(EnumerationCapExceeded):
+        linalg.base_ranks(make_tower(2, 1, 10).fqm, np.ones((1, 7, 3), dtype=DTYPE))
+
+
+@pytest.mark.parametrize("name", [mod.name for mod in pkgutil.iter_modules(subdesigns.__path__) if mod.name != "linalg"])
+def test_only_linalg_reads_private_linalg_names(name):
+    # the row-code format (tables, paths, carry-free sums) stays behind linalg's public products and ranks
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"subdesigns.{name}")))
+    private = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "linalg" and node.attr.startswith("_")
+               or isinstance(node, ast.ImportFrom) and node.module == "subdesigns.linalg"
+               and any(alias.name.startswith("_") for alias in node.names)]
+    assert not private
 
 
 def looped_matmul(F, A, B):
