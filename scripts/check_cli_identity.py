@@ -75,8 +75,12 @@ for t, polys in cases:
 # or refused with EtaInNormGroup, the other constructions over several fields
 # (field-partition with k = 1 too), strong designs, one written and read back, and
 # the README's expander on its twisted q3 m3 k2 design, exhaustive to dimension 1
-# and sampled with the default seed, and the weights, cutting and msrd verbs on the
-# twisted q9 m4 k2 t2 design over F_{9^4}, which the Q^k <= 4096 filter leaves out.
+# and sampled with the default seed, the weights, cutting and msrd verbs on the
+# twisted q9 m4 k2 t2 design over F_{9^4}, which the Q^k <= 4096 filter leaves out,
+# and the cutting verb on the headline design under two seeded changes of
+# coordinates, whose first uncut hyperplanes lie in the first and the second chunk
+# of the cutting sweep (normals 254 and 383), and under a cap below its 20,440
+# hyperplanes, which it must refuse.
 TWISTED = ["construct", "twisted", "--alphas", "1", "-o", "tw.json"]
 README_D2 = ["construct", "twisted", "--q", "3", "--m", "3", "--k", "2", "--alphas", "1,2", "--eta", "0", "-o", "d2.json"]
 CONSTRUCT = ["construct", "-o", "design.json"]
@@ -84,6 +88,24 @@ CL = ["strong", "cameron-liebler", "--n", "1", "-o", "strong.json"]
 Q9M4 = ["-c", "from pathlib import Path\nfrom subdesigns import formats as fmt\n"
               "from subdesigns.repro import twisted_design\n"
               "Path('q9m4.json').write_text(fmt.dumps(fmt.design_to_json(twisted_design(9, 4, 2, 2))))\n"]
+# Writes moved.json: the headline design under v -> v g for the first invertible g of a seeded draw.
+HEADLINE_MOVED = """
+import sys
+import numpy as np
+from pathlib import Path
+from subdesigns import formats as fmt, linalg
+from subdesigns.design import SubspaceDesign
+from subdesigns.repro import glued_design
+from subdesigns.subspace import FqSubspace
+D = glued_design(3, 3, 4, 2)
+amb, F = D.ambient, D.ambient.tower.fqm
+rng = np.random.default_rng(int(sys.argv[1]))
+g = rng.integers(0, F.size, (4, 4))
+while linalg.rank(F, g) < 4:
+    g = rng.integers(0, F.size, (4, 4))
+members = [FqSubspace.from_expanded_rows(amb, amb.expand(linalg.matmul(F, amb.contract(U.basis), g))) for U in D.members]
+Path("moved.json").write_text(fmt.dumps(fmt.design_to_json(SubspaceDesign(amb, members))))
+"""
 FIXED_RUNS = [
     [TWISTED + ["--q", "3", "--m", "2", "--k", "2", "--eta", "1+y"]],
     [TWISTED + ["--q", "3", "--m", "2", "--k", "2", "--eta", "y"]],
@@ -105,6 +127,9 @@ FIXED_RUNS = [
     [README_D2, ["expander", "d2.json", "--beta", "default", "--max-dim", "1", "--target", "1/6", "2"]],
     [README_D2, ["expander", "d2.json", "--mode", "sample"]],
     [Q9M4, ["weights", "q9m4.json"], ["cutting", "q9m4.json"], ["msrd", "q9m4.json"]],
+    [["-c", HEADLINE_MOVED, "1"], ["cutting", "moved.json"]],
+    [["-c", HEADLINE_MOVED, "2"], ["cutting", "moved.json"]],
+    [["-c", HEADLINE_MOVED, "1"], ["--cap", "20439", "cutting", "moved.json"]],
 ]
 
 

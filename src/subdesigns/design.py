@@ -11,11 +11,14 @@ for the Ext points.  At s = k-1 it is ``SubspaceDesign.hyperplane_dims``:
 dim_q(U_i meet x^perp) = dim U_i - rk_q(x G_i) for every member and every
 canonical normal x.  Its column sums give the (k-1)-profile, the histogram
 and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
-gives F_q-bases of the sections themselves, for the cutting test.
+gives F_q-bases of the sections themselves, eliminated over F_{q^m}, for
+the cutting test, which walks the normals in chunks and stops once it
+knows its answer.
 Every other s reads the same identity off a closed-form basis X of W^perp:
 dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The codes of X G_i are
 ``linalg.block_codes`` of tables built once per design or code
-(``digit_tables``), and their F_q-ranks are ``linalg.base_ranks``.
+(``digit_tables``), and their F_q-ranks are ``linalg.base_ranks``, both
+run in ``linalg.chunks``.
 ``SubspaceDesign.span_dim`` is computed once per design object, like the
 point and hyperplane arrays.
 """
@@ -162,32 +165,39 @@ def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
     """dim_q(U_i meet X_b^perp) = dim U_i - rk_q(X_b G_i) for a stack X (B, r, k), shape (t, B).
 
     Row j of member i's F_q matrix (dim U_i, r m) holds the digits of
-    x_l . u_j for every row x_l of X_b.
+    x_l . u_j for every row x_l of X_b.  The stack runs in linalg.chunks
+    sized by the largest member's matrices, so that the temporaries of a
+    long sweep stay small and are reused, not re-faulted.
     """
     F = D.ambient.tower.fqm
-    return np.array([U.dim - linalg.base_ranks(F, codes)
-                     for U, codes in zip(D.members, linalg.block_codes(F, X, D.digit_tables))])
+    B, r = X.shape[:2]
+    dims = np.empty((D.t, B), dtype=np.int64)
+    for part in linalg.chunks(B, r * F.degree * max(D.dims)):
+        for i, codes in enumerate(linalg.block_codes(F, X[part], D.digit_tables)):
+            dims[i, part] = D.members[i].dim - linalg.base_ranks(F, codes)
+    return dims
 
 
 def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
     """F_q-bases of the sections U_i meet x^perp as F_{q^m}-rows, shape (B, sum_i dim U_i, k).
 
-    Per member, the rows [F_q digits of x u_j | u_j] over its basis u_j are
-    eliminated on their m digit columns for all normals at once.  The rows
-    left without a pivot there have x u = 0, and as the rows stay
-    independent their right parts are a basis of the section; the other
-    rows are zero.  The F_{q^m}-rank of spans[b] is the dimension of the
-    span of the sections.
+    Per member, the rows [F_q digits of x u_j | u_j] over its basis u_j,
+    with u_j as F_{q^m} codes, are eliminated over F_{q^m} on their m digit
+    columns for all normals at once.  The digits are the F_{q^m} codes
+    below q, so every multiplier lies in F_q and each row stays an F_q
+    combination of the [x u_j | u_j].  The rows left without a pivot there
+    have x u = 0, and as the rows stay independent their right parts are
+    a basis of the section; the other rows are zero.  The F_{q^m}-rank of
+    spans[b] is the dimension of the span of the sections.
     """
     amb = D.ambient
-    m = amb.tower.m
+    F, m = amb.tower.fqm, amb.tower.m
     spans = []
-    for U, codes in zip(D.members, linalg.block_codes(amb.tower.fqm, normals, D.digit_tables)):
-        digits = amb.tower.fqm.to_digits(codes)  # (B, dim U, m)
-        rows = np.concatenate([digits, np.broadcast_to(U.basis, (*codes.shape, amb.n_fq))], axis=2)
-        E, lead = linalg.echelon_batch(amb.tower.fq, rows, stop=m)
+    for U, codes in zip(D.members, linalg.block_codes(F, normals, D.digit_tables)):
+        basis = np.broadcast_to(amb.contract(U.basis), (*codes.shape, amb.k))
+        E, lead = linalg.echelon_batch(F, np.concatenate([F.to_digits(codes), basis], axis=2), stop=m)
         spans.append(np.where((lead >= m)[:, :, None], E[:, :, m:], 0))
-    return amb.contract(np.concatenate(spans, axis=1))
+    return np.concatenate(spans, axis=1)
 
 
 def hyperplane_profile_sums(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
@@ -653,27 +663,43 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     Also reports whether the total section dimension is constant across
     hyperplanes (a sufficient condition, cross-checked when it holds).
     The witness, when any, is the first violating hyperplane in
-    enumeration order.  The report is built once per design object, next
-    to its hyperplane sections, with the cap checked on every call.
+    enumeration order.  The normals go in CUTTING_CHUNK chunks, with the
+    section dims of each read off the design's hyperplane_dims when it
+    has them, else swept for the chunk alone, and the walk stops once it
+    holds a witness and two different totals.  A walk to the end keeps
+    its dims as the design's hyperplane_dims.  The report is built once
+    per design object, with the cap checked on every call.
     """
     amb = D.ambient
-    sums = D.hyperplane_dims(cap).sum(axis=0)
+    check_cap(subspace_count(amb, 1), cap, "hyperplanes")
     if D._cutting is None:
         normals = hyperplane_normals(amb)
-        witness = None
+        cached = D._hyperplane_dims
+        chunks, witness, constant = [], None, True
         for lo in range(0, len(normals), CUTTING_CHUNK):
-            ranks = linalg.rank_batch(amb.tower.fqm, section_spans(D, normals[lo : lo + CUTTING_CHUNK]))
-            bad = np.nonzero(ranks != amb.k - 1)[0]
-            if bad.size:  # the first violating normal keeps enumeration order
-                witness = hyperplane_subspace(amb, normals[lo + int(bad[0])])
+            part = normals[lo : lo + CUTTING_CHUNK]
+            chunks.append(section_dims(D, part[:, None]) if cached is None else cached[:, lo : lo + CUTTING_CHUNK])
+            sums = chunks[-1].sum(axis=0)
+            if not lo:
+                first = int(sums[0])
+            constant = constant and bool((sums == first).all())
+            if witness is None:
+                ranks = linalg.rank_batch(amb.tower.fqm, section_spans(D, part))
+                bad = np.nonzero(ranks != amb.k - 1)[0]
+                if bad.size:  # the first violating normal keeps enumeration order
+                    witness = hyperplane_subspace(amb, part[int(bad[0])])
+            if witness is not None and not constant:
                 break
-        constant = len(np.unique(sums)) == 1
-        if constant and sums[0] > 0:
+        else:  # a walk to the end swept every normal: one sweep per design
+            if cached is None:
+                D._hyperplane_dims = np.concatenate(chunks, axis=1)
+                D._hyperplane_dims.flags.writeable = False
+        if constant and first > 0:
             certify(witness is None, "constant positive intersection must imply cutting")
         D._cutting = CuttingReport(
             cutting=witness is None,
             witness=witness,
             intersection_constant=constant,
-            constant_value=int(sums[0]) if constant else None,
+            constant_value=first if constant else None,
         )
     return D._cutting

@@ -7,21 +7,25 @@ little-endian base-B digit string of the coordinate vector in the power
 basis 1, y, ..., y^(n-1) of the extension generator y.
 
 Multiplication and inversion go through discrete-log tables (a^-1 is
-g^((Q-1) - log a)), addition through digit decomposition.  The log/exp
-tables are built on whole code arrays: a gather table for c -> y*c (a
-digit shift and one fold of the modulus) gives, by Horner's rule, the
-table c -> g*c of each candidate g, and pointer doubling walks 1, g,
-g^2, ... through it.  The primitive element is the smallest code whose
-walk returns to 1 after exactly Q - 1 steps, which also certifies exp as
-a bijection onto the nonzero codes.  Fields of at most ``FULL_TABLE_CAP``
-elements additionally carry full Q x Q add/mul tables so that scalar
-work is a single numpy gather.  All operations accept plain ints or
-numpy integer arrays of codes.
+g^((Q-1) - log a)).  The log/exp tables are built on whole code arrays,
+adding digit by digit: a gather table for c -> y*c (a digit shift and one
+fold of the modulus) gives, by Horner's rule, the table c -> g*c of each
+candidate g, and pointer doubling walks 1, g, g^2, ... through it.  The
+primitive element is the smallest code whose walk returns to 1 after
+exactly Q - 1 steps, which also certifies exp as a bijection onto the
+nonzero codes.  Fields of at most ``FULL_TABLE_CAP`` elements
+additionally carry full Q x Q add/mul tables so that scalar work is a
+single numpy gather.  All operations accept plain ints or numpy integer
+arrays of codes.
 
-Every field also has a Zech table Z(n) = log(1 + g^n), built and
-certified on first use (``SmallField.zech``), so that a scalar sum is
-a + b = g^(log a + Z(log b - log a)): three lookups on plain ints, with
-no digit expansion.  ``skewpoly`` adds coefficients this way.
+Every field also has a Zech table Z(n) = log(1 + g^n), built from the
+digit sum and certified on first use (``SmallField.zech``), so that
+a + b = g^(log a + Z(log b - log a)) for nonzero a, b: three lookups,
+with no digit expansion.  Extension fields above ``FULL_TABLE_CAP`` add
+this way, and ``skewpoly`` adds its coefficients this way on plain ints.
+Fields above ``FULL_TABLE_CAP`` multiply through a second log/exp pair
+whose log of 0 points past every sum of two logs, into a run of zeros of
+exp, so a product is two gathers and a sum with no zero mask.
 
 Nothing here knows about towers or subspaces; see ``gf`` for the
 two-level tower used by the rest of the library.
@@ -38,7 +42,7 @@ import numpy as np
 from subdesigns.errors import DivisionByZero, NotIrreducible, certify
 
 # Full Q x Q tables are built below this size; larger fields use log/exp
-# plus digitwise addition.  Fields beyond LAZY_CAP refuse arithmetic.
+# and Zech tables.  Fields beyond LAZY_CAP refuse arithmetic.
 FULL_TABLE_CAP = 2048
 LAZY_CAP = 1 << 20
 # Codes per slice when a table is built over every code; bounds the
@@ -131,7 +135,7 @@ class SmallField:
         B, n = self.base.size, self.degree
         low = self.base.neg(np.array(self.modulus[:-1]))
         fold = self._encode_digits(self.base.mul(np.arange(B)[:, None], low[None, :]))
-        return self._over_codes(lambda c: self.add((c % B ** (n - 1)) * B, fold[self._dig[c, -1]]))
+        return self._over_codes(lambda c: self._digit_sum((c % B ** (n - 1)) * B, fold[self._dig[c, -1]]))
 
     def _step_table(self, g: int, times_y: np.ndarray | None) -> np.ndarray:
         """Gather table c -> g*c: g's digit polynomial at times_y by Horner's rule."""
@@ -142,7 +146,7 @@ class SmallField:
             for d in reversed(digits[:-1]):
                 acc = times_y[acc]
                 if d:
-                    acc = self.add(acc, self._scale(d, c))
+                    acc = self._digit_sum(acc, self._scale(d, c))
             return acc
 
         return self._over_codes(step)
@@ -169,7 +173,7 @@ class SmallField:
         n = self.size - 1
 
         def log_one_plus(e):
-            s = self.add(1, self._exp[e])
+            s = self._digit_sum(1, self._exp[e])
             return np.where(s == 0, -1, self._log[s])
 
         def breaks_symmetry(e):
@@ -194,12 +198,27 @@ class SmallField:
 
     # -- arithmetic (ints or arrays of codes) ---------------------------------
 
-    def add(self, a, b):
+    def _digit_sum(self, a, b):
+        """a + b coordinate by coordinate, the sum the log and Zech tables are built on."""
         if self._add_table is not None:
             return self._add_table[a, b]
         if self.base is None:
             return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
         return self._encode_digits(self.base.add(self._dig[a], self._dig[b]))
+
+    def add(self, a, b):
+        if self._add_table is not None or self.base is None:
+            return self._digit_sum(a, b)
+        # g^la + g^lb = g^(la + Z(lb - la)), 0 where Z = -1; a negative lb - la indexes Z
+        # from the end, which is Z((lb - la) mod (Q - 1)); a zero operand passes the other through
+        a, b = np.asarray(a), np.asarray(b)
+        la = self._log[a]
+        z = self.zech[self._log[b] - la]
+        out = np.asarray(self._exp[la + z])
+        np.copyto(out, 0, where=z < 0)
+        np.copyto(out, b, where=a == 0)
+        np.copyto(out, a, where=b == 0)
+        return out[()]
 
     def neg(self, a):
         return self._neg[a]
@@ -207,13 +226,20 @@ class SmallField:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    @cached_property
+    def _product_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, exp) for products with no zero mask: log 0 is 2(Q-1), past every sum of
+        two logs of nonzero codes, and exp reads 0 from there on."""
+        n = self.size - 1
+        log = self._log.astype(DTYPE)
+        log[0] = 2 * n
+        return log, np.concatenate([self._exp, np.zeros(2 * n + 1, dtype=DTYPE)])
+
     def mul(self, a, b):
         if self._mul_table is not None:
             return self._mul_table[a, b]
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        log, exp = self._product_tables
+        return exp[log[a] + log[b]]
 
     def inv(self, a):
         if not np.asarray(a).all():

@@ -12,6 +12,7 @@ load and compared against the file.
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -31,12 +32,24 @@ def dumps(obj: dict) -> str:
 # --- scalars -------------------------------------------------------------------
 
 
+def _integer(value) -> int:
+    """The int of a JSON integer or of a float with an integral value; a fraction, a bool,
+    a string or any other value is a FormatError."""
+    if type(value) is int:  # the common case, once per digit of every file
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise FormatError(f"{value!r} is not an integer")
+
+
 def _fq_from_digits(p: int, h: int, digs) -> int:
     if len(digs) != h:
         raise FormatError(f"expected {h} base-p digits")
     c = 0
     for d in reversed(list(digs)):
-        d = int(d)
+        d = _integer(d)
         if not 0 <= d < p:
             raise FormatError("digit out of range")
         c = c * p + d
@@ -49,7 +62,7 @@ def element_to_json(tower: FieldTower, code: int) -> list[list[int]]:
 
 def element_from_json(tower: FieldTower, obj) -> int:
     try:
-        return tower.code_from_coeffs(obj)
+        return tower.code_from_coeffs([[_integer(d) for d in digs] for digs in obj])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad element {obj!r}: {exc}") from exc
 
@@ -70,8 +83,8 @@ def tower_to_json(tower: FieldTower) -> dict:
 
 def tower_from_json(obj) -> FieldTower:
     try:
-        p, h, m = int(obj["p"]), int(obj["h"]), int(obj["m"])
-        fq_mod = tuple(int(c) for c in obj["fq_modulus"])
+        p, h, m = _integer(obj["p"]), _integer(obj["h"]), _integer(obj["m"])
+        fq_mod = tuple(_integer(c) for c in obj["fq_modulus"])
         fqm_mod = tuple(_fq_from_digits(p, h, digs) for digs in obj["fqm_modulus"])
         return make_tower(p, h, m, fq_modulus=fq_mod, fqm_modulus=fqm_mod)
     except (KeyError, TypeError, ValueError) as exc:
@@ -87,7 +100,7 @@ def ambient_to_json(amb: AmbientSpace) -> dict:
 
 def ambient_from_json(obj) -> AmbientSpace:
     try:
-        return AmbientSpace(tower_from_json(obj["tower"]), int(obj["k"]))
+        return AmbientSpace(tower_from_json(obj["tower"]), _integer(obj["k"]))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad ambient record: {exc}") from exc
 
@@ -159,8 +172,9 @@ def strong_design_from_json(obj) -> StrongSubspaceDesign:
 def places_from_json(obj) -> tuple:
     """(q, m, members, p, zeta, k) of a places spec, members as lists of coefficient lists."""
     try:
-        members = [[[int(cf) for cf in g] for g in gens] for gens in obj["members"]]
-        return int(obj["q"]), int(obj["m"]), members, [int(cf) for cf in obj["p"]], int(obj["zeta"]), int(obj["k"])
+        members = [[[_integer(cf) for cf in g] for g in gens] for gens in obj["members"]]
+        q, m, zeta, k = (_integer(obj[key]) for key in ("q", "m", "zeta", "k"))
+        return q, m, members, [_integer(cf) for cf in obj["p"]], zeta, k
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad places spec: {exc}") from exc
 
@@ -180,7 +194,7 @@ def code_to_json(C: SumRankCode) -> dict:
 def code_from_json(obj) -> SumRankCode:
     try:
         tower = tower_from_json(obj["tower"])
-        lengths = [int(n) for n in obj["lengths"]]
+        lengths = [_integer(n) for n in obj["lengths"]]
         G = _element_rows(obj["generator"], sum(lengths), lambda e: element_from_json(tower, e))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad code record: {exc}") from exc

@@ -14,7 +14,8 @@ F_q-coordinates.  ``block_codes`` forms the F_{q^m} codes of x G_i with
 no F_{q^m} product, from per-block ``digit_tables`` whose rows add as
 plain integers: each base-p digit has its own place of a base so large
 that no sum carries (``_carry_free``), and one table maps a sum back to
-a code.  ``base_ranks`` reads F_q-ranks off such codes.
+a code.  ``base_ranks`` reads F_q-ranks off such codes; a wide stack
+goes to rank_batch as F's digits, in one gather.
 
 Two functions choose a rank path.  ``rank_batch`` ranks digit stacks
 (B, r, c): with c the narrower side, it hands the rows' codes to
@@ -24,11 +25,11 @@ c = 12, F_3 up to 8, F_4 and F_5 up to 6, F_7 up to 5, F_8 and F_9 up
 to 4), and otherwise eliminates through ``echelon_batch``, the one
 batched elimination: table-driven elimination in the spirit of M4RI
 (Albrecht, Bard & Hart, ACM TOMS 37(1), 2010), vectorised over the batch
-instead of over bits.  ``rank_codes`` sends a wide stack (c > r) or one
-without packed tables back to digits for rank_batch; it folds the others
-through the span table of F^c where that fits ``SPAN_TABLE_CAP`` (one
-gather per row), else eliminates them as packed rows (``_packed_rank``).
-Packed rows and echelon_batch run ``RANK_CELLS`` cells at a time; a
+instead of over bits.  ``rank_codes`` sends a stack without packed
+tables back to digits for rank_batch; it folds the others through the
+span table of F^c where that fits ``SPAN_TABLE_CAP`` (one gather per
+row), else eliminates them as packed rows (``_packed_rank``).
+Packed rows and echelon_batch run in ``chunks`` of ``RANK_CELLS`` cells; a
 stack with no rows or no columns folds through the span table of F^0 to
 rank 0.
 """
@@ -43,7 +44,8 @@ import numpy as np
 from subdesigns.errors import EnumerationCapExceeded, certify
 from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField
 
-# Matrix cells per elimination chunk in rank_codes and rank_batch.
+# Matrix cells per chunk of a batched rank (``chunks``): rank_codes, rank_batch,
+# design.section_dims and the pairs test of sumrank.is_minimal_code.
 RANK_CELLS = 1 << 16
 # Largest q^w of a digit group: digit_tables holds q^w rows per coordinate and group.
 PACKED_CAP = 1 << 10
@@ -102,13 +104,13 @@ def rank_batch(F: SmallField, M: np.ndarray) -> np.ndarray:
 
 def rank_codes(F: SmallField, codes: np.ndarray, c: int) -> np.ndarray:
     """F-ranks (B,) of stacks of row codes (B, r) of F^c: the span fold, else packed rows;
-    a wide stack (c > r) or one without packed tables goes to digits for rank_batch."""
+    a stack without packed tables goes to digits for rank_batch."""
     codes = np.asarray(codes, dtype=np.intp)
     B, r = codes.shape
     if F.size**c > 1 << 63:
         raise EnumerationCapExceeded(f"F_{F.size}^{c} has {F.size}**{c} row codes, past int64")
     packed = _packed_tables(F, c)
-    if packed is None or c > r:
+    if packed is None:
         return rank_batch(F, codes[:, :, None] // F.size ** np.arange(c) % F.size)
     table = _span_table(F, c)
     if table is not None:
@@ -124,8 +126,12 @@ def base_ranks(F: SmallField, codes: np.ndarray) -> np.ndarray:
     """F_q-ranks (B,) of the matrices (n, r m) whose row j holds the F_q digits of the
     F = F_{q^m} codes (B, r, n)[b, :, j]: row j is the code sum_l codes[b, l, j] q^{ml}
     of F_q^{rm}, formed by Horner's rule from the last row.  For r = 0 there is no last
-    row, and the matrices are stacks of no rows of F_q^0, rank 0."""
+    row, and the matrices are stacks of no rows of F_q^0, rank 0.  A wide stack
+    (r m > n) goes to rank_batch as the transposes (r m, n), read off F's digit table in
+    one gather."""
     B, r, n = codes.shape
+    if r * F.degree > n:
+        return rank_batch(F.base, F.to_digits(codes).swapaxes(2, 3).reshape(B, r * F.degree, n))
     rows = codes[:, -1:]
     for l in range(r - 2, -1, -1):  # in intp, as |F|^r may pass the int32 of codes
         rows = np.multiply(rows, F.size, dtype=np.intp) + codes[:, l : l + 1]
@@ -134,13 +140,19 @@ def base_ranks(F: SmallField, codes: np.ndarray) -> np.ndarray:
     return rank_codes(F.base, rows.reshape(B, rows.shape[1] * n, order="A"), r * F.degree)
 
 
+def chunks(B: int, cells: int) -> list[slice]:
+    """Slices of a stack of B items of `cells` matrix cells each, RANK_CELLS cells (and at
+    least one item) a slice, so that a batched rank's temporaries stay small and reused."""
+    step = max(1, RANK_CELLS // max(1, cells))
+    return [slice(lo, lo + step) for lo in range(0, B, step)]
+
+
 def _by_chunks(rank, stack: np.ndarray, c: int) -> np.ndarray:
-    """rank of a stack (B, r, ...) of width c, RANK_CELLS cells at a time; no rows, rank 0."""
+    """rank of a stack (B, r, ...) of width c, a chunk at a time; no rows, rank 0."""
     B, r = stack.shape[:2]
     ranks = np.zeros(B, dtype=np.int64)
-    step = max(1, RANK_CELLS // max(1, r * c))
-    for lo in range(0, B if r else 0, step):
-        ranks[lo : lo + step] = rank(stack[lo : lo + step])
+    for part in chunks(B if r else 0, r * c):
+        ranks[part] = rank(stack[part])
     return ranks
 
 

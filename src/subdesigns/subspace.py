@@ -258,10 +258,24 @@ def canonical_point(ambient: AmbientSpace, vec) -> tuple:
 
 
 def canonical_projective_reps(Q: int, k: int) -> np.ndarray:
-    """All (Q^k-1)/(Q-1) canonical point representatives: the 1 x k RREF matrices in order."""
-    if k == 0:
-        return np.zeros((0, 0), dtype=DTYPE)
-    return np.concatenate([M[:, 0] for M, _ in rref_matrix_blocks(Q, 1, k)])
+    """All (Q^k-1)/(Q-1) canonical point representatives: the 1 x k RREF matrices in order.
+
+    The rows with pivot i form one block of Q^w rows, w = k-1-i, whose free
+    entries count up in base Q with the last one fastest, so free column
+    i+1+j holds each digit Q^(w-1-j) times in a row, the run repeated Q^j
+    times; each column is written whole, with no per-row digit arithmetic.
+    """
+    reps = np.zeros(((Q**k - 1) // (Q - 1), k), dtype=DTYPE)
+    lo = 0
+    for i in range(k):
+        w = k - 1 - i
+        block = reps[lo : lo + Q**w]
+        block[:, i] = 1
+        for j in range(w):
+            digits = np.broadcast_to(np.arange(Q, dtype=DTYPE)[:, None], (Q**j, Q, Q ** (w - 1 - j)))
+            block[:, i + 1 + j] = digits.reshape(-1)
+        lo += Q**w
+    return reps
 
 
 def hyperplane_normals(ambient: AmbientSpace) -> np.ndarray:

@@ -320,9 +320,8 @@ def is_minimal_code(
         bw = np.stack([linalg.base_ranks(t.fqm, c[:, None]) for c in codes], axis=1)  # (n, t) block weights
         wt = bw.sum(axis=1)
         n = len(reps)
-        step = max(1, linalg.RANK_CELLS // (2 * t.m * C.N * max(1, n)))  # rows a per chunk
-        for lo in range(0, n, step):
-            a = np.arange(lo, min(lo + step, n))
+        for part in linalg.chunks(n, 2 * t.m * C.N * max(1, n)):  # rows a per chunk
+            a = np.arange(n)[part]
             near = (bw[None] <= bw[a, None]).all(axis=2) & (a[:, None] != np.arange(n))
             pa, pb = np.nonzero(near)  # candidate pairs in row-major order
             joint = 0

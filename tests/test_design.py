@@ -339,6 +339,119 @@ def test_cutting_witness_matches_looped_sections():
         assert de.is_cutting(D).witness == hyperplane_subspace(amb, hyperplane_normals(amb)[b])
 
 
+def _full_sweep_report(D):
+    """Oracle: the report from every normal's span rank at once and np.unique of the totals."""
+    amb = D.ambient
+    normals = hyperplane_normals(amb)
+    sums = D.hyperplane_dims().sum(axis=0)
+    bad = np.flatnonzero(linalg.rank_batch(amb.tower.fqm, de.section_spans(D, normals)) != amb.k - 1)
+    witness = hyperplane_subspace(amb, normals[bad[0]]) if bad.size else None
+    constant = len(np.unique(sums)) == 1
+    return de.CuttingReport(witness is None, witness, constant, int(sums[0]) if constant else None)
+
+
+def _fresh(D):
+    return de.SubspaceDesign(D.ambient, D.members)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunked_cutting_matches_the_full_sweep(seed):
+    # a fresh design stops at its answer, one with cached sections reads them chunk by chunk,
+    # and both give the full sweep's witness, constancy and constant value
+    from subdesigns.repro import max1_corpus
+
+    designs = [glued_design(3, 2, 4, 2), glued_design(3, 3, 4, 2)]
+    designs += [D for _, D in max1_corpus() if D.ambient.tower.order ** D.ambient.k <= 4096]
+    for D in designs:
+        D = _moved(D, 100 * seed + D.ambient.tower.order)
+        swept = _fresh(D)
+        swept.hyperplane_dims()
+        want = _full_sweep_report(swept)
+        assert de.is_cutting(_fresh(D)) == de.is_cutting(swept) == want
+
+
+def test_cutting_stops_at_its_answer(monkeypatch):
+    # an early witness on a design with two totals: no section_dims call reaches past its chunk
+    glued = glued_design(3, 3, 4, 2)
+    D = _fresh(glued)
+    rows = []
+    dims = de.section_dims
+    monkeypatch.setattr(de, "section_dims", lambda D, X: rows.append(len(X)) or dims(D, X))
+    rep = de.is_cutting(D)
+    assert not rep.cutting and not rep.intersection_constant
+    assert rows and max(rows) <= de.CUTTING_CHUNK and sum(rows) < len(hyperplane_normals(D.ambient))
+    assert D._hyperplane_dims is None
+
+
+def test_completed_cutting_walk_caches_the_sections(monkeypatch):
+    # a cutting field partition and a design of one 0-dimensional member (constant zero totals,
+    # a witness at normal 0) walk every normal, so a later histogram makes no rank call
+    baer = _fresh(de.construct_field_partition(2, 2, 3))
+    amb = AmbientSpace(make_tower(3, 1, 2), 3)
+    empty = de.SubspaceDesign(amb, [span_fq(amb, [])])
+    reports = [de.is_cutting(baer), de.is_cutting(empty)]
+    assert reports[0] == de.CuttingReport(True, None, True, 4)
+    assert reports[1] == de.CuttingReport(False, hyperplane_subspace(amb, hyperplane_normals(amb)[0]), True, 0)
+    calls = []
+    for name in ("rank_codes", "rank_batch", "block_codes"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
+    assert de.hyperplane_weight_distribution(baer) == {4: 21}
+    assert de.hyperplane_weight_distribution(empty) == {0: len(hyperplane_normals(amb))}
+    assert calls == []
+
+
+def _fq_expanded_spans(D, normals):
+    """Oracle: the section spans eliminated over F_q on [F_q digits of x u_j | u_j expanded]."""
+    amb = D.ambient
+    m = amb.tower.m
+    spans = []
+    for U, codes in zip(D.members, linalg.block_codes(amb.tower.fqm, normals, D.digit_tables)):
+        digits = amb.tower.fqm.to_digits(codes)
+        rows = np.concatenate([digits, np.broadcast_to(U.basis, (*codes.shape, amb.n_fq))], axis=2)
+        E, lead = linalg.echelon_batch(amb.tower.fq, rows, stop=m)
+        spans.append(np.where((lead >= m)[:, :, None], E[:, :, m:], 0))
+    return amb.contract(np.concatenate(spans, axis=1))
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+def test_section_spans_match_the_fq_expanded_elimination(key):
+    # eliminated over F_{q^m} with multipliers in F_q, the spans are the same vectors, row for row
+    t = make_tower(*key)
+    k = 3 if t.order <= 64 else 2
+    amb = AmbientSpace(t, k)
+    rng = np.random.default_rng(sum(key))
+    members = [FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (n, amb.n_fq))) for n in (0, 1, t.m, amb.n_fq - 1)]
+    D = de.SubspaceDesign(amb, members)
+    normals = hyperplane_normals(amb)
+    normals = normals[rng.choice(len(normals), min(len(normals), 300), replace=False)]
+    spans = de.section_spans(D, normals)
+    assert spans.shape == (len(normals), D.total_dim, k)
+    assert np.array_equal(spans, _fq_expanded_spans(D, normals))
+
+
+@pytest.mark.parametrize("cells", [1, 150, 300, 690, 1095, 1 << 16])
+def test_section_dims_in_chunks_match_one_shot(monkeypatch, cells):
+    # chunks of one matrix stack, chunk ends inside and at the end of the 73 normals and the 23
+    # stacks of two rows (r m max_i dim U_i = 15 or 30 cells per stack), 0-dimensional members,
+    # and stacks with no matrices or no rows
+    t = make_tower(2, 1, 3)
+    amb = AmbientSpace(t, 3)
+    rng = np.random.default_rng(3)
+    members = [FqSubspace.from_expanded_rows(amb, rng.integers(0, 2, (n, 9))) for n in (0, 2, 5)]
+    D = de.SubspaceDesign(amb, members)
+    assert D.dims == (0, 2, 5)
+    stacks = [hyperplane_normals(amb)[:, None], rng.integers(0, 8, (23, 2, 3)),
+              np.zeros((0, 1, 3), dtype=DTYPE), np.zeros((5, 0, 3), dtype=DTYPE)]
+    monkeypatch.setattr(linalg, "RANK_CELLS", 1 << 40)
+    want = [de.section_dims(D, X) for X in stacks]
+    monkeypatch.setattr(linalg, "RANK_CELLS", cells)
+    for X, dims in zip(stacks, want):
+        got = de.section_dims(D, X)
+        assert got.shape == (3, len(X)) and got.dtype == dims.dtype and np.array_equal(got, dims)
+    assert want[3].tolist() == [[d] * 5 for d in D.dims]  # no rows: X^perp is the whole space
+
+
 def test_design_certificate_survives_python_O():
     # a maximum 1-design certificate must refuse members of the wrong dimension with asserts stripped
     check = (

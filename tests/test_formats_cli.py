@@ -40,6 +40,28 @@ def test_subspace_rows_must_be_canonical():
         fmt.design_from_json(obj)
 
 
+@pytest.mark.parametrize("fault", ["tower p", "tower p text", "fq_modulus", "fqm_modulus digit", "ambient k",
+                                   "ambient k text", "ambient k bool", "member digit", "member digit bool",
+                                   "code lengths", "generator digit"])
+def test_readers_refuse_non_integral_numbers(fault):
+    # int() would truncate 2.5 to 2, read true as 1 and "3" as 3, and so read another object;
+    # each reader refuses them instead
+    C = sr.code_from_system(pseudoregulus_design(3, 2, 1, 2))
+    design, code = fmt.design_to_json(C.design), fmt.code_to_json(C)
+    obj, read = (code, fmt.code_from_json) if fault in ("code lengths", "generator digit") else (design, fmt.design_from_json)
+    tower = design["ambient"]["tower"]
+    {"tower p": lambda: tower.update(p=3.5), "tower p text": lambda: tower.update(p=" 3 "), "fq_modulus": lambda: tower["fq_modulus"].__setitem__(0, 1.5),
+     "fqm_modulus digit": lambda: tower["fqm_modulus"][0].__setitem__(0, 2.5),
+     "ambient k": lambda: design["ambient"].update(k=2.5), "ambient k text": lambda: design["ambient"].update(k="x"),
+     "ambient k bool": lambda: design["ambient"].update(k=True),
+     "member digit": lambda: design["members"][0][0][0].__setitem__(0, 1.5),
+     "member digit bool": lambda: design["members"][0][0][0].__setitem__(0, True),
+     "code lengths": lambda: code["lengths"].__setitem__(0, 2.5),
+     "generator digit": lambda: code["generator"][0][0][0].__setitem__(0, 1.5)}[fault]()
+    with pytest.raises(FormatError, match="is not an integer"):
+        read(json.loads(json.dumps(obj)))
+
+
 def test_code_round_trip():
     C = sr.code_from_system(pseudoregulus_design(3, 2, 1, 2))
     blob = fmt.dumps(fmt.code_to_json(C))
@@ -399,6 +421,12 @@ def test_cli_expander_bad_values_are_usage_errors(tmp_path, capsys, argv, option
     assert option in capsys.readouterr().err
 
 
+def _design_text_with_k(k) -> str:
+    obj = fmt.design_to_json(pseudoregulus_design(3, 2, 1, 2))
+    obj["ambient"]["k"] = k
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("argv,outcome", [
     (["construct", "twisted", "--q", "3", "--m", "2", "--k", "0"], "--k"),
     (["construct", "pseudoregulus", "--q", "3", "--m", "2", "--r", "0", "--mus", "1"], "--r"),
@@ -415,6 +443,9 @@ def test_cli_expander_bad_values_are_usage_errors(tmp_path, capsys, argv, option
     (["strong", "places", 'FILE:{"q": 4, "m": 3, "members": [[["a"]]], "p": [1, 1, 0, 1], "zeta": 2, "k": 2}'],
      "FormatError"),
     (["minimal", "FILE:5"], "FormatError"),
+    (["classify", "FILE:" + _design_text_with_k(2.5)], "FormatError"),
+    (["strong", "places", 'FILE:{"q": 4, "m": 3, "members": [[[1]]], "p": [1, 1, 0, 1], "zeta": 2.7, "k": 2}'],
+     "FormatError"),
 ])
 def test_cli_bad_values_never_raise_a_traceback(tmp_path, capsys, argv, outcome):
     # out-of-range integers are usage errors (exit 2); unparsable elements, s = 0 and malformed

@@ -159,7 +159,7 @@ def test_norm_trace_nsigma_against_conjugate_loops(p, h, m):
 
 
 def test_digit_encoding_above_the_table_cap():
-    # F_6561 adds through its F_9 digits; codes are place values, for any shape
+    # F_6561 codes are place values, and its sums are the sums of its F_9 digits, for any shape
     F = make_tower(3, 2, 4).fqm
     assert F._add_table is None
     codes = np.arange(F.size)
@@ -172,6 +172,52 @@ def test_digit_encoding_above_the_table_cap():
         digits = F.base.add(F.to_digits(a), F.to_digits(b)).astype(np.int64)
         assert np.array_equal(got, sum(digits[..., i] * F.base.size**i for i in range(F.degree)))
         assert int(F.add(int(a.flat[0]), int(b.flat[0]))) == int(np.asarray(got).flat[0])
+
+
+@pytest.mark.parametrize("key", [(2, 2, 6), (3, 2, 4), (5, 1, 6), (3, 2, 5)])
+def test_zech_addition_matches_the_digit_sum(key):
+    # F_4096, F_6561, F_15625 and F_59049 add through their Zech tables: scalars, broadcast arrays,
+    # zero operands and a + (-a) = 0 against the sum of base-field digits, with int32 results
+    F = make_tower(*key).fqm
+    assert F._add_table is None and F.base is not None
+
+    def digit_sum(a, b):
+        return F.from_digits(F.base.add(F.to_digits(a), F.to_digits(b)))
+
+    rng = np.random.default_rng(F.size)
+    a, b = rng.integers(0, F.size, (6, 1)), rng.integers(0, F.size, 5)
+    a[0], b[0] = 0, 0
+    got = F.add(a, b)
+    assert got.shape == (6, 5) and got.dtype == np.int32 and np.array_equal(got, digit_sum(a, b))
+    assert not F.add(a, F.neg(a)).any() and np.array_equal(F.add(a, 0), a) and np.array_equal(F.add(0, b), b)
+    for x, y in [(0, 0), (0, 7), (7, 0), (7, int(F.neg(7))), (5, 9), (F.size - 1, F.size - 1)]:
+        s = F.add(x, y)
+        assert np.ndim(s) == 0 and s.dtype == np.int32 and int(s) == int(digit_sum(x, y))
+    codes = np.arange(F.size)
+    assert np.array_equal(F.add(codes, codes[::-1]), digit_sum(codes, codes[::-1]))
+
+
+@pytest.mark.parametrize("key", [(2, 2, 6), (3, 2, 4), (5, 1, 6), (3, 2, 5)])
+def test_log_products_match_the_masked_product(key):
+    # above the table cap a zero operand's log points into exp's zero run: products of
+    # scalars, broadcast arrays and zeros against g^(log a + log b), 0 where a or b is 0
+    F = make_tower(*key).fqm
+    assert F._mul_table is None
+
+    def masked(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return np.where((a == 0) | (b == 0), 0, F._exp[(F._log[a] + F._log[b]) % (F.size - 1)])
+
+    rng = np.random.default_rng(F.size)
+    a, b = rng.integers(0, F.size, (6, 1)), rng.integers(0, F.size, 5)
+    a[0], b[0] = 0, 0
+    got = F.mul(a, b)
+    assert got.shape == (6, 5) and got.dtype == np.int32 and np.array_equal(got, masked(a, b))
+    for x, y in [(0, 0), (0, 7), (7, 0), (1, 9), (F.size - 1, F.size - 1)]:
+        s = F.mul(x, y)
+        assert np.ndim(s) == 0 and s.dtype == np.int32 and int(s) == int(masked(x, y))
+    codes = np.arange(1, F.size)
+    assert (F.mul(codes, F.inv(codes)) == 1).all() and not F.mul(np.arange(F.size), 0).any()
 
 
 @pytest.mark.parametrize("p,h,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 1, 3), (5, 1, 2)])

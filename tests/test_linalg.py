@@ -255,13 +255,29 @@ def test_base_ranks_match_looped_rank(seed):
         assert linalg.base_ranks(t.fqm, codes).tolist() == [linalg.rank(t.fq, X) for X in digits]
 
 
+@pytest.mark.parametrize("key,shape", [((3, 1, 2), (96, 2, 3)), ((3, 1, 2), (40, 3, 2)), ((2, 1, 3), (50, 2, 5)),
+                                       ((3, 2, 4), (30, 1, 3)), ((2, 2, 2), (20, 4, 7))])
+def test_base_ranks_of_wide_stacks_match_looped_rank(key, shape):
+    # r m > n, as in pairs minimality ([x G_i | y G_i] on blocks of length n): digits for rank_batch
+    F = make_tower(*key).fqm
+    codes = np.random.default_rng(shape[0]).integers(0, F.size, shape).astype(DTYPE)
+    codes[0] = 0
+    codes[1, 1:] = codes[1, 0]  # rank at most m
+    B, r, n = shape
+    digits = F.to_digits(codes).transpose(0, 2, 1, 3).reshape(B, n, r * F.degree)
+    assert linalg.base_ranks(F, codes).tolist() == [linalg.rank(F.base, X) for X in digits]
+
+
 def test_row_codes_past_int64_raise_a_typed_error():
-    # 2^64 codes of F_2^64; seven rows of F_1024 codes make rows of F_2^70
+    # 2^64 codes of F_2^64; seven rows of F_1024 codes make 70 rows of F_2^70, while three
+    # columns of them are a wide stack, ranked as digits with no row code formed
     with pytest.raises(EnumerationCapExceeded):
         linalg.rank_codes(small_field(2), np.ones((1, 70), dtype=np.int64), 64)
     assert linalg.rank_codes(small_field(2), np.full((1, 70), 2**62), 63).tolist() == [1]
+    F = make_tower(2, 1, 10).fqm
     with pytest.raises(EnumerationCapExceeded):
-        linalg.base_ranks(make_tower(2, 1, 10).fqm, np.ones((1, 7, 3), dtype=DTYPE))
+        linalg.base_ranks(F, np.ones((1, 7, 70), dtype=DTYPE))
+    assert linalg.base_ranks(F, np.array([[[1, 2, 3]] * 7], dtype=DTYPE)).tolist() == [2]
 
 
 @pytest.mark.parametrize("name", [mod.name for mod in pkgutil.iter_modules(subdesigns.__path__) if mod.name != "linalg"])

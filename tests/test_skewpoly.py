@@ -416,12 +416,12 @@ def test_skewpoly_certificate_survives_python_O():
 
 
 def test_zech_certificate_survives_python_O():
-    # an addition that ignores its second term gives Z = 0 everywhere: no -1 slot, and Z(-n) != Z(n) - n
+    # a digit sum that ignores its second term gives Z = 0 everywhere: no -1 slot, and Z(-n) != Z(n) - n
     check = (
         "import numpy as np\n"
         "from subdesigns.gf import make_tower\n"
         "K = make_tower(3, 1, 2).fqm\n"
-        "K.add = lambda a, b: np.broadcast_arrays(a, b)[0]\n"
+        "K._digit_sum = lambda a, b: np.broadcast_arrays(a, b)[0]\n"
         "K.zech\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)

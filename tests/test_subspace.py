@@ -121,7 +121,7 @@ def test_rref_blocks_keep_enumeration_order(monkeypatch, Q, s, k, chunk):
 
 @pytest.mark.parametrize("Q,k", [(2, 1), (2, 4), (3, 3), (4, 2), (9, 3), (27, 2), (2, 14)])
 def test_projective_reps_are_the_rref_rows(Q, k):
-    # (2, 14) takes two RREF_CHUNK blocks for the pivot in column 0
+    # (2, 14) has a block of 8192 rows for the pivot in column 0, two RREF_CHUNK blocks of the oracle
     reps = subspace.canonical_projective_reps(Q, k)
     assert reps.dtype == DTYPE
     assert reps.tolist() == [M[0].tolist() for M, _ in enumerate_rref_matrices(Q, 1, k)]
