@@ -42,7 +42,7 @@ designs = [("headline glued q3 m3 k4 t2", glued_design(3, 3, 4, 2))]
 designs += [(n, D) for n, D in max1_corpus() if D.ambient.tower.order ** D.ambient.k <= 4096]
 for i, (name, D) in enumerate(designs):
     (out / f"design{i:02d}.json").write_text(fmt.dumps(fmt.design_to_json(D)))
-    print(f"design{i:02d}.json", D.ambient.k, D.ambient.tower.order ** D.ambient.k, name, sep="\\t")
+    print(f"design{i:02d}.json", D.ambient.k, D.t, D.ambient.tower.order ** D.ambient.k, name, sep="\\t")
 """
 
 # Criterion 4's seeded polynomials F over its towers, then eight over each big_fields tower with a random
@@ -80,11 +80,17 @@ for t, polys in cases:
 # and the cutting verb on the headline design under two seeded changes of
 # coordinates, whose first uncut hyperplanes lie in the first and the second chunk
 # of the cutting sweep (normals 254 and 383), and under a cap below its 20,440
-# hyperplanes, which it must refuse.
+# hyperplanes, which it must refuse; the README's design enlarged, the PG(3, 2)
+# point pencil read over the intermediate fields F_4 and F_8, and a places
+# embedding over F_{4^3}, enlarged in turn.
 TWISTED = ["construct", "twisted", "--alphas", "1", "-o", "tw.json"]
 README_D2 = ["construct", "twisted", "--q", "3", "--m", "3", "--k", "2", "--alphas", "1,2", "--eta", "0", "-o", "d2.json"]
 CONSTRUCT = ["construct", "-o", "design.json"]
 CL = ["strong", "cameron-liebler", "--n", "1", "-o", "strong.json"]
+PENCIL = CL + ["--kind", "point_pencil", "--k", "3", "--q", "2"]
+# Writes places.json: three polynomial spaces over F_4 at the place y^3 + y + 1 and its image under x -> 2x.
+PLACES = ["-c", "from pathlib import Path\nPath('places.json').write_text('{\"q\": 4, \"m\": 3, \"zeta\": 2, \"k\": 2, '\n"
+                "'\"p\": [1, 1, 0, 1], \"members\": [[[1], [0, 1]], [[1]], [[0, 1], [1, 0, 1]]]}')\n"]
 Q9M4 = ["-c", "from pathlib import Path\nfrom subdesigns import formats as fmt\n"
               "from subdesigns.repro import twisted_design\n"
               "Path('q9m4.json').write_text(fmt.dumps(fmt.design_to_json(twisted_design(9, 4, 2, 2))))\n"]
@@ -130,10 +136,15 @@ FIXED_RUNS = [
     [["-c", HEADLINE_MOVED, "1"], ["cutting", "moved.json"]],
     [["-c", HEADLINE_MOVED, "2"], ["cutting", "moved.json"]],
     [["-c", HEADLINE_MOVED, "1"], ["--cap", "20439", "cutting", "moved.json"]],
+    [README_D2, ["construct", "enlarge", "d2.json", "--s", "1", "--increments", "1,0", "-o", "enlarged.json"]],
+    [PENCIL, ["strong", "intermediate", "strong.json", "--c", "2", "--s", "1", "-o", "intermediate.json"]],
+    [PENCIL, ["strong", "intermediate", "strong.json", "--c", "3", "--s", "2", "--A", "8", "-o", "intermediate.json"]],
+    [PLACES, ["strong", "places", "places.json", "-o", "embedded.json"],
+     ["construct", "enlarge", "embedded.json", "--s", "1", "--increments", "1,0,2", "-o", "enlarged.json"]],
 ]
 
 
-def verbs(design: str, k: int, size: int) -> list[list[list[str]]]:
+def verbs(design: str, k: int, t: int, size: int) -> list[list[list[str]]]:
     """The CLI runs for one design, each a list of steps; file arguments are relative to the run's directory."""
     runs = [
         [["weights", design, "--hist-csv", "hist.csv", "--enumerator-csv", "enum.csv"]],
@@ -145,6 +156,9 @@ def verbs(design: str, k: int, size: int) -> list[list[list[str]]]:
         [["minimal", design, "--method", "pairs"]],
         [["construct", "direct-sum", design, design, "-o", "sum.json"]],
         [["dual", "ordinary", design, "--s", "1", "--A", "1", "-o", "dual.json"]],
+        [["dual", "delsarte", design, "-o", "delsarte.json"]],
+        [["construct", "enlarge", design, "--s", "1", "--increments", ",".join(["1"] + ["0"] * (t - 1)),
+          "-o", "enlarged.json"]],
     ]
     if size <= 256:
         runs.append([["srg", design, "--verify-graph", "--dot", "graph.dot"]])
@@ -181,9 +195,9 @@ def main() -> int:
                 for j, steps in enumerate(FIXED_RUNS)]
         jobs.append(("sigma-polynomial values", "sigma", [["-c", SIGMA_VALUES]]))
         for line in listing.splitlines():
-            name, k, size, label = line.split("\t")
+            name, k, t, size, label = line.split("\t")
             path = str(tmp / name)
-            for j, steps in enumerate(verbs(path, int(k), int(size))):
+            for j, steps in enumerate(verbs(path, int(k), int(t), int(size))):
                 title = " then ".join(" ".join(a for a in argv if a != path) for argv in steps)
                 jobs.append((f"{label}: {title}", f"{name}-{j:02d}", steps))
 

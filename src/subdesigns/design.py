@@ -15,10 +15,10 @@ gives F_q-bases of the sections themselves, eliminated over F_{q^m}, for
 the cutting test, which walks the normals in chunks and stops once it
 knows its answer.
 Every other s reads the same identity off a closed-form basis X of W^perp:
-dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The codes of X G_i are
-``linalg.block_codes`` of tables built once per design or code
-(``digit_tables``), and their F_q-ranks are ``linalg.base_ranks``, both
-run in ``linalg.chunks``.
+dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The ranks rk_q(X G_i) are
+``linalg.block_ranks`` of tables built once per design or code
+(``digit_tables``), run in ``linalg.chunks``; a code's weights are the
+same sweep.
 ``SubspaceDesign.span_dim`` is computed once per design object, like the
 point and hyperplane arrays.
 """
@@ -60,7 +60,6 @@ from subdesigns.subspace import (
     check_cap,
     enumerate_fqm_subspaces,
     fqm_subspace_blocks,
-    hyperplane_normals,
     hyperplane_subspace,
     linear_set,
     ordinary_dual,
@@ -130,10 +129,10 @@ class SubspaceDesign:
 
     def hyperplane_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """dim_q(U_i meet x^perp), shape (t, #H), rows in member order, columns in
-        hyperplane_normals order; built once, with the cap checked on every call."""
+        AmbientSpace.normals order; built once, with the cap checked on every call."""
         check_cap(subspace_count(self.ambient, 1), cap, "hyperplanes")
         if self._hyperplane_dims is None:
-            self._hyperplane_dims = section_dims(self, hyperplane_normals(self.ambient)[:, None])
+            self._hyperplane_dims = section_dims(self, self.ambient.normals[:, None])
             self._hyperplane_dims.flags.writeable = False
         return self._hyperplane_dims
 
@@ -162,20 +161,10 @@ def _point_sort_key(point: tuple) -> tuple:
 
 
 def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
-    """dim_q(U_i meet X_b^perp) = dim U_i - rk_q(X_b G_i) for a stack X (B, r, k), shape (t, B).
-
-    Row j of member i's F_q matrix (dim U_i, r m) holds the digits of
-    x_l . u_j for every row x_l of X_b.  The stack runs in linalg.chunks
-    sized by the largest member's matrices, so that the temporaries of a
-    long sweep stay small and are reused, not re-faulted.
-    """
-    F = D.ambient.tower.fqm
-    B, r = X.shape[:2]
-    dims = np.empty((D.t, B), dtype=np.int64)
-    for part in linalg.chunks(B, r * F.degree * max(D.dims)):
-        for i, codes in enumerate(linalg.block_codes(F, X[part], D.digit_tables)):
-            dims[i, part] = D.members[i].dim - linalg.base_ranks(F, codes)
-    return dims
+    """dim_q(U_i meet X_b^perp) = dim U_i - rk_q(X_b G_i) for a stack X (B, r, k), shape (t, B):
+    row j of member i's F_q matrix (dim U_i, r m) holds the digits of x_l . u_j for every
+    row x_l of X_b (linalg.block_ranks)."""
+    return np.array(D.dims)[:, None] - linalg.block_ranks(D.ambient.tower.fqm, X, D.digit_tables)
 
 
 def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
@@ -201,7 +190,7 @@ def section_spans(D: SubspaceDesign, normals: np.ndarray) -> np.ndarray:
 
 
 def hyperplane_profile_sums(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """sum_i dim_q(U_i meet H) for every hyperplane, aligned with hyperplane_normals."""
+    """sum_i dim_q(U_i meet H) for every hyperplane, aligned with AmbientSpace.normals."""
     return D.hyperplane_dims(cap).sum(axis=0)
 
 
@@ -248,7 +237,7 @@ def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERAT
         sums = D.hyperplane_dims(cap).sum(axis=0)
         idx = int(np.argmax(sums))  # the first maximum keeps enumeration order
         best = int(sums[idx])
-        witness = hyperplane_subspace(amb, hyperplane_normals(amb)[idx])
+        witness = hyperplane_subspace(amb, amb.normals[idx])
     else:
         best, witness = _profile_sections(D, s, cap)
     if span >= s:
@@ -546,7 +535,6 @@ def enlarge(
     D: SubspaceDesign,
     s: int,
     increments,
-    profile: DesignProfile | None = None,
     cap: int | None = DEFAULT_ENUMERATION_CAP,
 ) -> SubspaceDesign:
     """Grow members by deterministic extra vectors; (s, A) becomes (s, A + sum j_i)."""
@@ -557,8 +545,7 @@ def enlarge(
         raise BadParameters("one increment per member")
     if any(j < 0 or j > amb.n_fq - U.dim for j, U in zip(increments, D.members)):
         raise IncrementTooLarge("increments must fit inside the ambient dimension")
-    if profile is None:
-        profile = design_profile(D, s, cap=cap)
+    profile = design_profile(D, s, cap=cap)
     members = []
     for U, j in zip(D.members, increments):
         basis = U.basis
@@ -673,7 +660,7 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     amb = D.ambient
     check_cap(subspace_count(amb, 1), cap, "hyperplanes")
     if D._cutting is None:
-        normals = hyperplane_normals(amb)
+        normals = amb.normals
         cached = D._hyperplane_dims
         chunks, witness, constant = [], None, True
         for lo in range(0, len(normals), CUTTING_CHUNK):

@@ -13,19 +13,22 @@ fold of the modulus) gives, by Horner's rule, the table c -> g*c of each
 candidate g, and pointer doubling walks 1, g, g^2, ... through it.  The
 primitive element is the smallest code whose walk returns to 1 after
 exactly Q - 1 steps, which also certifies exp as a bijection onto the
-nonzero codes.  Fields of at most ``FULL_TABLE_CAP`` elements
-additionally carry full Q x Q add/mul tables so that scalar work is a
-single numpy gather.  All operations accept plain ints or numpy integer
+nonzero codes.  All operations accept plain ints or numpy integer
 arrays of codes.
 
 Every field also has a Zech table Z(n) = log(1 + g^n), built from the
-digit sum and certified on first use (``SmallField.zech``), so that
+digit sum and certified when first read (``SmallField.zech``), so that
 a + b = g^(log a + Z(log b - log a)) for nonzero a, b: three lookups,
-with no digit expansion.  Extension fields above ``FULL_TABLE_CAP`` add
-this way, and ``skewpoly`` adds its coefficients this way on plain ints.
-Fields above ``FULL_TABLE_CAP`` multiply through a second log/exp pair
-whose log of 0 points past every sum of two logs, into a run of zeros of
-exp, so a product is two gathers and a sum with no zero mask.
+with no digit expansion.  Extension fields add this way (prime fields
+add residues), and ``skewpoly`` adds its coefficients this way on plain
+ints.  Products go through a second log/exp pair whose log of 0 points
+past every sum of two logs, into a run of zeros of exp, so a product is
+two gathers and a sum with no zero mask.  Fields of at most
+``FULL_TABLE_CAP`` elements additionally carry full Q x Q add/mul tables,
+so that scalar work is a single numpy gather: built right after the
+log/exp tables from those sums and products, a slice of rows of about
+``TABLE_CHUNK`` cells at a time, so an extension field's Zech table is
+built and certified at construction.
 
 Nothing here knows about towers or subspaces; see ``gf`` for the
 two-level tower used by the rest of the library.
@@ -45,8 +48,8 @@ from subdesigns.errors import DivisionByZero, NotIrreducible, certify
 # and Zech tables.  Fields beyond LAZY_CAP refuse arithmetic.
 FULL_TABLE_CAP = 2048
 LAZY_CAP = 1 << 20
-# Codes per slice when a table is built over every code; bounds the
-# (slice, degree) digit temporaries of the log/exp bootstrap.
+# Codes per slice when a table is built over every code, and cells per slice of
+# rows of the add/mul tables; bounds the temporaries of the table builds.
 TABLE_CHUNK = 1 << 15
 
 DTYPE = np.int32
@@ -97,22 +100,12 @@ class SmallField:
         self._neg = self._encode_digits(-self._dig % B if self.base is None else self.base.neg(self._dig))
 
         self._add_table = self._mul_table = None
-        if Q <= FULL_TABLE_CAP:
-            a = np.arange(Q, dtype=DTYPE)
-            if self.base is None:
-                self._add_table = ((a[:, None] + a[None, :]) % self.p).astype(DTYPE)
-            else:
-                ds = self.base.add(self._dig[:, None, :], self._dig[None, :, :])
-                self._add_table = self._encode_digits(ds)
-
         self._exp, self._log = self._build_log_tables()
-
-        if Q <= FULL_TABLE_CAP:
-            ls = self._log[:, None] + self._log[None, :]
-            mt = self._exp[ls]
-            mt[0, :] = 0
-            mt[:, 0] = 0
-            self._mul_table = mt.astype(DTYPE)
+        if Q <= FULL_TABLE_CAP:  # rows of add and mul before the tables exist, about TABLE_CHUNK cells a slice
+            a, step = np.arange(Q), max(1, TABLE_CHUNK // Q)
+            self._add_table, self._mul_table = (
+                np.concatenate([op(a[lo : lo + step, None], a) for lo in range(0, Q, step)]).astype(DTYPE)
+                for op in (self.add, self.mul))
 
     def _encode_digits(self, digits: np.ndarray) -> np.ndarray:
         return (digits.astype(np.int64) @ self._pow).astype(DTYPE)
@@ -200,14 +193,14 @@ class SmallField:
 
     def _digit_sum(self, a, b):
         """a + b coordinate by coordinate, the sum the log and Zech tables are built on."""
-        if self._add_table is not None:
-            return self._add_table[a, b]
         if self.base is None:
             return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
         return self._encode_digits(self.base.add(self._dig[a], self._dig[b]))
 
     def add(self, a, b):
-        if self._add_table is not None or self.base is None:
+        if self._add_table is not None:
+            return self._add_table[a, b]
+        if self.base is None:
             return self._digit_sum(a, b)
         # g^la + g^lb = g^(la + Z(lb - la)), 0 where Z = -1; a negative lb - la indexes Z
         # from the end, which is Z((lb - la) mod (Q - 1)); a zero operand passes the other through

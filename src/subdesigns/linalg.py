@@ -15,7 +15,10 @@ no F_{q^m} product, from per-block ``digit_tables`` whose rows add as
 plain integers: each base-p digit has its own place of a base so large
 that no sum carries (``_carry_free``), and one table maps a sum back to
 a code.  ``base_ranks`` reads F_q-ranks off such codes; a wide stack
-goes to rank_batch as F's digits, in one gather.
+goes to rank_batch as F's digits, in one gather.  ``block_ranks`` is the
+one block-rank sweep: the F_q-ranks of X_b G_i for a stack of X_b and
+every block, block_codes then base_ranks, which the design's section
+dimensions and the code's weights both read.
 
 Two functions choose a rank path.  ``rank_batch`` ranks digit stacks
 (B, r, c): with c the narrower side, it hands the rows' codes to
@@ -29,9 +32,10 @@ instead of over bits.  ``rank_codes`` sends a stack without packed
 tables back to digits for rank_batch; it folds the others through the
 span table of F^c where that fits ``SPAN_TABLE_CAP`` (one gather per
 row), else eliminates them as packed rows (``_packed_rank``).
-Packed rows and echelon_batch run in ``chunks`` of ``RANK_CELLS`` cells; a
-stack with no rows or no columns folds through the span table of F^0 to
-rank 0.
+Packed rows, echelon_batch and block_ranks run in ``chunks`` of
+``RANK_CELLS`` cells; a stack with no rows or no columns folds through the
+span table of F^0 to rank 0.  The packed and span tables are cached per
+field and width (fields are interned, so they live as long as the field).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from subdesigns.errors import EnumerationCapExceeded, certify
 from subdesigns.fieldcore import DTYPE, LAZY_CAP, SmallField
 
 # Matrix cells per chunk of a batched rank (``chunks``): rank_codes, rank_batch,
-# design.section_dims and the pairs test of sumrank.is_minimal_code.
+# block_ranks and the pairs test of sumrank.is_minimal_code.
 RANK_CELLS = 1 << 16
 # Largest q^w of a digit group: digit_tables holds q^w rows per coordinate and group.
 PACKED_CAP = 1 << 10
@@ -201,6 +205,7 @@ def _carry_free(p: int, places: int, terms: int) -> tuple[int, int, np.ndarray]:
     return b, d, R
 
 
+@functools.cache
 def _packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...] | None:
     """(powers, sums, free, scale, negfree, inv) on the codes of F^c (as in the
     span table), or None if they exceed LAZY_CAP: the q |F|^c cells of scale
@@ -212,12 +217,9 @@ def _packed_tables(F: SmallField, c: int) -> tuple[np.ndarray, ...] | None:
     scale[a |F|^c + v] = a v, negfree[a |F|^c + v] = free[-a v], and
     inv[a] = a^-1 with inv[0] = 0.
     """
-    cache = vars(F).setdefault("_packed_tables", {})
-    if c not in cache:
-        places = c * round(math.log(F.size, F.p))
-        fits = F.size ** (c + 1) <= LAZY_CAP and (2 * F.p - 1) ** places <= LAZY_CAP
-        cache[c] = _build_packed_tables(F, c, places) if fits else None
-    return cache[c]
+    places = c * round(math.log(F.size, F.p))
+    fits = F.size ** (c + 1) <= LAZY_CAP and (2 * F.p - 1) ** places <= LAZY_CAP
+    return _build_packed_tables(F, c, places) if fits else None
 
 
 def _build_packed_tables(F: SmallField, c: int, places: int) -> tuple[np.ndarray, ...]:
@@ -237,6 +239,7 @@ def _build_packed_tables(F: SmallField, c: int, places: int) -> tuple[np.ndarray
     return powers, sums, free, scale.reshape(-1), negfree.reshape(-1), inv
 
 
+@functools.cache
 def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(T, dims) over the subspaces of F^c, or None if F^c has no packed tables
     or T would exceed SPAN_TABLE_CAP.
@@ -250,15 +253,12 @@ def _span_table(F: SmallField, c: int) -> tuple[np.ndarray, np.ndarray] | None:
     and width from the carry-free sums u + v and multiples a v of the packed
     tables.
     """
-    cache = vars(F).setdefault("_span_tables", {})
-    if c not in cache:
-        from subdesigns.subspace import gaussian_binomial  # subspace imports linalg
+    from subdesigns.subspace import gaussian_binomial  # subspace imports linalg
 
-        q = F.size
-        counts = [gaussian_binomial(c, d, q) for d in range(c + 1)]
-        too_big = _packed_tables(F, c) is None or sum(counts) * q ** (2 * c) > SPAN_TABLE_CAP
-        cache[c] = None if too_big else _build_span_table(F, c, counts)
-    return cache[c]
+    q = F.size
+    counts = [gaussian_binomial(c, d, q) for d in range(c + 1)]
+    too_big = _packed_tables(F, c) is None or sum(counts) * q ** (2 * c) > SPAN_TABLE_CAP
+    return None if too_big else _build_span_table(F, c, counts)
 
 
 def _build_span_table(F: SmallField, c: int, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -411,6 +411,18 @@ def block_codes(F: SmallField, X: np.ndarray, tables) -> list[np.ndarray]:
             y = y + sums[:, i] * F.p ** (d * i)
         out.append(y.T.reshape(*X.shape[:-1], n))
     return out
+
+
+def block_ranks(F: SmallField, X: np.ndarray, tables) -> np.ndarray:
+    """F_q-ranks (t, B) of X_b G_i over F = F_{q^m} for a stack X (B, r, k) and the
+    digit_tables of blocks G_i: block_codes, then base_ranks, in chunks sized by the
+    widest block, so that the temporaries of a long sweep stay small and are reused."""
+    B, r = X.shape[:2]
+    ranks = np.empty((len(tables), B), dtype=np.int64)
+    for part in chunks(B, r * F.degree * max(n for _, n in tables)):
+        for i, codes in enumerate(block_codes(F, X[part], tables)):
+            ranks[i, part] = base_ranks(F, codes)
+    return ranks
 
 
 def sum_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

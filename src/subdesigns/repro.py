@@ -2,13 +2,16 @@
 
 Each criterion builds its objects from scratch, recomputes the claimed
 values by enumeration, and compares exactly (all quantities here are
-integers or rationals; there are no tolerances to tune).  The functions
-return structured results so both the test suite and the CLI verb
+integers or rationals; there are no tolerances to tune).  Each criterion
+registers through the ``criterion`` decorator, which numbers it in
+definition order, times it and collects its failures into a
+``CriterionResult``, so both the test suite and the CLI verb
 ``repro paper-examples`` can consume them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -40,15 +43,27 @@ class CriterionResult:
     failures: list[str] = field(default_factory=list)
 
 
-def _result(number: int, name: str, started: float, failures: list[str], details: str) -> CriterionResult:
-    return CriterionResult(
-        number=number,
-        name=name,
-        ok=not failures,
-        details=details,
-        elapsed=perf_counter() - started,
-        failures=failures,
-    )
+ALL_CRITERIA = []
+
+
+def criterion(name: str):
+    """Register a check as the next criterion, numbered in definition order.  The check
+    appends what fails to the list it is given and returns its details; the registered
+    function takes no argument and returns the timed CriterionResult."""
+
+    def register(check):
+        number = len(ALL_CRITERIA) + 1
+
+        @functools.wraps(check)
+        def timed() -> CriterionResult:
+            started, failures = perf_counter(), []
+            details = check(failures)
+            return CriterionResult(number, name, not failures, details, perf_counter() - started, failures)
+
+        ALL_CRITERIA.append(timed)
+        return timed
+
+    return register
 
 
 # --- shared corpus builders ---------------------------------------------------------
@@ -126,10 +141,9 @@ def sigma_towers() -> list:
 # --- criteria ------------------------------------------------------------------------
 
 
-def criterion_1() -> CriterionResult:
+@criterion("headline worked example (two-weight code + SRG)")
+def criterion_1(failures: list[str]) -> str:
     """Glued q=3 t=2 k=4 m=3: enumerator, SRG tuple, sweep under 60 s."""
-    started = perf_counter()
-    failures: list[str] = []
     D = glued_design(3, 3, 4, 2)
     sweep_start = perf_counter()
     hist = de.hyperplane_weight_distribution(D)
@@ -145,14 +159,12 @@ def criterion_1() -> CriterionResult:
         failures.append(f"SRG {params.as_tuple()} != (531441, 18928, 1327, 650)")
     if sweep_elapsed >= 60.0:
         failures.append(f"sweep took {sweep_elapsed:.1f}s >= 60s")
-    return _result(1, "headline worked example (two-weight code + SRG)", started, failures,
-                   f"enumerator {enum}; SRG {params.as_tuple()}; sweeps {sweep_elapsed:.1f}s")
+    return f"enumerator {enum}; SRG {params.as_tuple()}; sweeps {sweep_elapsed:.1f}s"
 
 
-def criterion_2() -> CriterionResult:
+@criterion("h-value closed forms across the corpus")
+def criterion_2(failures: list[str]) -> str:
     """Closed-form h-values vs brute-force histograms over the whole corpus."""
-    started = perf_counter()
-    failures: list[str] = []
     checked = 0
     for name, D in max1_corpus():
         t = D.ambient.tower
@@ -169,14 +181,12 @@ def criterion_2() -> CriterionResult:
         if two_valued == saturating:
             failures.append(f"{name}: two-valued={two_valued} but t-bound saturated={saturating}")
         checked += 1
-    return _result(2, "h-value closed forms across the corpus", started, failures,
-                   f"{checked} maximum 1-designs checked")
+    return f"{checked} maximum 1-designs checked"
 
 
-def criterion_3() -> CriterionResult:
+@criterion("MSRD certification incl. duals")
+def criterion_3(failures: list[str]) -> str:
     """Singleton equality for twisted / pseudoregulus codes and their duals."""
-    started = perf_counter()
-    failures: list[str] = []
 
     cases = []
     for q in (2, 3):
@@ -217,14 +227,12 @@ def criterion_3() -> CriterionResult:
             failures.append(f"{name}: dual distance {dd} != {expect}")
         if not sr.singleton_msrd(Cd, d=dd)["is_msrd"]:
             failures.append(f"{name}: dual not MSRD")
-    return _result(3, "MSRD certification incl. duals", started, failures,
-                   f"{len(cases)} codes, {duals} nonzero duals")
+    return f"{len(cases)} codes, {duals} nonzero duals"
 
 
-def criterion_4() -> CriterionResult:
+@criterion("sigma-polynomial theorem suite")
+def criterion_4(failures: list[str]) -> str:
     """Kernel/lambda-value theorem on 200 random sigma-polynomials per tower."""
-    started = perf_counter()
-    failures: list[str] = []
     rng = np.random.default_rng(SEEDS["sigma"])
     towers = sigma_towers()
     for tower in towers:
@@ -260,14 +268,12 @@ def criterion_4() -> CriterionResult:
                 break
         if failures:
             break
-    return _result(4, "sigma-polynomial theorem suite", started, failures,
-                   f"{len(towers)} towers x 200 random polynomials")
+    return f"{len(towers)} towers x 200 random polynomials"
 
 
-def criterion_5() -> CriterionResult:
+@criterion("ordinary duality suite")
+def criterion_5(failures: list[str]) -> str:
     """Ordinary duality: involution, dimension identity, max-1 preservation."""
-    started = perf_counter()
-    failures: list[str] = []
     # exhaustive involution over every F_2-subspace of F_4^2
     t4 = make_tower(2, 1, 2)
     amb4 = sp.AmbientSpace(t4, 2)
@@ -305,14 +311,12 @@ def criterion_5() -> CriterionResult:
         duals += 1
         if Dd.dims != D.dims:
             failures.append(f"{name}: dual dims changed")
-    return _result(5, "ordinary duality suite", started, failures,
-                   f"67 exhaustive + {pairs} random pairs + {duals} max-1 duals")
+    return f"67 exhaustive + {pairs} random pairs + {duals} max-1 duals"
 
 
-def criterion_6() -> CriterionResult:
+@criterion("cutting <=> minimal")
+def criterion_6(failures: list[str]) -> str:
     """Cutting <=> minimal across the desk-scale corpus."""
-    started = perf_counter()
-    failures: list[str] = []
     corpus: list[tuple[str, de.SubspaceDesign]] = []
     for name, D in max1_corpus():
         if D.ambient.tower.order ** D.ambient.k <= 3**8:
@@ -339,13 +343,12 @@ def criterion_6() -> CriterionResult:
     pseudo = pseudoregulus_design(3, 2, 1, 2)
     if de.is_cutting(pseudo).cutting:
         failures.append("the q=3 m=2 pseudoregulus must not be cutting")
-    return _result(6, "cutting <=> minimal", started, failures, f"{checked} codes compared both ways")
+    return f"{checked} codes compared both ways"
 
 
-def criterion_7() -> CriterionResult:
+@criterion("SRG direct check")
+def criterion_7(failures: list[str]) -> str:
     """(16, 9, 4, 6) SRG from the canonical subgeometry, verified on the graph."""
-    started = perf_counter()
-    failures: list[str] = []
     t4 = make_tower(2, 1, 2)
     amb = sp.AmbientSpace(t4, 2)
     one, zero = t4.one(), t4.zero()
@@ -354,13 +357,12 @@ def criterion_7() -> CriterionResult:
     params = ha.srg_from_two_intersection(ha.ext_system(D), verify_graph=True)
     if params.as_tuple() != (16, 9, 4, 6):
         failures.append(f"params {params.as_tuple()} != (16, 9, 4, 6)")
-    return _result(7, "SRG direct check", started, failures, f"params {params.as_tuple()}, 16-vertex graph verified")
+    return f"params {params.as_tuple()}, 16-vertex graph verified"
 
 
-def criterion_8() -> CriterionResult:
+@criterion("Cameron-Liebler strong design")
+def criterion_8(failures: list[str]) -> str:
     """Cameron-Liebler point-pencil of PG(3,2): closed form A = 8 = brute force."""
-    started = perf_counter()
-    failures: list[str] = []
     S, predicted = sb.cameron_liebler("point_pencil", 1, 3, 2)
     A = sb.verify_strong(S, 2)
     if predicted["A"] != 8:
@@ -369,14 +371,12 @@ def criterion_8() -> CriterionResult:
         failures.append(f"brute force A {A} != 8")
     if S.t != 7:
         failures.append(f"pencil size {S.t} != 7")
-    return _result(8, "Cameron-Liebler strong design", started, failures,
-                   f"A={A} over 35 lines; predicted {predicted}")
+    return f"A={A} over 35 lines; predicted {predicted}"
 
 
-def criterion_9() -> CriterionResult:
+@criterion("dimension expander")
+def criterion_9(failures: list[str]) -> str:
     """q=3 m=3 k=2 t=2 expander: exhaustive dim-1 ratio >= 2 within 10 s."""
-    started = perf_counter()
-    failures: list[str] = []
     D = twisted_design(3, 3, 2, 2)
     fam = ex.build_expander(D)
     scan_start = perf_counter()
@@ -391,14 +391,12 @@ def criterion_9() -> CriterionResult:
         failures.append("verdict against (1/6, 2) target failed")
     if scan_elapsed >= 10.0:
         failures.append(f"scan took {scan_elapsed:.1f}s >= 10s")
-    return _result(9, "dimension expander", started, failures,
-                   f"min ratio {data['min_ratio']} over 364 subspaces in {scan_elapsed:.2f}s")
+    return f"min ratio {data['min_ratio']} over 364 subspaces in {scan_elapsed:.2f}s"
 
 
-def criterion_10() -> CriterionResult:
+@criterion("property suites")
+def criterion_10(failures: list[str]) -> str:
     """Property suites: s<=A, monotonicity, Grassmann, canonicality, rank identity, Singleton."""
-    started = perf_counter()
-    failures: list[str] = []
     # s <= A and monotonicity on every corpus design (generic s included)
     designs = [(n, D) for n, D in max1_corpus() if D.ambient.tower.order ** D.ambient.k <= 3**8]
     for name, D in designs:
@@ -459,29 +457,8 @@ def criterion_10() -> CriterionResult:
             failures.append(f"Singleton bound violated: {verdict}")
             break
         built += 1
-    return _result(10, "property suites", started, failures,
-                   f"{len(designs)} designs, 500 Grassmann pairs, 100 canonicality trials, {built} Singleton codes")
-
-
-ALL_CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-]
+    return f"{len(designs)} designs, 500 Grassmann pairs, 100 canonicality trials, {built} Singleton codes"
 
 
 def run(only=None) -> list[CriterionResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        number = int(fn.__name__.split("_")[1])
-        if only and number not in only:
-            continue
-        results.append(fn())
-    return results
+    return [fn() for number, fn in enumerate(ALL_CRITERIA, 1) if not only or number in only]

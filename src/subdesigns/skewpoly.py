@@ -16,7 +16,7 @@ sigma-degree, no trailing zeros; ``SigmaPoly.coeffs`` is the same data as
 a tuple).  Coefficient arithmetic reads the field's exp, log and Zech
 tables and the tower's Frobenius power table ``FieldTower.frob_powers``
 through zero-copy memoryviews, held by one ``_Algebra`` per (tower, s),
-built on first use and kept on the tower: a product is exp[log a + log b],
+built on first use and cached: a product is exp[log a + log b],
 a sum exp[log a + Z(log b - log a)] (``SmallField.zech``) and sigma^i one
 lookup, each on Python ints with no numpy call, ``SigmaPoly.evaluate``
 and the kernel ranks included.  Every composition, division, gcrd/lclm
@@ -26,6 +26,7 @@ and lambda-value is certified on the spot (``errors.certify``, which
 
 from __future__ import annotations
 
+import functools
 from math import gcd
 from typing import Sequence
 
@@ -152,6 +153,11 @@ class _Algebra:
         return list(r0), a0, b0, a1, b1
 
 
+@functools.cache
+def _algebra_of(tower: FieldTower, s: int) -> _Algebra:
+    return _Algebra(tower, s)
+
+
 class SigmaPoly:
     """Immutable sigma-polynomial; coeffs are F_{q^m} codes, trailing nonzero."""
 
@@ -218,11 +224,9 @@ class SigmaPoly:
             raise ParameterMismatch("sigma-polynomials from different algebras")
 
     def _algebra(self) -> _Algebra:
-        """The one algebra of (tower, s), held with the tower's other lazily built tables."""
-        cache = vars(self.tower).setdefault("_sigma_algebras", {})
-        if self.s not in cache:
-            cache[self.s] = _Algebra(self.tower, self.s)
-        return cache[self.s]
+        """The one algebra of (tower, s), built on first use; towers are interned, so it lives
+        as long as its tower."""
+        return _algebra_of(self.tower, self.s)
 
     def _new(self, coeffs: Sequence[int]) -> "SigmaPoly":
         return SigmaPoly(self.tower, coeffs, self.s)

@@ -7,7 +7,8 @@ fixed once and for all as 1, y, ..., y^(m-1) per coordinate block (and
 recorded as such in the serialized formats).  F_{q^m}-subspaces are RREF
 bases over the top field.  Canonical bases make equality a row-wise
 comparison.  ``linear_set`` maps each point of L_U to its weight
-dim_q(U meet P).
+dim_q(U meet P).  The hyperplane normals of V are read as
+``AmbientSpace.normals``, one read-only array per ambient.
 
 Enumeration streams are deterministic, restartable and chunkable by
 index range: pivot supports run in lexicographic order and the free
@@ -244,19 +245,6 @@ def fqm_span(U: FqSubspace) -> FqmSubspace:
     return FqmSubspace.from_rows(U.ambient, U.ambient.contract(U.basis))
 
 
-def canonical_point(ambient: AmbientSpace, vec) -> tuple:
-    """Projective representative with first nonzero coordinate 1."""
-    F = ambient.tower.fqm
-    v = np.asarray(vec, dtype=DTYPE)
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        raise ZeroSubspace("zero vector has no projective point")
-    lead = int(v[nz[0]])
-    if lead != 1:
-        v = np.asarray(F.mul(v, int(F.inv(lead))), dtype=DTYPE)
-    return tuple(int(c) for c in v)
-
-
 def canonical_projective_reps(Q: int, k: int) -> np.ndarray:
     """All (Q^k-1)/(Q-1) canonical point representatives: the 1 x k RREF matrices in order.
 
@@ -276,11 +264,6 @@ def canonical_projective_reps(Q: int, k: int) -> np.ndarray:
             block[:, i + 1 + j] = digits.reshape(-1)
         lo += Q**w
     return reps
-
-
-def hyperplane_normals(ambient: AmbientSpace) -> np.ndarray:
-    """Canonical normal vectors of all hyperplanes of V(k, q^m): one read-only array per ambient."""
-    return ambient.normals
 
 
 def hyperplane_subspace(ambient: AmbientSpace, normal) -> FqmSubspace:
@@ -387,7 +370,7 @@ def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict
     """The linear set L_U as {canonical point P: weight dim_q(U meet P)}.
 
     All nonzero vectors of U are normalised at once (first nonzero
-    coordinate 1, as canonical_point does for one vector) and counted
+    coordinate 1) and counted
     with one np.unique; points keep the order in which the vector
     enumeration first meets them.  Also checks the rank identity: summing
     (q^w - 1)/(q - 1) over the points recovers (q^n - 1)/(q - 1) for

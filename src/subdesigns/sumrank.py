@@ -7,17 +7,18 @@ code/design correspondence are `code_from_system` (columns of G_i are
 an F_q-basis of member U_i) and `system_from_code`.  Weights are always
 computable two ways - expansion ranks and hyperplane-section dimensions
 of the associated system - and the pair is certified equal wherever both
-apply.  Every expansion rank, and every comparison of supports, is a
-``linalg.base_ranks`` of the block codes ``linalg.block_codes`` forms:
-supp(y) lies in supp(x) exactly when the ranks of the blocks of x,
-stacked with those of y, sum to wt(x).
+apply.  The minimum distance and the weight spectrum scan one message
+per projective class: N minus the design's cached section totals, else
+the expansion ranks of ``linalg.block_ranks``, in chunks.  Every
+comparison of supports is a ``linalg.base_ranks`` of the block codes
+``linalg.block_codes`` forms: supp(y) lies in supp(x) exactly when the
+ranks of the blocks of x, stacked with those of y, sum to wt(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -161,8 +162,7 @@ def system_from_code(C: SumRankCode) -> SubspaceDesign:
 
 def _weights(C: SumRankCode, X: np.ndarray) -> np.ndarray:
     """Sum-rank weights (B,) of the codewords xG for the rows x of X (B, k)."""
-    F = C.tower.fqm
-    return sum(linalg.base_ranks(F, codes[:, None]) for codes in linalg.block_codes(F, X, C.digit_tables))
+    return linalg.block_ranks(C.tower.fqm, X[:, None], C.digit_tables).sum(axis=0)
 
 
 def sumrank_weight(C: SumRankCode, x) -> int:
@@ -195,26 +195,12 @@ def _class_weights(C: SumRankCode, cap: int | None) -> np.ndarray:
 
 
 def min_distance(C: SumRankCode, cap: int | None = DEFAULT_ENUMERATION_CAP, method: str = "classes") -> int:
-    """Exact minimum distance.
-
-    "classes": the least weight over projective classes of messages, from
-    ``_class_weights``.  "codewords": oracle scan of every one of the
-    q^(mk) codewords.
-    """
-    t = C.tower
+    """Exact minimum distance: the least weight over projective classes of messages, from
+    ``_class_weights``; "classes" is the one method."""
     if C.k == 0:
         raise InvalidDistance("the zero code has no minimum distance")
-    if method == "codewords":
-        check_cap(t.order**C.k, cap, "codewords")
-        best = None
-        for msg in product(range(t.order), repeat=C.k):
-            if not any(msg):
-                continue
-            w = int(_weights(C, np.array([msg], dtype=DTYPE))[0])
-            best = w if best is None else min(best, w)
-        return int(best)
     if method != "classes":
-        raise BadParameters("method must be 'classes' or 'codewords'")
+        raise BadParameters("method must be 'classes'")
     return int(_class_weights(C, cap).min())
 
 

@@ -25,3 +25,4 @@ def _run(number: int) -> repro.CriterionResult:
 def test_criterion(number):
     res = _run(number)
     assert res.ok, res.failures
+    assert res.number == number and repro.ALL_CRITERIA[number - 1].__name__ == f"criterion_{number}"

@@ -35,7 +35,6 @@ from subdesigns.subspace import (
     FqSubspace,
     enumerate_fqm_subspaces,
     fqm_dual,
-    hyperplane_normals,
     hyperplane_subspace,
     linear_set,
     meet_join,
@@ -292,7 +291,7 @@ def _first_uncut_normal(D):
     per member, span less than x^perp; None for a cutting design."""
     amb = D.ambient
     t = amb.tower
-    for b, x in enumerate(hyperplane_normals(amb)):
+    for b, x in enumerate(amb.normals):
         rows = []
         for U in D.members:
             if U.dim:
@@ -327,7 +326,7 @@ def test_cutting_witness_matches_looped_sections():
         D = _moved(glued, seed)
         b = _first_uncut_normal(D)
         rep = de.is_cutting(D)
-        assert not rep.cutting and rep.witness == hyperplane_subspace(amb, hyperplane_normals(amb)[b])
+        assert not rep.cutting and rep.witness == hyperplane_subspace(amb, amb.normals[b])
         placed.append(b)
     assert max(placed) >= de.CUTTING_CHUNK  # a witness past the first chunk of normals
     baer = de.construct_field_partition(2, 2, 3)
@@ -336,13 +335,13 @@ def test_cutting_witness_matches_looped_sections():
     U = span_fq(amb, [])
     for D in (de.SubspaceDesign(amb, [glued.members[0], U]), de.SubspaceDesign(amb, [U])):
         b = _first_uncut_normal(D)
-        assert de.is_cutting(D).witness == hyperplane_subspace(amb, hyperplane_normals(amb)[b])
+        assert de.is_cutting(D).witness == hyperplane_subspace(amb, amb.normals[b])
 
 
 def _full_sweep_report(D):
     """Oracle: the report from every normal's span rank at once and np.unique of the totals."""
     amb = D.ambient
-    normals = hyperplane_normals(amb)
+    normals = amb.normals
     sums = D.hyperplane_dims().sum(axis=0)
     bad = np.flatnonzero(linalg.rank_batch(amb.tower.fqm, de.section_spans(D, normals)) != amb.k - 1)
     witness = hyperplane_subspace(amb, normals[bad[0]]) if bad.size else None
@@ -379,7 +378,7 @@ def test_cutting_stops_at_its_answer(monkeypatch):
     monkeypatch.setattr(de, "section_dims", lambda D, X: rows.append(len(X)) or dims(D, X))
     rep = de.is_cutting(D)
     assert not rep.cutting and not rep.intersection_constant
-    assert rows and max(rows) <= de.CUTTING_CHUNK and sum(rows) < len(hyperplane_normals(D.ambient))
+    assert rows and max(rows) <= de.CUTTING_CHUNK and sum(rows) < len(D.ambient.normals)
     assert D._hyperplane_dims is None
 
 
@@ -391,13 +390,13 @@ def test_completed_cutting_walk_caches_the_sections(monkeypatch):
     empty = de.SubspaceDesign(amb, [span_fq(amb, [])])
     reports = [de.is_cutting(baer), de.is_cutting(empty)]
     assert reports[0] == de.CuttingReport(True, None, True, 4)
-    assert reports[1] == de.CuttingReport(False, hyperplane_subspace(amb, hyperplane_normals(amb)[0]), True, 0)
+    assert reports[1] == de.CuttingReport(False, hyperplane_subspace(amb, amb.normals[0]), True, 0)
     calls = []
     for name in ("rank_codes", "rank_batch", "block_codes"):
         fn = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
     assert de.hyperplane_weight_distribution(baer) == {4: 21}
-    assert de.hyperplane_weight_distribution(empty) == {0: len(hyperplane_normals(amb))}
+    assert de.hyperplane_weight_distribution(empty) == {0: len(amb.normals)}
     assert calls == []
 
 
@@ -423,7 +422,7 @@ def test_section_spans_match_the_fq_expanded_elimination(key):
     rng = np.random.default_rng(sum(key))
     members = [FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (n, amb.n_fq))) for n in (0, 1, t.m, amb.n_fq - 1)]
     D = de.SubspaceDesign(amb, members)
-    normals = hyperplane_normals(amb)
+    normals = amb.normals
     normals = normals[rng.choice(len(normals), min(len(normals), 300), replace=False)]
     spans = de.section_spans(D, normals)
     assert spans.shape == (len(normals), D.total_dim, k)
@@ -441,7 +440,7 @@ def test_section_dims_in_chunks_match_one_shot(monkeypatch, cells):
     members = [FqSubspace.from_expanded_rows(amb, rng.integers(0, 2, (n, 9))) for n in (0, 2, 5)]
     D = de.SubspaceDesign(amb, members)
     assert D.dims == (0, 2, 5)
-    stacks = [hyperplane_normals(amb)[:, None], rng.integers(0, 8, (23, 2, 3)),
+    stacks = [amb.normals[:, None], rng.integers(0, 8, (23, 2, 3)),
               np.zeros((0, 1, 3), dtype=DTYPE), np.zeros((5, 0, 3), dtype=DTYPE)]
     monkeypatch.setattr(linalg, "RANK_CELLS", 1 << 40)
     want = [de.section_dims(D, X) for X in stacks]
@@ -595,7 +594,7 @@ def test_block_codes_of_the_big_fields_design():
     b, d, _ = linalg._carry_free(t.p, t.h * t.m, 2 * len(linalg._digit_groups(t.fqm)[0]))
     assert (b, d, t.h * t.m) == (9, 4, 8)
     rng = np.random.default_rng(6561)
-    X = np.vstack([hyperplane_normals(D.ambient), rng.integers(0, t.order, (500, 2))]).astype(DTYPE)
+    X = np.vstack([D.ambient.normals, rng.integers(0, t.order, (500, 2))]).astype(DTYPE)
     blocks = [U.gen_block() for U in D.members]
     for got, want in zip(linalg.block_codes(t.fqm, X, D.digit_tables), matmul_block_digits(t, X, blocks), strict=True):
         assert np.array_equal(t.fqm.to_digits(got), want)
@@ -611,7 +610,7 @@ def test_big_fields_hyperplane_sweep_runs_on_packed_rows(monkeypatch):
     monkeypatch.setattr(linalg, "echelon_batch", lambda *args, **kw: calls.append(args) or eliminate(*args, **kw))
     dims = D.hyperplane_dims()
     assert calls == [] and dims.shape == (2, 6562)
-    normals = hyperplane_normals(D.ambient)
+    normals = D.ambient.normals
     for i in np.random.default_rng(6561).choice(len(normals), 60, replace=False):
         for U, dim in zip(D.members, dims[:, i]):
             digits = t.fqm.to_digits(linalg.matmul(t.fqm, normals[i][None], U.gen_block())[0])  # (dim U, m)
@@ -683,8 +682,8 @@ def test_hyperplane_normals_are_built_once_per_design(monkeypatch):
     de.is_cutting(D)
     prof = de.design_profile(D, 2)
     assert calls == [(27, 3)]
-    normals = hyperplane_normals(D.ambient)
-    assert normals is hyperplane_normals(D.ambient) and not normals.flags.writeable
+    normals = D.ambient.normals
+    assert normals is D.ambient.normals and not normals.flags.writeable
     assert prof.witness == hyperplane_subspace(D.ambient, normals[np.argmax(de.hyperplane_profile_sums(D))])
 
 

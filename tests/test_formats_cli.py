@@ -294,6 +294,51 @@ def test_cli_sampled_expander_checks_the_cap_before_drawing(tmp_path, capsys):
                                     "message": "30000000 sampled subspaces of dim 1 exceed cap 100"}
 
 
+def test_cli_verbs_check_their_caps_before_allocating(tmp_path, capsys):
+    # one child process limited to 2 GiB of address space runs each verb on the headline design (and
+    # strong verify on the PG(3, 2) point pencil) with a cap below its first checked count: each
+    # refuses with one line of typed-error JSON before it builds anything.  dual delsarte certifies
+    # only codes whose 20,440 classes fit the cap, so its first checked count is the dual's classes.
+    headline, strong = tmp_path / "headline.json", tmp_path / "strong.json"
+    headline.write_text(fmt.dumps(fmt.design_to_json(glued_design(3, 3, 4, 2))))
+    run_cli("strong", "cameron-liebler", "--kind", "point_pencil", "--n", "1", "--k", "3", "--q", "2",
+            "-o", str(strong))
+    capsys.readouterr()
+    h = str(headline)
+    hyperplanes, classes = "20440 hyperplanes exceed cap 10", "20440 subspaces of dim 1 exceed cap 10"
+    runs = [
+        (["profile", h, "--s", "2"], "552610 subspaces of dim 2 exceed cap 10"),
+        (["classify", h], classes),
+        (["weights", h], hyperplanes),
+        (["cutting", h], hyperplanes),
+        (["srg", h, "--verify-graph"], hyperplanes),
+        (["msrd", h], "20440 classes exceed cap 10"),
+        (["minimal", h, "--method", "geometric"], hyperplanes),
+        (["minimal", h, "--method", "pairs"], "417793600 codeword pairs exceed cap 10"),
+        (["dual", "delsarte", h], "10862674480 classes exceed cap 20440"),
+        (["strong", "verify", str(strong), "--s", "2"], "35 subspaces of dim 2 exceed cap 10"),
+    ]
+    argvs = [["--cap", "20440" if "delsarte" in argv else "10", *argv] for argv, _ in runs]
+    check = (
+        "import contextlib, io, json, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from subdesigns.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([code, out.getvalue()]))\n"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert proc.returncode == 0 and len(results) == len(runs), proc.stderr
+    for (_, message), (code, out) in zip(runs, results):
+        assert code == 1 and out.count("\n") == 1
+        assert json.loads(out) == {"error": "EnumerationCapExceeded", "message": message}
+
+
 def test_cli_missing_option_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("construct", "pseudoregulus", "--m", "2", "--r", "1", "--mus", "1")

@@ -1,9 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from subdesigns.errors import BadParameters, DivisionByZero, NotInBaseField, NotIrreducible, NotPrime, TowerMismatch
-from subdesigns.fieldcore import find_irreducible, poly_eval, poly_mod, smallest_root
+from subdesigns.fieldcore import FULL_TABLE_CAP, find_irreducible, poly_eval, poly_mod, smallest_root
 from subdesigns import gf, linalg
 from subdesigns import design as de
 from subdesigns import expander as ex
@@ -156,6 +159,60 @@ def test_norm_trace_nsigma_against_conjugate_loops(p, h, m):
             for i in range(m + 2):
                 assert t.nsigma_code(a, i, s) == acc
                 acc = int(t.fqm.mul(acc, t.frobenius_code(a, s * i)))
+
+
+# every tower the tests and repro build, 1031 as a table-sized prime and its degree-1 extension
+TABLE_TOWERS = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6), (2, 1, 10), (2, 2, 2), (2, 2, 3),
+                (2, 2, 4), (2, 2, 6), (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 2, 2),
+                (3, 2, 3), (3, 2, 4), (3, 2, 5), (5, 1, 1), (5, 1, 2), (5, 1, 3), (5, 1, 4), (5, 1, 6), (5, 2, 2),
+                (7, 1, 1), (7, 1, 2), (1031, 1, 1)]
+
+
+def broadcast_tables(F):
+    """Oracle: F's Q x Q add table as digit sums through the base field (residues in a prime
+    field) and its mul table as g^(log a + log b) with zero rows and columns, by broadcast over
+    slices of 64 rows."""
+    a = np.arange(F.size)
+    add, mul = [], []
+    for rows in np.array_split(a, -(-F.size // 64)):
+        if F.base is None:
+            add.append((rows[:, None] + a) % F.p)
+        else:
+            add.append(F.from_digits(F.base.add(F.to_digits(rows)[:, None, :], F.to_digits(a)[None, :, :])))
+        mt = F._exp[F._log[rows, None] + F._log[None, :]]
+        mt[rows == 0, :] = 0
+        mt[:, 0] = 0
+        mul.append(mt)
+    return np.concatenate(add).astype(np.int32), np.concatenate(mul).astype(np.int32)
+
+
+def test_field_tables_match_the_digit_broadcast():
+    # the add and mul tables built in row slices through add and mul are the broadcast ones, on every
+    # table field built so far in this process, including the field partitions' F_{q^(mk)}
+    for key in TABLE_TOWERS:
+        make_tower(*key)
+    for q, m, k in [(2, 2, 3), (3, 2, 3), (2, 3, 2)]:
+        construct_field_partition(q, m, k)
+    fields = [F for F in gf._FIELD_CACHE.values() if F.size <= FULL_TABLE_CAP]
+    assert {F.size for F in fields} >= {2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 243, 729, 1024, 1031}
+    for F in fields:
+        add, mul = broadcast_tables(F)
+        assert F._add_table.dtype == F._mul_table.dtype == np.int32
+        assert F._add_table.tobytes() == add.tobytes() and F._mul_table.tobytes() == mul.tobytes()
+
+
+def test_largest_table_fields_build_under_500_mib():
+    # F_2048 = F_2^11, over F_2 and as a degree-1 extension of itself, builds its tables in row
+    # slices; a (2048, 2048, 11) digit broadcast alone would need 352 MiB of the 500 MiB
+    check = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (500 << 20, 500 << 20))\n"
+        "from subdesigns.gf import make_tower\n"
+        "print([make_tower(*key).fqm._add_table.shape for key in [(2, 1, 11), (2, 11, 1)]])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[(2048, 2048), (2048, 2048)]\n"
 
 
 def test_digit_encoding_above_the_table_cap():

@@ -416,11 +416,13 @@ def test_skewpoly_certificate_survives_python_O():
 
 
 def test_zech_certificate_survives_python_O():
-    # a digit sum that ignores its second term gives Z = 0 everywhere: no -1 slot, and Z(-n) != Z(n) - n
+    # a digit sum that ignores its second term gives Z = 0 everywhere: no -1 slot, and Z(-n) != Z(n) - n;
+    # F_9 builds its Zech table for its add table at construction, so the child drops it and builds again
     check = (
         "import numpy as np\n"
         "from subdesigns.gf import make_tower\n"
         "K = make_tower(3, 1, 2).fqm\n"
+        "del K.zech\n"
         "K._digit_sum = lambda a, b: np.broadcast_arrays(a, b)[0]\n"
         "K.zech\n"
     )
@@ -447,7 +449,7 @@ def test_evaluate_matches_the_looped_sum(p, h, m, shape):
 
 
 def test_one_algebra_per_tower_and_s(monkeypatch):
-    # every operation of one (tower, s) reads one _Algebra, built on first use and kept on the tower
+    # every operation of one (tower, s) reads one _Algebra, built on first use and cached
     t = make_tower(3, 1, 4)
     F, G = SigmaPoly(t, [1, 2, 1]), SigmaPoly(t, [5, 1], s=3)
     assert F._algebra() is SigmaPoly(t, [7])._algebra() is (F + F)._algebra()

@@ -15,13 +15,11 @@ from subdesigns.subspace import (
     AmbientSpace,
     FqmSubspace,
     FqSubspace,
-    canonical_point,
     enumerate_fqm_subspaces,
     enumerate_rref_matrices,
     fqm_dual,
     fqm_span,
     gaussian_binomial,
-    hyperplane_normals,
     hyperplane_subspace,
     linear_set,
     meet_join,
@@ -131,10 +129,10 @@ def test_projective_reps_are_the_rref_rows(Q, k):
 def test_fqm_contains_matches_the_dot_product(amb9):
     # v lies in the hyperplane x^perp iff x . v = 0, for every point v and normal x of F_9^2
     F = amb9.tower.fqm
-    for x in hyperplane_normals(amb9):
+    for x in amb9.normals:
         H = hyperplane_subspace(amb9, x)
         assert H.contains([0, 0])
-        for v in hyperplane_normals(amb9):
+        for v in amb9.normals:
             assert H.contains(v) == (int(F.add(F.mul(x[0], v[0]), F.mul(x[1], v[1]))) == 0)
 
 
@@ -146,7 +144,7 @@ def test_enumeration_chunking(amb9):
 
 def test_hyperplane_sweep_agrees_with_generic(amb9):
     generic = set(enumerate_fqm_subspaces(amb9, amb9.k - 1))
-    via_normals = {hyperplane_subspace(amb9, x) for x in hyperplane_normals(amb9)}
+    via_normals = {hyperplane_subspace(amb9, x) for x in amb9.normals}
     assert generic == via_normals
 
 
@@ -162,6 +160,14 @@ def test_linear_set_examples(amb4, amb9):
     assert len(L3) == 4 and set(L3.values()) == {1}
     with pytest.raises(ZeroSubspace):
         linear_set(span_fq(amb4, []))
+
+
+def canonical_point(ambient: AmbientSpace, vec) -> tuple:
+    """Projective representative with first nonzero coordinate 1."""
+    F = ambient.tower.fqm
+    v = np.asarray(vec, dtype=DTYPE)
+    lead = int(v[np.nonzero(v)[0][0]])
+    return tuple(int(c) for c in F.mul(v, int(F.inv(lead))))
 
 
 def _looped_linear_set(U):
@@ -269,7 +275,7 @@ def test_hyperplane_meet_dim_matches_meet(amb9):
     i = amb9.tower.gen()
     U1 = span_fq(amb9, [(amb9.tower.one(), amb9.tower.one()), (i, frobenius(i, 1))])
     D = SubspaceDesign(amb9, [U1])
-    normals = hyperplane_normals(amb9)
+    normals = amb9.normals
     for x, dim, span in zip(normals, section_dims(D, normals[:, None])[0], section_spans(D, normals)):
         meet = meet_join(U1, hyperplane_subspace(amb9, x))[0]
         rows = span[span.any(axis=1)]

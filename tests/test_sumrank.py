@@ -38,6 +38,14 @@ def code9(pseudo9):
     return sr.code_from_system(pseudo9)
 
 
+def codeword_min_distance(C) -> int:
+    """Oracle: the least sum-rank weight over all q^(mk) - 1 nonzero codewords, each block's
+    F_q-rank that of its digit matrix by the looped linalg.rank."""
+    t = C.tower
+    return min(sum(linalg.rank(t.fq, t.fqm.to_digits(y)) for y in C.encode(msg))
+               for msg in itertools.product(range(t.order), repeat=C.k) if any(msg))
+
+
 def test_code_from_system(code9):
     assert code9.lengths == (2, 2) and code9.k == 2 and code9.non_degenerate
 
@@ -64,7 +72,7 @@ def test_degenerate_code_rejected():
     with pytest.raises(DegenerateCode):
         sr.system_from_code(C)
     # without a source design the class weights are expansion ranks, which need no system
-    assert sr.min_distance(C, method="classes") == sr.min_distance(C, method="codewords") == 1
+    assert sr.min_distance(C, method="classes") == codeword_min_distance(C) == 1
 
 
 def test_weights(code9):
@@ -109,10 +117,32 @@ def test_support_full_and_zero_blocks():
 
 
 def test_min_distance_methods_agree(code9):
-    d_h = sr.min_distance(code9, method="classes")
-    d_c = sr.min_distance(code9, method="classes")
-    d_o = sr.min_distance(code9, method="codewords")
-    assert d_h == d_c == d_o == 3
+    # the class scan against every codeword, on a design's code and on seeded codes without a design
+    assert sr.min_distance(code9) == codeword_min_distance(code9) == 3
+    rng = np.random.default_rng(25)
+    for p, h, m, k, lengths in [(2, 1, 2, 2, (2, 1)), (3, 1, 2, 2, (2, 2, 1)), (2, 1, 3, 2, (3, 1)), (2, 2, 2, 2, (2, 2))]:
+        t = make_tower(p, h, m)
+        G = rng.integers(0, t.order, (k, sum(lengths)))
+        while linalg.rank(t.fqm, G) < k:
+            G = rng.integers(0, t.order, (k, sum(lengths)))
+        C = sr.SumRankCode(t, lengths, np.split(G, np.cumsum(lengths)[:-1], axis=1))
+        assert C.design is None and sr.min_distance(C) == codeword_min_distance(C)
+    with pytest.raises(BadParameters):
+        sr.min_distance(code9, method="codewords")
+
+
+def test_class_scan_without_a_design_runs_in_chunks(monkeypatch):
+    # the 91 classes of a code over F_9 with no design go through linalg.block_ranks, whose block
+    # codes come a chunk at a time: a class has r m max(n_i) = 4 cells, so 16 a chunk for RANK_CELLS = 64
+    t = make_tower(3, 1, 2)
+    G = np.random.default_rng(91).integers(0, t.order, (3, 5))
+    C = sr.SumRankCode(t, (2, 2, 1), np.split(G, [2, 4], axis=1))
+    d = sr.min_distance(C)
+    monkeypatch.setattr(linalg, "RANK_CELLS", 64)
+    rows, block_codes = [], linalg.block_codes
+    monkeypatch.setattr(linalg, "block_codes", lambda F, X, tables: rows.append(len(X)) or block_codes(F, X, tables))
+    assert C.design is None and sr.min_distance(C) == d == codeword_min_distance(C)
+    assert sum(rows) == 91 and max(rows) == 16 == linalg.chunks(91, 1 * t.m * 2)[0].stop
 
 
 def test_min_distance_reuses_the_source_design_sections(monkeypatch):
