@@ -157,6 +157,7 @@ def verbs(design: str, k: int, t: int, size: int) -> list[list[list[str]]]:
         [["construct", "direct-sum", design, design, "-o", "sum.json"]],
         [["dual", "ordinary", design, "--s", "1", "--A", "1", "-o", "dual.json"]],
         [["dual", "delsarte", design, "-o", "delsarte.json"]],
+        [["--cap", "10", "dual", "delsarte", design, "-o", "delsarte.json"]],
         [["construct", "enlarge", design, "--s", "1", "--increments", ",".join(["1"] + ["0"] * (t - 1)),
           "-o", "enlarged.json"]],
     ]

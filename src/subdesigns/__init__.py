@@ -52,11 +52,9 @@ from subdesigns.design import (
 )
 from subdesigns.sumrank import (
     SumRankCode,
-    SumRankSupport,
     code_from_system,
     system_from_code,
     sumrank_weight,
-    support,
     min_distance,
     singleton_msrd,
     dual_code,

@@ -505,8 +505,8 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
         raise GcdViolation("subgeometry partitions need gcd(k, m) = 1")
     # locate the tower for F_q: q = p^h with our supported shapes
     p, h = prime_power(q)
-    if q ** (m * k) > LAZY_CAP:
-        raise BadParameters(f"F_{q ** (m * k)} exceeds the supported field size {LAZY_CAP}")
+    if h * m * k >= LAZY_CAP.bit_length() or q ** (m * k) > LAZY_CAP:  # as in make_tower
+        raise BadParameters(f"F_({q}^{m * k}) exceeds the supported field size {LAZY_CAP}")
     tower = make_tower(p, h, m)
     amb = AmbientSpace(tower, k)
     big = small_field(p, tower.fqm, find_irreducible(tower.fqm, k))  # codes are F_{q^m}-digit vectors

@@ -76,7 +76,9 @@ def _modulus(F: SmallField, degree: int, given, name: str) -> tuple:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, h) with q = p^h; BadParameters unless q is a prime power."""
+    """(p, h) with q = p^h; BadParameters unless q is a prime power of at most LAZY_CAP."""
+    if q > LAZY_CAP:  # before the trial division, which would run q steps on a huge prime
+        raise BadParameters(f"F_q exceeds the supported field size {LAZY_CAP}")
     for p in range(2, q + 1):
         if q % p == 0:
             h = 0
@@ -345,12 +347,12 @@ def make_tower(p: int, h: int, m: int, fq_modulus=None, fqm_modulus=None) -> Fie
     under the request and under their full defining data, so a repeated
     request builds no field.
     """
+    if h < 1 or m < 1:
+        raise BadParameters("h and m must be positive")
+    if h * m >= LAZY_CAP.bit_length() or p ** (h * m) > LAZY_CAP:  # p^(hm) >= 2^(hm): no huge power is formed
+        raise BadParameters(f"F_({p}^{h * m}) exceeds the supported field size {LAZY_CAP}")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if h < 1 or m < 1:
-        raise ValueError("h and m must be positive")
-    if p ** (h * m) > LAZY_CAP:
-        raise BadParameters(f"F_{p ** (h * m)} exceeds the supported field size {LAZY_CAP}")
     request = (p, h, m) + tuple(None if mod is None else tuple(int(c) for c in mod) for mod in (fq_modulus, fqm_modulus))
     tower = _TOWER_CACHE.get(request)
     if tower is None:

@@ -31,13 +31,14 @@ from subdesigns.errors import (
     DegreeTooLarge,
     NotAMultiple,
     NotEvasive,
+    NotInBaseField,
     NotIrreducible,
     PlacesCollide,
     SpanTooSmall,
     certify,
 )
 from subdesigns.fieldcore import DTYPE, poly_eval, poly_is_irreducible, poly_monic, poly_trim, smallest_root
-from subdesigns.gf import FieldTower, make_tower, tower_for
+from subdesigns.gf import FieldTower, code_of, make_tower, tower_for
 from subdesigns.subspace import (
     DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
@@ -164,7 +165,11 @@ def places_embed(
     t = tower
     q = t.q
     fq = t.fq
-    p_poly = poly_monic(fq, [int(cf) for cf in p_poly])
+    p_poly, zeta = [code_of(cf) for cf in p_poly], code_of(zeta)
+    V_list = [[[code_of(cf) for cf in g] for g in gens] for gens in V_list]
+    if not all(0 <= c < q for c in [*p_poly, zeta, *(cf for gens in V_list for g in gens for cf in g)]):
+        raise NotInBaseField(f"zeta and the coefficients of p and of the members must be codes of F_{q}, in [0, {q})")
+    p_poly = poly_monic(fq, p_poly)
     m = len(p_poly) - 1
     if m != t.m:
         raise BadParameters(f"p must have degree m = {t.m}")
@@ -172,13 +177,12 @@ def places_embed(
         raise BadParameters("the construction needs m <= q - 1")
     if not poly_is_irreducible(fq, p_poly):
         raise NotIrreducible("p must be irreducible over F_q")
-    zeta = int(zeta)
     if len({int(fq.pow(zeta, e)) for e in range(1, q)}) != q - 1:
         raise BadParameters("zeta must be a primitive element of F_q")
 
     places = []
     zpow = 1
-    for _ in range(k):
+    for _ in range(min(k, q)):  # tau has order q - 1: past q - 1 places they repeat
         shifted = [int(fq.mul(cf, int(fq.pow(zpow, i)))) for i, cf in enumerate(p_poly)]
         places.append(tuple(poly_monic(fq, shifted)))
         zpow = int(fq.mul(zpow, zeta))
@@ -189,7 +193,7 @@ def places_embed(
     amb = AmbientSpace(t, k)
     members = []
     for gens in V_list:
-        gens = [poly_trim([int(cf) for cf in g]) for g in gens]
+        gens = [poly_trim(g) for g in gens]
         if any(len(g) - 1 >= k * m for g in gens):
             raise DegreeTooLarge(f"polynomials must have degree < km = {k * m}")
         padded = np.array([g + [0] * (k * m - len(g)) for g in gens], dtype=DTYPE).reshape(-1, k * m)

@@ -12,12 +12,13 @@ per projective class: N minus the design's cached section totals, else
 the expansion ranks of ``linalg.block_ranks``, in chunks.  Every
 comparison of supports is a ``linalg.base_ranks`` of the block codes
 ``linalg.block_codes`` forms: supp(y) lies in supp(x) exactly when the
-ranks of the blocks of x, stacked with those of y, sum to wt(x).
+ranks of the blocks of x, stacked with those of y, sum to wt(x).  A Delsarte
+dual is always certified, its distance read off the design's own profiles:
+d(C^perp) is the least s + 1 with A_min(s) >= s + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from subdesigns import linalg
 from subdesigns.design import (
     SubspaceDesign,
+    design_profile,
     hyperplane_profile_sums,
     is_cutting,
     section_dims,
@@ -122,25 +124,6 @@ class SumRankCode:
         return [linalg.vecmat(self.tower.fqm, x, b) for b in self.blocks]
 
 
-@dataclass(frozen=True)
-class SumRankSupport:
-    """Per-block column spaces of the matrix expansion; canonical RREF bases."""
-
-    lengths: tuple[int, ...]
-    blocks: tuple[bytes, ...]
-    dims: tuple[int, ...]
-
-    def basis(self, i: int) -> np.ndarray:
-        return np.frombuffer(self.blocks[i], dtype=DTYPE).reshape(self.dims[i], self.lengths[i])
-
-    def contains(self, other: "SumRankSupport", fq) -> bool:
-        """Blockwise: does self contain other?  rk [A_i; B_i] = rk A_i in every block."""
-        return all(
-            linalg.rank(fq, np.vstack([self.basis(i), other.basis(i)])) == self.dims[i]
-            for i in range(len(self.lengths))
-        )
-
-
 def code_from_system(D: SubspaceDesign) -> SumRankCode:
     """Phi: columns of block i are the canonical F_q-basis of member i."""
     if any(U.dim == 0 for U in D.members):
@@ -173,15 +156,6 @@ def sumrank_weight(C: SumRankCode, x) -> int:
         geo = C.N - int(section_dims(C.system(), x.reshape(1, 1, -1)).sum())
         certify(geo == w, "direct and geometric weights disagree")
     return w
-
-
-def support(C: SumRankCode, x) -> SumRankSupport:
-    """Blockwise column spaces of the expansion of xG."""
-    bases = []
-    for y in C.encode(x):
-        digs = C.tower.fqm.to_digits(np.asarray(y, dtype=DTYPE))  # n_i x m
-        bases.append(linalg.rref(C.tower.fq, digs.T)[0])
-    return SumRankSupport(tuple(C.lengths), tuple(b.tobytes() for b in bases), tuple(len(b) for b in bases))
 
 
 def _class_weights(C: SumRankCode, cap: int | None) -> np.ndarray:
@@ -254,31 +228,30 @@ def dual_code(C: SumRankCode) -> SumRankCode:
 
 
 def delsarte_dual(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> SubspaceDesign:
-    """The system of the dual code; a canonical Delsarte-dual representative."""
+    """The system of the dual code; a canonical Delsarte-dual representative, certified.
+
+    d(C^perp) = min {s + 1 : A_min(s) >= s + 1}, read off the profiles of D for s < k,
+    else k + 1: a dual word of weight w is an F_{q^m}-dependence among w F_q-independent
+    vectors of the members, which lie in a (w - 1)-space, and s + 1 dimensions of the
+    members inside an s-space are dependent.  Every profile and the class scan of C check
+    the cap before they enumerate, and all run before the dual's system is built."""
     C = code_from_system(D)
     Cd = dual_code(C)
     if Cd.k == 0:
         raise DegenerateDual("dual code is the zero code")
     if not Cd.non_degenerate:
         raise DegenerateDual("dual code has an F_q-dependent block")
-    Q = D.ambient.tower.order
-    certificate = cap is not None and gaussian_binomial(C.k, 1, Q) <= cap
-    if certificate:  # min_distance(Cd) below scans the dual's classes: refuse them before building anything
-        check_cap(gaussian_binomial(Cd.k, 1, Q), cap, "classes")
+    d = min_distance(C, cap=cap)
+    dd = next((s + 1 for s in range(1, C.k) if design_profile(D, s, cap=cap).A_min >= s + 1), C.k + 1)
+    v1, v2 = singleton_msrd(C, d=d), singleton_msrd(Cd, d=dd)
+    certify(all(v["bound_log_q"] >= v["code_log_q"] for v in (v1, v2)), "both codes must obey the Singleton bound")
+    m, ns, M, Md = D.ambient.tower.m, C.lengths, C.N - d, Cd.N - dd
+    if m >= ns[0] or len(set(ns)) == 1:  # the two regimes in which duality keeps MSRD codes MSRD
+        bound = C.N - M - 2 if m >= ns[0] else 2 * C.N - C.t * m - M - 2
+        certify(Md >= bound, "Delsarte parameter inequality violated")
+        certify(v1["is_msrd"] == v2["is_msrd"], "MSRD optimality must be preserved by duality")
     Dd = system_from_code(Cd)
     certify(sorted(Dd.dims) == sorted(C.lengths), "Delsarte dual must preserve the dimension multiset")
-    m = D.ambient.tower.m
-    ns = C.lengths
-    if certificate:
-        d = min_distance(C, cap=cap)
-        dd = min_distance(Cd, cap=cap)
-        M, Md = C.N - d, Cd.N - dd
-        if m >= ns[0]:
-            certify(Md >= C.N - M - 2, "Delsarte parameter inequality violated")
-        elif len(set(ns)) == 1:
-            certify(Md >= 2 * C.N - C.t * m - M - 2, "Delsarte parameter inequality violated")
-        v1, v2 = singleton_msrd(C, d=d), singleton_msrd(Cd, d=dd)
-        certify(v1["is_msrd"] == v2["is_msrd"], "MSRD optimality must be preserved by duality")
     return Dd
 
 
@@ -331,11 +304,11 @@ def is_minimal_code(
     cands = linalg.right_kernel(t.fqm, S)
     v = next((row for row in cands if linalg.rank(t.fqm, np.vstack([u, row])) == 2), None)
     certify(v is not None, "a second hyperplane through the section span must exist")
-    x = np.hstack(C.encode(u))
-    y = np.hstack(C.encode(v))
-    sup_x, sup_y = support(C, u), support(C, v)
-    certify(sup_x.contains(sup_y, t.fq), "constructed witness must have nested supports")
-    return False, (x, y)
+    # supp(vG) <= supp(uG) by the identity of the pairs path: sum_i rk [S_i(u); S_i(v)] = wt(u)
+    codes = linalg.block_codes(t.fqm, np.stack([u, v]), C.digit_tables)  # (2, n_i) per block
+    wt, joint = (sum(int(linalg.base_ranks(t.fqm, c[None, :r])[0]) for c in codes) for r in (1, 2))
+    certify(joint == wt, "constructed witness must have nested supports")
+    return False, (np.hstack(C.encode(u)), np.hstack(C.encode(v)))
 
 
 def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:

@@ -297,8 +297,7 @@ def test_cli_sampled_expander_checks_the_cap_before_drawing(tmp_path, capsys):
 def test_cli_verbs_check_their_caps_before_allocating(tmp_path, capsys):
     # one child process limited to 2 GiB of address space runs each verb on the headline design (and
     # strong verify on the PG(3, 2) point pencil) with a cap below its first checked count: each
-    # refuses with one line of typed-error JSON before it builds anything.  dual delsarte certifies
-    # only codes whose 20,440 classes fit the cap, so its first checked count is the dual's classes.
+    # refuses with one line of typed-error JSON before it builds anything.
     headline, strong = tmp_path / "headline.json", tmp_path / "strong.json"
     headline.write_text(fmt.dumps(fmt.design_to_json(glued_design(3, 3, 4, 2))))
     run_cli("strong", "cameron-liebler", "--kind", "point_pencil", "--n", "1", "--k", "3", "--q", "2",
@@ -315,10 +314,10 @@ def test_cli_verbs_check_their_caps_before_allocating(tmp_path, capsys):
         (["msrd", h], "20440 classes exceed cap 10"),
         (["minimal", h, "--method", "geometric"], hyperplanes),
         (["minimal", h, "--method", "pairs"], "417793600 codeword pairs exceed cap 10"),
-        (["dual", "delsarte", h], "10862674480 classes exceed cap 20440"),
+        (["dual", "delsarte", h], "20440 classes exceed cap 10"),
         (["strong", "verify", str(strong), "--s", "2"], "35 subspaces of dim 2 exceed cap 10"),
     ]
-    argvs = [["--cap", "20440" if "delsarte" in argv else "10", *argv] for argv, _ in runs]
+    argvs = [["--cap", "10", *argv] for argv, _ in runs]
     check = (
         "import contextlib, io, json, resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -540,6 +539,27 @@ def _one_error_line(capsys, *argv) -> dict:
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("change,error", [
+    ({"zeta": 1e308}, "NotInBaseField"),
+    ({"zeta": -2}, "NotInBaseField"),
+    ({"p": [1, 1e308, 0, 1]}, "NotInBaseField"),
+    ({"p": [1, 4, 0, 1]}, "NotInBaseField"),
+    ({"members": [[[1], [0, 10**30]]]}, "NotInBaseField"),
+    ({"m": 0}, "BadParameters"),
+    ({"m": 2**31}, "BadParameters"),
+    ({"q": 2**61 - 1}, "BadParameters"),
+    ({"k": 2**31}, "PlacesCollide"),  # tau has order q - 1 = 3: the fourth place repeats the first
+])
+def test_cli_places_spec_out_of_range_is_one_error_line(tmp_path, capsys, change, error):
+    # a places spec over F_4 with one value out of range: refused at once, with no traceback
+    spec = tmp_path / "places.json"
+    spec.write_text(json.dumps({"q": 4, "m": 3, "members": [[[1], [0, 1]]], "p": [1, 1, 0, 1], "zeta": 2, "k": 2,
+                                **change}))
+    start = time.perf_counter()
+    assert _one_error_line(capsys, "strong", "places", str(spec))["error"] == error
+    assert time.perf_counter() - start < 1
 
 
 def test_cli_design_with_k_zero_is_one_error_line(tmp_path, capsys):

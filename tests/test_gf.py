@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ def test_make_tower_rejects_reducible_modulus():
 def test_make_tower_rejects_composite_characteristic():
     with pytest.raises(NotPrime):
         make_tower(4, 1, 2)
+
+
+def test_make_tower_refuses_huge_or_non_positive_sizes():
+    # sizes are compared on the exponent, so no power of a huge degree or base is formed: each refusal
+    # is immediate, with a short message
+    start = time.perf_counter()
+    for call in (lambda: make_tower(3, 1, 2**31), lambda: make_tower(10**30 + 57, 1, 1),
+                 lambda: gf.tower_for(2**61 - 1, 1), lambda: construct_field_partition(3, 2**31, 1)):
+        with pytest.raises(BadParameters, match="exceeds the supported field size") as exc:
+            call()
+        assert len(str(exc.value)) < 80
+    assert time.perf_counter() - start < 1
+    assert str(pytest.raises(BadParameters, make_tower, 3, 1, 2**31).value) == \
+        "F_(3^2147483648) exceeds the supported field size 1048576"
+    for h, m in [(1, 0), (0, 2), (1, -3)]:
+        with pytest.raises(BadParameters, match="h and m must be positive"):
+            make_tower(2, h, m)
 
 
 def test_towers_are_cached(f9, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from subdesigns import subspace as sp
 from subdesigns import sumrank as sr
 from subdesigns.errors import (
     BadParameters,
+    CertificateFailed,
     DegenerateCode,
     DegenerateDual,
     EnumerationCapExceeded,
@@ -25,7 +27,8 @@ from subdesigns.errors import (
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower
 from subdesigns.repro import glued_design, pseudoregulus_design, twisted_design
-from subdesigns.subspace import AmbientSpace, span_fq
+from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, AmbientSpace, gaussian_binomial, span_fq
+from test_linalg import RANK_TOWERS
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,34 @@ def codeword_min_distance(C) -> int:
     t = C.tower
     return min(sum(linalg.rank(t.fq, t.fqm.to_digits(y)) for y in C.encode(msg))
                for msg in itertools.product(range(t.order), repeat=C.k) if any(msg))
+
+
+@dataclass(frozen=True)
+class SumRankSupport:
+    """Oracle: per-block column spaces of the matrix expansion of a codeword, canonical RREF bases."""
+
+    lengths: tuple[int, ...]
+    blocks: tuple[bytes, ...]
+    dims: tuple[int, ...]
+
+    def basis(self, i: int) -> np.ndarray:
+        return np.frombuffer(self.blocks[i], dtype=DTYPE).reshape(self.dims[i], self.lengths[i])
+
+    def contains(self, other: "SumRankSupport", fq) -> bool:
+        """Blockwise: does self contain other?  rk [A_i; B_i] = rk A_i in every block, by the looped rank."""
+        return all(
+            linalg.rank(fq, np.vstack([self.basis(i), other.basis(i)])) == self.dims[i]
+            for i in range(len(self.lengths))
+        )
+
+
+def support(C, x) -> SumRankSupport:
+    """Oracle: the blockwise column spaces of the expansion of xG, each by the looped rref."""
+    bases = []
+    for y in C.encode(x):
+        digs = C.tower.fqm.to_digits(np.asarray(y, dtype=DTYPE))  # n_i x m
+        bases.append(linalg.rref(C.tower.fq, digs.T)[0])
+    return SumRankSupport(tuple(C.lengths), tuple(b.tobytes() for b in bases), tuple(len(b) for b in bases))
 
 
 def test_code_from_system(code9):
@@ -87,9 +118,9 @@ def test_weights(code9):
 
 
 def test_support_blocks(code9):
-    s = sr.support(code9, [1, 0])
+    s = support(code9, [1, 0])
     assert s.dims == (2, 2)  # both blocks fully supported for x = (1, 0)
-    z = sr.support(code9, [0, 0])
+    z = support(code9, [0, 0])
     assert z.dims == (0, 0)
     # containment is reflexive and respects the zero support
     assert s.contains(z, code9.tower.fq) and s.contains(s, code9.tower.fq)
@@ -99,7 +130,7 @@ def test_support_blocks(code9):
     # and supp((0, 1)) are incomparable
     t = make_tower(3, 1, 2)
     C = sr.SumRankCode(t, (2, 2), [np.array([[1, t.gen().code], [1, 0]]), np.array([[1, 0], [1, 0]])])
-    x, y, w = (sr.support(C, v) for v in ([1, 0], [0, 1], [1, 2]))
+    x, y, w = (support(C, v) for v in ([1, 0], [0, 1], [1, 2]))
     assert (x.dims, y.dims, w.dims) == ((2, 1), (1, 1), (1, 0))
     assert w.basis(0).tolist() == [[0, 1]] and y.basis(0).tolist() == [[1, 0]]
     assert x.contains(y, t.fq) and not y.contains(x, t.fq)
@@ -111,7 +142,7 @@ def test_support_full_and_zero_blocks():
     t = make_tower(3, 1, 2)
     i = t.gen().code
     C = sr.SumRankCode(t, (2, 2), [np.array([[1, 0], [0, 1]]), np.zeros((2, 2), dtype=int)])
-    s = sr.support(C, [1, i])
+    s = support(C, [1, i])
     assert s.dims == (2, 0)
     assert s.basis(0).tolist() == [[1, 0], [0, 1]]
 
@@ -249,6 +280,15 @@ def test_minimality(pseudo9, code9):
     assert [w.tolist() for w in wit] == [[1, 3, 1, 3], [1, 6, 4, 7]]
 
 
+def test_geometric_witness_is_certified_by_block_ranks(monkeypatch, code9):
+    # the witness pair's nested supports are certified by sum_i rk [S_i(x); S_i(y)] = wt(x): a joint
+    # rank one too large in every block is refused
+    base_ranks = linalg.base_ranks
+    monkeypatch.setattr(linalg, "base_ranks", lambda F, codes: base_ranks(F, codes) + (codes.shape[1] == 2))
+    with pytest.raises(CertificateFailed, match="nested supports"):
+        sr.is_minimal_code(code9, method="geometric")
+
+
 def test_caps_checked_before_enumerating(monkeypatch, pseudo9, code9):
     def refuse(Q, k):
         raise AssertionError("enumerated before the cap check")
@@ -263,21 +303,71 @@ def test_caps_checked_before_enumerating(monkeypatch, pseudo9, code9):
         lambda: sr.min_distance(code9, cap=9, method="classes"),
         lambda: sr.weight_spectrum(code9, cap=9),
         lambda: sr.is_minimal_code(code9, method="pairs", cap=99),
+        lambda: sr.delsarte_dual(pseudo9, cap=9),  # its certificate scans the code's 10 classes
     ):
         with pytest.raises(EnumerationCapExceeded):
             call()
-    # above the cap the Delsarte dual skips its cross-check without counting points by enumeration
-    assert sorted(sr.delsarte_dual(pseudo9, cap=9).dims) == [2, 2]
 
 
-def test_delsarte_dual_refuses_the_dual_class_count_before_building_the_dual(monkeypatch):
-    # the code's 28 classes fit the cap, the dual code's 20440 do not: refused before its system exists
-    D = twisted_design(3, 3, 2, 2)
+def test_delsarte_dual_refuses_a_profile_count_before_building_the_dual(monkeypatch):
+    # the headline code's 20440 classes and its s = 1 profile fit the cap, the 552610 subspaces of
+    # the s = 2 profile do not: refused before the dual's system exists
     built = []
     monkeypatch.setattr(sr, "system_from_code", built.append)
-    with pytest.raises(EnumerationCapExceeded, match="^20440 classes exceed cap 28$"):
-        sr.delsarte_dual(D, cap=28)
+    with pytest.raises(EnumerationCapExceeded, match="^552610 subspaces of dim 2 exceed cap 20440$"):
+        sr.delsarte_dual(glued_design(3, 3, 4, 2), cap=20440)
     assert built == []
+
+
+@pytest.mark.parametrize("cap", [1, 10, 20440, DEFAULT_ENUMERATION_CAP, None])
+def test_delsarte_dual_certifies_under_every_cap_it_meets(monkeypatch, cap):
+    # the headline dual either refuses its cap or runs its certificate: the Singleton verdicts of
+    # the code (d = 5) and of its dual (d = 3 = tm - d + 2), both MSRD
+    calls, singleton = [], sr.singleton_msrd
+    monkeypatch.setattr(sr, "singleton_msrd", lambda C, d: calls.append(d) or singleton(C, d=d))
+    D = glued_design(3, 3, 4, 2)
+    if cap is not None and cap < 552610:
+        with pytest.raises(EnumerationCapExceeded):
+            sr.delsarte_dual(D, cap=cap)
+        assert calls == []
+    else:
+        assert sorted(sr.delsarte_dual(D, cap=cap).dims) == [6, 6]
+        assert calls == [5, 3]
+
+
+def _random_code(tower, rng):
+    """A nondegenerate code over tower with a nondegenerate nonzero dual, k in 1..4 and 1..4 blocks,
+    redrawn until its profiles and the dual's class scan each enumerate at most 20,000 objects."""
+    Q, budget = tower.order, 20_000
+    while True:
+        k = int(rng.integers(1, 5))
+        lengths = sorted((int(rng.integers(1, tower.m + 2)) for _ in range(int(rng.integers(1, 5)))), reverse=True)
+        N = sum(lengths)
+        if N <= k or max(gaussian_binomial(k, s, Q) for s in range(k)) > budget \
+                or gaussian_binomial(N - k, 1, Q) > budget:
+            continue
+        G = rng.integers(0, Q, (k, N)).astype(DTYPE)
+        if linalg.rank(tower.fqm, G) < k:
+            continue
+        C = sr.SumRankCode(tower, lengths, np.split(G, np.cumsum(lengths)[:-1], axis=1))
+        if C.non_degenerate and sr.dual_code(C).non_degenerate:
+            return C
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+def test_dual_distance_from_profiles_matches_the_dual_class_scan(monkeypatch, key):
+    # delsarte_dual reads d(C^perp) off the profiles of the system of C; the oracle scans the classes
+    # of the dual code.  Lengths past m with unequal blocks are drawn too: there duality need not keep
+    # MSRD codes MSRD, and the certificate must not claim it does.
+    tower, rng = make_tower(*key), np.random.default_rng(26)
+    calls, singleton = [], sr.singleton_msrd
+    monkeypatch.setattr(sr, "singleton_msrd", lambda C, d: calls.append(d) or singleton(C, d=d))
+    for _ in range(12):
+        C = _random_code(tower, rng)
+        calls.clear()
+        Dd = sr.delsarte_dual(sr.system_from_code(C))
+        assert sorted(Dd.dims) == sorted(C.lengths)
+        assert calls == [sr.min_distance(C), sr.min_distance(sr.dual_code(C))]
 
 
 def test_isometries(code9):
@@ -342,16 +432,16 @@ def test_scalar_multiples_share_support(code9):
     from subdesigns.subspace import canonical_projective_reps
 
     for x in canonical_projective_reps(t.order, code9.k):
-        base = sr.support(code9, x)
+        base = support(code9, x)
         for c in range(2, t.order):
-            scaled = sr.support(code9, np.asarray(t.fqm.mul(c, x), dtype=DTYPE))
+            scaled = support(code9, np.asarray(t.fqm.mul(c, x), dtype=DTYPE))
             assert scaled == base
 
 
 def _looped_pairs(C):
     """The pairs verdict by a double loop over support containment, first (a, b) in row-major order."""
     reps = sp.canonical_projective_reps(C.tower.order, C.k)
-    sups = [sr.support(C, x) for x in reps]
+    sups = [support(C, x) for x in reps]
     for a, sa in enumerate(sups):
         for b, sb in enumerate(sups):
             # containment needs blockwise dims no larger; testing that first keeps the loop short
@@ -404,6 +494,21 @@ def test_sumrank_certificate_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "CertificateFailed: direct and geometric weights disagree" in proc.stderr
+
+
+def test_delsarte_certificate_survives_python_O():
+    # a dual distance one too small (each profile one too large) must be refused with asserts stripped
+    check = (
+        "import dataclasses\n"
+        "from subdesigns import sumrank as sr\n"
+        "from subdesigns.repro import pseudoregulus_design\n"
+        "profile = sr.design_profile\n"
+        "sr.design_profile = lambda D, s, cap: dataclasses.replace(p := profile(D, s, cap), A_min=p.A_min + 1)\n"
+        "sr.delsarte_dual(pseudoregulus_design(3, 2, 1, 2))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "CertificateFailed: MSRD optimality must be preserved by duality" in proc.stderr
 
 
 def test_code_without_blocks_is_bad_parameters(f9):
