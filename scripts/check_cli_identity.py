@@ -47,7 +47,8 @@ for i, (name, D) in enumerate(designs):
 
 # Criterion 4's seeded polynomials F over its towers, then eight over each big_fields tower with a random
 # sigma exponent s; per F the twist kernels and lambda-values for lambda = 1..q-1, and gcrd and lclm of
-# F o R and H o R for seeded H, R (a common right factor, so that the gcrd is not 1).
+# F o R and H o R for seeded H, R (a common right factor, so that the gcrd is not 1), the quotient and
+# remainder of H o F + R by F, and F on the basis 1, y, ..., y^(m-1).
 SIGMA_VALUES = """
 import numpy as np
 from subdesigns import skewpoly as sk
@@ -67,7 +68,8 @@ for t, polys in cases:
         H, R = poly(t, int(other.integers(0, 3)), F.s, other), poly(t, int(other.integers(0, 3)), F.s, other)
         print(t, F.s, F.coeffs, [sk.kernel_dim(sk.twist(F, a)) for a in alphas.values()],
               [sk.lambda_value(F, lam, check=True) for lam in alphas],
-              *(X.coeffs for X in sk.gcrd_lclm(sk.skew_mul(F, R), sk.skew_mul(H, R))))
+              *(X.coeffs for X in sk.gcrd_lclm(sk.skew_mul(F, R), sk.skew_mul(H, R))),
+              *(X.coeffs for X in sk.right_divmod(sk.skew_mul(H, F) + R, F)), F.evaluate(t.y_basis).tolist())
 """
 
 

@@ -12,8 +12,8 @@ dim_q(U_i meet x^perp) = dim U_i - rk_q(x G_i) for every member and every
 canonical normal x.  Its column sums give the (k-1)-profile, the histogram
 and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
 gives F_q-bases of the sections themselves, eliminated over F_{q^m}, for
-the cutting test, which walks the normals in chunks and stops once it
-knows its answer.
+the cutting test, which walks the normals in chunks, spans only those
+their dims leave open and stops once it knows its answer.
 Every other s reads the same identity off a closed-form basis X of W^perp:
 dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The ranks rk_q(X G_i) are
 ``linalg.block_ranks`` of tables built once per design or code
@@ -652,8 +652,11 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
     The witness, when any, is the first violating hyperplane in
     enumeration order.  The normals go in CUTTING_CHUNK chunks, with the
     section dims of each read off the design's hyperplane_dims when it
-    has them, else swept for the chunk alone, and the walk stops once it
-    holds a witness and two different totals.  A walk to the end keeps
+    has them, else swept for the chunk alone.  Dims totalling less than
+    k - 1 cannot span, and a section of F_q-dim above m(k - 2) fits in no
+    (k - 2)-dim F_{q^m}-space, so only the other normals (none for k = 2)
+    have their section spans ranked.  The walk stops once it holds a
+    witness and two different totals.  A walk to the end keeps
     its dims as the design's hyperplane_dims.  The report is built once
     per design object, with the cap checked on every call.
     """
@@ -670,11 +673,13 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
             if not lo:
                 first = int(sums[0])
             constant = constant and bool((sums == first).all())
-            if witness is None:
-                ranks = linalg.rank_batch(amb.tower.fqm, section_spans(D, part))
-                bad = np.nonzero(ranks != amb.k - 1)[0]
-                if bad.size:  # the first violating normal keeps enumeration order
-                    witness = hyperplane_subspace(amb, part[int(bad[0])])
+            if witness is None:  # decided by the dims, else by the rank of the section span
+                bad = sums < amb.k - 1
+                open_ = np.flatnonzero(~bad & (chunks[-1].max(axis=0) <= amb.tower.m * (amb.k - 2)))
+                if open_.size:
+                    bad[open_] = linalg.rank_batch(amb.tower.fqm, section_spans(D, part[open_])) != amb.k - 1
+                if bad.any():  # the first violating normal keeps enumeration order
+                    witness = hyperplane_subspace(amb, part[int(np.argmax(bad))])
             if witness is not None and not constant:
                 break
         else:  # a walk to the end swept every normal: one sweep per design

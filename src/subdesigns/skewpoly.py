@@ -11,15 +11,17 @@ dividing F and G certifies r (Ore, Annals of Math. 34, 1933).  A kernel
 dimension is m minus the F_q-rank of the codes F(y^j), by elimination on
 leading base-q digits, and is checked against the degree bound.
 
-The algebra runs on lists of plain int codes of F_{q^m} (index =
-sigma-degree, no trailing zeros; ``SigmaPoly.coeffs`` is the same data as
-a tuple).  Coefficient arithmetic reads the field's exp, log and Zech
-tables and the tower's Frobenius power table ``FieldTower.frob_powers``
-through zero-copy memoryviews, held by one ``_Algebra`` per (tower, s),
-built on first use and cached: a product is exp[log a + log b],
-a sum exp[log a + Z(log b - log a)] (``SmallField.zech``) and sigma^i one
-lookup, each on Python ints with no numpy call, ``SigmaPoly.evaluate``
-and the kernel ranks included.  Every composition, division, gcrd/lclm
+The algebra runs on lists of shifted discrete logs (index = sigma-degree,
+no trailing zeros): 0 is the zero scalar and 1 + log a a nonzero a, so 0
+and 1 mean what they mean as codes; ``SigmaPoly.coeffs`` holds the codes.
+One cached ``_Algebra`` per (tower, s) reads the field's exp, log and Zech
+tables through zero-copy memoryviews: a product adds logs, a sum is
+a (1 + b/a) through Z(log b - log a) (``SmallField.zech``), and sigma^i
+multiplies a log by q^(si) mod q^m - 1, with no per-tower table.  Each
+certificate accumulates into one list in place (``_Algebra.combine``):
+division's recomposition q o g + r, Euclid's cofactor updates a - q o b and
+the Bezout sum a o f + b o g, with degree additivity checked on the top
+coefficient of every product.  Every composition, division, gcrd/lclm
 and lambda-value is certified on the spot (``errors.certify``, which
 ``python -O`` keeps).
 """
@@ -35,7 +37,6 @@ import numpy as np
 from subdesigns.errors import (
     BadParameters,
     BothZero,
-    DivisionByZero,
     DivisionByZeroPoly,
     NotInBaseField,
     ParameterMismatch,
@@ -48,108 +49,121 @@ from subdesigns.gf import FFElement, FieldTower, code_of
 
 
 class _Algebra:
-    """Sigma-polynomial arithmetic of one (tower, s) on lists of int codes."""
+    """Sigma-polynomial arithmetic of one (tower, s) on lists of shifted logs: 0 is the zero
+    scalar and 1 + log a a nonzero a, so [] is 0 and [1] the identity, as in codes."""
 
     def __init__(self, tower: FieldTower, s: int):
         K = tower.fqm
-        self.n = K.size - 1  # order of the multiplicative group
+        self.n = n = K.size - 1  # order of the multiplicative group
         self.exp = memoryview(K._exp)  # stored twice over: any exponent below 2n reads directly
         self.log = memoryview(K._log)
         self.zech = memoryview(K.zech)
-        self.neg = memoryview(K._neg)
+        self.minus = self.log[K._neg[1]] + 1  # -1
         self.m = tower.m
-        self.rows = [memoryview(tower.frob_powers[s * i % self.m]) for i in range(self.m)]  # sigma^i
+        self.frob = [pow(tower.q, s * i, n) for i in range(self.m)]  # log sigma^i(a) = q^(si) log a mod n
 
     # -- coefficients --------------------------------------------------------------
 
-    def sigma(self, a: int, i: int) -> int:
-        return self.rows[i % self.m][a]
+    def logs(self, codes: Sequence[int]) -> list[int]:
+        return [self.log[c] + 1 if c else 0 for c in codes]
 
-    def times(self, a: int, b: int) -> int:
-        return self.exp[self.log[a] + self.log[b]] if a and b else 0
-
-    def inverse(self, a: int) -> int:
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return self.exp[self.n - self.log[a]]
+    def codes(self, logs: Sequence[int]) -> list[int]:
+        return [self.exp[v - 1] if v else 0 for v in logs]
 
     def _axpy(self, out: list[int], off: int, c: int, i: int, g: Sequence[int]) -> None:
         """out[off + j] += c * sigma^i(g_j) for every j, in place; c != 0."""
-        exp, log, zech, n = self.exp, self.log, self.zech, self.n
-        row = self.rows[i % self.m]
-        lc = log[c]
+        n, zech, e = self.n, self.zech, self.frob[i % self.m]
         for j, b in enumerate(g, off):
             if b:
-                lt = lc + log[row[b]]
+                t = c + (b - 1) * e  # the term, a shifted log not yet reduced mod n
                 a = out[j]
-                if a:
-                    la = log[a]
-                    z = zech[(lt - la) % n]
-                    out[j] = exp[la + z] if z >= 0 else 0
+                if a:  # a + t = a (1 + t / a), one Zech lookup; Z = -1 where the sum is 0
+                    z = zech[(t - a) % n]
+                    out[j] = (a + z - 1) % n + 1 if z >= 0 else 0
                 else:
-                    out[j] = exp[lt]
+                    out[j] = (t - 1) % n + 1
 
     # -- polynomials ---------------------------------------------------------------
 
-    def add(self, a: Sequence[int], b: Sequence[int], c: int = 1) -> list[int]:
-        """a + c * b for a nonzero scalar c."""
-        out = list(a) + [0] * (len(b) - len(a))
-        self._axpy(out, 0, c, 0, b)
+    def combine(self, *terms: tuple[int, Sequence[int], Sequence[int]]) -> list[int]:
+        """Sum of c (f o g) over the terms (c, f, g), c a nonzero scalar, accumulated in one list in
+        place.  Degrees add (certified): each product's top coefficient must change the entry it lands on."""
+        n, zech, frob, m = self.n, self.zech, self.frob, self.m
+        out = []
+        for c, f, g in terms:
+            if f and g:
+                top = len(f) + len(g) - 2
+                if len(out) <= top:
+                    out += [0] * (top + 1 - len(out))
+                before = out[top]
+                for i, a in enumerate(f):
+                    if a:  # out[i + j] += c a sigma^i(g_j): _axpy inlined, one call per product, not per term
+                        ca, e = c + a - 1, frob[i % m]
+                        for j, b in enumerate(g, i):
+                            if b:
+                                t = ca + (b - 1) * e
+                                a = out[j]
+                                if a:
+                                    z = zech[(t - a) % n]
+                                    out[j] = (a + z - 1) % n + 1 if z >= 0 else 0
+                                else:
+                                    out[j] = (t - 1) % n + 1
+                certify(out[top] != before, "composition dropped the leading term")
         return poly_trim(out)
 
-    def sub(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        return self.add(a, b, self.neg[1])
+    def add(self, a: Sequence[int], b: Sequence[int], c: int = 1) -> list[int]:
+        """a + c * b for a nonzero scalar c."""
+        return self.combine((1, [1], a), (c, [1], b))
 
     def monic(self, a: Sequence[int]) -> list[int]:
-        inv = self.inverse(a[-1]) if a else 0
-        return [self.times(inv, x) for x in a]
+        n, top = self.n, a[-1] if a else 0
+        return [(x - top) % n + 1 if x else 0 for x in a]
 
     def compose(self, f: Sequence[int], g: Sequence[int]) -> list[int]:
-        """f o g for nonzero f, g; the top entry is kept even if it is zero."""
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                self._axpy(out, i, a, i, g)
-        return out
+        """f o g for nonzero f, g."""
+        return self.combine((1, f, g))
 
     def mul(self, f: Sequence[int], g: Sequence[int]) -> list[int]:
         """f o g; degrees add for nonzero inputs (certified)."""
         if not (f and g):
             return []
         out = self.compose(f, g)
-        certify(out[-1] != 0, "composition dropped the leading term")
+        certify(len(out) == len(f) + len(g) - 1 and out[-1] != 0, "composition dropped the leading term")
         return out
 
     def divmod(self, f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
-        """q, r with f = q o g + r and deg r < deg g, for nonzero g; both certified."""
-        dg = len(g) - 1
-        inv_lead = self.inverse(g[-1])  # sigma^i(g_top)^-1 = sigma^i(g_top^-1)
+        """q, r with f = q o g + r and deg r < deg g, for nonzero g; both certified, q o g + r in one list."""
+        n, m, frob, dg, top, low = self.n, self.m, self.frob, len(g) - 1, g[-1] - 1, g[:-1]
         r = list(f)
-        q = [0] * max(len(f) - dg, 0)
+        q = [0] * (len(f) - dg)
         for shift in range(len(q) - 1, -1, -1):
             lead = r[shift + dg]
-            if lead:
-                c = q[shift] = self.times(lead, self.sigma(inv_lead, shift))
-                self._axpy(r, shift, self.neg[c], shift, g)
-        q, r = poly_trim(q), poly_trim(r)
-        certify(len(r) < len(g) and self.add(self.mul(q, g), r) == list(f), "divmod remainder or recomposition failed")
+            if lead:  # q_shift = lead / sigma^shift(g_top) clears the lead; r -= q_shift x^shift o (g - g_top)
+                c = q[shift] = (lead - 1 - top * frob[shift % m]) % n + 1
+                r[shift + dg] = 0
+                self._axpy(r, shift, (c + self.minus - 2) % n + 1, shift, low)
+        r = poly_trim(r)  # q ends in lead(f) / sigma^(deg q)(g_top), nonzero
+        certify(len(r) < len(g) and self.combine((1, q, g), (1, [1], r)) == list(f),
+                "divmod remainder or recomposition failed")
         return q, r
 
     def apply(self, f: Sequence[int], xs: Sequence[int]) -> list[int]:
-        """f(x) = sum_i f_i sigma^i(x) for each code x of xs."""
-        acc = [0] * len(xs)
+        """f(x) = sum_i f_i sigma^i(x) for each code x of xs, as codes."""
+        acc, xs = [0] * len(xs), self.logs(xs)
         for i, a in enumerate(f):
             if a:
                 self._axpy(acc, 0, a, i, xs)
-        return acc
+        return self.codes(acc)
 
     def euclid(self, f: Sequence[int], g: Sequence[int]) -> tuple[list[int], ...]:
-        """r, a, b, a', b' with a o f + b o g = r, a gcrd, and a' o f + b' o g = 0 (the last cofactors)."""
+        """r, a, b, a', b' with a o f + b o g = r, a gcrd, and a' o f + b' o g = 0 (the last cofactors);
+        each cofactor update a - q o b runs in one list."""
         r0, a0, b0 = f, [1], []
         r1, a1, b1 = g, [], [1]
         while r1:
             q, r = self.divmod(r0, r1)
-            r0, a0, b0, r1, a1, b1 = r1, a1, b1, r, self.sub(a0, self.mul(q, a1)), self.sub(b0, self.mul(q, b1))
+            a, b = self.combine((self.minus, q, a1), (1, [1], a0)), self.combine((self.minus, q, b1), (1, [1], b0))
+            r0, a0, b0, r1, a1, b1 = r1, a1, b1, r, a, b
         return list(r0), a0, b0, a1, b1
 
 
@@ -228,24 +242,27 @@ class SigmaPoly:
         as long as its tower."""
         return _algebra_of(self.tower, self.s)
 
-    def _new(self, coeffs: Sequence[int]) -> "SigmaPoly":
-        return SigmaPoly(self.tower, coeffs, self.s)
+    def _logs(self) -> list[int]:
+        return self._algebra().logs(self.coeffs)
+
+    def _new(self, logs: Sequence[int]) -> "SigmaPoly":
+        return SigmaPoly(self.tower, self._algebra().codes(logs), self.s)
 
     # -- additive structure --------------------------------------------------------
 
     def __add__(self, other: "SigmaPoly") -> "SigmaPoly":
         self._check(other)
-        return self._new(self._algebra().add(self.coeffs, other.coeffs))
+        return self._new(self._algebra().add(self._logs(), other._logs()))
 
     def __neg__(self) -> "SigmaPoly":
         return SigmaPoly.zero(self.tower, self.s) - self
 
     def __sub__(self, other: "SigmaPoly") -> "SigmaPoly":
         self._check(other)
-        return self._new(self._algebra().sub(self.coeffs, other.coeffs))
+        return self._new(self._algebra().add(self._logs(), other._logs(), self._algebra().minus))
 
     def monic(self) -> "SigmaPoly":
-        return self._new(self._algebra().monic(self.coeffs))
+        return self._new(self._algebra().monic(self._logs()))
 
     # -- the induced F_q-linear map -------------------------------------------------
 
@@ -255,7 +272,7 @@ class SigmaPoly:
         flat = [code_of(c) for c in x.reshape(-1).tolist()]
         if not all(0 <= c < self.tower.order for c in flat):
             raise BadParameters(f"evaluation points must be codes in [0, {self.tower.order})")
-        return np.array(self._algebra().apply(self.coeffs, flat), dtype=DTYPE).reshape(x.shape)
+        return np.array(self._algebra().apply(self._logs(), flat), dtype=DTYPE).reshape(x.shape)
 
     def matrix(self) -> np.ndarray:
         """m x m matrix over F_q of the induced map on the basis 1, y, ..., y^(m-1)."""
@@ -269,7 +286,7 @@ class SigmaPoly:
 def skew_mul(F: SigmaPoly, G: SigmaPoly) -> SigmaPoly:
     """Composition F o G; degrees add for nonzero inputs."""
     F._check(G)
-    return F._new(F._algebra().mul(F.coeffs, G.coeffs))
+    return F._new(F._algebra().mul(F._logs(), G._logs()))
 
 
 def right_divmod(F: SigmaPoly, G: SigmaPoly) -> tuple[SigmaPoly, SigmaPoly]:
@@ -277,7 +294,7 @@ def right_divmod(F: SigmaPoly, G: SigmaPoly) -> tuple[SigmaPoly, SigmaPoly]:
     F._check(G)
     if G.is_zero():
         raise DivisionByZeroPoly("right division by the zero polynomial")
-    Q, R = F._algebra().divmod(F.coeffs, G.coeffs)
+    Q, R = F._algebra().divmod(F._logs(), G._logs())
     return F._new(Q), F._new(R)
 
 
@@ -287,7 +304,7 @@ def gcrd_lclm(F: SigmaPoly, G: SigmaPoly) -> tuple[SigmaPoly, SigmaPoly]:
     if F.is_zero() and G.is_zero():
         raise BothZero("gcrd of two zero polynomials")
     A = F._algebra()
-    f, g = F.coeffs, G.coeffs
+    f, g = F._logs(), G._logs()
     r, _, _, a1, b1 = A.euclid(f, g)
     gcrd = A.monic(r)
     if not (f and g):
@@ -305,16 +322,16 @@ def kernel_dim(F: SigmaPoly) -> int:
     if F.is_zero():
         raise ZeroPoly("kernel of the zero polynomial is everything")
     t, A = F.tower, F._algebra()
-    log, q = A.log, t.q
-    pivots = {}  # base-q place j -> a code of the span below q^(j+1) whose digit at j is 1
-    for w in A.apply(F.coeffs, t.y_basis.tolist()):
+    log, exp, zech, n, q = A.log, A.exp, A.zech, A.n, t.q
+    pivots = {}  # base-q place j -> log of a code of the span below q^(j+1) whose digit at j is 1
+    for w in A.apply(F._logs(), t.y_basis.tolist()):
         for j in reversed(range(t.m)):
             e = w // q**j  # the digit at j: every place above j is already 0
-            if e and j in pivots:  # w - e * pivot, one Zech lookup as in _axpy
-                z = A.zech[(log[A.neg[e]] + log[pivots[j]] - log[w]) % A.n]
-                w = A.exp[log[w] + z] if z >= 0 else 0
+            if e and j in pivots:  # w - e * pivot = w (1 + (-e) pivot / w), one Zech lookup
+                z = zech[(log[e] + A.minus - 1 + pivots[j] - log[w]) % n]
+                w = exp[log[w] + z] if z >= 0 else 0
             elif e:
-                pivots[j] = A.times(A.inverse(e), w)
+                pivots[j] = (log[w] - log[e]) % n
                 break
     d = t.m - len(pivots)
     certify(d <= F.deg, "degree bound on the kernel dimension violated")
@@ -329,11 +346,11 @@ def twist(F: SigmaPoly, alpha: FFElement | int) -> SigmaPoly:
     if code == 0:
         raise ZeroTwist("twist by zero")
     A = F._algebra()
-    norm, out = 1, []  # norm = prod_{j<i} sigma^j(alpha)
+    log, exp, n, la, norm, out = A.log, A.exp, A.n, A.log[code], 0, []  # norm = log prod_{j<i} sigma^j(alpha)
     for i, c in enumerate(F.coeffs):
-        out.append(A.times(c, norm))
-        norm = A.times(norm, A.sigma(code, i))
-    return F._new(out)
+        out.append(exp[log[c] + norm] if c else 0)
+        norm = (norm + la * A.frob[i % A.m]) % n
+    return SigmaPoly(F.tower, out, F.s)
 
 
 def lambda_value(F: SigmaPoly, lam: FFElement | int, check: bool = True) -> int:
@@ -344,10 +361,10 @@ def lambda_value(F: SigmaPoly, lam: FFElement | int, check: bool = True) -> int:
         raise NotInBaseField("lambda must lie in F_q^*")
     if F.is_zero():
         raise ZeroPoly("lambda-value of the zero polynomial")
-    A, f = F._algebra(), F.coeffs
-    g = [A.neg[code]] + [0] * (t.m - 1) + [1]
+    A, f = F._algebra(), F._logs()
+    g = [(A.log[code] + A.minus - 1) % A.n + 1] + [0] * (t.m - 1) + [1]  # -lam x + x^(sigma^m)
     r, a, b, _, _ = A.euclid(f, g)
-    certify(A.add(A.mul(a, f), A.mul(b, g)) == r, "Bezout identity for the gcrd failed")
+    certify(A.combine((1, a, f), (1, b, g)) == r, "Bezout identity for the gcrd failed")
     certify(not (A.divmod(f, r)[1] or A.divmod(g, r)[1]), "gcrd does not right-divide both")
     d = len(r) - 1
     if check:

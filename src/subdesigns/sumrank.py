@@ -279,17 +279,15 @@ def is_minimal_code(
         bw = np.stack([linalg.base_ranks(t.fqm, c[:, None]) for c in codes], axis=1)  # (n, t) block weights
         wt = bw.sum(axis=1)
         n = len(reps)
-        for part in linalg.chunks(n, 2 * t.m * C.N * max(1, n)):  # rows a per chunk
-            a = np.arange(n)[part]
-            near = (bw[None] <= bw[a, None]).all(axis=2) & (a[:, None] != np.arange(n))
-            pa, pb = np.nonzero(near)  # candidate pairs in row-major order
-            joint = 0
-            for c in codes:  # [x G_i | y G_i] of every candidate, row j coded x u_j + (y u_j) q^m
-                joint = joint + linalg.base_ranks(t.fqm, np.stack([c[a[pa]], c[pb]], axis=1))
-            hit = np.flatnonzero(joint == wt[a[pa]])
-            if hit.size:
-                i, b = a[pa[hit[0]]], pb[hit[0]]  # the first pair (a, b) in row-major order
-                return False, (np.hstack(C.encode(reps[i])), np.hstack(C.encode(reps[b])))
+        for rows in linalg.chunks(n, n * C.t):  # the candidates of a slice of rows a, in row-major order
+            a = np.arange(n)[rows]
+            pa, pb = np.nonzero((bw[None] <= bw[a, None]).all(axis=2) & (a[:, None] != np.arange(n)))
+            for part in linalg.chunks(len(pa), 2 * t.m * max(C.lengths)):
+                x, y = a[pa[part]], pb[part]  # [x G_i | y G_i] per block, row j coded x u_j + (y u_j) q^m
+                joint = sum(linalg.base_ranks(t.fqm, np.stack([c[x], c[y]], axis=1)) for c in codes)
+                hit = np.flatnonzero(joint == wt[x])
+                if hit.size:  # the first pair (x, y) in row-major order
+                    return False, (np.hstack(C.encode(reps[x[hit[0]]])), np.hstack(C.encode(reps[y[hit[0]]])))
         return True, None
     if method != "geometric":
         raise BadParameters("method must be 'geometric' or 'pairs'")

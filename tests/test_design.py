@@ -773,3 +773,22 @@ def test_library_mistakes_raise_typed_value_errors(name):
     with pytest.raises(error) as exc:
         call()
     assert isinstance(exc.value, ValueError)
+
+
+def test_cutting_verdicts_read_off_the_dims_match_the_rank_sweep(monkeypatch):
+    # sections of total dim < k - 1 cannot span a hyperplane and one of F_q-dim > m(k - 2) fits in no
+    # (k - 2)-space, so only the other normals are spanned and ranked, and k = 2 spans none; on a GL
+    # image of every max1_corpus design the report is the full rank sweep's
+    from subdesigns.repro import max1_corpus
+
+    spans, rows = de.section_spans, []
+    monkeypatch.setattr(de, "section_spans", lambda D, X: rows.append(len(X)) or spans(D, X))
+    for seed, (name, D) in enumerate(max1_corpus()):
+        D = _moved(D, 2700 + seed)
+        swept = _fresh(D)
+        swept.hyperplane_dims()
+        want = _full_sweep_report(swept)
+        rows.clear()
+        assert de.is_cutting(_fresh(D)) == de.is_cutting(swept) == want, name
+        if D.ambient.k == 2:
+            assert rows == [], name

@@ -14,7 +14,6 @@ from subdesigns import linalg, skewpoly
 from subdesigns.errors import (
     BadParameters,
     BothZero,
-    DivisionByZero,
     DivisionByZeroPoly,
     NotInBaseField,
     ParameterMismatch,
@@ -272,6 +271,17 @@ class _ArrayAlgebra:
             return self.monic(r0), self.monic(f if f.size else g)
         return self.monic(r0), self.monic(self.mul(a1, f))
 
+    def lambda_value(self, f, lam):
+        g = np.array([self.K.neg(lam)] + [0] * (self.m - 1) + [1], dtype=DTYPE)
+        return self.gcrd_lclm(f, g)[0].size - 1
+
+    def kernel_dim(self, f, tower):
+        # m minus the F_q-rank of the digits of F(y^j), each image one array sum of f_i sigma^i(y^j)
+        image = np.zeros(self.m, dtype=DTYPE)
+        for i, a in enumerate(f.tolist()):
+            image = self.K.add(image, self.K.mul(a, self.sigma(tower.y_basis, i)))
+        return self.m - linalg.rank(tower.fq, self.K.to_digits(image))
+
 
 def _codes(*arrays):
     return [tuple(a.tolist()) for a in arrays]
@@ -316,6 +326,28 @@ def test_kernel_dim_and_lambda_value_match_the_oracles(p, h, m):
     assert {0, m} <= seen
 
 
+@pytest.mark.parametrize("p,h,m", ORACLE_TOWERS)
+def test_lambda_value_and_kernel_dim_match_the_array_oracle(p, h, m):
+    # half of the polynomials get a right factor x^sigma - (sigma(v)/v) x, which kills v, so that kernels
+    # and lambda-values are often nonzero; sigma = x -> x^(q^s) for s = 1 and s = m - 1
+    t = make_tower(p, h, m)
+    rng = np.random.default_rng(10 * p + 100 * h + m)
+    seen = set()
+    for s in sorted({1, m - 1}):
+        A = _ArrayAlgebra(t, s)
+        for i in range(6):
+            F = _random_poly(t, rng, s, m + 1)
+            if i % 2:
+                v = int(rng.integers(1, t.order))
+                F = skew_mul(F, SigmaPoly(t, [int(t.fqm.neg(t.fqm.div(t.frobenius_code(v, s), v))), 1], s))
+            f = np.array(F.coeffs, dtype=DTYPE)
+            kd = kernel_dim(F)
+            seen.add(kd)
+            assert kd == A.kernel_dim(f, t)
+            assert [lambda_value(F, lam) for lam in range(1, t.q)] == [A.lambda_value(f, lam) for lam in range(1, t.q)]
+    assert {0, 1} <= seen
+
+
 def test_lambda_value_certificates_survive_python_O():
     # a wrong Bezout cofactor, and a "gcrd" that satisfies Bezout but does not divide f, are both refused
     faults = {
@@ -348,14 +380,14 @@ def test_zech_arithmetic_matches_the_field(p, h, m):
     rng = np.random.default_rng(100 * p + 10 * h + m)
     xs, ys = rng.integers(0, K.size, (2, 200)).tolist()
     pairs = list(zip(xs, ys)) + [(x, int(K.neg(x))) for x in xs[:20]] + [(0, 0), (0, 1), (1, 0), (1, int(K.neg(1)))]
-    for x, y in pairs:
-        assert A.add([x], [y]) == poly_trim([int(K.add(x, y))])
-        assert A.sub([x], [y]) == poly_trim([int(K.sub(x, y))])
-        assert A.times(x, y) == int(K.mul(x, y))
+    for x, y in pairs:  # constants as shifted-log polynomials
+        a, b = A.logs(poly_trim([x])), A.logs(poly_trim([y]))
+        assert A.codes(A.add(a, b)) == poly_trim([int(K.add(x, y))])
+        assert A.codes(A.add(a, b, A.minus)) == poly_trim([int(K.sub(x, y))])
+        assert A.codes(A.mul(a, b)) == poly_trim([int(K.mul(x, y))])
     nonzero = [x for x in xs if x]
-    assert [A.inverse(x) for x in nonzero] == K.inv(np.array(nonzero)).tolist()
-    with pytest.raises(DivisionByZero):
-        A.inverse(0)
+    assert [A.codes(A.divmod([1], A.logs([x]))[0]) for x in nonzero] == [[c] for c in K.inv(np.array(nonzero)).tolist()]
+    assert A.logs([0, 1, K.generator_code]) == [0, 1, 2] and A.codes([0, 1, 2]) == [0, 1, K.generator_code]
 
 
 @pytest.mark.parametrize("x", [1.5, 2.0, np.float64(1.5), np.array([1, 0.5]), np.array([[2.0]])])
@@ -413,6 +445,45 @@ def test_skewpoly_certificate_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "CertificateFailed: composition dropped the leading term" in proc.stderr
+
+
+_FUSED_FAULTS = {
+    # the recomposition q o g + r of a division with a nonzero remainder loses its last term, r
+    "divmod remainder or recomposition failed": (
+        "sk._Algebra.combine = lambda self, *terms: combine(self, *terms[:-1])\n"
+        "sk.right_divmod(sk.SigmaPoly(t, [1, 1, 1]), sk.SigmaPoly(t, [1, 1]))\n"),
+    # in lambda_value only the cofactor updates a - q o b scale a product by -1; their q loses its top coefficient
+    "composition dropped the leading term": (
+        "sk._Algebra.combine = lambda self, *terms: combine(\n"
+        "    self, *[(c, [*f[:-1], 0] if f and c == self.minus else f, g) for c, f, g in terms])\n"
+        "sk.lambda_value(sk.SigmaPoly(t, [1, 1]), 1)\n"),
+    # once euclid has returned, every sum loses its last term: the Bezout sum a o f + b o g is next, and
+    # for lambda = 2 both of its cofactors are nonzero
+    "Bezout identity for the gcrd failed": (
+        "euclid = sk._Algebra.euclid\n"
+        "def faulty(self, f, g):\n"
+        "    out = euclid(self, f, g)\n"
+        "    sk._Algebra.combine = lambda self, *terms: combine(self, *terms[:-1])\n"
+        "    return out\n"
+        "sk._Algebra.euclid = faulty\n"
+        "sk.lambda_value(sk.SigmaPoly(t, [1, 1]), 2)\n"),
+}
+
+
+@pytest.mark.parametrize("message", list(_FUSED_FAULTS))
+def test_fused_accumulators_survive_python_O(t9, message):
+    # each certificate that accumulates into one list in place refuses a faulty accumulator with asserts
+    # stripped; the division below has a nonzero remainder, so dropping it changes the recomposition
+    assert right_divmod(P(t9, 1, 1, 1), P(t9, 1, 1))[1].deg >= 0
+    check = (
+        "from subdesigns import skewpoly as sk\n"
+        "from subdesigns.gf import make_tower\n"
+        "t = make_tower(3, 1, 2)\n"
+        "combine = sk._Algebra.combine\n" + _FUSED_FAULTS[message]
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert f"CertificateFailed: {message}" in proc.stderr
 
 
 def test_zech_certificate_survives_python_O():

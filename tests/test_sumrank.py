@@ -459,8 +459,8 @@ def _assert_same_pairs_verdict(C):
 
 
 @given(st.integers(0, 10_000))
-@example(197)  # the witness row a lies past the first chunk of rows: F_27, k = 3, one row per chunk
-@example(338)  # F_9, k = 3: a = 34 in chunks of 30 rows
+@example(197)  # F_27, k = 3 in three blocks: 757 classes
+@example(338)  # F_9, k = 3: the witness row a = 34
 def test_pairs_match_looped_support_containment(seed):
     # random codes of the shapes criterion 10 draws
     rng = np.random.default_rng(seed)
@@ -480,6 +480,29 @@ def test_pairs_match_looped_support_containment_on_corpus():
     for _, D in max1_corpus():
         if D.ambient.tower.order ** D.ambient.k <= 4096:
             _assert_same_pairs_verdict(sr.code_from_system(D))
+
+
+def test_pairs_witness_survives_slicing_rows_and_candidates(monkeypatch):
+    # rows go in slices of n t cells and their candidate pairs are ranked in chunks of 2 m max n_i
+    # cells; at 1024 cells both split (glued q2 m3 k4 t1: 1 row a slice, 28 pairs a chunk), and on
+    # GL images of the corpus codes the witness is the one of the default chunks and, up to Q^k =
+    # 729, the first pair of the double loop
+    from subdesigns.repro import max1_corpus
+    from test_design import _moved
+
+    designs = [D for _, D in max1_corpus() if D.ambient.tower.order ** D.ambient.k <= 4096]
+    for seed in (2801, 2803):
+        for D in designs:
+            C = sr.code_from_system(_moved(D, seed))
+            want = sr.is_minimal_code(C, method="pairs")
+            if D.ambient.tower.order ** D.ambient.k <= 729:
+                _assert_same_pairs_verdict(C)
+            monkeypatch.setattr(linalg, "RANK_CELLS", 1 << 10)
+            got = sr.is_minimal_code(C, method="pairs")
+            monkeypatch.undo()
+            assert got[0] == want[0] and (got[1] is None) == (want[1] is None)
+            if want[1] is not None:
+                assert [w.tolist() for w in got[1]] == [w.tolist() for w in want[1]]
 
 
 def test_sumrank_certificate_survives_python_O():
