@@ -16,15 +16,16 @@ the cutting test, which walks the normals in chunks, spans only those
 their dims leave open and stops once it knows its answer.
 Every other s reads the same identity off a closed-form basis X of W^perp:
 dim_q(U_i meet W) = dim U_i - rk_q(X G_i).  The ranks rk_q(X G_i) are
-``linalg.block_ranks`` of tables built once per design or code
-(``digit_tables``), run in ``linalg.chunks``; a code's weights are the
-same sweep.
+``linalg.block_ranks`` of tables built once per design (``digit_tables``),
+which a code built from it reads in its block order, run in
+``linalg.chunks``; a code's weights are the same sweep.
 ``SubspaceDesign.span_dim`` is computed once per design object, like the
-point and hyperplane arrays.
+point and hyperplane arrays; ``MemberTuple`` is its base and strong designs'.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd
@@ -50,8 +51,8 @@ from subdesigns.errors import (
     TooManyBlocks,
     certify,
 )
-from subdesigns.fieldcore import DTYPE, LAZY_CAP, find_irreducible
-from subdesigns.gf import FieldTower, make_tower, prime_power, small_field
+from subdesigns.fieldcore import DTYPE, find_irreducible
+from subdesigns.gf import FieldTower, check_field_size, make_tower, prime_power, small_field
 from subdesigns.subspace import (
     DEFAULT_ENUMERATION_CAP,
     AmbientSpace,
@@ -67,22 +68,19 @@ from subdesigns.subspace import (
     subspace_count,
 )
 
-class SubspaceDesign:
-    """Ordered tuple of F_q-subspaces sharing one ambient space."""
+class MemberTuple:
+    """An ordered, nonempty tuple of subspaces of one ambient; `_kind` names the design."""
+
+    _kind = "a design"
 
     def __init__(self, ambient: AmbientSpace, members):
         members = tuple(members)
         if not members:
-            raise BadParameters("a design needs at least one member")
-        for U in members:
-            if U.ambient != ambient:
-                raise AmbientMismatch("member from a different ambient")
+            raise BadParameters(f"{self._kind} needs at least one member")
+        if any(U.ambient != ambient for U in members):
+            raise AmbientMismatch("member from a different ambient")
         self.ambient = ambient
         self.members = members
-        self._point_dims = None
-        self._hyperplane_dims = None
-        self._cutting = None
-        self._span_dim = None
 
     @property
     def t(self) -> int:
@@ -91,6 +89,20 @@ class SubspaceDesign:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(U.dim for U in self.members)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(t={self.t}, dims={list(self.dims)}, ambient={self.ambient})"
+
+
+class SubspaceDesign(MemberTuple):
+    """Ordered tuple of F_q-subspaces sharing one ambient space."""
+
+    def __init__(self, ambient: AmbientSpace, members):
+        super().__init__(ambient, members)
+        self._point_dims = None
+        self._hyperplane_dims = None
+        self._cutting = None
+        self._span_dim = None
 
     @property
     def total_dim(self) -> int:
@@ -102,9 +114,6 @@ class SubspaceDesign:
             and other.ambient == self.ambient
             and other.members == self.members
         )
-
-    def __repr__(self) -> str:
-        return f"SubspaceDesign(t={self.t}, dims={list(self.dims)}, ambient={self.ambient})"
 
     @cached_property
     def digit_tables(self) -> list[tuple[np.ndarray, int]]:
@@ -505,8 +514,7 @@ def construct_field_partition(q: int, m: int, k: int, cap: int | None = DEFAULT_
         raise GcdViolation("subgeometry partitions need gcd(k, m) = 1")
     # locate the tower for F_q: q = p^h with our supported shapes
     p, h = prime_power(q)
-    if h * m * k >= LAZY_CAP.bit_length() or q ** (m * k) > LAZY_CAP:  # as in make_tower
-        raise BadParameters(f"F_({q}^{m * k}) exceeds the supported field size {LAZY_CAP}")
+    check_field_size(q, m * k)
     tower = make_tower(p, h, m)
     amb = AmbientSpace(tower, k)
     big = small_field(p, tower.fqm, find_irreducible(tower.fqm, k))  # codes are F_{q^m}-digit vectors
@@ -540,7 +548,10 @@ def enlarge(
     """Grow members by deterministic extra vectors; (s, A) becomes (s, A + sum j_i)."""
     amb = D.ambient
     F = amb.tower.fq
-    increments = list(increments)
+    try:
+        increments = [operator.index(j) for j in increments]
+    except TypeError:
+        raise BadParameters("increments must be integers") from None
     if len(increments) != D.t:
         raise BadParameters("one increment per member")
     if any(j < 0 or j > amb.n_fq - U.dim for j, U in zip(increments, D.members)):
@@ -548,17 +559,10 @@ def enlarge(
     profile = design_profile(D, s, cap=cap)
     members = []
     for U, j in zip(D.members, increments):
-        basis = U.basis
-        added = 0
-        col = 0
-        while added < j:
-            vec = np.zeros(amb.n_fq, dtype=DTYPE)
-            vec[col] = 1
+        basis, col = U.basis, 0
+        while len(basis) < U.dim + j:  # add e_col where it leaves the span; RREF is canonical
+            basis = linalg.rref(F, np.vstack([basis, np.eye(1, amb.n_fq, col, dtype=DTYPE)]))[0]
             col += 1
-            R, piv = linalg.rref(F, np.vstack([basis, vec.reshape(1, -1)]))
-            if R.shape[0] > basis.shape[0]:
-                basis = R
-                added += 1
         members.append(FqSubspace.from_expanded_rows(amb, basis))
     out = SubspaceDesign(amb, members)
     new_prof = design_profile(out, s, cap=cap)

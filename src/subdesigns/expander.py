@@ -19,6 +19,7 @@ from subdesigns import linalg
 from subdesigns.design import SubspaceDesign
 from subdesigns.errors import BadDims, BadParameters, NotABasis, certify
 from subdesigns.fieldcore import DTYPE
+from subdesigns.gf import code_of
 from subdesigns.subspace import DEFAULT_ENUMERATION_CAP, RREF_CHUNK, check_cap, gaussian_binomial, rref_matrix_blocks
 
 
@@ -46,7 +47,7 @@ def build_expander(D: SubspaceDesign, beta=None) -> ExpanderFamily:
         raise BadDims(f"need t <= m and all member dims equal to ell/t = {ell}/{t}")
     if beta is None:
         beta = tw.y_basis
-    beta = [int(b) for b in beta]
+    beta = [code_of(b) for b in beta]
     if len(beta) != tw.m or linalg.rank(tw.fq, tw.fqm.to_digits(np.array(beta, dtype=DTYPE))) != tw.m:
         raise NotABasis("beta must be an F_q-basis of F_{q^m}")
 

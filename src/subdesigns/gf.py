@@ -18,7 +18,8 @@ ones:
 Towers are cached by their defining data, so equal parameters give the
 *same* object and element equality can require tower identity.  Fields
 are interned the same way (``small_field``): towers over the same F_q
-share its SmallField, and so every table cached on it.
+share its SmallField, and so every table cached on it.  ``check_field_size``
+is the one size rule, checked on the exponent before any power is formed.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ def prime_power(q: int) -> tuple[int, int]:
                 raise BadParameters("q must be a prime power")
             return p, h
     raise BadParameters("q must be >= 2")
+
+
+def check_field_size(base: int, exp: int) -> None:
+    """BadParameters past LAZY_CAP elements; the exponent goes first, as base^exp >= 2^exp."""
+    if exp >= LAZY_CAP.bit_length() or base**exp > LAZY_CAP:
+        raise BadParameters(f"F_({base}^{exp}) exceeds the supported field size {LAZY_CAP}")
 
 
 class FieldTower:
@@ -349,8 +356,7 @@ def make_tower(p: int, h: int, m: int, fq_modulus=None, fqm_modulus=None) -> Fie
     """
     if h < 1 or m < 1:
         raise BadParameters("h and m must be positive")
-    if h * m >= LAZY_CAP.bit_length() or p ** (h * m) > LAZY_CAP:  # p^(hm) >= 2^(hm): no huge power is formed
-        raise BadParameters(f"F_({p}^{h * m}) exceeds the supported field size {LAZY_CAP}")
+    check_field_size(p, h * m)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     request = (p, h, m) + tuple(None if mod is None else tuple(int(c) for c in mod) for mod in (fq_modulus, fqm_modulus))

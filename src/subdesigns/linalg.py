@@ -4,8 +4,9 @@ Matrices are 2-D numpy int32 arrays of element codes.  Everything is
 reduced row-echelon based: RREF output is canonical (pivots 1, pivot
 columns elementary, pivots strictly increasing), so row spaces compare
 by array equality.  The looped ``rref`` serves single subspaces and is
-the oracle of the batched paths.  Membership and containment are the
-rank identity rk [A; B] = rk A; there is no separate membership test.
+the oracle of the batched paths.  Membership, containment and
+invertibility are rank identities (rk [A; B] = rk A, rk M = n), with no
+separate test.
 
 The sweeps need F_q-ranks of many tiny matrices, and this module owns
 the format they travel in.  The row code of a row of F^c is its base-|F|
@@ -322,13 +323,10 @@ def echelon_batch(F: SmallField, M: np.ndarray, stop: int | None = None) -> tupl
 def right_kernel(F: SmallField, M: np.ndarray) -> np.ndarray:
     """Canonical basis (as rows) of {x : M x^T = 0}."""
     R, piv = rref(F, M)
-    rows, cols = R.shape
-    free = [c for c in range(cols) if c not in piv]
-    K = np.zeros((len(free), cols), dtype=DTYPE)
-    for idx, f in enumerate(free):
-        K[idx, f] = 1
-        for i, pc in enumerate(piv):
-            K[idx, pc] = int(F.neg(int(R[i, f])))
+    free = [c for c in range(R.shape[1]) if c not in piv]
+    K = np.zeros((len(free), R.shape[1]), dtype=DTYPE)
+    K[range(len(free)), free] = 1
+    K[:, piv] = F.neg(R[:, free]).T
     return rref(F, K)[0]
 
 
@@ -436,14 +434,3 @@ def intersect_rowspaces(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarr
     L = right_kernel(F, D.T)
     return rref(F, matmul(F, L[:, : A.shape[0]], A))[0]
 
-
-def invert(F: SmallField, M: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix; raises ValueError when singular."""
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise ValueError("not square")
-    aug = np.hstack([np.asarray(M, dtype=DTYPE), np.eye(n, dtype=DTYPE)])
-    R, piv = rref(F, aug)
-    if piv != list(range(n)):
-        raise ValueError("matrix is singular")
-    return R[:, n:]

@@ -180,7 +180,7 @@ class SigmaPoly:
     def __init__(self, tower: FieldTower, coeffs: Sequence[int], s: int = 1):
         if gcd(s, tower.m) != 1:
             raise ParameterMismatch(f"sigma exponent {s} not coprime to m={tower.m}")
-        cs = poly_trim([int(c) for c in coeffs])
+        cs = poly_trim([code_of(c) for c in coeffs])
         if not all(0 <= c < tower.order for c in cs):
             raise BadParameters(f"sigma-polynomial coefficients must be codes in [0, {tower.order})")
         object.__setattr__(self, "tower", tower)
@@ -340,7 +340,7 @@ def kernel_dim(F: SigmaPoly) -> int:
 
 def twist(F: SigmaPoly, alpha: FFElement | int) -> SigmaPoly:
     """Coefficient twist f_i -> f_i * prod_{j<i} sigma^j(alpha)."""
-    code = int(alpha)
+    code = code_of(alpha)
     if not 0 <= code < F.tower.order:
         raise BadParameters(f"twist by a code outside [0, {F.tower.order})")
     if code == 0:
@@ -355,7 +355,7 @@ def twist(F: SigmaPoly, alpha: FFElement | int) -> SigmaPoly:
 
 def lambda_value(F: SigmaPoly, lam: FFElement | int, check: bool = True) -> int:
     """deg gcrd(F, x^(sigma^m) - lam x); the kernel dimension of any norm-lam twist."""
-    code = int(lam)
+    code = code_of(lam)
     t = F.tower
     if not 0 < code < t.order or not t.in_fq_code(code):
         raise NotInBaseField("lambda must lie in F_q^*")

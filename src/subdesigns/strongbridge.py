@@ -1,11 +1,11 @@
 """Strong subspace designs and the four bridges down to ordinary designs.
 
-Strong designs here carry F_{q^m}-subspace members and are measured
-against F_{q^m}-subspaces with top-field dimensions (the form in which
-they are consumed by the conversions).  They are measured through their
-F_q-expansion: dim_q(V meet W) = m dim_{q^m}(V meet W), so the ordinary
-``design_profile`` of the expanded members, divided by m, is the strong
-profile.  The bridges:
+Strong designs here carry F_{q^m}-subspace members, on the base
+``design.MemberTuple`` of ordinary designs, and are measured against
+F_{q^m}-subspaces with top-field dimensions (the form in which they are
+consumed by the conversions), through their F_q-expansion:
+dim_q(V meet W) = m dim_{q^m}(V meet W), so the ordinary ``design_profile``
+of the expanded members, divided by m, is the strong profile.  The bridges:
 
 * intersect with a subspace-evasive F_q-subspace,
 * reinterpret over an intermediate field F_q < F_{q^m} < F_{q^c},
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from subdesigns import linalg
-from subdesigns.design import SubspaceDesign, design_profile
+from subdesigns.design import MemberTuple, SubspaceDesign, design_profile
 from subdesigns.errors import (
     AmbientMismatch,
     BadParameters,
@@ -51,29 +51,10 @@ from subdesigns.subspace import (
 )
 
 
-class StrongSubspaceDesign:
+class StrongSubspaceDesign(MemberTuple):
     """Ordered tuple of F_{q^m}-subspaces of one ambient space."""
 
-    def __init__(self, ambient: AmbientSpace, members):
-        members = tuple(members)
-        if not members:
-            raise BadParameters("a strong design needs at least one member")
-        for V in members:
-            if V.ambient != ambient:
-                raise AmbientMismatch("member from a different ambient")
-        self.ambient = ambient
-        self.members = members
-
-    @property
-    def t(self) -> int:
-        return len(self.members)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(V.dim for V in self.members)
-
-    def __repr__(self) -> str:
-        return f"StrongSubspaceDesign(t={self.t}, dims={list(self.dims)}, ambient={self.ambient})"
+    _kind = "a strong design"
 
 
 def verify_strong(

@@ -10,12 +10,13 @@ comparison.  ``linear_set`` maps each point of L_U to its weight
 dim_q(U meet P).  The hyperplane normals of V are read as
 ``AmbientSpace.normals``, one read-only array per ambient.
 
-Enumeration streams are deterministic, restartable and chunkable by
-index range: pivot supports run in lexicographic order and the free
-entries in row-major code order.  Sweeps read the same order as stacked
-blocks (``rref_matrix_blocks``, ``fqm_subspace_blocks``), one or more per
-pivot support, for the batched rank kernel.  Counts are checked against
-Gaussian binomials before any iteration starts.
+``rref_matrix_blocks`` is the one RREF enumerator: pivot supports in
+lexicographic order, free entries in row-major code order, as stacked
+blocks, one or more per pivot support, which the sweeps hand to the
+batched rank kernel (``fqm_subspace_blocks``).  The streams
+(``enumerate_rref_matrices``, ``enumerate_fqm_subspaces``) read the same
+blocks one matrix at a time, restartable and chunkable by index range.
+Counts are checked against Gaussian binomials before any iteration starts.
 """
 
 from __future__ import annotations
@@ -278,46 +279,25 @@ def enumerate_rref_matrices(
     start: int = 0,
     stop: int | None = None,
 ) -> Iterator[tuple[np.ndarray, list[int]]]:
-    """All s x k RREF matrices over a Q-element field, exactly once each.
-
-    Pivot supports run in lexicographic order, free entries in row-major
-    code order; restartable and chunkable through [start, stop).
-    """
-    total = gaussian_binomial(k, s, Q)
-    if stop is None:
-        stop = total
-    idx = 0
-    for pivots in itertools.combinations(range(k), s):
-        free_pos = [
-            (i, c)
-            for i in range(s)
-            for c in range(pivots[i] + 1, k)
-            if c not in pivots
-        ]
-        block = Q ** len(free_pos)
-        if idx + block <= start:
-            idx += block
-            continue
-        if idx >= stop:
+    """The matrices of rref_matrix_blocks one at a time, indices [start, stop) of its order,
+    each a copy with its own pivot list; no block past stop is built."""
+    stop = gaussian_binomial(k, s, Q) if stop is None else stop
+    lo = 0
+    for M, piv in rref_matrix_blocks(Q, s, k) if stop > 0 else ():
+        for X in M[max(start - lo, 0) : stop - lo]:
+            yield X.copy(), list(piv)
+        lo += len(M)
+        if lo >= stop:
             return
-        for vals in itertools.product(range(Q), repeat=len(free_pos)):
-            if idx >= stop:
-                return
-            if idx >= start:
-                M = np.zeros((s, k), dtype=DTYPE)
-                for i, p in enumerate(pivots):
-                    M[i, p] = 1
-                for (i, c), v in zip(free_pos, vals):
-                    M[i, c] = v
-                yield M, list(pivots)
-            idx += 1
 
 
 def rref_matrix_blocks(Q: int, s: int, k: int) -> Iterator[tuple[np.ndarray, list[int]]]:
-    """The matrices of enumerate_rref_matrices, in its order, as stacks (n, s, k).
+    """All s x k RREF matrices over a Q-element field, exactly once each, as stacks (n, s, k).
 
-    Each stack holds at most RREF_CHUNK matrices of one pivot support,
-    which is yielded with it.
+    Pivot supports run in lexicographic order; within one, the free entries
+    (row-major) count up in base Q with the last one fastest, as in
+    itertools.product.  Each stack holds at most RREF_CHUNK matrices of one
+    pivot support, which is yielded with it.
     """
     for pivots in itertools.combinations(range(k), s):
         free_pos = [(i, c) for i in range(s) for c in range(pivots[i] + 1, k) if c not in pivots]
@@ -328,7 +308,7 @@ def rref_matrix_blocks(Q: int, s: int, k: int) -> Iterator[tuple[np.ndarray, lis
             codes = np.arange(lo, min(lo + RREF_CHUNK, total), dtype=np.int64)
             M = np.zeros((codes.size, s, k), dtype=DTYPE)
             M[:, list(range(s)), pivots] = 1
-            if free_pos:  # base-Q digits of the codes: the last free entry runs fastest, as in itertools.product
+            if free_pos:  # the base-Q digits of the codes, the last free entry fastest
                 M[:, rows, cols] = np.stack(np.unravel_index(codes, (Q,) * len(free_pos)), axis=1)
             yield M, list(pivots)
 

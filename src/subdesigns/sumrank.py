@@ -14,7 +14,8 @@ comparison of supports is a ``linalg.base_ranks`` of the block codes
 ``linalg.block_codes`` forms: supp(y) lies in supp(x) exactly when the
 ranks of the blocks of x, stacked with those of y, sum to wt(x).  A Delsarte
 dual is always certified, its distance read off the design's own profiles:
-d(C^perp) is the least s + 1 with A_min(s) >= s + 1.
+d(C^perp) is the least s + 1 with A_min(s) >= s + 1.  A code built by
+``code_from_system`` reads its design's ``digit_tables`` in block order.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ from subdesigns.subspace import (
 class SumRankCode:
     """[(n_1, ..., n_t), k] code over F_{q^m}/F_q, lengths sorted descending."""
 
+    _member_order = None  # for a code_from_system code, block i is member _member_order[i] of design
+
     def __init__(self, tower: FieldTower, lengths, blocks, design: SubspaceDesign | None = None):
         lengths = tuple(int(n) for n in lengths)
         if list(lengths) != sorted(lengths, reverse=True):
@@ -97,18 +100,18 @@ class SumRankCode:
     def __repr__(self) -> str:
         return f"SumRankCode(n={list(self.lengths)}, k={self.k} over F_{self.tower.order}/F_{self.tower.q})"
 
-    @property
+    @cached_property
     def non_degenerate(self) -> bool:
+        """Every block has F_q-independent columns; ranked once per code object."""
         amb = AmbientSpace(self.tower, self.k)
-        for b, n in zip(self.blocks, self.lengths):
-            cols = amb.expand(b.T)
-            if linalg.rank(self.tower.fq, cols) != n:
-                return False
-        return True
+        return all(linalg.rank(self.tower.fq, amb.expand(b.T)) == n for b, n in zip(self.blocks, self.lengths))
 
     @cached_property
     def digit_tables(self) -> list[tuple[np.ndarray, int]]:
-        """linalg.block_codes tables of the blocks, built on first use."""
+        """linalg.block_codes tables of the blocks, built on first use: those of the source
+        design, in block order, for a code_from_system code, else the code's own."""
+        if self._member_order is not None:
+            return [self.design.digit_tables[i] for i in self._member_order]
         return linalg.digit_tables(self.tower.fqm, self.blocks)
 
     def system(self) -> SubspaceDesign:
@@ -131,7 +134,9 @@ def code_from_system(D: SubspaceDesign) -> SumRankCode:
     order = sorted(range(D.t), key=lambda i: -D.members[i].dim)
     blocks = [D.members[i].gen_block() for i in order]
     lengths = [D.members[i].dim for i in order]
-    return SumRankCode(D.ambient.tower, lengths, blocks, design=D)
+    C = SumRankCode(D.ambient.tower, lengths, blocks, design=D)
+    C._member_order = order
+    return C
 
 
 def system_from_code(C: SumRankCode) -> SubspaceDesign:
@@ -328,10 +333,8 @@ def apply_isometry(C: SumRankCode, scalars, matrices, perm) -> SumRankCode:
         if M.shape != (n, n) or not all(0 <= x < t.q for x in entries):
             raise NotInvertible("block matrices must be n_i x n_i over F_q")
         M = np.array(entries, dtype=DTYPE).reshape(n, n)
-        try:
-            linalg.invert(t.fq, M)
-        except ValueError as exc:
-            raise NotInvertible("block matrix is singular over F_q") from exc
+        if linalg.rank(t.fq, M) < n:
+            raise NotInvertible("block matrix is singular over F_q")
         G = linalg.matmul(t.fqm, C.blocks[perm[i]], M)
         blocks.append(np.asarray(t.fqm.mul(scalars[i], G), dtype=DTYPE))
     return SumRankCode(t, C.lengths, blocks)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subdesigns import design as de
+from subdesigns import expander as ex
 from subdesigns import hamming as ha
 from subdesigns import linalg, subspace
 from subdesigns import sumrank as sr
 from subdesigns.errors import (
+    AmbientMismatch,
     BadExponent,
     BadParameters,
     BadPartition,
@@ -29,6 +31,7 @@ from subdesigns.errors import (
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower
 from subdesigns.repro import distinct_norm_elements, glued_design, pseudoregulus_design, twisted_design
+from subdesigns.skewpoly import SigmaPoly, lambda_value, twist
 from subdesigns.subspace import (
     AmbientSpace,
     FqmSubspace,
@@ -202,6 +205,61 @@ def test_enlarge(pseudo9):
     assert de.design_profile(E, 1).A_min == 2
     with pytest.raises(IncrementTooLarge):
         de.enlarge(pseudo9, 1, [3, 0])
+
+
+def _looped_enlarge(D, increments):
+    """Oracle of enlarge's members: per member, the unit vectors e_0, e_1, ... in turn, each kept
+    when it raises the rank, until j of them are kept."""
+    out = []
+    for U, j in zip(D.members, increments):
+        rows = list(U.basis)
+        for e in np.eye(D.ambient.n_fq, dtype=DTYPE):
+            if len(rows) == U.dim + j:
+                break
+            if linalg.rank(D.ambient.tower.fq, np.array(rows + [e])) > len(rows):
+                rows.append(e)
+        out.append(FqSubspace.from_expanded_rows(D.ambient, np.array(rows, dtype=DTYPE).reshape(-1, D.ambient.n_fq)))
+    return out
+
+
+@pytest.mark.parametrize("make,increments", [
+    (lambda: pseudoregulus_design(3, 2, 1, 2), [1, 2]),
+    (lambda: twisted_design(3, 2, 2, 1), [2]),
+    (lambda: de.construct_field_partition(2, 2, 3), [1, 0, 3]),
+    (lambda: de.construct_field_partition(2, 3, 2), [4, 1, 0]),
+])
+def test_enlarge_matches_the_looped_unit_vectors(make, increments):
+    D = make()
+    assert de.enlarge(D, 1, increments).members == tuple(_looped_enlarge(D, increments))
+
+
+def test_designs_share_one_member_tuple_base():
+    from subdesigns.strongbridge import StrongSubspaceDesign
+
+    amb = AmbientSpace(make_tower(3, 1, 2), 2)
+    other = AmbientSpace(amb.tower, 3)
+    for cls, noun in ((de.SubspaceDesign, "a design"), (StrongSubspaceDesign, "a strong design")):
+        assert issubclass(cls, de.MemberTuple)
+        with pytest.raises(BadParameters, match=f"^{noun} needs at least one member$"):
+            cls(amb, iter([]))
+        W = FqmSubspace.from_rows(amb, [[1, 0]])
+        with pytest.raises(AmbientMismatch, match="^member from a different ambient$"):
+            cls(amb, [W, FqmSubspace.from_rows(other, [[1, 0, 0]])])
+        S = cls(amb, (X for X in [W, W.expand_fq()]))
+        assert S.t == 2 and S.dims == (1, 2)
+        assert repr(S) == f"{cls.__name__}(t=2, dims=[1, 2], ambient=AmbientSpace(F_9^2))"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SigmaPoly(make_tower(3, 1, 2), [1.7, 2.2]),  # read as (1, 2)
+    lambda: twist(SigmaPoly(make_tower(3, 1, 2), [1, 2]), 1.9),  # a twist by 1
+    lambda: lambda_value(SigmaPoly(make_tower(3, 1, 2), [1, 2]), 1.5),  # the value for lambda = 1
+    lambda: ex.build_expander(twisted_design(3, 3, 2, 2), beta=[1.2, 3.9, 9.5]),  # beta (1, 3, 9)
+    lambda: de.enlarge(twisted_design(3, 2, 2, 1), 1, [1.5]),  # two added vectors
+], ids=["sigma-poly", "twist", "lambda-value", "expander-beta", "enlarge"])
+def test_float_codes_are_refused_not_truncated(call):
+    with pytest.raises(BadParameters, match="integer"):
+        call()
 
 
 def test_dual_design(pseudo9):

@@ -76,6 +76,19 @@ def test_make_tower_refuses_huge_or_non_positive_sizes():
             make_tower(2, h, m)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_tower(2, 4, 6), "F_(2^24)"),
+    (lambda: make_tower(1031, 1, 2), "F_(1031^2)"),
+    (lambda: construct_field_partition(4, 3, 5), "F_(4^15)"),  # h m k = 30 past the bit length, q^(mk) formed
+    (lambda: construct_field_partition(2, 1, 21), "F_(2^21)"),
+])
+def test_one_field_size_rule_for_towers_and_field_partitions(call, message):
+    with pytest.raises(BadParameters) as exc:
+        call()
+    assert str(exc.value) == f"{message} exceeds the supported field size 1048576"
+    gf.check_field_size(2, 20)  # 2^20 elements is the largest supported field
+
+
 def test_towers_are_cached(f9, monkeypatch):
     assert make_tower(3, 1, 2) is f9
     # a repeated request, as on every design-file load, builds no field

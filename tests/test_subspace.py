@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 
@@ -96,6 +97,32 @@ def test_enumeration_counts(amb4):
         list(enumerate_fqm_subspaces(big, 3, cap=100))
 
 
+def _looped_rref_matrices(Q, s, k, start=0, stop=None):
+    """The oracle of rref_matrix_blocks and its streams: every s x k RREF matrix over F_Q, one at a
+    time, pivot supports in lexicographic order and free entries by itertools.product."""
+    stop = gaussian_binomial(k, s, Q) if stop is None else stop
+    idx = 0
+    for pivots in itertools.combinations(range(k), s):
+        free_pos = [(i, c) for i in range(s) for c in range(pivots[i] + 1, k) if c not in pivots]
+        for vals in itertools.product(range(Q), repeat=len(free_pos)):
+            if idx >= stop:
+                return
+            if idx >= start:
+                M = np.zeros((s, k), dtype=DTYPE)
+                M[range(s), pivots] = 1
+                for (i, c), v in zip(free_pos, vals):
+                    M[i, c] = v
+                yield M, list(pivots)
+            idx += 1
+
+
+def _same_matrices(got, want) -> bool:
+    got, want = list(got), list(want)
+    return len(got) == len(want) and all(
+        piv == qiv and X.dtype == Y.dtype and np.array_equal(X, Y) for (X, piv), (Y, qiv) in zip(got, want)
+    )
+
+
 @pytest.mark.parametrize("Q,k,s", [(4, 2, 1), (9, 2, 1), (4, 3, 1), (4, 3, 2), (8, 2, 1), (9, 3, 2), (2, 4, 2), (3, 4, 2)])
 def test_enumeration_matches_gaussian_binomial(Q, k, s):
     seen = set()
@@ -110,19 +137,46 @@ def test_rref_blocks_keep_enumeration_order(monkeypatch, Q, s, k, chunk):
     monkeypatch.setattr(subspace, "RREF_CHUNK", chunk)
     blocks = list(rref_matrix_blocks(Q, s, k))
     assert all(0 < M.shape[0] <= chunk for M, _ in blocks)
-    flat = [(X, piv) for M, piv in blocks for X in M]
-    expected = list(enumerate_rref_matrices(Q, s, k))
-    assert len(flat) == len(expected)
-    for (X, piv), (Y, qiv) in zip(flat, expected):
-        assert piv == qiv and np.array_equal(X, Y)
+    assert _same_matrices([(X, piv) for M, piv in blocks for X in M], _looped_rref_matrices(Q, s, k))
+
+
+@pytest.mark.parametrize("Q,s,k", [(2, 0, 3), (9, 0, 2), (2, 2, 4), (3, 2, 4), (4, 1, 3), (9, 2, 3), (3, 4, 4)])
+@pytest.mark.parametrize("chunk", [5, 4096])
+def test_rref_stream_and_its_slices_match_the_looped_oracle(monkeypatch, Q, s, k, chunk):
+    monkeypatch.setattr(subspace, "RREF_CHUNK", chunk)
+    total = gaussian_binomial(k, s, Q)
+    slices = [(0, None), (0, 1), (1, None), (3, 12), (4, 5), (5, 10), (7, 7), (9, 2), (0, 0), (total - 1, None),
+              (total, None), (2, total + 3), (-3, 4), (0, -1)]
+    for start, stop in slices:
+        got = enumerate_rref_matrices(Q, s, k, start=start, stop=stop)
+        assert _same_matrices(got, _looped_rref_matrices(Q, s, k, start, stop)), (start, stop)
+    items = list(enumerate_rref_matrices(Q, s, k))  # each matrix a copy, with a pivot list of its own
+    assert all(M.base is None for M, _ in items) and len({id(piv) for _, piv in items}) == len(items)
+
+
+@pytest.mark.parametrize("stop,built", [(0, 0), (1, 1), (5, 1), (6, 2), (10, 2), (11, 3), (None, 10)])
+def test_rref_stream_builds_no_block_past_stop(monkeypatch, stop, built):
+    # F_3^(1 x 4) has 27 matrices with pivot 0, then 9, 3 and 1: blocks of 5, 5, 5, 5, 5, 2, 5, 4, 3, 1
+    monkeypatch.setattr(subspace, "RREF_CHUNK", 5)
+    blocks = subspace.rref_matrix_blocks
+    count = []
+
+    def counted(*args):
+        for block in blocks(*args):
+            count.append(1)
+            yield block
+
+    monkeypatch.setattr(subspace, "rref_matrix_blocks", counted)
+    list(enumerate_rref_matrices(3, 1, 4, stop=stop))
+    assert len(count) == built
 
 
 @pytest.mark.parametrize("Q,k", [(2, 1), (2, 4), (3, 3), (4, 2), (9, 3), (27, 2), (2, 14)])
 def test_projective_reps_are_the_rref_rows(Q, k):
-    # (2, 14) has a block of 8192 rows for the pivot in column 0, two RREF_CHUNK blocks of the oracle
+    # (2, 14) has a block of 8192 rows for the pivot in column 0, two RREF_CHUNK blocks
     reps = subspace.canonical_projective_reps(Q, k)
     assert reps.dtype == DTYPE
-    assert reps.tolist() == [M[0].tolist() for M, _ in enumerate_rref_matrices(Q, 1, k)]
+    assert reps.tolist() == [M[0].tolist() for M, _ in _looped_rref_matrices(Q, 1, k)]
     assert subspace.canonical_projective_reps(Q, 0).shape == (0, 0)
 
 
@@ -330,6 +384,7 @@ def test_zero_dimensional_rref_matrices(Q, k):
     assert list(enumerate_rref_matrices(Q, 0, k, start=1)) == []
     assert list(enumerate_rref_matrices(Q, 0, k, stop=0)) == []
     assert [(M.shape, piv) for M, piv in rref_matrix_blocks(Q, 0, k)] == [((1, 0, k), [])]
+    assert _same_matrices(enumerate_rref_matrices(Q, 0, k), _looped_rref_matrices(Q, 0, k))
 
 
 def test_vectors_of_the_zero_subspace(amb9):

@@ -205,6 +205,45 @@ def test_geometric_minimality_checks_the_source_design(monkeypatch, pseudo9):
             assert [w.tolist() for w in got[1]] == [w.tolist() for w in want[1]]
 
 
+def _unequal_design() -> de.SubspaceDesign:
+    """A fresh design over F_9^3 with member dims 2, 4 and 3: code_from_system orders its blocks 1, 2, 0."""
+    amb = AmbientSpace(make_tower(3, 1, 2), 3)
+    rng = np.random.default_rng(29)
+    D = de.SubspaceDesign(amb, [sp.FqSubspace.from_expanded_rows(amb, rng.integers(0, 3, (n, 6))) for n in (2, 4, 3)])
+    assert D.dims == (2, 4, 3) and D.span_dim() == 3
+    return D
+
+
+def test_code_from_system_reads_its_design_tables_in_block_order():
+    D = _unequal_design()
+    C = sr.code_from_system(D)
+    assert C.lengths == (4, 3, 2)
+    assert all(got is want for got, want in zip(C.digit_tables, [D.digit_tables[i] for i in (1, 2, 0)]))
+    own = linalg.digit_tables(C.tower.fqm, C.blocks)  # the tables the code would build for itself
+    assert len(C.digit_tables) == len(own) == 3
+    assert all(n == m and np.array_equal(a, b) for (a, n), (b, m) in zip(C.digit_tables, own))
+
+
+def test_one_table_set_per_design_and_its_code(monkeypatch):
+    calls, digit_tables = [], linalg.digit_tables
+    monkeypatch.setattr(linalg, "digit_tables", lambda F, blocks: calls.append(len(blocks)) or digit_tables(F, blocks))
+    D = _unequal_design()
+    C = sr.code_from_system(D)
+    sr.sumrank_weight(C, [1, 2, 0])  # the code's own weight, then its design's section dims
+    sr.is_minimal_code(C, method="pairs")
+    de.design_profile(D, 2)
+    assert calls == [3]
+
+
+def test_non_degenerate_is_ranked_once_per_code(monkeypatch):
+    C = sr.code_from_system(_unequal_design())
+    calls, rank = [], linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda F, M: calls.append(F) or rank(F, M))
+    for x in ([1, 0, 0], [0, 1, 2], [3, 4, 5]):
+        sr.sumrank_weight(C, x)  # each weight is certified against the geometric one of a nondegenerate code
+    assert C.non_degenerate and calls == [C.tower.fq] * 3
+
+
 def test_repetition_style_k1_code():
     # k = 1 with independent entries per block: d = sum of block lengths
     t = make_tower(2, 1, 2)
