@@ -8,9 +8,11 @@ enumeration order).  The two ends each reduce one array built once per
 design.  At s = 1 it is ``SubspaceDesign.point_dims``: dim_q(U_i meet P)
 on the points P of the members' linear sets, which ``hamming`` also reads
 for the Ext points.  At s = k-1 it is ``SubspaceDesign.hyperplane_dims``:
-dim_q(U_i meet x^perp) = dim U_i - rk_q(x G_i) for every member and every
-canonical normal x.  Its column sums give the (k-1)-profile, the histogram
-and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
+dim_q(U_i meet x^perp) for every member and every canonical normal x.  A
+member with dim U_i >= 2m reads its row off its ordinary dual U_i' as
+dim U_i - m + dim_q(U_i' meet <x>), from the few vectors of U_i'; the others
+are swept as dim U_i - rk_q(x G_i).  Its column sums give the (k-1)-profile,
+the histogram and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
 gives F_q-bases of the sections themselves, eliminated over F_{q^m}, for
 the cutting test, which walks the normals in chunks, spans only those
 their dims leave open and stops once it knows its answer.
@@ -64,6 +66,7 @@ from subdesigns.subspace import (
     hyperplane_subspace,
     linear_set,
     ordinary_dual,
+    point_weights,
     span_fq,
     subspace_count,
 )
@@ -138,11 +141,29 @@ class SubspaceDesign(MemberTuple):
 
     def hyperplane_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """dim_q(U_i meet x^perp), shape (t, #H), rows in member order, columns in
-        AmbientSpace.normals order; built once, with the cap checked on every call."""
+        AmbientSpace.normals order; built once, with the cap checked on every call.
+
+        x^perp is the trace dual of the point <x>, so a member's row is
+        dim U - m + dim_q(U' meet <x>) for its ordinary dual U' (Polverino,
+        Discrete Math. 310, 2010).  A member with dim U >= 2m reads it off the
+        point_weights of U', whose q^(mk - dim U) - 1 nonzero vectors are at
+        most #H / q^m; the others are swept by linalg.block_ranks on their
+        entries of digit_tables.  With no member swept, neither the normals
+        nor the tables are built.
+        """
         check_cap(subspace_count(self.ambient, 1), cap, "hyperplanes")
         if self._hyperplane_dims is None:
-            self._hyperplane_dims = section_dims(self, self.ambient.normals[:, None])
-            self._hyperplane_dims.flags.writeable = False
+            m = self.ambient.tower.m
+            dims = np.empty((self.t, subspace_count(self.ambient, 1)), dtype=np.int64)
+            for i, U in enumerate(self.members):
+                if U.dim >= 2 * m:
+                    dims[i] = U.dim - m + point_weights(ordinary_dual(U))
+            swept = [i for i, n in enumerate(self.dims) if n < 2 * m]
+            if swept:
+                tables = [self.digit_tables[i] for i in swept]
+                ranks = linalg.block_ranks(self.ambient.tower.fqm, self.ambient.normals[:, None], tables)
+                dims[swept] = np.array(self.dims)[swept, None] - ranks
+            _keep_hyperplane_dims(self, dims)
         return self._hyperplane_dims
 
     def span_dim(self) -> int:
@@ -167,6 +188,19 @@ class DesignProfile:
 def _point_sort_key(point: tuple) -> tuple:
     lead = next(i for i, c in enumerate(point) if c)
     return (lead, point[lead + 1 :])
+
+
+def _keep_hyperplane_dims(D: SubspaceDesign, dims: np.ndarray) -> None:
+    """Keep dims as D's read-only hyperplane_dims, certified by double counting: each of the
+    q^n - 1 nonzero vectors of a member of dim n lies on (Q^(k-1) - 1)/(Q - 1) hyperplanes,
+    so its row's sum of q^(d_x) - 1 is (q^n - 1)(Q^(k-1) - 1)/(Q - 1)."""
+    t, k = D.ambient.tower, D.ambient.k
+    through = (t.order ** (k - 1) - 1) // (t.order - 1)
+    certify(dims.min(initial=0) >= 0 and all(
+        sum(c * (t.q**d - 1) for d, c in enumerate(np.bincount(row).tolist())) == (t.q**n - 1) * through
+        for n, row in zip(D.dims, dims)), "hyperplane section dims fail the count of member vectors on hyperplanes")
+    dims.flags.writeable = False
+    D._hyperplane_dims = dims
 
 
 def section_dims(D: SubspaceDesign, X: np.ndarray) -> np.ndarray:
@@ -688,8 +722,7 @@ def is_cutting(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
                 break
         else:  # a walk to the end swept every normal: one sweep per design
             if cached is None:
-                D._hyperplane_dims = np.concatenate(chunks, axis=1)
-                D._hyperplane_dims.flags.writeable = False
+                _keep_hyperplane_dims(D, np.concatenate(chunks, axis=1))
         if constant and first > 0:
             certify(witness is None, "constant positive intersection must imply cutting")
         D._cutting = CuttingReport(

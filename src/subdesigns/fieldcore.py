@@ -145,11 +145,12 @@ class SmallField:
         return self._over_codes(step)
 
     def _build_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        # the generator is the smallest code whose walk visits every nonzero code
+        # the generator is the smallest code whose walk visits every nonzero code; in a proper
+        # extension the codes below |base| are the base field, whose orders divide |base| - 1 < Q - 1
         Q = self.size
         order = Q - 1
         times_y = None if self.base is None else self._times_y()
-        for gen in range(min(2, order), Q):
+        for gen in range(self.base.size if self.degree > 1 else min(2, order), Q):
             exp = _walk(self._step_table(gen, times_y), order)
             if exp is not None:
                 break

@@ -6,7 +6,8 @@ point P with multiplicity sum_i (q^w_i - 1)/(q - 1), w_i = dim_q(U_i meet P).
 It holds only the design.  Its length has a closed form, its points come
 from ``SubspaceDesign.point_dims`` on first read, and a hyperplane x^perp
 holds sum_i (q^d_i - 1)/(q - 1) of them, d_i = dim_q(U_i meet x^perp),
-read off the design's one cached ``hyperplane_dims`` array.  So the weight
+read off the design's one cached ``hyperplane_dims`` array, which comes from
+the members' ordinary duals where they are large.  So the weight
 enumerator of any associated [N, k] Hamming code over F_{q^m} (q^m - 1
 codewords per hyperplane plus the zero word) builds no point and no
 codeword; the tests scan the code as a small-scale oracle.  Certificates

@@ -7,8 +7,9 @@ fixed once and for all as 1, y, ..., y^(m-1) per coordinate block (and
 recorded as such in the serialized formats).  F_{q^m}-subspaces are RREF
 bases over the top field.  Canonical bases make equality a row-wise
 comparison.  ``linear_set`` maps each point of L_U to its weight
-dim_q(U meet P).  The hyperplane normals of V are read as
-``AmbientSpace.normals``, one read-only array per ambient.
+dim_q(U meet P), and ``point_weights`` gives the same weights for every
+point of V in ``canonical_projective_reps`` order.  The hyperplane normals
+of V are read as ``AmbientSpace.normals``, one read-only array per ambient.
 
 ``rref_matrix_blocks`` is the one RREF enumerator: pivot supports in
 lexicographic order, free entries in row-major code order, as stacked
@@ -267,6 +268,16 @@ def canonical_projective_reps(Q: int, k: int) -> np.ndarray:
     return reps
 
 
+def projective_rep_index(points: np.ndarray, Q: int) -> np.ndarray:
+    """Row of each canonical point (..., k) in canonical_projective_reps(Q, k): the block of
+    pivot i follows the (Q^k - Q^(k-i))/(Q-1) rows of the pivots before it, and the entries
+    after the pivot, read in base Q, count the rows before the point within its block."""
+    k = points.shape[-1]
+    piv = (points != 0).argmax(axis=-1)
+    value = points.astype(np.int64) @ Q ** np.arange(k - 1, -1, -1, dtype=np.int64)  # pivot digit 1 included
+    return value - Q ** (k - 1 - piv) + (Q**k - Q ** (k - piv)) // (Q - 1)
+
+
 def hyperplane_subspace(ambient: AmbientSpace, normal) -> FqmSubspace:
     ker = linalg.right_kernel(ambient.tower.fqm, np.asarray(normal, dtype=DTYPE).reshape(1, -1))
     return FqmSubspace.from_rows(ambient, ker)
@@ -346,12 +357,25 @@ def subspace_count(ambient: AmbientSpace, s: int) -> int:
     return gaussian_binomial(ambient.k, s, ambient.tower.order)
 
 
+def canonical_points(F, vecs: np.ndarray) -> np.ndarray:
+    """Nonzero vectors (B, k) over F, each divided by its first nonzero coordinate: its point's
+    canonical representative, as in canonical_projective_reps."""
+    lead = vecs[np.arange(vecs.shape[0]), (vecs != 0).argmax(axis=1)]
+    return F.mul(vecs, F.inv(lead)[:, None])
+
+
+def _weights_from_counts(counts: np.ndarray, q: int) -> np.ndarray:
+    """w with counts = q^w - 1, the vectors of an F_q-subspace on each point; certified."""
+    w = np.rint(np.log(counts + 1) / np.log(q)).astype(np.int64)
+    certify(np.array_equal(q**w - 1, counts), "point multiplicity is not of the form q^w - 1")
+    return w
+
+
 def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[tuple, int]:
     """The linear set L_U as {canonical point P: weight dim_q(U meet P)}.
 
-    All nonzero vectors of U are normalised at once (first nonzero
-    coordinate 1) and counted
-    with one np.unique; points keep the order in which the vector
+    All nonzero vectors of U are normalised at once (canonical_points) and
+    counted with one np.unique; points keep the order in which the vector
     enumeration first meets them.  Also checks the rank identity: summing
     (q^w - 1)/(q - 1) over the points recovers (q^n - 1)/(q - 1) for
     n = dim U.
@@ -359,20 +383,35 @@ def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict
     if U.dim == 0:
         raise ZeroSubspace("the zero subspace has no linear set")
     amb = U.ambient
-    F = amb.tower.fqm
     q = amb.tower.q
     pts = amb.contract(U.vectors_expanded(cap=cap))
-    pts = pts[pts.any(axis=1)]
-    # one canonical representative per vector: divide out the first nonzero coordinate
-    lead = pts[np.arange(pts.shape[0]), (pts != 0).argmax(axis=1)]
-    pts = F.mul(pts, F.inv(lead)[:, None])
+    pts = canonical_points(amb.tower.fqm, pts[pts.any(axis=1)])
     keys, first, counts = np.unique(pts, axis=0, return_index=True, return_counts=True)
     seen = np.argsort(first)  # first-seen order, as in the vector enumeration
-    w = np.rint(np.log(counts + 1) / np.log(q)).astype(np.int64)
-    certify(np.array_equal(q**w - 1, counts), "point multiplicity is not of the form q^w - 1")
+    w = _weights_from_counts(counts, q)
     n = U.dim
     certify(int(((q**w - 1) // (q - 1)).sum()) == (q**n - 1) // (q - 1), "linear-set rank identity violated")
     return dict(zip(map(tuple, keys[seen].tolist()), w[seen].tolist()))
+
+
+def point_weights(U: FqSubspace) -> np.ndarray:
+    """dim_q(U meet P) for every point P of V, in canonical_projective_reps order (0 off L_U).
+
+    The q^dim U - 1 nonzero vectors of U go in linalg.chunks, each taken to
+    its point's row by canonical_points and projective_rep_index, and the
+    rows met are counted with one np.unique; each count is certified q^w - 1.
+    """
+    amb = U.ambient
+    q, r = amb.tower.q, U.dim
+    coeffs = np.arange(1, q**r)  # the nonzero coefficient vectors, as base-q numbers
+    rows = [np.zeros(0, dtype=np.int64)]  # U = 0 has no vector and no chunk
+    for part in linalg.chunks(len(coeffs), amb.n_fq):
+        vecs = linalg.matmul(amb.tower.fq, np.stack(np.unravel_index(coeffs[part], (q,) * r), axis=1), U.basis)
+        rows.append(projective_rep_index(canonical_points(amb.tower.fqm, amb.contract(vecs)), amb.tower.order))
+    met, counts = np.unique(np.concatenate(rows), return_counts=True)
+    weights = np.zeros(subspace_count(amb, 1), dtype=np.int64)
+    weights[met] = _weights_from_counts(counts, q)
+    return weights
 
 
 def ordinary_dual(U: FqSubspace) -> FqSubspace:
@@ -380,8 +419,8 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
     amb = U.ambient
     F = amb.tower.fq
     cond = linalg.matmul(F, U.basis, amb.trace_gram)
-    ker = linalg.right_kernel(F, cond)
-    dual = FqSubspace.from_expanded_rows(amb, ker)
+    ker = linalg.right_kernel(F, cond)  # canonical already: its pivots are its rows' first nonzeros
+    dual = FqSubspace(amb, ker, (ker != 0).argmax(axis=1).tolist())
     certify(dual.dim + U.dim == amb.n_fq, "dim U + dim U' must equal mk")
     return dual
 

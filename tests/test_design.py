@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from subdesigns import design as de
 from subdesigns import expander as ex
 from subdesigns import hamming as ha
-from subdesigns import linalg, subspace
+from subdesigns import cli, linalg, subspace
+from subdesigns import formats as fmt
 from subdesigns import sumrank as sr
 from subdesigns.errors import (
     AmbientMismatch,
@@ -713,6 +714,80 @@ def test_hyperplane_sweep_makes_no_fqm_matmul(monkeypatch):
     tables = D.digit_tables
     assert D.digit_tables is tables  # built once per design object
     assert not any(F is D.ambient.tower.fqm for F in fields)
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+def test_hyperplane_dims_match_the_section_sweep(key):
+    # seeded designs with members on both sides of 2m, U = V (a dual with no vector) and the zero
+    # member, k = 1..4 while the hyperplanes number at most 10,000: the dual route and the swept rows
+    # both equal section_dims over every normal
+    t = make_tower(*key)
+    rng = np.random.default_rng(sum(key))
+    for k in range(1, 5):
+        amb = AmbientSpace(t, k)
+        if subspace.subspace_count(amb, 1) > 10_000:
+            break
+        m, mk = t.m, amb.n_fq
+        sizes = [n for n in (0, 1, m, 2 * m - 1, 2 * m, 2 * m + 1, mk - 1) if n <= mk]
+        members = [FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (n, mk))) for n in sizes]
+        members += [FqSubspace.from_expanded_rows(amb, np.eye(mk, dtype=DTYPE)[: min(2 * m, mk)]),
+                    FqSubspace.from_expanded_rows(amb, np.eye(mk, dtype=DTYPE))]
+        D = de.SubspaceDesign(amb, members)
+        assert D.dims[-1] == mk and (k == 1 or D.dims[-2] == 2 * m) and min(D.dims) < 2 * m
+        want = de.section_dims(de.SubspaceDesign(amb, members), amb.normals[:, None])
+        got = D.hyperplane_dims()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_headline_verbs_read_the_duals_not_the_sweep(monkeypatch, tmp_path, capsys):
+    # weights, srg and msrd on the headline design (members of dim 6 = 2m) build neither digit tables
+    # nor a block-rank sweep; big_fields' twisted design over F_6561 (members of dim m) still sweeps
+    path = tmp_path / "headline.json"
+    path.write_text(fmt.dumps(fmt.design_to_json(glued_design(3, 3, 4, 2))))
+    twisted = twisted_design(9, 4, 2, 2)
+    calls = []
+    for name in ("block_ranks", "digit_tables"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    for verb in ("weights", "srg", "msrd"):
+        assert cli.main([verb, str(path)]) == 0
+    assert calls == []
+    D = de.SubspaceDesign(twisted.ambient, twisted.members)
+    assert D.dims == (4, 4) and de.hyperplane_weight_distribution(D) == {0: 4922, 1: 1640}
+    assert calls == ["digit_tables", "block_ranks"]
+
+
+def test_hyperplane_dims_certificates_survive_python_O():
+    # a dual vector dropped or duplicated on its way to the point counts, and one swept rank off by one,
+    # must each be refused with asserts stripped
+    check = (
+        "from subdesigns import design as de, linalg, subspace\n"
+        "from subdesigns.errors import CertificateFailed\n"
+        "from subdesigns.repro import glued_design, twisted_design\n"
+        "designs = [glued_design(3, 3, 4, 2), glued_design(2, 2, 4, 1), twisted_design(9, 2, 2, 2)]\n"
+        "points, ranks = subspace.canonical_points, linalg.block_ranks\n"
+        "def off_by_one(*args):\n"
+        "    r = ranks(*args)\n"
+        "    r[0, 5] += 1\n"
+        "    return r\n"
+        "cases = [(D, 'canonical_points', lambda F, V, cut=cut: cut(points(F, V)))\n"
+        "         for D in designs[:2] for cut in (lambda P: P[1:], lambda P: P[[0, *range(len(P))]])]\n"
+        "for D, name, fake in cases + [(designs[2], 'block_ranks', off_by_one)]:\n"
+        "    owner = subspace if name == 'canonical_points' else linalg\n"
+        "    setattr(owner, name, fake)\n"
+        "    try:\n"
+        "        de.SubspaceDesign(D.ambient, D.members).hyperplane_dims()\n"
+        "        print('accepted')\n"
+        "    except CertificateFailed as e:\n"
+        "        print('refused:', e)\n"
+        "    subspace.canonical_points, linalg.block_ranks = points, ranks\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5 and all(line.startswith("refused:") for line in lines)
+    assert lines[0] == "refused: point multiplicity is not of the form q^w - 1"
+    assert lines[-1] == "refused: hyperplane section dims fail the count of member vectors on hyperplanes"
 
 
 def test_span_dim_is_computed_once_per_design(monkeypatch):

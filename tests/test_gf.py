@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from subdesigns.errors import BadParameters, DivisionByZero, NotInBaseField, NotIrreducible, NotPrime, TowerMismatch
 from subdesigns.fieldcore import FULL_TABLE_CAP, find_irreducible, poly_eval, poly_mod, smallest_root
-from subdesigns import gf, linalg
+from subdesigns import fieldcore, gf, linalg
 from subdesigns import design as de
 from subdesigns import expander as ex
 from subdesigns import sumrank as sr
@@ -377,6 +377,19 @@ def test_generator_codes_and_exp_bijection(key):
         assert np.array_equal(np.sort(F._exp[:order]), np.arange(1, F.size))
         assert np.array_equal(F._exp[order:], F._exp[:order])
         assert np.array_equal(F._log[F._exp[:order]], np.arange(order))
+
+
+@pytest.mark.parametrize("key,steps", [((3, 2, 4), [9, 10]), ((5, 2, 4), [25, 26]), ((3, 2, 2), [9, 10]),
+                                       ((2, 1, 3), [2]), ((5, 1, 1), [2])])
+def test_primitive_search_builds_no_step_table_for_the_base_field(monkeypatch, key, steps):
+    # in a proper extension the codes below |base| are the base field, whose orders divide |base| - 1:
+    # the search starts past them (a degree-1 extension at 2, as a prime field) and finds the same code
+    t = make_tower(*key)
+    tried, build = [], fieldcore.SmallField._step_table
+    monkeypatch.setattr(fieldcore.SmallField, "_step_table", lambda F, g, ty: tried.append(g) or build(F, g, ty))
+    F = fieldcore.SmallField(t.p, t.fq, t.fqm_modulus)  # a fresh field, past the interning of small_field
+    assert tried == steps and F.generator_code == t.fqm.generator_code == steps[-1]
+    assert np.array_equal(F._exp, t.fqm._exp)
 
 
 def _schoolbook(F, a: int, b: int) -> int:

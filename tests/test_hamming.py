@@ -148,23 +148,27 @@ def test_point_counts_match_direct_count(p, h, m, seed):
 
 
 def test_one_section_sweep_per_design(monkeypatch):
-    # the (k-1)-profile, sums, point counts, SRG and cutting totals share one F_q-rank round;
-    # the cutting test adds only the F_{q^m}-ranks of its section spans, one chunk of normals here,
-    # which rank_batch hands to rank_codes as F_9^4 packed rows
+    # the (k-1)-profile, sums, point counts, SRG and cutting totals share one hyperplane array, read off
+    # one ordinary dual per member (dim 4 = 2m) with no F_q-rank; the cutting test adds only the
+    # F_{q^m}-ranks of its section spans, one chunk of normals here, which rank_batch hands to rank_codes
+    # as F_9^4 packed rows
     D = glued_design(3, 2, 4, 2)
     fq = D.ambient.tower.fq
-    calls = []
+    calls, arrays, duals = [], [], []
     for name in ("rank_codes", "rank_batch"):  # the sweep's F_q-ranks of codes, the cutting test's F_{q^m}-ranks
         rank = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda F, *args, rank=rank: calls.append(F is fq) or rank(F, *args))
+    keep, dual = de._keep_hyperplane_dims, de.ordinary_dual
+    monkeypatch.setattr(de, "_keep_hyperplane_dims", lambda D, dims: arrays.append(dims.shape) or keep(D, dims))
+    monkeypatch.setattr(de, "ordinary_dual", lambda U: duals.append(U) or dual(U))
     prof = de.design_profile(D, D.ambient.k - 1)
-    assert calls == [True] * D.t
+    assert calls == [] and arrays == [(D.t, 820)] and duals == list(D.members)
     sums = de.hyperplane_profile_sums(D)
     P = ha.ext_system(D)
     counts = ha.hyperplane_point_counts(P)
     params = ha.srg_from_two_intersection(P)
     cut = de.is_cutting(D)
-    assert calls == [True] * D.t + [False, False]
+    assert calls == [False, False] and arrays == [(D.t, 820)] and duals == list(D.members)
     assert prof.A_min == sums.max() and cut.intersection_constant == (len(set(sums.tolist())) == 1)
     assert len(set(counts.tolist())) == 2 and params.v == 9**4
 

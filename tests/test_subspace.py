@@ -180,6 +180,22 @@ def test_projective_reps_are_the_rref_rows(Q, k):
     assert subspace.canonical_projective_reps(Q, 0).shape == (0, 0)
 
 
+@pytest.mark.parametrize("Q,k", [(2, 1), (2, 4), (3, 3), (4, 2), (9, 3), (27, 4), (6561, 2), (2, 14)])
+def test_projective_rep_index_inverts_the_reps(Q, k):
+    # the closed-form row of each canonical point is its place among the reps
+    reps = subspace.canonical_projective_reps(Q, k)
+    assert np.array_equal(subspace.projective_rep_index(reps, Q), np.arange(len(reps)))
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (3, 1, 3), (2, 2, 2), (3, 2, 2)])
+def test_canonical_points_undo_every_nonzero_scalar(key):
+    # every nonzero multiple of every rep of F_{q^m}^3 goes back to that rep
+    F = make_tower(*key).fqm
+    reps = subspace.canonical_projective_reps(F.size, 3)
+    scaled = F.mul(np.arange(1, F.size)[:, None, None], reps[None]).reshape(-1, 3)
+    assert np.array_equal(subspace.canonical_points(F, scaled), np.tile(reps, (F.size - 1, 1)))
+
+
 def test_fqm_contains_matches_the_dot_product(amb9):
     # v lies in the hyperplane x^perp iff x . v = 0, for every point v and normal x of F_9^2
     F = amb9.tower.fqm
