@@ -81,8 +81,9 @@ for t, polys in cases:
 # twisted q9 m4 k2 t2 design over F_{9^4}, which the Q^k <= 4096 filter leaves out,
 # and the cutting verb on the headline design under two seeded changes of
 # coordinates, whose first uncut hyperplanes lie in the first and the second chunk
-# of the cutting sweep (normals 254 and 383), and under a cap below its 20,440
-# hyperplanes, which it must refuse; the README's design enlarged, the PG(3, 2)
+# of the cutting sweep (normals 254 and 383), then profile --s 1 and classify there,
+# whose s = 1 witnesses are ties broken off the canonical basis, and cutting under
+# a cap below its 20,440 hyperplanes, which it must refuse; the README's design enlarged, the PG(3, 2)
 # point pencil read over the intermediate fields F_4 and F_8, and a places
 # embedding over F_{4^3}, enlarged in turn.
 TWISTED = ["construct", "twisted", "--alphas", "1", "-o", "tw.json"]
@@ -135,8 +136,10 @@ FIXED_RUNS = [
     [README_D2, ["expander", "d2.json", "--beta", "default", "--max-dim", "1", "--target", "1/6", "2"]],
     [README_D2, ["expander", "d2.json", "--mode", "sample"]],
     [Q9M4, ["weights", "q9m4.json"], ["cutting", "q9m4.json"], ["msrd", "q9m4.json"]],
-    [["-c", HEADLINE_MOVED, "1"], ["cutting", "moved.json"]],
-    [["-c", HEADLINE_MOVED, "2"], ["cutting", "moved.json"]],
+    [["-c", HEADLINE_MOVED, "1"], ["cutting", "moved.json"], ["profile", "moved.json", "--s", "1"],
+     ["classify", "moved.json"]],
+    [["-c", HEADLINE_MOVED, "2"], ["cutting", "moved.json"], ["profile", "moved.json", "--s", "1"],
+     ["classify", "moved.json"]],
     [["-c", HEADLINE_MOVED, "1"], ["--cap", "20439", "cutting", "moved.json"]],
     [README_D2, ["construct", "enlarge", "d2.json", "--s", "1", "--increments", "1,0", "-o", "enlarged.json"]],
     [PENCIL, ["strong", "intermediate", "strong.json", "--c", "2", "--s", "1", "-o", "intermediate.json"]],

@@ -6,13 +6,13 @@ the true maximum of sum_i dim_q(U_i meet W) over all s-dimensional
 F_{q^m}-subspaces W, with a maximising witness (ties broken by
 enumeration order).  The two ends each reduce one array built once per
 design.  At s = 1 it is ``SubspaceDesign.point_dims``: dim_q(U_i meet P)
-on the points P of the members' linear sets, which ``hamming`` also reads
-for the Ext points.  At s = k-1 it is ``SubspaceDesign.hyperplane_dims``:
-dim_q(U_i meet x^perp) for every member and every canonical normal x.  A
-member with dim U_i >= 2m reads its row off its ordinary dual U_i' as
-dim U_i - m + dim_q(U_i' meet <x>), from the few vectors of U_i'; the others
-are swept as dim U_i - rk_q(x G_i).  Its column sums give the (k-1)-profile,
-the histogram and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
+on the points P some member meets, in enumeration order (``met_point_weights``),
+which ``hamming`` also reads for the Ext points.  At s = k-1 it is
+``SubspaceDesign.hyperplane_dims``: dim_q(U_i meet x^perp) for every member
+and canonical normal x.  A member with dim U_i >= 2m reads its row off its
+ordinary dual U_i' as dim U_i - m + dim_q(U_i' meet <x>) (``point_weights``);
+the others are swept as dim U_i - rk_q(x G_i).  Its column sums give the
+(k-1)-profile, the histogram and the cutting totals, and ``hamming`` its point counts.  ``section_spans``
 gives F_q-bases of the sections themselves, eliminated over F_{q^m}, for
 the cutting test, which walks the normals in chunks, spans only those
 their dims leave open and stops once it knows its answer.
@@ -64,7 +64,7 @@ from subdesigns.subspace import (
     enumerate_fqm_subspaces,
     fqm_subspace_blocks,
     hyperplane_subspace,
-    linear_set,
+    met_point_weights,
     ordinary_dual,
     point_weights,
     span_fq,
@@ -124,17 +124,14 @@ class SubspaceDesign(MemberTuple):
         return linalg.digit_tables(self.ambient.tower.fqm, [U.gen_block() for U in self.members])
 
     def point_dims(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
-        """(points, dims): the canonical points of the members' linear sets, shape (#P, k),
-        first-seen member by member, and dim_q(U_i meet P), shape (t, #P); built once from
-        linear_set, with the cap checked on every call."""
+        """(points, dims): the canonical points some member meets, shape (#P, k), in reps
+        order, and dim_q(U_i meet P), shape (t, #P); built once by met_point_weights, with
+        the cap on the members' q^dim vectors checked on every call."""
         for U in self.members:
-            if U.dim:  # the count linear_set checks
+            if U.dim:
                 check_cap(self.ambient.tower.q**U.dim, cap, "vectors")
         if self._point_dims is None:
-            sets = [linear_set(U, cap=cap) if U.dim else {} for U in self.members]
-            points = list(dict.fromkeys(pt for ls in sets for pt in ls))
-            dims = np.array([[ls.get(pt, 0) for pt in points] for ls in sets], dtype=np.int64)
-            pts = np.array(points, dtype=DTYPE).reshape(len(points), self.ambient.k)
+            pts, dims = met_point_weights(self.members)
             pts.flags.writeable = dims.flags.writeable = False
             self._point_dims = (pts, dims)
         return self._point_dims
@@ -146,8 +143,8 @@ class SubspaceDesign(MemberTuple):
         x^perp is the trace dual of the point <x>, so a member's row is
         dim U - m + dim_q(U' meet <x>) for its ordinary dual U' (Polverino,
         Discrete Math. 310, 2010).  A member with dim U >= 2m reads it off the
-        point_weights of U', whose q^(mk - dim U) - 1 nonzero vectors are at
-        most #H / q^m; the others are swept by linalg.block_ranks on their
+        point_weights of U', whose (q^(mk - dim U) - 1)/(q - 1) lines are fewer
+        than #H / q^m; the others are swept by linalg.block_ranks on their
         entries of digit_tables.  With no member swept, neither the normals
         nor the tables are built.
         """
@@ -185,20 +182,16 @@ class DesignProfile:
     non_degenerate: bool
 
 
-def _point_sort_key(point: tuple) -> tuple:
-    lead = next(i for i, c in enumerate(point) if c)
-    return (lead, point[lead + 1 :])
-
-
 def _keep_hyperplane_dims(D: SubspaceDesign, dims: np.ndarray) -> None:
     """Keep dims as D's read-only hyperplane_dims, certified by double counting: each of the
     q^n - 1 nonzero vectors of a member of dim n lies on (Q^(k-1) - 1)/(Q - 1) hyperplanes,
-    so its row's sum of q^(d_x) - 1 is (q^n - 1)(Q^(k-1) - 1)/(Q - 1)."""
-    t, k = D.ambient.tower, D.ambient.k
+    so its row's sum of q^(d_x) - 1 (a table over d <= mk) is (q^n - 1)(Q^(k-1) - 1)/(Q - 1)."""
+    t, k, mk = D.ambient.tower, D.ambient.k, D.ambient.n_fq
     through = (t.order ** (k - 1) - 1) // (t.order - 1)
-    certify(dims.min(initial=0) >= 0 and all(
-        sum(c * (t.q**d - 1) for d, c in enumerate(np.bincount(row).tolist())) == (t.q**n - 1) * through
-        for n, row in zip(D.dims, dims)), "hyperplane section dims fail the count of member vectors on hyperplanes")
+    vectors = t.q ** np.arange(mk + 1, dtype=np.int64) - 1
+    certify(0 <= dims.min(initial=0) and dims.max(initial=0) <= mk
+            and vectors[dims].sum(axis=1).tolist() == [(t.q**n - 1) * through for n in D.dims],
+            "hyperplane section dims fail the count of member vectors on hyperplanes")
     dims.flags.writeable = False
     D._hyperplane_dims = dims
 
@@ -238,15 +231,14 @@ def hyperplane_profile_sums(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERA
 
 
 def _profile_points(D: SubspaceDesign, cap) -> tuple[int, FqmSubspace]:
-    """Fast s=1 path via member linear sets."""
+    """Fast s=1 path via the members' point weights: points run in enumeration order."""
     amb = D.ambient
     pts, dims = D.point_dims(cap)
     if not len(pts):
         return 0, next(enumerate_fqm_subspaces(amb, 1, cap=cap))
     totals = dims.sum(axis=0)
-    best = int(totals.max())
-    pick = min(map(tuple, pts[totals == best].tolist()), key=_point_sort_key)
-    return best, FqmSubspace.from_rows(amb, [list(pick)])
+    i = int(np.argmax(totals))  # the first maximum keeps enumeration order
+    return int(totals[i]), FqmSubspace.from_rows(amb, pts[i : i + 1])
 
 
 def _profile_sections(D: SubspaceDesign, s: int, cap) -> tuple[int, FqmSubspace]:
@@ -268,8 +260,7 @@ def _profile_sections(D: SubspaceDesign, s: int, cap) -> tuple[int, FqmSubspace]
 
 def design_profile(D: SubspaceDesign, s: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> DesignProfile:
     """Exact maximum intersection total over all s-dimensional F_{q^m}-subspaces."""
-    amb = D.ambient
-    k = amb.k
+    amb, k = D.ambient, D.ambient.k
     if not 1 <= s <= k:
         raise DimensionMismatch(f"s must lie in [1, {k}]")
     span = D.span_dim()
@@ -299,9 +290,7 @@ def max_design_dim(tower: FieldTower, k: int, s: int) -> int | None:
 
 def classify(D: SubspaceDesign, max_s: int | None = None, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict:
     """Design-hood, maximality, monotonicity, bound bookkeeping for s = 1..max_s."""
-    amb = D.ambient
-    t = amb.tower
-    k = amb.k
+    amb, t, k = D.ambient, D.ambient.tower, D.ambient.k
     max_s = k - 1 if max_s is None else min(max_s, k - 1)
     report: dict = {"dims": list(D.dims), "t": D.t, "per_s": {}}
     design_flags = {}
@@ -637,12 +626,9 @@ def hyperplane_weight_distribution(D: SubspaceDesign, cap: int | None = DEFAULT_
     For a maximum 1-design the histogram is checked on the spot against
     the two-point support and the closed-form counts.
     """
-    sums = hyperplane_profile_sums(D, cap=cap)
-    vals, counts = np.unique(sums, return_counts=True)
-    hist = {int(v): int(c) for v, c in zip(vals, counts)}
-    t = D.ambient.tower
-    k = D.ambient.k
-    mk = t.m * k
+    sums = hyperplane_profile_sums(D, cap=cap)  # totals of at most t mk: counted, not sorted
+    hist = {v: c for v, c in enumerate(np.bincount(sums).tolist()) if c}
+    t, k, mk = D.ambient.tower, D.ambient.k, D.ambient.n_fq
     if mk % 2 == 0 and all(d == mk // 2 for d in D.dims) and D.span_dim() == k:
         lo = D.t * t.m * (k - 2) // 2
         if max(hist) <= lo + 1:

@@ -10,8 +10,8 @@ read off the design's one cached ``hyperplane_dims`` array, which comes from
 the members' ordinary duals where they are large.  So the weight
 enumerator of any associated [N, k] Hamming code over F_{q^m} (q^m - 1
 codewords per hyperplane plus the zero word) builds no point and no
-codeword; the tests scan the code as a small-scale oracle.  Certificates
-raise ``CertificateFailed`` and survive ``python -O``.
+codeword; the tests scan the code as a small-scale oracle.  No count is
+sorted.  Certificates raise ``CertificateFailed`` and survive ``python -O``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ProjectiveSystem:
 
     @cached_property
     def entries(self) -> dict[tuple, int]:
-        """{canonical point: sum_i (q^w_i - 1)/(q - 1)}, points in point_dims order."""
+        """{canonical point: sum_i (q^w_i - 1)/(q - 1)}, points in point_dims (reps) order."""
         q = self.ambient.tower.q
         pts, dims = self.design.point_dims(self.cap)
         mult = ((q**dims - 1) // (q - 1)).sum(axis=0)
@@ -77,9 +77,10 @@ def ext_system(D: SubspaceDesign, cap: int | None = DEFAULT_ENUMERATION_CAP) -> 
 
 def hyperplane_point_counts(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """Multiplicity-weighted point count on each hyperplane (normal-vector order): the sum
-    of (q^d - 1)/(q - 1) over the members' section dimensions d on each hyperplane."""
+    of (q^d - 1)/(q - 1), from a table over d <= mk, over the members' section dimensions d."""
     q = P.ambient.tower.q
-    return ((q ** P.design.hyperplane_dims(cap) - 1) // (q - 1)).sum(axis=0)
+    lines = (q ** np.arange(P.ambient.n_fq + 1, dtype=np.int64) - 1) // (q - 1)
+    return lines[P.design.hyperplane_dims(cap)].sum(axis=0)
 
 
 def weight_enumerator(P: ProjectiveSystem, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
@@ -109,16 +110,14 @@ def srg_from_two_intersection(
     verify_graph additionally builds the graph on Q^k vertices and
     checks regularity, lambda and mu exhaustively (within verify_cap).
     """
-    amb = P.ambient
-    Q = amb.tower.order
-    k = amb.k
+    Q, k = P.ambient.tower.order, P.ambient.k
     counts = hyperplane_point_counts(P, cap=cap)
-    sizes = np.unique(counts).tolist()
-    if len(sizes) != 2:
+    w0, w1 = int(counts.min()), int(counts.max())  # two sizes, and none strictly between
+    if w0 == w1 or ((w0 < counts) & (counts < w1)).any():
+        sizes = np.unique(counts, return_counts=True)[0].tolist()  # with counts, numpy.ma stays out
         raise NotTwoIntersection(f"hyperplane intersection sizes are {sizes}")
     if P.design.span_dim() != k:
         raise NotTwoIntersection("the point set must span the space")
-    w0, w1 = sizes
     N = P.length
     v = Q**k
     K = N * (Q - 1)

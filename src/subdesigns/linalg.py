@@ -321,20 +321,23 @@ def echelon_batch(F: SmallField, M: np.ndarray, stop: int | None = None) -> tupl
 
 
 def right_kernel(F: SmallField, M: np.ndarray) -> np.ndarray:
-    """Canonical basis (as rows) of {x : M x^T = 0}."""
-    R, piv = rref(F, M)
+    """Canonical basis (as rows) of {x : M x^T = 0}, from one elimination of M with its columns
+    reversed: there the kernel row of a free column f is e_f less pivot columns left of f, so
+    reversed back, in rows and columns, each leads with a 1 where the others vanish (RREF)."""
+    R, piv = rref(F, np.asarray(M)[:, ::-1])
     free = [c for c in range(R.shape[1]) if c not in piv]
     K = np.zeros((len(free), R.shape[1]), dtype=DTYPE)
     K[range(len(free)), free] = 1
     K[:, piv] = F.neg(R[:, free]).T
-    return rref(F, K)[0]
+    return np.ascontiguousarray(K[::-1, ::-1])
 
 
 def matmul(F: SmallField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
         raise ValueError("shape mismatch")
-    if F.size == F.p:  # codes are residues mod p: one integer product, reduced once
-        return (np.asarray(A, dtype=np.int64) @ np.asarray(B, dtype=np.int64) % F.p).astype(DTYPE)
+    if F.size == F.p:  # codes are residues mod p: one product, reduced once, by BLAS where exact
+        dtype = np.float64 if A.shape[1] * (F.p - 1) ** 2 < 2**53 else np.int64
+        return ((np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)).astype(np.int64) % F.p).astype(DTYPE)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=DTYPE)
     for i in range(A.shape[1]):
         out = np.asarray(F.add(out, F.mul(A[:, i, None], B[None, i, :])), dtype=DTYPE)

@@ -6,10 +6,11 @@ the expanded space F_q^(mk); the expansion basis of F_{q^m} over F_q is
 fixed once and for all as 1, y, ..., y^(m-1) per coordinate block (and
 recorded as such in the serialized formats).  F_{q^m}-subspaces are RREF
 bases over the top field.  Canonical bases make equality a row-wise
-comparison.  ``linear_set`` maps each point of L_U to its weight
-dim_q(U meet P), and ``point_weights`` gives the same weights for every
-point of V in ``canonical_projective_reps`` order.  The hyperplane normals
-of V are read as ``AmbientSpace.normals``, one read-only array per ambient.
+comparison.  One point kernel takes one vector per F_q-line of U to its
+point: ``point_weights`` counts them on every point of V, and
+``met_point_weights`` (and ``linear_set``, its one-member view) on the
+points met alone.  The hyperplane normals of V are read as
+``AmbientSpace.normals``, one read-only array per ambient.
 
 ``rref_matrix_blocks`` is the one RREF enumerator: pivot supports in
 lexicographic order, free entries in row-major code order, as stacked
@@ -165,14 +166,6 @@ class FqSubspace(RowSpace):
     def from_expanded_rows(cls, ambient: AmbientSpace, rows) -> "FqSubspace":
         return cls._canonical(ambient, rows)
 
-    def vectors_expanded(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-        """All q^dim vectors (expanded coordinates), coefficient-lexicographic."""
-        q = self.ambient.tower.q
-        r = self.dim
-        check_cap(q**r, cap, "vectors")
-        combos = np.indices((q,) * r).reshape(r, q**r).T.astype(DTYPE)
-        return linalg.matmul(self.ambient.tower.fq, combos, self.basis)
-
     def gen_block(self) -> np.ndarray:
         """k x dim matrix over F_{q^m} whose columns are the basis (contracted)."""
         return self.ambient.contract(self.basis).T.copy()
@@ -234,10 +227,8 @@ def meet_join(U, W) -> tuple[FqSubspace, FqSubspace]:
     if U.ambient != W.ambient:
         raise AmbientMismatch("subspaces of different ambients")
     F = U.ambient.tower.fq
-    meet_b = linalg.intersect_rowspaces(F, U.basis, W.basis)
-    join_b = linalg.sum_rowspaces(F, U.basis, W.basis)
-    meet = FqSubspace.from_expanded_rows(U.ambient, meet_b)
-    join = FqSubspace.from_expanded_rows(U.ambient, join_b)
+    meet = FqSubspace.from_expanded_rows(U.ambient, linalg.intersect_rowspaces(F, U.basis, W.basis))
+    join = FqSubspace.from_expanded_rows(U.ambient, linalg.sum_rowspaces(F, U.basis, W.basis))
     certify(meet.dim + join.dim == U.dim + W.dim, "Grassmann identity violated")
     return meet, join
 
@@ -364,62 +355,75 @@ def canonical_points(F, vecs: np.ndarray) -> np.ndarray:
     return F.mul(vecs, F.inv(lead)[:, None])
 
 
-def _weights_from_counts(counts: np.ndarray, q: int) -> np.ndarray:
-    """w with counts = q^w - 1, the vectors of an F_q-subspace on each point; certified."""
-    w = np.rint(np.log(counts + 1) / np.log(q)).astype(np.int64)
-    certify(np.array_equal(q**w - 1, counts), "point multiplicity is not of the form q^w - 1")
+def projective_reps_at(rows: np.ndarray, Q: int, k: int) -> np.ndarray:
+    """Rows (B,) of canonical_projective_reps(Q, k) built alone, inverting projective_rep_index."""
+    starts = (Q**k - Q ** (k - np.arange(k, dtype=np.int64))) // (Q - 1)
+    piv = np.searchsorted(starts, rows, side="right") - 1
+    value = rows - starts[piv] + Q ** (k - 1 - piv)  # the point read in base Q, pivot digit 1 included
+    return (value[:, None] // Q ** np.arange(k - 1, -1, -1, dtype=np.int64) % Q).astype(DTYPE)
+
+
+def _line_rows(U: FqSubspace) -> np.ndarray:
+    """The canonical_projective_reps row of the point of each F_q-line of U: one vector per line,
+    its coefficients the rows of canonical_projective_reps(q, dim U) built a chunk at a time by
+    projective_reps_at, times the basis, normalised by canonical_points."""
+    amb = U.ambient
+    q, r = amb.tower.q, U.dim
+    lines = np.arange((q**r - 1) // (q - 1))  # U = 0 has no line and no chunk
+    rows = [np.zeros(0, dtype=np.int64)]
+    for part in linalg.chunks(len(lines), amb.n_fq):
+        vecs = amb.contract(linalg.matmul(amb.tower.fq, projective_reps_at(lines[part], q, r), U.basis))
+        rows.append(projective_rep_index(canonical_points(amb.tower.fqm, vecs), amb.tower.order))
+    return np.concatenate(rows)
+
+
+def _weights_from_counts(U: FqSubspace, counts: np.ndarray) -> np.ndarray:
+    """w with counts = (q^w - 1)/(q - 1), the lines of U on each point; certified after the rank
+    identity: the counts add up to the (q^n - 1)/(q - 1) lines of U, n = dim U."""
+    q, n = U.ambient.tower.q, U.dim
+    certify(int(counts.sum()) == (q**n - 1) // (q - 1), "linear-set rank identity violated")
+    lines = (q ** np.arange(min(n, U.ambient.tower.m) + 1) - 1) // (q - 1)  # on a point of weight w
+    table = np.full(lines[-1] + 1, -1)
+    table[lines] = np.arange(len(lines))
+    w = table.take(counts, mode="clip")  # a count past the table reads the top weight
+    certify(w.min(initial=0) >= 0 and np.array_equal(lines.take(w), counts),
+            "point line count is not of the form (q^w - 1)/(q - 1)")
     return w
 
 
-def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[tuple, int]:
-    """The linear set L_U as {canonical point P: weight dim_q(U meet P)}.
+def point_weights(U: FqSubspace) -> np.ndarray:
+    """dim_q(U meet P) for every point P of V, in canonical_projective_reps order (0 off L_U):
+    the lines of U on each point (_line_rows), counted by one bincount."""
+    return _weights_from_counts(U, np.bincount(_line_rows(U), minlength=subspace_count(U.ambient, 1)))
 
-    All nonzero vectors of U are normalised at once (canonical_points) and
-    counted with one np.unique; points keep the order in which the vector
-    enumeration first meets them.  Also checks the rank identity: summing
-    (q^w - 1)/(q - 1) over the points recovers (q^n - 1)/(q - 1) for
-    n = dim U.
-    """
+
+def met_point_weights(members) -> tuple[np.ndarray, np.ndarray]:
+    """(points, dims): the canonical points that some member meets, shape (#P, k), in
+    canonical_projective_reps order, and dim_q(U_i meet P), shape (t, #P).  The points are
+    numbered by the rows met alone (one np.unique over the members' lines), so no array is
+    longer than the members' lines, however many points V has."""
+    amb = members[0].ambient
+    rows = [_line_rows(U) for U in members]
+    met, at = np.unique(np.concatenate(rows), return_inverse=True)
+    at = np.split(at, np.cumsum([len(r) for r in rows])[:-1])
+    dims = np.array([_weights_from_counts(U, np.bincount(i, minlength=len(met))) for U, i in zip(members, at)])
+    return projective_reps_at(met, amb.tower.order, amb.k), dims
+
+
+def linear_set(U: FqSubspace, cap: int | None = DEFAULT_ENUMERATION_CAP) -> dict[tuple, int]:
+    """The linear set L_U as {canonical point P: weight dim_q(U meet P)}, points in
+    canonical_projective_reps order: met_point_weights of U alone, with its certificates."""
     if U.dim == 0:
         raise ZeroSubspace("the zero subspace has no linear set")
-    amb = U.ambient
-    q = amb.tower.q
-    pts = amb.contract(U.vectors_expanded(cap=cap))
-    pts = canonical_points(amb.tower.fqm, pts[pts.any(axis=1)])
-    keys, first, counts = np.unique(pts, axis=0, return_index=True, return_counts=True)
-    seen = np.argsort(first)  # first-seen order, as in the vector enumeration
-    w = _weights_from_counts(counts, q)
-    n = U.dim
-    certify(int(((q**w - 1) // (q - 1)).sum()) == (q**n - 1) // (q - 1), "linear-set rank identity violated")
-    return dict(zip(map(tuple, keys[seen].tolist()), w[seen].tolist()))
-
-
-def point_weights(U: FqSubspace) -> np.ndarray:
-    """dim_q(U meet P) for every point P of V, in canonical_projective_reps order (0 off L_U).
-
-    The q^dim U - 1 nonzero vectors of U go in linalg.chunks, each taken to
-    its point's row by canonical_points and projective_rep_index, and the
-    rows met are counted with one np.unique; each count is certified q^w - 1.
-    """
-    amb = U.ambient
-    q, r = amb.tower.q, U.dim
-    coeffs = np.arange(1, q**r)  # the nonzero coefficient vectors, as base-q numbers
-    rows = [np.zeros(0, dtype=np.int64)]  # U = 0 has no vector and no chunk
-    for part in linalg.chunks(len(coeffs), amb.n_fq):
-        vecs = linalg.matmul(amb.tower.fq, np.stack(np.unravel_index(coeffs[part], (q,) * r), axis=1), U.basis)
-        rows.append(projective_rep_index(canonical_points(amb.tower.fqm, amb.contract(vecs)), amb.tower.order))
-    met, counts = np.unique(np.concatenate(rows), return_counts=True)
-    weights = np.zeros(subspace_count(amb, 1), dtype=np.int64)
-    weights[met] = _weights_from_counts(counts, q)
-    return weights
+    check_cap(U.ambient.tower.q**U.dim, cap, "vectors")
+    points, dims = met_point_weights([U])
+    return dict(zip(map(tuple, points.tolist()), dims[0].tolist()))
 
 
 def ordinary_dual(U: FqSubspace) -> FqSubspace:
     """Orthogonal complement under (u, v) -> Tr(u . v); dim U + dim U' = mk."""
     amb = U.ambient
-    F = amb.tower.fq
-    cond = linalg.matmul(F, U.basis, amb.trace_gram)
-    ker = linalg.right_kernel(F, cond)  # canonical already: its pivots are its rows' first nonzeros
+    ker = linalg.right_kernel(amb.tower.fq, linalg.matmul(amb.tower.fq, U.basis, amb.trace_gram))  # canonical
     dual = FqSubspace(amb, ker, (ker != 0).argmax(axis=1).tolist())
     certify(dual.dim + U.dim == amb.n_fq, "dim U + dim U' must equal mk")
     return dual
@@ -427,7 +431,5 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
 
 def fqm_dual(W: FqmSubspace) -> FqmSubspace:
     """Orthogonal complement over F_{q^m} under the standard dot form."""
-    amb = W.ambient
-    ker = linalg.right_kernel(amb.tower.fqm, W.basis)
-    return FqmSubspace.from_rows(amb, ker)
+    return FqmSubspace.from_rows(W.ambient, linalg.right_kernel(W.ambient.tower.fqm, W.basis))
 

@@ -31,7 +31,7 @@ from subdesigns.errors import (
 )
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import make_tower
-from subdesigns.repro import distinct_norm_elements, glued_design, pseudoregulus_design, twisted_design
+from subdesigns.repro import distinct_norm_elements, glued_design, max1_corpus, pseudoregulus_design, twisted_design
 from subdesigns.skewpoly import SigmaPoly, lambda_value, twist
 from subdesigns.subspace import (
     AmbientSpace,
@@ -45,6 +45,7 @@ from subdesigns.subspace import (
     span_fq,
 )
 from test_linalg import RANK_TOWERS
+from test_subspace import in_reps_order, oracle_linear_set
 
 
 @pytest.fixture(scope="module")
@@ -605,7 +606,7 @@ def test_cached_linear_sets_still_check_the_cap():
 @settings(max_examples=20)
 @given(st.integers(0, 10_000))
 def test_point_dims_match_member_linear_sets(key, seed):
-    # overlapping members and a zero member: dims[i, p] = linear_set(U_i).get(p, 0), points first-seen
+    # overlapping members and a zero member: dims[i, p] = linear_set(U_i).get(p, 0), points in reps order
     t = make_tower(*key)
     rng = np.random.default_rng(seed)
     amb = AmbientSpace(t, int(rng.integers(1, 4)))
@@ -616,8 +617,39 @@ def test_point_dims_match_member_linear_sets(key, seed):
     members = [U, span_fq(amb, []), V]
     sets = [linear_set(M) if M.dim else {} for M in members]
     pts, dims = de.SubspaceDesign(amb, members).point_dims()
-    assert [tuple(p) for p in pts.tolist()] == list(dict.fromkeys(p for ls in sets for p in ls))
+    assert {tuple(p) for p in pts.tolist()} == {p for ls in sets for p in ls} and in_reps_order(pts, t.order)
     assert dims.tolist() == [[ls.get(tuple(p), 0) for p in pts.tolist()] for ls in sets]
+
+
+def _point_sort_key(point: tuple) -> tuple:
+    lead = next(i for i, c in enumerate(point) if c)
+    return (lead, point[lead + 1 :])
+
+
+def _sort_key_witness(D):
+    """The s = 1 witness by the earlier rule: among the maximisers of the summed oracle linear sets,
+    the least point by _point_sort_key."""
+    sets = [oracle_linear_set(U) for U in D.members]
+    totals = {p: sum(ls.get(p, 0) for ls in sets) for ls in sets for p in ls}
+    best = max(totals.values())
+    return best, min((p for p, v in totals.items() if v == best), key=_point_sort_key)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_s1_witness_is_the_sort_key_minimum(seed):
+    # the first argmax of the point totals in reps order is the least maximiser by (pivot, tail), on the
+    # headline and max1_corpus designs under seeded changes of coordinates v -> v g
+    rng = np.random.default_rng(seed)
+    for D in [glued_design(3, 3, 4, 2)] + [D for _, D in max1_corpus()]:
+        amb, F = D.ambient, D.ambient.tower.fqm
+        g = rng.integers(0, F.size, (amb.k, amb.k))
+        while linalg.rank(F, g) < amb.k:
+            g = rng.integers(0, F.size, (amb.k, amb.k))
+        moved = de.SubspaceDesign(amb, [FqSubspace.from_expanded_rows(amb, amb.expand(
+            linalg.matmul(F, amb.contract(U.basis), g))) for U in D.members])
+        prof = de.design_profile(moved, 1)
+        best, pick = _sort_key_witness(moved)
+        assert prof.A_min == best and prof.witness.basis.tolist() == [list(pick)]
 
 
 # --- block codes --------------------------------------------------------------------
@@ -786,7 +818,7 @@ def test_hyperplane_dims_certificates_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 5 and all(line.startswith("refused:") for line in lines)
-    assert lines[0] == "refused: point multiplicity is not of the form q^w - 1"
+    assert lines[0] == "refused: linear-set rank identity violated"
     assert lines[-1] == "refused: hyperplane section dims fail the count of member vectors on hyperplanes"
 
 

@@ -338,6 +338,25 @@ def test_cli_verbs_check_their_caps_before_allocating(tmp_path, capsys):
         assert json.loads(out) == {"error": "EnumerationCapExceeded", "message": message}
 
 
+def test_headline_verbs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique without counts imports numpy.ma; no headline verb sorts its way to an answer, so none
+    # of weights, srg, msrd, cutting and classify pulls it into a fresh process
+    headline = tmp_path / "headline.json"
+    headline.write_text(fmt.dumps(fmt.design_to_json(glued_design(3, 3, 4, 2))))
+    argvs = [[verb, str(headline)] for verb in ("weights", "srg", "msrd", "cutting", "classify")]
+    check = (
+        "import contextlib, io, sys\n"
+        "from subdesigns.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_cli_missing_option_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("construct", "pseudoregulus", "--m", "2", "--r", "1", "--mus", "1")

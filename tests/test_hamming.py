@@ -174,19 +174,19 @@ def test_one_section_sweep_per_design(monkeypatch):
 
 
 def test_ext_system_reads_points_only_for_entries(monkeypatch):
-    # weights and srg read the section array alone; the points cost one linear_set per member, once
+    # weights and srg read the section array alone; the points cost one met_point_weights of the members, once
     glued = glued_design(3, 3, 4, 2)
     D = de.SubspaceDesign(glued.ambient, glued.members)
     calls = []
-    build = de.linear_set
-    monkeypatch.setattr(de, "linear_set", lambda U, cap: calls.append(U) or build(U, cap))
+    build = de.met_point_weights
+    monkeypatch.setattr(de, "met_point_weights", lambda members: calls.append(members) or build(members))
     P = ha.ext_system(D)
     assert ha.weight_enumerator(P) == {0: 1, 675: 18928, 702: 512512}
     assert ha.srg_from_two_intersection(P).as_tuple() == (531441, 18928, 1327, 650)
     assert calls == []
     assert sum(P.entries.values()) == P.length == 728
     assert P.entries is P.entries and ha.ext_system(D).entries == P.entries
-    assert calls == list(D.members)
+    assert calls == [D.members]
 
 
 def test_ext_length_certificate_checks_point_dims(monkeypatch):

@@ -270,6 +270,22 @@ def test_row_codes_past_int64_raise_a_typed_error():
     assert linalg.base_ranks(F, np.array([[[1, 2, 3]] * 7], dtype=DTYPE)).tolist() == [2]
 
 
+
+@pytest.mark.parametrize("factor", [0, 4])
+def test_prime_matmul_is_exact_on_both_sides_of_the_float_bound(factor):
+    # F_1048573, the largest prime field within LAZY_CAP: BLAS in float64 while n (p - 1)^2 < 2^53,
+    # inner dimension 8,192 here, and the integer product past it, where a float64 sum already rounds
+    p = 1048573
+    F = small_field(p)
+    bound = 2**53 // (p - 1) ** 2
+    n = max(bound, factor * (bound + 1))
+    rng = np.random.default_rng(n)
+    A, B = rng.integers(p // 2, p, (6, n)), rng.integers(p // 2, p, (n, 6))
+    exact = (A.astype(object) @ B.astype(object)) % p
+    assert linalg.matmul(F, A.astype(DTYPE), B.astype(DTYPE)).tolist() == exact.tolist()
+    rounded = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
+    assert (rounded.tolist() != exact.tolist()) == (n > bound)
+
 @pytest.mark.parametrize("name", [mod.name for mod in pkgutil.iter_modules(subdesigns.__path__) if mod.name != "linalg"])
 def test_only_linalg_reads_private_linalg_names(name):
     # the row-code format (tables, paths, carry-free sums) stays behind linalg's public products and ranks

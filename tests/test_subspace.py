@@ -1,17 +1,18 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subdesigns import linalg, subspace
-from subdesigns.design import SubspaceDesign, section_dims, section_spans
-from subdesigns.errors import AmbientMismatch, DimensionMismatch, EnumerationCapExceeded, ZeroSubspace
+from subdesigns.design import SubspaceDesign, design_profile, section_dims, section_spans
+from subdesigns.errors import AmbientMismatch, CertificateFailed, DimensionMismatch, EnumerationCapExceeded, ZeroSubspace
 from subdesigns.fieldcore import DTYPE
 from subdesigns.gf import frobenius, make_tower
-from subdesigns.repro import sigma_towers
+from subdesigns.repro import glued_design, sigma_towers
 from subdesigns.subspace import (
     AmbientSpace,
     FqmSubspace,
@@ -25,10 +26,12 @@ from subdesigns.subspace import (
     linear_set,
     meet_join,
     ordinary_dual,
+    point_weights,
     rref_matrix_blocks,
     span_fq,
     subspace_count,
 )
+from test_linalg import RANK_TOWERS
 
 
 @pytest.fixture(scope="module")
@@ -240,12 +243,39 @@ def canonical_point(ambient: AmbientSpace, vec) -> tuple:
     return tuple(int(c) for c in F.mul(v, int(F.inv(lead))))
 
 
+def oracle_vectors(U):
+    """All q^dim vectors of U (expanded coordinates), coefficient-lexicographic."""
+    q, r = U.ambient.tower.q, U.dim
+    combos = np.indices((q,) * r).reshape(r, q**r).T.astype(DTYPE)
+    return linalg.matmul(U.ambient.tower.fq, combos, U.basis)
+
+
+def oracle_linear_set(U):
+    """The linear set as {point: weight} from all q^dim vectors of U, counted with one np.unique
+    over rows, points in the order the vector enumeration first meets them."""
+    amb = U.ambient
+    q = amb.tower.q
+    pts = amb.contract(oracle_vectors(U))
+    pts = subspace.canonical_points(amb.tower.fqm, pts[pts.any(axis=1)])
+    keys, first, counts = np.unique(pts, axis=0, return_index=True, return_counts=True)
+    seen = np.argsort(first)
+    w = np.rint(np.log(counts + 1) / np.log(q)).astype(np.int64)
+    assert np.array_equal(q**w - 1, counts)
+    assert int(((q**w - 1) // (q - 1)).sum()) == (q**U.dim - 1) // (q - 1)
+    return dict(zip(map(tuple, keys[seen].tolist()), w[seen].tolist()))
+
+
+def in_reps_order(points, Q):
+    """Whether nonempty points run strictly increasing in canonical_projective_reps order."""
+    return bool(np.all(np.diff(subspace.projective_rep_index(np.array(points), Q)) > 0))
+
+
 def _looped_linear_set(U):
     # one canonical_point per vector, keys in first-seen order
     amb = U.ambient
     q = amb.tower.q
     counts = {}
-    for row in amb.contract(U.vectors_expanded()):
+    for row in amb.contract(oracle_vectors(U)):
         if np.any(row):
             key = canonical_point(amb, row)
             counts[key] = counts.get(key, 0) + 1
@@ -272,7 +302,126 @@ def test_linear_set_matches_looped_canonical_points(p, h, m, seed):
     U = FqSubspace.from_expanded_rows(amb, rng.integers(0, t.q, (n, amb.n_fq)))
     if U.dim == 0:
         return
-    assert list(linear_set(U).items()) == list(_looped_linear_set(U).items())
+    L = linear_set(U)
+    assert L == _looped_linear_set(U) and in_reps_order(list(L), t.order)
+
+
+@pytest.mark.parametrize("Q,k", [(2, 1), (2, 4), (3, 3), (4, 2), (9, 3), (27, 4), (6561, 2), (2, 14)])
+def test_projective_reps_at_inverts_the_index(Q, k):
+    # any rows, in any order, rebuilt alone are the rows of the reps
+    reps = subspace.canonical_projective_reps(Q, k)
+    rows = np.random.default_rng(Q * k).permutation(len(reps))
+    assert np.array_equal(subspace.projective_reps_at(rows, Q, k), reps[rows])
+
+
+def _subspace_of_dim(rng, amb, d):
+    """A random F_q-subspace of dimension exactly d."""
+    while True:
+        U = FqSubspace.from_expanded_rows(amb, rng.integers(0, amb.tower.q, (d, amb.n_fq)))
+        if U.dim == d:
+            return U
+
+
+def _point_weight_members(key, seed):
+    """Members of dims 0, 1, m, mk - 1 and mk over a RANK_TOWERS field, with mk as large as
+    q^mk <= 5000 allows, and one member sharing a random part of another's basis."""
+    t = make_tower(*key)
+    k = max([1] + [k for k in (2, 3) if t.q ** (t.m * k) <= 5000])
+    amb = AmbientSpace(t, k)
+    rng = np.random.default_rng(seed)
+    members = [_subspace_of_dim(rng, amb, d) for d in (0, 1, t.m, amb.n_fq - 1, amb.n_fq)]
+    U = members[int(rng.integers(1, 4))]
+    extra = rng.integers(0, t.q, (int(rng.integers(1, 3)), amb.n_fq))
+    members.append(FqSubspace.from_expanded_rows(amb, np.vstack([U.basis[: int(rng.integers(0, U.dim + 1))], extra])))
+    return amb, members
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+@settings(max_examples=6)
+@given(st.integers(0, 10_000))
+def test_point_weights_match_the_vector_oracle(key, seed):
+    # one vector per line and a bincount give the weights that all q^dim vectors and np.unique give; the
+    # linear sets agree as dicts, and point_dims is their union in canonical_projective_reps order
+    amb, members = _point_weight_members(key, seed)
+    Q, n_points = amb.tower.order, subspace_count(amb, 1)
+    oracles = [oracle_linear_set(U) if U.dim else {} for U in members]
+    for U, oracle in zip(members, oracles):
+        dense = np.zeros(n_points, dtype=np.int64)
+        if oracle:
+            dense[subspace.projective_rep_index(np.array(list(oracle)), Q)] = list(oracle.values())
+            assert linear_set(U) == oracle
+        assert np.array_equal(point_weights(U), dense)
+    pts, dims = SubspaceDesign(amb, members).point_dims()
+    union = {p for oracle in oracles for p in oracle}
+    assert {tuple(p) for p in pts.tolist()} == union and in_reps_order(pts, Q)
+    assert dims.tolist() == [[oracle.get(tuple(p), 0) for p in pts.tolist()] for oracle in oracles]
+
+
+def test_point_dims_are_bounded_by_the_members_lines():
+    # k = 3 over F_2048 has 4,196,353 points; three members of dim 11 meet at most 6,141 of them, and
+    # point_dims, the s = 1 profile and the linear sets allocate for those alone (one int64 per point of
+    # V would be 33.6 MB) while matching the vector oracle
+    amb = AmbientSpace(make_tower(2, 1, 11), 3)
+    rng = np.random.default_rng(2048)
+    members = [_subspace_of_dim(rng, amb, 11) for _ in range(3)]
+    oracles = [oracle_linear_set(U) for U in members]
+    D = SubspaceDesign(amb, members)
+    tracemalloc.start()
+    try:
+        pts, dims = D.point_dims()
+        profile = design_profile(D, 1)
+        sets = [linear_set(U) for U in members]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert subspace_count(amb, 1) == 4_196_353 and peak < 4 * 2**20
+    assert sets == oracles and in_reps_order(pts, amb.tower.order)
+    assert dims.tolist() == [[oracle.get(tuple(p), 0) for p in pts.tolist()] for oracle in oracles]
+    assert profile.A_min == dims.sum(axis=0).max()
+
+
+@pytest.mark.parametrize("cut,message", [
+    (lambda P: P[1:], "linear-set rank identity violated"),  # a line lost
+    (lambda P: P[[0, *range(len(P))]], "linear-set rank identity violated"),  # a line counted twice
+    (lambda P: P[[1, *range(1, len(P))]], "point line count is not of the form"),  # a line moved
+])
+def test_point_weight_certificates(monkeypatch, cut, message):
+    # the lines of the headline design's first dual member (dim 6, 364 lines) are moved off their points
+    glued = glued_design(3, 3, 4, 2)
+    U = ordinary_dual(glued.members[0])
+    points = subspace.canonical_points
+    monkeypatch.setattr(subspace, "canonical_points", lambda F, V: cut(points(F, V)))
+    for fn in (point_weights, linear_set):
+        with pytest.raises(CertificateFailed, match=message):
+            fn(U)
+
+
+def two_pass_right_kernel(F, M):
+    """The textbook kernel of the RREF of M, brought to RREF by a second elimination."""
+    R, piv = linalg.rref(F, M)
+    free = [c for c in range(R.shape[1]) if c not in piv]
+    K = np.zeros((len(free), R.shape[1]), dtype=DTYPE)
+    K[range(len(free)), free] = 1
+    K[:, piv] = F.neg(R[:, free]).T
+    return linalg.rref(F, K)[0]
+
+
+@pytest.mark.parametrize("key", RANK_TOWERS)
+@settings(max_examples=8)
+@given(st.integers(0, 10_000))
+def test_ordinary_dual_is_one_elimination(key, seed):
+    # the reversed elimination gives the two-pass canonical kernel of the trace conditions, for members
+    # of every dimension from 0 to mk, and the kernel of a random matrix over F_{q^m} alike
+    t = make_tower(*key)
+    rng = np.random.default_rng(seed)
+    amb = AmbientSpace(t, int(rng.integers(1, 4)))
+    for d in sorted({0, int(rng.integers(1, amb.n_fq)), amb.n_fq}):
+        U = _subspace_of_dim(rng, amb, d)
+        dual = ordinary_dual(U)
+        oracle = two_pass_right_kernel(t.fq, linalg.matmul(t.fq, U.basis, amb.trace_gram))
+        assert np.array_equal(dual.basis, oracle) and dual.pivots == (oracle != 0).argmax(axis=1).tolist()
+    M = rng.integers(0, t.order, (int(rng.integers(0, 4)), int(rng.integers(1, 5))))
+    assert np.array_equal(linalg.right_kernel(t.fqm, M), two_pass_right_kernel(t.fqm, M))
 
 
 def test_ordinary_dual_examples(amb4):
@@ -404,6 +553,8 @@ def test_zero_dimensional_rref_matrices(Q, k):
 
 
 def test_vectors_of_the_zero_subspace(amb9):
+    # the oracle's one zero vector, and no point of weight above 0
     U = FqSubspace.from_expanded_rows(amb9, np.zeros((0, amb9.n_fq), dtype=DTYPE))
-    V = U.vectors_expanded()
+    V = oracle_vectors(U)
     assert V.shape == (1, amb9.n_fq) and not V.any()
+    assert np.array_equal(point_weights(U), np.zeros(subspace_count(amb9, 1)))
